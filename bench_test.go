@@ -202,6 +202,31 @@ func BenchmarkAnalysisMethods(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalysisFig2b is BenchmarkAnalysisMethods for the two DPCP-p
+// methods on a Fig. 2(b) taskset (m=32, 8-16 resources, pr=1): most
+// processors host resources, so the Theorem 1 kernel's per-processor zeta
+// sums and (proc, base) epsilon rows dominate, as they do in the Fig. 2
+// sweep. Gated by cmd/benchgate.
+func BenchmarkAnalysisFig2b(b *testing.B) {
+	scen, _ := taskgen.Fig2Scenario("2b")
+	g := taskgen.NewGenerator(scen)
+	ts, err := g.Taskset(rand.New(rand.NewSource(1)), 8.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []analysis.Method{analysis.DPCPpEN, analysis.DPCPpEP} {
+		b.Run(string(m), func(b *testing.B) {
+			b.ReportAllocs()
+			sc := analysis.NewScratch()
+			analysis.TestWith(sc, m, ts, analysis.Options{}) // warm the arenas
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				analysis.TestWith(sc, m, ts, analysis.Options{})
+			}
+		})
+	}
+}
+
 // benchStageRecorder mirrors the server engine's stage wiring: per-stage
 // obs histograms fed through the allocation-free scratch hooks.
 type benchStageRecorder struct {

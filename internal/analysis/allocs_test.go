@@ -24,17 +24,20 @@ func newHistRecorder() *histRecorder {
 
 func (r *histRecorder) RecordStage(s Stage, d time.Duration) { r.h[s].Observe(d) }
 
-// allocPartition returns a corpus taskset together with a partition to
-// re-analyze, preferring a schedulable one so WCRTs exercises the full
-// fixed-point machinery.
-func allocPartition(t *testing.T, m Method) (*model.Taskset, *partition.Partition) {
+// allocPartition returns a corpus taskset on procs processors together
+// with a partition to re-analyze, preferring a schedulable one so WCRTs
+// exercises the full fixed-point machinery.
+func allocPartition(t *testing.T, m Method, procs int) (*model.Taskset, *partition.Partition) {
 	t.Helper()
 	for _, ts := range equivalenceCorpus(t) {
+		if ts.NumProcs != procs {
+			continue
+		}
 		if res := Test(m, ts, Options{}); res.Partition != nil {
 			return ts, res.Partition
 		}
 	}
-	t.Fatal("no corpus taskset produced a partition")
+	t.Fatalf("no %d-processor corpus taskset produced a partition", procs)
 	return nil, nil
 }
 
@@ -43,23 +46,26 @@ func allocPartition(t *testing.T, m Method) (*model.Taskset, *partition.Partitio
 // with per-stage instrumentation enabled, exactly as the server runs it.
 // This is a hard gate — any regression (a map rebuilt per call, an arena
 // growing per round, a slice escaping, a recorder that boxes) fails the
-// test, not just a benchmark trend.
+// test, not just a benchmark trend. Both corpus configurations are
+// covered: the m=32 Fig. 2(b) one grows the epsilon table the furthest.
 func testWCRTsZeroAlloc(t *testing.T, en bool) {
 	m := DPCPpEP
 	if en {
 		m = DPCPpEN
 	}
-	ts, p := allocPartition(t, m)
-	a := NewDPCPp(ts, DefaultPathCap, en)
-	rec := newHistRecorder()
-	a.sc.SetStageRecorder(rec)
-	a.WCRTs(p) // warm: builds the view cache and sizes every arena
-	if n := testing.AllocsPerRun(20, func() { a.WCRTs(p) }); n != 0 {
-		t.Fatalf("%s warm WCRTs: %v allocs/run, want 0", m, n)
-	}
-	if rec.h[StageRound].Count() == 0 || rec.h[StageFixPoint].Count() == 0 {
-		t.Fatalf("%s: stage recorder saw no samples (round=%d fixpoint=%d); instrumentation is dead",
-			m, rec.h[StageRound].Count(), rec.h[StageFixPoint].Count())
+	for _, procs := range []int{16, 32} {
+		ts, p := allocPartition(t, m, procs)
+		a := NewDPCPp(ts, DefaultPathCap, en)
+		rec := newHistRecorder()
+		a.sc.SetStageRecorder(rec)
+		a.WCRTs(p) // warm: builds the view cache and sizes every arena
+		if n := testing.AllocsPerRun(20, func() { a.WCRTs(p) }); n != 0 {
+			t.Fatalf("%s m=%d warm WCRTs: %v allocs/run, want 0", m, procs, n)
+		}
+		if rec.h[StageRound].Count() == 0 || rec.h[StageFixPoint].Count() == 0 {
+			t.Fatalf("%s: stage recorder saw no samples (round=%d fixpoint=%d); instrumentation is dead",
+				m, rec.h[StageRound].Count(), rec.h[StageFixPoint].Count())
+		}
 	}
 }
 

@@ -83,22 +83,11 @@ func (c *deltaCapture) reset() {
 }
 
 // record snapshots one converged task: its per-view fixed points and its
-// epsilon memo rows.
-func (c *deltaCapture) record(id rt.TaskID, xs []rt.Time, memo map[epsKey]rt.Time) {
+// epsilon memo rows, sorted by (proc, base).
+func (c *deltaCapture) record(id rt.TaskID, xs []rt.Time, memo *epsTable) {
 	c.fix[id] = append([]rt.Time(nil), xs...)
 	//schedlint:ignore hotpath capture runs only under the delta analyzer, once per converged task
-	rows := make([]epsRow, 0, len(memo))
-	for k, v := range memo {
-		rows = append(rows, epsRow{key: k, val: v})
-	}
-	//schedlint:ignore hotpath capture runs only under the delta analyzer, once per converged task
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].key.proc != rows[b].key.proc {
-			return rows[a].key.proc < rows[b].key.proc
-		}
-		return rows[a].key.base < rows[b].key.base
-	})
-	c.eps[id] = rows
+	c.eps[id] = memo.appendRows(make([]epsRow, 0, memo.n))
 }
 
 // DeltaStats reports what an incremental run reused.

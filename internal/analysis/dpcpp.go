@@ -202,16 +202,35 @@ type procCtx struct {
 	other []etaTerm
 }
 
+// etaTerm is one other task's contribution to an interference sum: its
+// per-job work times eta_j over the window. src indexes the task in its
+// taskCtx's eta source list (see taskCtx.srcResp).
 type etaTerm struct {
 	period rt.Time
 	resp   rt.Time
 	work   rt.Time
+	src    int
 }
 
+// etaSum evaluates sum_j eta_j(window) * work_j, computing each eta from
+// the term's own (T, R). The single-view evaluators (pathWCRT, Explain)
+// and the Lemma 2 W recurrence use it.
 func etaSum(terms []etaTerm, window rt.Time) rt.Time {
 	var total rt.Time
 	for _, e := range terms {
 		total = rt.SatAdd(total, rt.SatMul(rta.Eta(window, e.resp, e.period), e.work))
+	}
+	return total
+}
+
+// etaWork is etaSum over eta counts precomputed per source task:
+// etas[e.src] = eta_j(window). The saturating sum of non-negative terms is
+// the same whichever way its eta factors were obtained, so the result is
+// bit-identical to etaSum.
+func etaWork(terms []etaTerm, etas []int64) rt.Time {
+	var total rt.Time
+	for _, e := range terms {
+		total = rt.SatAdd(total, rt.SatMul(etas[e.src], e.work))
 	}
 	return total
 }
@@ -239,12 +258,24 @@ type taskCtx struct {
 	localCS   []rt.Time
 	clusterCS []rt.Time
 
-	// epsMemo caches the Lemma 2 per-request blocking bound across the
+	// srcPeriod / srcResp hold (T_j, R_j) of every task with a term in
+	// the Theorem 1 recurrence (procs[].other, cluster, hpShared); each
+	// such etaTerm's src indexes them. eta_j(r) does not depend on the
+	// processor, so taskWCRT's fixed-point step computes it once per task
+	// into etas and every zeta, cluster and shared sum reuses the count.
+	// srcOf maps a position in ts.Tasks to 1 + its source index (0: none).
+	srcPeriod []rt.Time
+	srcResp   []rt.Time
+	srcOf     []int64
+	etas      []int64
+
+	// eps memoizes the Lemma 2 per-request blocking bound across the
 	// per-view loop: the W fixed point depends on the view only through
 	// base = L_{i,q} + off-path co-located CS work + beta, so views
 	// sharing a base (the common case after signature collapse) reuse it.
-	// rt.Infinity marks a diverged recurrence.
-	epsMemo map[epsKey]rt.Time
+	// rt.Infinity marks a diverged recurrence. The table is the Scratch's
+	// flat (proc, base) table, emptied in O(1) per task.
+	eps *epsTable
 	// epsScratch holds the per-processor epsilon values of the view under
 	// evaluation in the single-view path (pathWCRT: Explain and reference
 	// implementations); the batched path keeps its own flat array.
@@ -256,6 +287,19 @@ type taskCtx struct {
 type epsKey struct {
 	proc rt.ProcID
 	base rt.Time
+}
+
+// term returns the etaTerm of ts.Tasks[pos] with the given work, adding
+// the task to the eta source list on first use. Every source list has
+// capacity len(ts.Tasks), so the appends never reallocate.
+func (c *taskCtx) term(pos int, other *model.Task, wcrts map[rt.TaskID]rt.Time, work rt.Time) etaTerm {
+	if c.srcOf[pos] == 0 {
+		c.srcPeriod = append(c.srcPeriod, other.Period)
+		c.srcResp = append(c.srcResp, knownOrDeadline(wcrts, other))
+		c.srcOf[pos] = int64(len(c.srcPeriod))
+	}
+	src := int(c.srcOf[pos] - 1)
+	return etaTerm{period: other.Period, resp: c.srcResp[src], work: work, src: src}
 }
 
 func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
@@ -277,6 +321,13 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	ctx.hpShared = nil
 	ctx.shared = false
 
+	// nOther bounds every eta-term list: each task other than t contributes
+	// at most one term per list.
+	nOther := len(ts.Tasks)
+	ctx.srcOf = s.i64s.allocZero(nOther)
+	ctx.srcPeriod = s.times.alloc(nOther)[:0]
+	ctx.srcResp = s.times.alloc(nOther)[:0]
+
 	nr := ts.NumResources
 	localRes := s.resIDs.alloc(nr)[:0]
 	localCS := s.times.alloc(nr)[:0]
@@ -289,9 +340,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	}
 	ctx.localRes, ctx.localCS = localRes, localCS
 
-	// nOther bounds every eta-term list: each task other than t contributes
-	// at most one term per list.
-	nOther := len(ts.Tasks)
 	for k := 0; k < ts.NumProcs; k++ {
 		proc := rt.ProcID(k)
 		res := p.ResourcesOn(proc)
@@ -304,7 +352,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 		}
 		pc.hp = s.terms.alloc(nOther)[:0]
 		pc.other = s.terms.alloc(nOther)[:0]
-		for _, other := range ts.Tasks {
+		for pos, other := range ts.Tasks {
 			if other.ID == t.ID {
 				continue
 			}
@@ -315,7 +363,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 			if work == 0 {
 				continue
 			}
-			term := etaTerm{period: other.Period, resp: knownOrDeadline(wcrts, other), work: work}
+			term := ctx.term(pos, other, wcrts, work)
 			pc.other = append(pc.other, term)
 			if other.Priority.Higher(t.Priority) {
 				pc.hp = append(pc.hp, term)
@@ -343,13 +391,10 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 				if id == t.ID {
 					continue
 				}
-				other := ts.Task(id)
+				pos := taskPos(ts, id)
+				other := ts.Tasks[pos]
 				if other.Priority.Higher(t.Priority) {
-					hpShared = append(hpShared, etaTerm{
-						period: other.Period,
-						resp:   knownOrDeadline(wcrts, other),
-						work:   other.WCET(),
-					})
+					hpShared = append(hpShared, ctx.term(pos, other, wcrts, other.WCET()))
 				}
 			}
 		}
@@ -361,9 +406,9 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	// (proc, base); re-seeding reproduces exactly the entries the
 	// from-scratch fixed points would compute (see Delta.ApplyTo).
 	for _, row := range a.epsSeed {
-		s.epsMemo[row.key] = row.val
+		s.eps.put(row.key, row.val)
 	}
-	ctx.epsMemo = s.epsMemo
+	ctx.eps = &s.eps
 	ctx.epsScratch = s.times.alloc(len(ctx.procs))
 
 	ctx.clusterRes = p.AppendClusterResources(s.resIDs.alloc(nr)[:0], t.ID)
@@ -373,7 +418,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 			ctx.clusterCS[j] = t.CS(u)
 		}
 		cluster := s.terms.alloc(nOther)[:0]
-		for _, other := range ts.Tasks {
+		for pos, other := range ts.Tasks {
 			if other.ID == t.ID {
 				continue
 			}
@@ -382,24 +427,39 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 				work = rt.SatAdd(work, other.CSWork(u))
 			}
 			if work > 0 {
-				cluster = append(cluster,
-					etaTerm{period: other.Period, resp: knownOrDeadline(wcrts, other), work: work})
+				cluster = append(cluster, ctx.term(pos, other, wcrts, work))
 			}
 		}
 		ctx.cluster = cluster
 	}
+	ctx.etas = s.i64s.alloc(len(ctx.srcPeriod))
 	return ctx
+}
+
+// taskPos returns the position of task id in ts.Tasks.
+func taskPos(ts *model.Taskset, id rt.TaskID) int {
+	for pos, t := range ts.Tasks {
+		if t.ID == id {
+			return pos
+		}
+	}
+	panic("analysis: partition names a task outside the taskset")
 }
 
 // taskWCRT evaluates Theorem 1 over every candidate path view of one task.
 // The per-view constants (Lemmas 4 and 5, the static Lemma 6 term, and the
 // Lemma 2/3 epsilons) are computed up front into flat batch arrays — the
 // epsilons processor-major, so one processor's beta/gamma tables and its
-// (proc, base) memo rows stay hot across the whole view batch — and the
-// response-time fixed points of all views then iterate in lockstep via
-// rta.FixPointBatch, streaming the shared eta tables once per wave instead
-// of once per view. Results are bit-identical to evaluating pathWCRT per
-// view (the epequiv suite pins this against the per-path reference).
+// (proc, base) rows in the epsilon table stay hot across the whole view
+// batch — and the response-time fixed points of all views then iterate in
+// lockstep via rta.FixPointBatch, streaming the shared eta tables once per
+// wave instead of once per view. Each fixed-point step computes eta_j(r)
+// once per contributing task j (ctx.etas) and forms every processor's
+// zeta_k(r), the Lemma 6 cluster sum and the shared-processor term as
+// sum_j eta_j * work_j from those counts, instead of dividing once per
+// (processor, task) pair. Results are bit-identical to evaluating pathWCRT
+// per view (the epequiv suite pins this against the per-path reference and
+// the memo-free directRef).
 //
 //schedlint:hotpath
 func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
@@ -456,15 +516,20 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 		}
 	}
 
+	srcPeriod, srcResp, etas := ctx.srcPeriod, ctx.srcResp, ctx.etas
 	fixStart := s.stageStart()
 	//schedlint:ignore hotpath closure captures only locals that never escape FixPointBatch; the alloc-gate benchmarks hold it to 0 allocs/op
 	ok := rta.FixPointBatch(xs, t.Deadline, done, func(vi int, r rt.Time) rt.Time {
 		v := &views[vi]
 		ve := eps[vi*np : (vi+1)*np]
+		// eta_j(r) once per contributing task, shared by every sum below.
+		for j, resp := range srcResp {
+			etas[j] = rta.Eta(r, resp, srcPeriod[j])
+		}
 		// Lemma 3: B_i <= sum_k min(eps_k, zeta_k(r)).
 		var blocking rt.Time
 		for i := range ctx.procs {
-			zeta := etaSum(ctx.procs[i].other, r)
+			zeta := etaWork(ctx.procs[i].other, etas)
 			if ve[i] < zeta {
 				blocking = rt.SatAdd(blocking, ve[i])
 			} else {
@@ -472,13 +537,13 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 			}
 		}
 		// Lemma 6: I_A.
-		ia := rt.SatAdd(etaSum(ctx.cluster, r), iaStatics[vi])
+		ia := rt.SatAdd(etaWork(ctx.cluster, etas), iaStatics[vi])
 		sum := rt.SatAdd(v.length, blocking)
 		sum = rt.SatAdd(sum, bs[vi])
 		sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntras[vi], ia), ctx.mi))
 		// Sec. VI: higher-priority light tasks on the same processor
 		// interfere with their full WCET (partitioned fixed-priority).
-		return rt.SatAdd(sum, etaSum(ctx.hpShared, r))
+		return rt.SatAdd(sum, etaWork(ctx.hpShared, etas))
 	})
 	s.stageEnd(StageFixPoint, fixStart)
 	if !ok {
@@ -489,7 +554,7 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	}
 	if a.cap != nil {
 		//schedlint:ignore hotpath delta-state capture copies per-view results only under the delta analyzer; cap is nil on the zero-alloc production path
-		a.cap.record(t.ID, xs, ctx.epsMemo)
+		a.cap.record(t.ID, xs, ctx.eps)
 	}
 	var worst rt.Time
 	for _, r := range xs {
@@ -598,7 +663,7 @@ func (a *DPCPp) intraBlocking(ctx *taskCtx, v *pathView) rt.Time {
 // sound.
 //
 // The W fixed point depends on the view only through its base value, so
-// results are memoized in ctx.epsMemo keyed by (processor, base) and shared
+// results are memoized in ctx.eps keyed by (processor, base) and shared
 // across the per-view loop; rt.Infinity records divergence.
 func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 	t := ctx.task
@@ -618,7 +683,7 @@ func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 		}
 		base := rt.SatAdd(pc.resCS[j], rt.SatAdd(offCoWork, pc.beta))
 		key := epsKey{proc: pc.proc, base: base}
-		perReq, hit := ctx.epsMemo[key]
+		perReq, hit := ctx.eps.get(key)
 		if !hit {
 			//schedlint:ignore hotpath closure captures only locals that never escape FixPoint; the alloc-gate benchmarks hold it to 0 allocs/op
 			w, ok := rta.FixPoint(base, t.Deadline, func(w rt.Time) rt.Time {
@@ -629,7 +694,7 @@ func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 			} else {
 				perReq = rt.Infinity
 			}
-			ctx.epsMemo[key] = perReq
+			ctx.eps.put(key, perReq)
 		}
 		if perReq >= rt.Infinity {
 			return rt.Infinity

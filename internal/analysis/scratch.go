@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"dpcpp/internal/model"
@@ -98,9 +100,11 @@ func (a *arena[T]) allocZero(n int) []T {
 // Scratch is the reusable working memory of the DPCP-p analyses. A single
 // Scratch, recycled across TestWith calls, drives the steady-state
 // allocations of an EN or EP analysis round to zero: path views, their
-// request vectors, per-task interference tables, fixed-point work arrays
-// and the response-time map all live in scratch-owned arenas and maps that
-// are reset — never reallocated — between uses.
+// request vectors, per-task interference tables (eta terms, the per-task
+// eta source lists and counts), fixed-point work arrays, the Lemma 2
+// epsilon table and the response-time map all live in scratch-owned
+// arenas, tables and maps that are reset — never reallocated — between
+// uses.
 //
 // Ownership rules:
 //
@@ -133,14 +137,15 @@ type Scratch struct {
 	// every Result it returns).
 	wcrts map[rt.TaskID]rt.Time
 
-	// Per-task state, reset by buildCtx.
+	// Per-task state, reset by buildCtx. eps is the (proc, base) epsilon
+	// memo (see epsTable); its reset is a generation bump, not a clear.
 	ctx        taskCtx
 	terms      arena[etaTerm]
 	times      arena[rt.Time]
 	resIDs     arena[rt.ResourceID]
 	i64s       arena[int64]
 	bools      arena[bool]
-	epsMemo    map[epsKey]rt.Time
+	eps        epsTable
 	sharedView [1]pathView
 
 	// rec, when non-nil, receives per-stage pipeline timings. It survives
@@ -183,7 +188,6 @@ func NewScratch() *Scratch {
 	return &Scratch{
 		viewCache: make(map[rt.TaskID]cachedViews),
 		wcrts:     make(map[rt.TaskID]rt.Time),
-		epsMemo:   make(map[epsKey]rt.Time),
 	}
 }
 
@@ -207,5 +211,127 @@ func (s *Scratch) taskReset() {
 	s.resIDs.reset()
 	s.i64s.reset()
 	s.bools.reset()
-	clear(s.epsMemo)
+	s.eps.reset()
+}
+
+// epsTable is the per-task Lemma 2 memo behind taskCtx.eps: an
+// open-addressed, linearly probed hash table from (processor, base) to the
+// per-request blocking bound. A slot is live only while its generation
+// stamp equals the table's, so reset is O(1) — it bumps the generation
+// instead of clearing the slots — and the slot array, sized by the largest
+// task seen so far, is reused allocation-free across tasks and rounds.
+//
+// The zero value is an empty table.
+type epsTable struct {
+	slots []epsSlot // power-of-two length, at most half full
+	gen   uint32    // stamp of live slots; never 0 once slots exist
+	n     int       // live entries
+}
+
+type epsSlot struct {
+	gen uint32
+	key epsKey
+	val rt.Time
+}
+
+// reset empties the table in O(1). On generation wrap-around the slots are
+// cleared once, so no stale slot can carry the restarted stamp.
+//
+//schedlint:hotpath
+func (m *epsTable) reset() {
+	m.n = 0
+	m.gen++
+	if m.gen == 0 {
+		clear(m.slots)
+		m.gen = 1
+	}
+}
+
+// home returns the first probe position of k: a Fibonacci-hashed mix of
+// both key halves, taken from the product's high bits.
+func (m *epsTable) home(k epsKey) int {
+	h := (uint64(k.base) ^ uint64(k.proc)*0xbf58476d1ce4e5b9) * 0x9e3779b97f4a7c15
+	return int(h>>32) & (len(m.slots) - 1)
+}
+
+// get returns the memoized value of k.
+//
+//schedlint:hotpath
+func (m *epsTable) get(k epsKey) (rt.Time, bool) {
+	if m.n == 0 {
+		return 0, false
+	}
+	mask := len(m.slots) - 1
+	for i := m.home(k); ; i = (i + 1) & mask {
+		sl := &m.slots[i]
+		if sl.gen != m.gen {
+			return 0, false
+		}
+		if sl.key == k {
+			return sl.val, true
+		}
+	}
+}
+
+// put sets k to v, inserting it if absent.
+//
+//schedlint:hotpath
+func (m *epsTable) put(k epsKey, v rt.Time) {
+	if 2*(m.n+1) > len(m.slots) {
+		m.grow()
+	}
+	mask := len(m.slots) - 1
+	for i := m.home(k); ; i = (i + 1) & mask {
+		sl := &m.slots[i]
+		if sl.gen != m.gen {
+			*sl = epsSlot{gen: m.gen, key: k, val: v}
+			m.n++
+			return
+		}
+		if sl.key == k {
+			sl.val = v
+			return
+		}
+	}
+}
+
+// grow doubles the slot array (64 slots at first) and re-inserts the live
+// entries; it may run in the middle of a task.
+func (m *epsTable) grow() {
+	old, oldGen := m.slots, m.gen
+	size := 2 * len(old)
+	if size < 64 {
+		size = 64
+	}
+	//schedlint:ignore hotpath amortized memo growth to the largest task's row count; steady-state tasks reuse the slot array
+	m.slots = make([]epsSlot, size)
+	if m.gen == 0 {
+		m.gen = 1
+	}
+	m.n = 0
+	for i := range old {
+		if sl := &old[i]; sl.gen == oldGen {
+			m.put(sl.key, sl.val)
+		}
+	}
+}
+
+// appendRows appends the live entries to dst sorted by (proc, base), the
+// order the delta analyzer retains and re-seeds them in.
+func (m *epsTable) appendRows(dst []epsRow) []epsRow {
+	start := len(dst)
+	for i := range m.slots {
+		if sl := &m.slots[i]; sl.gen == m.gen {
+			dst = append(dst, epsRow{key: sl.key, val: sl.val})
+		}
+	}
+	slices.SortFunc(dst[start:], compareEpsRows)
+	return dst
+}
+
+func compareEpsRows(a, b epsRow) int {
+	if c := cmp.Compare(a.key.proc, b.key.proc); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key.base, b.key.base)
 }

@@ -11,6 +11,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in time or a duration, in nanoseconds.
@@ -61,15 +62,16 @@ func SatAdd(a, b Time) Time {
 	return a + b
 }
 
-// SatMul multiplies two non-negative durations, saturating at Infinity.
+// SatMul multiplies two non-negative durations, saturating at Infinity:
+// it returns exactly min(a*b, Infinity). Overflow is detected from the full
+// 128-bit product rather than by dividing, because SatMul sits inside
+// every eta and epsilon term of the fixed-point recurrences.
 func SatMul(a, b Time) Time {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a >= Infinity || b >= Infinity || a > Infinity/b {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > uint64(Infinity) {
 		return Infinity
 	}
-	return a * b
+	return Time(lo)
 }
 
 // Priority is a task base priority. Larger values mean higher priority,

@@ -1,6 +1,9 @@
 package rt
 
 import (
+	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +55,64 @@ func TestSatMulSaturates(t *testing.T) {
 	}
 	if got := SatMul(7, 6); got != 42 {
 		t.Errorf("SatMul(7,6) = %d", got)
+	}
+}
+
+// satMulRef is the SatMul specification: the exact product of two
+// non-negative operands, clamped to Infinity.
+func satMulRef(a, b Time) Time {
+	p := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+	if p.Cmp(big.NewInt(Infinity)) > 0 {
+		return Infinity
+	}
+	return p.Int64()
+}
+
+// TestSatMulMatchesExactProduct pins SatMul to min(a*b, Infinity) over the
+// whole non-negative int64 domain: the overflow boundary around
+// floor(Infinity/b), products landing exactly on Infinity, operands at or
+// beyond Infinity, zeros, and random operands of every magnitude.
+func TestSatMulMatchesExactProduct(t *testing.T) {
+	check := func(a, b Time) {
+		t.Helper()
+		want := satMulRef(a, b)
+		if got := SatMul(a, b); got != want {
+			t.Fatalf("SatMul(%d, %d) = %d, want %d", a, b, got, want)
+		}
+		if got := SatMul(b, a); got != want {
+			t.Fatalf("SatMul(%d, %d) = %d, want %d", b, a, got, want)
+		}
+	}
+	bs := []Time{1, 2, 3, 4, 5, 7, 10, 1000, Microsecond, Second, 1 << 31, 1<<32 + 1,
+		Infinity / 3, Infinity / 2, Infinity - 1, Infinity, Infinity + 1, math.MaxInt64}
+	for _, b := range bs {
+		q := Infinity / b
+		for _, a := range []Time{q - 1, q, q + 1, q + 2} {
+			if a >= 0 {
+				check(a, b)
+			}
+		}
+	}
+	// Infinity = 2^61 - 1 is a Mersenne prime, so 1 * Infinity is the only
+	// product of non-negative operands landing on it exactly; its
+	// neighbours straddle it.
+	check(1, Infinity)
+	check(1, Infinity-1)
+	check(1, Infinity+1)
+	check(2, Infinity/2)
+	check(2, Infinity/2+1)
+	for _, x := range []Time{0, 1, 2, Infinity - 1, Infinity, Infinity + 1, math.MaxInt64} {
+		check(0, x)
+		check(x, Infinity)
+		check(x, math.MaxInt64)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		// Random magnitudes: operand bit lengths are drawn uniformly, so
+		// products straddle the saturation boundary in every proportion.
+		a := rng.Int63() >> rng.Intn(63)
+		b := rng.Int63() >> rng.Intn(63)
+		check(a, b)
 	}
 }
 

@@ -534,6 +534,10 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 		}
 	}
 
+	// The done state is published together with its checkpoint: ckmu
+	// orders the write after every earlier snapshot, and holding j.mu
+	// across it means no status reader sees "done" before the file does.
+	j.ckmu.Lock()
 	j.mu.Lock()
 	finished := j.cp.State == sweepRunning
 	for si := range j.cp.Points {
@@ -545,11 +549,15 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 	}
 	if finished {
 		j.cp.State = sweepDone
+		r.completed.Add(1)
+		if r.st != nil {
+			data, err := json.Marshal(&j.cp)
+			r.writeCheckpoint(j, j.cp.ID, data, err)
+		}
 	}
 	j.mu.Unlock()
+	j.ckmu.Unlock()
 	if finished {
-		r.completed.Add(1)
-		r.checkpoint(j)
 		r.log().LogAttrs(context.Background(), slog.LevelInfo, "sweep done",
 			slog.String("sweep_id", j.cp.ID), slog.Duration("elapsed", time.Since(start)))
 	} else {
@@ -611,6 +619,12 @@ func (r *jobRegistry) checkpointLocked(j *sweepJob) {
 	data, err := json.Marshal(&j.cp)
 	id := j.cp.ID
 	j.mu.Unlock()
+	r.writeCheckpoint(j, id, data, err)
+}
+
+// writeCheckpoint persists one marshaled snapshot (err is the marshal
+// error); callers hold j.ckmu.
+func (r *jobRegistry) writeCheckpoint(j *sweepJob, id string, data []byte, err error) {
 	if err == nil {
 		err = r.st.WriteFile(filepath.Join(r.jobsDir, id+".json"), data, r.sync)
 		r.srv.engine.br.Record(err)
