@@ -391,7 +391,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 				if id == t.ID {
 					continue
 				}
-				pos := taskPos(ts, id)
+				pos := ts.TaskIndex(id)
 				other := ts.Tasks[pos]
 				if other.Priority.Higher(t.Priority) {
 					hpShared = append(hpShared, ctx.term(pos, other, wcrts, other.WCET()))
@@ -434,16 +434,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	}
 	ctx.etas = s.i64s.alloc(len(ctx.srcPeriod))
 	return ctx
-}
-
-// taskPos returns the position of task id in ts.Tasks.
-func taskPos(ts *model.Taskset, id rt.TaskID) int {
-	for pos, t := range ts.Tasks {
-		if t.ID == id {
-			return pos
-		}
-	}
-	panic("analysis: partition names a task outside the taskset")
 }
 
 // taskWCRT evaluates Theorem 1 over every candidate path view of one task.

@@ -109,9 +109,15 @@ func (ts *Taskset) mustFinal() {
 
 // Task returns the task with the given ID.
 func (ts *Taskset) Task(id rt.TaskID) *Task {
-	for _, t := range ts.Tasks {
+	return ts.Tasks[ts.TaskIndex(id)]
+}
+
+// TaskIndex returns the position of the task with the given ID in
+// ts.Tasks.
+func (ts *Taskset) TaskIndex(id rt.TaskID) int {
+	for pos, t := range ts.Tasks {
 		if t.ID == id {
-			return t
+			return pos
 		}
 	}
 	panic(fmt.Sprintf("model: unknown task %d", id))

@@ -41,6 +41,32 @@ func TestRMPriorityAssignment(t *testing.T) {
 	}
 }
 
+func TestTaskIndex(t *testing.T) {
+	ts := NewTaskset(2, 0)
+	for _, id := range []rt.TaskID{7, 3} {
+		task := NewTask(id, rt.Millisecond, rt.Millisecond)
+		task.AddVertex(rt.Microsecond)
+		ts.Add(task)
+	}
+	if err := ts.Finalize(); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	for pos, task := range ts.Tasks {
+		if got := ts.TaskIndex(task.ID); got != pos {
+			t.Errorf("TaskIndex(%d) = %d, want %d", task.ID, got, pos)
+		}
+		if ts.Task(task.ID) != task {
+			t.Errorf("Task(%d) is not ts.Tasks[%d]", task.ID, pos)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TaskIndex of an unknown ID did not panic")
+		}
+	}()
+	ts.TaskIndex(5)
+}
+
 func TestRMTieBreakByID(t *testing.T) {
 	ts := NewTaskset(2, 0)
 	for id := 0; id < 3; id++ {

@@ -534,9 +534,10 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 		}
 	}
 
-	// The done state is published together with its checkpoint: ckmu
-	// orders the write after every earlier snapshot, and holding j.mu
-	// across it means no status reader sees "done" before the file does.
+	// The done checkpoint is written before the done state is published,
+	// so no status reader sees "done" before the file does. ckmu orders
+	// the write after every earlier snapshot and keeps delete() from
+	// removing the file mid-write; j.mu is not held across the I/O.
 	j.ckmu.Lock()
 	j.mu.Lock()
 	finished := j.cp.State == sweepRunning
@@ -547,13 +548,25 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 			}
 		}
 	}
+	var data []byte
+	var err error
+	if finished && r.st != nil {
+		done := j.cp
+		done.State = sweepDone
+		data, err = json.Marshal(&done)
+	}
+	id := j.cp.ID
+	j.mu.Unlock()
+	if finished && r.st != nil {
+		r.writeCheckpoint(j, id, data, err)
+	}
+	j.mu.Lock()
+	// A DELETE that lands during the write has marked the job canceled;
+	// it removes the file once ckmu is released.
+	finished = finished && j.cp.State == sweepRunning
 	if finished {
 		j.cp.State = sweepDone
 		r.completed.Add(1)
-		if r.st != nil {
-			data, err := json.Marshal(&j.cp)
-			r.writeCheckpoint(j, j.cp.ID, data, err)
-		}
 	}
 	j.mu.Unlock()
 	j.ckmu.Unlock()
