@@ -111,16 +111,18 @@
 // request — without re-deriving the unchanged remainder of the taskset.
 // model.ApplyPatch turns (base, Patch) into a finalized taskset plus a
 // precise changed-task set, and analysis.Delta retains a completed EP/EN
-// run's internals: per-task path views (or their collapse plans), Lemma 2
-// epsilon-memo rows keyed by (processor, recurrence base), final fixed-point
-// iterates, and a dependency map recording which tasks' interference terms
-// read which placement rows. An incremental run replays partitioning; for
-// every round whose assignment matches the retained final partition it
-// re-derives only tasks the dependency map marks as affected, warm-starts
-// rta.FixPointBatch from retained iterates for the rest, and replays
-// retained WCRTs for tasks with no changed inputs. Verdicts and WCRTs are
-// bit-identical to a full re-analysis — enforced by a differential suite
-// and the audit's randomized patch-chain leg.
+// run's internals: the final partition and WCRTs, per-task path views and
+// their collapse plans, and per-view final fixed-point iterates. An
+// incremental run seeds the untouched tasks' views (and replays a
+// WCET-edited task's views through its retained plan) and replays
+// partitioning; for every round whose assignment matches the retained
+// final partition it replays retained WCRTs for tasks with no changed
+// inputs, and re-derives the rest, warm-starting rta.FixPointBatch from
+// their retained iterates when the patch only grows the recurrence. The
+// Lemma 2 epsilon memo is not retained: it is rebuilt per task, which
+// measured as fast as re-seeding it. Verdicts and WCRTs are bit-identical
+// to a full re-analysis — enforced by a differential suite and the audit's
+// randomized patch-chain leg.
 //
 // Ownership and invalidation rules:
 //
@@ -133,12 +135,16 @@
 //   - Invalidation is structural, not temporal. Any partitioning round
 //     whose assignment diverges from the retained final partition — a task
 //     or resource lands elsewhere, typically after add/remove-task or a
-//     large timing edit — invalidates the retained rows for that round and
-//     the run falls back to full analysis for it (DeltaStats reports
-//     MatchedRounds < Rounds). Request-count increases invalidate the
-//     warm-start for the affected task (its bound need not be monotone in
-//     that edit), and an unschedulable result retains no state at all:
-//     there is no final partition to key the dependency map on.
+//     large timing edit — reuses only the seeded views: the run falls back
+//     to full analysis for that round (DeltaStats reports MatchedRounds <
+//     Rounds). A patch that is neither structure-only (WCET and edge
+//     edits) nor nondecreasing (WCET, CS-length and request growth) — a CS
+//     shrink or a timing edit, say — matches no round at all. Task skips
+//     need a structure-only patch and stop at any task whose recurrence
+//     reads a changed input.
+//     Request-count increases invalidate the warm start for the affected
+//     task (its views change shape), and an unschedulable result retains no
+//     state at all: there are no final WCRTs to reuse.
 //   - LRU eviction degrades performance, never correctness: a query whose
 //     base state was evicted is answered by re-establishing the base with
 //     a full analysis (counted in delta_fallbacks) when the request

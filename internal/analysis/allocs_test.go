@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"dpcpp/internal/model"
 	"dpcpp/internal/obs"
 	"dpcpp/internal/partition"
+	"dpcpp/internal/taskgen"
 )
 
 // histRecorder adapts obs latency histograms to the StageRecorder hook —
@@ -113,5 +115,46 @@ func TestTestWithSteadyStateAllocs(t *testing.T) {
 		if n > tc.bound {
 			t.Errorf("%s warm TestWith: %v allocs/run, want <= %v", tc.m, n, tc.bound)
 		}
+	}
+}
+
+// TestDeltaApplyAllocs pins the allocation count of the canonical delta
+// query, the BenchmarkDeltaAnalyze base: a one-vertex WCET bump of the
+// lowest-priority task of a fig2a taskset, answered from retained EP state
+// through Delta.Apply (patch, re-hash, incremental analysis, retained next
+// state). Unlike WCRTs it cannot reach zero — the patched taskset, its
+// Result and the next Delta are fresh by contract — so the bound is the
+// measured steady state with headroom; raising it needs a profile first.
+func TestDeltaApplyAllocs(t *testing.T) {
+	const bound = 200
+	scen, err := taskgen.Fig2Scenario("2a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := taskgen.NewGenerator(scen).Taskset(rand.New(rand.NewSource(1)), 6.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low := ts.Tasks[0]
+	for _, tk := range ts.Tasks[1:] {
+		if low.Priority.Higher(tk.Priority) {
+			low = tk
+		}
+	}
+	sc := NewScratch()
+	_, d := NewDelta(sc, DPCPpEP, ts, Options{})
+	if d == nil {
+		t.Fatal("base taskset not schedulable; no delta state")
+	}
+	bump := onePatch(model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0,
+		Value: low.Vertices[0].WCET + 1})
+	apply := func() {
+		if _, _, _, _, err := d.Apply(sc, bump); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply() // warm the arenas
+	if n := testing.AllocsPerRun(20, apply); n > bound {
+		t.Fatalf("warm Delta.Apply: %v allocs/run, want <= %d", n, bound)
 	}
 }

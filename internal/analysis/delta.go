@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"dpcpp/internal/model"
 	"dpcpp/internal/partition"
 	"dpcpp/internal/rt"
@@ -15,17 +13,14 @@ import (
 //   - the finalized base taskset and the analysis options,
 //   - the final partition and per-task WCRTs,
 //   - every task's path views (heap-owned, detached from any Scratch),
-//   - every task's per-view response-time fixed points (warm-start seeds),
-//   - every task's Lemma 2 epsilon memo rows, and
-//   - the dependency map: per processor, which tasks' critical-section work
-//     feeds the (processor, base) epsilon rows computed there via the
-//     partition's resource placement.
+//   - every task's path-view collapse plan (EP), for WCET-only replay, and
+//   - every task's per-view response-time fixed points (warm-start seeds).
 //
 // A Delta is immutable after construction and safe for concurrent Apply
 // calls (each Apply works through its own Scratch and only reads the
-// state). Chained deltas share the unchanged tasks' views, fixed points and
-// memo rows structurally, so a long patch chain costs memory only for what
-// it touched.
+// state). Chained deltas share the unchanged tasks' views, plans and fixed
+// points structurally, so a long patch chain costs memory only for what it
+// touched.
 //
 // Ownership and invalidation: a Delta is only retained for schedulable
 // results (an unschedulable run has no final WCRTs worth reusing), and
@@ -33,9 +28,7 @@ import (
 // candidate partition — any round whose assignment differs from the
 // retained final partition (augmented clusters, moved resources, added or
 // removed tasks) falls back to a full recomputation of that round, with
-// only the seeded path views retained. The dependency map additionally
-// forces epsilon rows off per processor as soon as any contributing task's
-// response time changes.
+// only the seeded path views retained.
 type Delta struct {
 	ts        *model.Taskset
 	en        bool
@@ -47,47 +40,16 @@ type Delta struct {
 	views map[rt.TaskID]cachedViews
 	plans map[rt.TaskID]*model.ViewPlan
 	fix   map[rt.TaskID][]rt.Time
-	eps   map[rt.TaskID][]epsRow
-	deps  map[rt.ProcID][]rt.TaskID
 }
 
-// epsRow is one retained epsilon memo entry, stored sorted by (proc, base)
-// so re-seeding iterates deterministically.
-type epsRow struct {
-	key epsKey
-	val rt.Time
-}
-
-// deltaCapture snapshots per-task analysis internals during a WCRTs pass.
-// It is reset at the start of every pass, so after Algorithm1 returns it
-// holds exactly the final round's data. plans is the exception: view
-// enumeration happens once per analyzer (the view cache spans rounds), so
-// recorded view plans accumulate for the analyzer's lifetime.
-type deltaCapture struct {
-	fix   map[rt.TaskID][]rt.Time
-	eps   map[rt.TaskID][]epsRow
-	plans map[rt.TaskID]*model.ViewPlan
-}
-
-func newDeltaCapture() *deltaCapture {
-	return &deltaCapture{
-		fix:   make(map[rt.TaskID][]rt.Time),
-		eps:   make(map[rt.TaskID][]epsRow),
-		plans: make(map[rt.TaskID]*model.ViewPlan),
-	}
-}
-
-func (c *deltaCapture) reset() {
-	clear(c.fix)
-	clear(c.eps)
-}
-
-// record snapshots one converged task: its per-view fixed points and its
-// epsilon memo rows, sorted by (proc, base).
-func (c *deltaCapture) record(id rt.TaskID, xs []rt.Time, memo *epsTable) {
-	c.fix[id] = append([]rt.Time(nil), xs...)
-	//schedlint:ignore hotpath capture runs only under the delta analyzer, once per converged task
-	c.eps[id] = memo.appendRows(make([]epsRow, 0, memo.n))
+// newCapturingDPCPp returns a DPCP-p analyzer that records the internals a
+// Delta retains: every converged task's per-view fixed points and every
+// enumerated task's view plan (see DPCPp.fix and DPCPp.plans).
+func newCapturingDPCPp(sc *Scratch, ts *model.Taskset, pathCap int, en bool) *DPCPp {
+	a := newDPCPp(sc, ts, pathCap, en)
+	a.fix = make(map[rt.TaskID][]rt.Time, len(ts.Tasks))
+	a.plans = make(map[rt.TaskID]*model.ViewPlan, len(ts.Tasks))
+	return a
 }
 
 // DeltaStats reports what an incremental run reused.
@@ -102,12 +64,11 @@ type DeltaStats struct {
 	Reused     int
 	Recomputed int
 	// WarmStarted counts recomputed tasks whose fixed points were seeded
-	// from retained iterates; EpsRowsSeeded counts preloaded memo rows;
-	// ViewsSeeded counts tasks whose path views were reused verbatim;
-	// ViewsReplayed counts tasks whose views were re-derived through a
-	// retained collapse plan instead of a fresh enumeration.
+	// from retained iterates; ViewsSeeded counts tasks whose path views
+	// were reused verbatim; ViewsReplayed counts tasks whose views were
+	// re-derived through a retained collapse plan instead of a fresh
+	// enumeration.
 	WarmStarted   int
-	EpsRowsSeeded int
 	ViewsSeeded   int
 	ViewsReplayed int
 }
@@ -124,15 +85,12 @@ func NewDelta(sc *Scratch, m Method, ts *model.Taskset, opts Options) (partition
 	if sc == nil {
 		sc = NewScratch()
 	}
-	en := m == DPCPpEN
-	a := newDPCPp(sc, ts, opts.pathCap(), en)
-	cap := newDeltaCapture()
-	a.cap = cap
+	a := newCapturingDPCPp(sc, ts, opts.pathCap(), m == DPCPpEN)
 	res := partition.Algorithm1(ts, a, opts.Placement)
 	if !res.Schedulable {
 		return res, nil
 	}
-	return res, retainDelta(a, cap, res, opts.Placement, nil, nil)
+	return res, retainDelta(a, res, opts.Placement, nil, nil)
 }
 
 // Base returns the finalized taskset the state was retained for.
@@ -170,8 +128,6 @@ func (d *Delta) Apply(sc *Scratch, p model.Patch) (model.Hash, partition.Result,
 //     critical-section work anywhere (every lower-priority task reads every
 //     resource-hosting processor's zeta term, so one changed global
 //     contributor invalidates all lower-priority skips).
-//   - Epsilon memo rows are re-seeded per processor unless the dependency
-//     map names a contributor whose response time changed this round.
 //   - Fixed-point iterates are warm-started from retained per-view fixed
 //     points only for nondecreasing patches (WCET/CS/request growth without
 //     sharer changes) on tasks with unchanged views: the patched recurrence
@@ -186,10 +142,7 @@ func (d *Delta) ApplyTo(sc *Scratch, patched *model.Taskset, pd *model.PatchDelt
 	if sc == nil {
 		sc = NewScratch()
 	}
-	a := newDPCPp(sc, patched, d.pathCap, d.en)
-	cap := newDeltaCapture()
-	a.cap = cap
-
+	a := newCapturingDPCPp(sc, patched, d.pathCap, d.en)
 	da := &deltaAnalyzer{a: a, base: d, pd: pd}
 	all := pd.All()
 	da.structureOnly = all&^(model.ChangeWCETUp|model.ChangeWCETDown|model.ChangeEdges) == 0
@@ -217,7 +170,8 @@ func (d *Delta) ApplyTo(sc *Scratch, patched *model.Taskset, pd *model.PatchDelt
 	// Tasks only WCET edits touched keep their collapse structure: replay
 	// the retained plan under the new WCETs instead of re-enumerating. The
 	// request vectors are signature-determined and shared with the retained
-	// views; only lengths and non-critical WCETs are re-derived.
+	// views; only lengths and non-critical WCETs are re-derived, directly
+	// on the heap, so the replayed views are heap-owned like seeded ones.
 	const wcetBits = model.ChangeWCETUp | model.ChangeWCETDown
 	for _, t := range patched.Tasks {
 		c := pd.Changed[t.ID]
@@ -244,6 +198,7 @@ func (d *Delta) ApplyTo(sc *Scratch, patched *model.Taskset, pd *model.PatchDelt
 			}
 		}
 		sc.viewCache[t.ID] = cachedViews{views: views}
+		da.heapViews[t.ID] = true
 		carried[t.ID] = pl
 		da.stats.ViewsReplayed++
 	}
@@ -264,33 +219,15 @@ func (d *Delta) ApplyTo(sc *Scratch, patched *model.Taskset, pd *model.PatchDelt
 				}
 			}
 		}
-		// revDeps inverts the dependency map: when a task's response time
-		// changes, the epsilon rows of exactly these processors go stale.
-		da.revDeps = make(map[rt.TaskID][]rt.ProcID)
-		for _, k := range sortedProcs(d.deps) {
-			for _, id := range d.deps[k] {
-				da.revDeps[id] = append(da.revDeps[id], k)
-			}
-		}
 	}
 	da.wSet = make(map[rt.TaskID]bool)
-	da.staleProc = make(map[rt.ProcID]bool)
 
 	res := partition.Algorithm1(patched, da, d.placement)
 	var next *Delta
 	if res.Schedulable {
-		next = retainDelta(a, cap, res, d.placement, da.heapViews, carried)
+		next = retainDelta(a, res, d.placement, da.heapViews, carried)
 	}
 	return res, da.stats, next
-}
-
-func sortedProcs(m map[rt.ProcID][]rt.TaskID) []rt.ProcID {
-	ks := make([]rt.ProcID, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(a, b int) bool { return ks[a] < ks[b] })
-	return ks
 }
 
 // deltaAnalyzer is the partition.Analyzer of an incremental run: rounds
@@ -307,15 +244,13 @@ type deltaAnalyzer struct {
 
 	heapViews   map[rt.TaskID]bool
 	hasGlobalCS map[rt.TaskID]bool
-	revDeps     map[rt.TaskID][]rt.ProcID
 
 	// Per-pass working state (reset each WCRTs call): wSet holds the tasks
-	// whose response time this pass differs from the retained one, wGlobal
-	// latches whether any of them carries global critical-section work, and
-	// staleProc marks processors whose retained epsilon rows are invalid.
-	wSet      map[rt.TaskID]bool
-	wGlobal   bool
-	staleProc map[rt.ProcID]bool
+	// whose response time this pass differs from the retained one, and
+	// wGlobal latches whether any of them carries global critical-section
+	// work.
+	wSet    map[rt.TaskID]bool
+	wGlobal bool
 
 	stats DeltaStats
 }
@@ -339,9 +274,8 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 	a := da.a
 	sc := a.sc
 	round := sc.stageStart()
-	a.cap.reset()
+	clear(a.fix)
 	clear(da.wSet)
-	clear(da.staleProc)
 	da.wGlobal = false
 	wcrts := sc.wcrts
 	clear(wcrts)
@@ -355,8 +289,7 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 			// round's: replaying it is the identity, so the retained value
 			// is the value a full analysis would compute.
 			wcrts[id] = baseR
-			a.cap.fix[id] = da.base.fix[id]
-			a.cap.eps[id] = da.base.eps[id]
+			a.fix[id] = da.base.fix[id]
 			da.stats.Reused++
 			continue
 		}
@@ -374,21 +307,14 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 				da.stats.WarmStarted++
 			}
 		}
-		if da.structureOnly && inBase {
-			a.epsSeed = da.validRows(id)
-			da.stats.EpsRowsSeeded += len(a.epsSeed)
-		}
 		r := a.taskWCRT(p, t, wcrts)
-		a.warmFix, a.epsSeed = nil, nil
+		a.warmFix = nil
 		wcrts[id] = r
 		da.stats.Recomputed++
 		if !inBase || r != baseR {
 			da.wSet[id] = true
 			if da.hasGlobalCS[id] {
 				da.wGlobal = true
-			}
-			for _, k := range da.revDeps[id] {
-				da.staleProc[k] = true
 			}
 		}
 	}
@@ -435,39 +361,15 @@ func (da *deltaAnalyzer) coLocatedW(p *partition.Partition, t *model.Task) bool 
 	return false
 }
 
-// validRows returns the retained epsilon rows of one task that are still
-// valid this pass: rows on processors none of whose contributing tasks (per
-// the dependency map) changed response time. Row values depend only on the
-// analyzed task's deadline and priority, the lower-priority CS ceilings
-// (beta) and the higher-priority contributors' (period, response, work)
-// terms — all unchanged for clean processors under a structure-only patch
-// on a matched partition.
-func (da *deltaAnalyzer) validRows(id rt.TaskID) []epsRow {
-	rows := da.base.eps[id]
-	if len(rows) == 0 {
-		return nil
-	}
-	if len(da.staleProc) == 0 {
-		return rows
-	}
-	//schedlint:ignore hotpath filtered row set is rebuilt only after a dependency-map invalidation, off the steady reuse path
-	out := make([]epsRow, 0, len(rows))
-	for _, r := range rows {
-		if !da.staleProc[r.key.proc] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // retainDelta detaches the final round's capture into an immutable Delta.
 // heapViews names the tasks whose cached views are already heap-owned
-// (seeded from a previous state and shared with it); every other task's
-// views are copied out of the scratch arenas, which the next analyzerReset
-// would recycle. carried holds collapse plans inherited from the previous
-// state for tasks that did not re-enumerate; plans recorded by this run's
-// own enumerations take precedence.
-func retainDelta(a *DPCPp, cap *deltaCapture, res partition.Result,
+// (seeded from a previous state, or replayed onto its request vectors, and
+// shared with it); every other task's views are copied out of the scratch
+// arenas, which the next analyzerReset would recycle. carried holds
+// collapse plans inherited from the previous state for tasks that did not
+// re-enumerate; plans recorded by this run's own enumerations take
+// precedence.
+func retainDelta(a *DPCPp, res partition.Result,
 	placement partition.PlacementHeuristic, heapViews map[rt.TaskID]bool,
 	carried map[rt.TaskID]*model.ViewPlan) *Delta {
 
@@ -480,25 +382,20 @@ func retainDelta(a *DPCPp, cap *deltaCapture, res partition.Result,
 		part:      res.Partition.Clone(),
 		wcrt:      make(map[rt.TaskID]rt.Time, len(res.WCRT)),
 		views:     make(map[rt.TaskID]cachedViews, len(ts.Tasks)),
-		plans:     make(map[rt.TaskID]*model.ViewPlan, len(cap.plans)+len(carried)),
-		fix:       make(map[rt.TaskID][]rt.Time, len(cap.fix)),
-		eps:       make(map[rt.TaskID][]epsRow, len(cap.eps)),
-		deps:      make(map[rt.ProcID][]rt.TaskID),
+		plans:     make(map[rt.TaskID]*model.ViewPlan, len(a.plans)+len(carried)),
+		fix:       make(map[rt.TaskID][]rt.Time, len(a.fix)),
 	}
 	for id, pl := range carried {
 		d.plans[id] = pl
 	}
-	for id, pl := range cap.plans {
+	for id, pl := range a.plans {
 		d.plans[id] = pl
 	}
 	for id, r := range res.WCRT {
 		d.wcrt[id] = r
 	}
-	for id, xs := range cap.fix {
+	for id, xs := range a.fix {
 		d.fix[id] = xs
-	}
-	for id, rows := range cap.eps {
-		d.eps[id] = rows
 	}
 	nr := ts.NumResources
 	for _, t := range ts.Tasks {
@@ -520,25 +417,6 @@ func retainDelta(a *DPCPp, cap *deltaCapture, res partition.Result,
 			views[i] = pathView{length: v.length, offNonCrit: v.offNonCrit, onPath: on, offPath: off}
 		}
 		d.views[t.ID] = cachedViews{views: views, fallback: c.fallback}
-	}
-	// Dependency map over the final placement: per resource-hosting
-	// processor, the tasks whose critical-section work feeds the epsilon
-	// rows computed there, ascending by ID.
-	for k := 0; k < ts.NumProcs; k++ {
-		proc := rt.ProcID(k)
-		res := d.part.ResourcesOn(proc)
-		if len(res) == 0 {
-			continue
-		}
-		for _, t := range ts.Tasks {
-			for _, q := range res {
-				if t.CSWork(q) > 0 {
-					d.deps[proc] = append(d.deps[proc], t.ID)
-					break
-				}
-			}
-		}
-		sort.Slice(d.deps[proc], func(a, b int) bool { return d.deps[proc][a] < d.deps[proc][b] })
 	}
 	return d
 }

@@ -119,13 +119,29 @@ func requireIdentical(t *testing.T, label string, d, full partition.Result) {
 	}
 }
 
-// TestDeltaReuseEngages pins the reuse machinery itself: on a fig2a-sized
-// taskset, a one-vertex WCET bump of the lowest-priority task must keep the
-// partition rounds matched, skip every other task outright, warm-start the
-// recomputed fixed point, seed epsilon rows, and replay the changed task's
-// views through the retained collapse plan — while staying bit-identical to
-// a full re-analysis. A regression that silently degrades any reuse path to
-// recompute-everything stays correct, so only these counters catch it.
+// reuseWant is the reuse profile one patch kind must produce: matched
+// partition rounds, reused and recomputed task analyses, warm-started
+// fixed points, and seeded and replayed path views (DeltaStats fields).
+type reuseWant struct {
+	matched, reused, recomputed, warm, seeded, replayed int
+}
+
+// TestDeltaReuseEngages pins which reuse tiers each patch kind engages:
+// on a 4-task fig2a taskset, one edit of the lowest-priority task per
+// kind, for EP and EN, must produce exactly the expected reuse profile
+// while staying bit-identical to a full re-analysis.
+//
+//   - WCET and edge edits are structure-only: the final round matches, the
+//     3 untouched tasks are skipped and only the edited one recomputes
+//     (warm-started when its WCET grew; EP replays its views from the
+//     retained plan, EN builds views without one).
+//   - CS growth is nondecreasing but not structure-only: the round matches
+//     and all 4 tasks recompute, each warm-started.
+//   - CS shrink and period changes fit neither mode: no round matches, and
+//     only the untouched tasks' views are seeded.
+//
+// A regression that silently degrades a reuse tier to recompute-everything
+// stays correct, so only these counters catch it.
 func TestDeltaReuseEngages(t *testing.T) {
 	scen, err := taskgen.Fig2Scenario("2a")
 	if err != nil {
@@ -136,53 +152,68 @@ func TestDeltaReuseEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(ts.Tasks) != 4 {
+		t.Fatalf("base has %d tasks; the profiles below assume 4", len(ts.Tasks))
+	}
 	low := ts.Tasks[0]
 	for _, tk := range ts.Tasks[1:] {
 		if low.Priority.Higher(tk.Priority) {
 			low = tk
 		}
 	}
-	for _, m := range []Method{DPCPpEP, DPCPpEN} {
-		sc := NewScratch()
-		_, d := NewDelta(sc, m, ts, Options{})
-		if d == nil {
-			t.Fatalf("%s: no delta state retained for schedulable base", m)
+	q := low.Resources()[0]
+	topo := low.Topo()
+	from, to := topo[0], topo[len(topo)-1]
+	for _, s := range low.Succ(from) {
+		if s == to {
+			t.Fatalf("task %d already has edge (%d,%d)", low.ID, from, to)
 		}
-		p := onePatch(model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0,
-			Value: low.Vertices[0].WCET + 1000})
-		patched, pd, err := model.ApplyPatch(ts, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, st, next := d.ApplyTo(sc, patched, pd)
-		full := TestWith(NewScratch(), m, patched, Options{})
-		requireIdentical(t, string(m), res, full)
-		if next == nil {
-			t.Fatalf("%s: no state retained after schedulable patch", m)
-		}
-		// Multi-round bases (EN iterates partitioning) only match the
-		// retained assignment on the rounds that reach it; at least the
-		// final round must go incremental.
-		if st.MatchedRounds == 0 {
-			t.Errorf("%s: no partition round matched the retained assignment (rounds %d)", m, st.Rounds)
-		}
-		if want := len(ts.Tasks) - 1; st.Reused != want {
-			t.Errorf("%s: want %d tasks reused, got %d (recomputed %d)", m, want, st.Reused, st.Recomputed)
-		}
-		if st.Recomputed != 1 {
-			t.Errorf("%s: want exactly the patched task recomputed, got %d", m, st.Recomputed)
-		}
-		if st.WarmStarted != 1 {
-			t.Errorf("%s: want the recomputed fixed point warm-started, got %d", m, st.WarmStarted)
-		}
-		if st.EpsRowsSeeded == 0 {
-			t.Errorf("%s: want epsilon memo rows seeded, got none", m)
-		}
-		if st.ViewsSeeded != len(ts.Tasks)-1 {
-			t.Errorf("%s: want %d tasks' views seeded, got %d", m, len(ts.Tasks)-1, st.ViewsSeeded)
-		}
-		if m == DPCPpEP && st.ViewsReplayed != 1 {
-			t.Errorf("%s: want the patched task's views replayed, got %d", m, st.ViewsReplayed)
+	}
+	wcet := low.Vertices[0].WCET
+	kinds := []struct {
+		name   string
+		op     model.PatchOp
+		ep, en reuseWant
+	}{
+		{"set_wcet-up", model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0, Value: wcet + 1000},
+			reuseWant{1, 3, 1, 1, 3, 1}, reuseWant{1, 3, 1, 1, 3, 0}},
+		{"set_wcet-down", model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0, Value: wcet - 1000},
+			reuseWant{1, 3, 1, 0, 3, 1}, reuseWant{1, 3, 1, 0, 3, 0}},
+		{"add_edge", model.PatchOp{Op: model.OpAddEdge, Task: low.ID, From: from, To: to},
+			reuseWant{1, 3, 1, 0, 3, 0}, reuseWant{1, 3, 1, 0, 3, 0}},
+		{"set_cslen-up", model.PatchOp{Op: model.OpSetCSLen, Task: low.ID, Resource: q, Value: low.CS(q) + 1},
+			reuseWant{1, 0, 4, 4, 3, 0}, reuseWant{1, 0, 4, 4, 3, 0}},
+		{"set_cslen-down", model.PatchOp{Op: model.OpSetCSLen, Task: low.ID, Resource: q, Value: low.CS(q) - 1},
+			reuseWant{0, 0, 0, 0, 3, 0}, reuseWant{0, 0, 0, 0, 3, 0}},
+		{"set_period", model.PatchOp{Op: model.OpSetPeriod, Task: low.ID, Value: low.Period + 1000},
+			reuseWant{0, 0, 0, 0, 4, 0}, reuseWant{0, 0, 0, 0, 4, 0}},
+	}
+	for _, k := range kinds {
+		for _, m := range []Method{DPCPpEP, DPCPpEN} {
+			want := k.ep
+			if m == DPCPpEN {
+				want = k.en
+			}
+			label := fmt.Sprintf("%s/%s", k.name, m)
+			sc := NewScratch()
+			_, d := NewDelta(sc, m, ts, Options{})
+			if d == nil {
+				t.Fatalf("%s: no delta state retained for schedulable base", label)
+			}
+			patched, pd, err := model.ApplyPatch(ts, onePatch(k.op))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			res, st, next := d.ApplyTo(sc, patched, pd)
+			requireIdentical(t, label, res, TestWith(NewScratch(), m, patched, Options{}))
+			if (next != nil) != res.Schedulable {
+				t.Errorf("%s: state retained=%v for schedulable=%v result", label, next != nil, res.Schedulable)
+			}
+			got := reuseWant{st.MatchedRounds, st.Reused, st.Recomputed,
+				st.WarmStarted, st.ViewsSeeded, st.ViewsReplayed}
+			if got != want {
+				t.Errorf("%s: reuse profile %+v, want %+v (rounds %d)", label, got, want, st.Rounds)
+			}
 		}
 	}
 }
@@ -220,6 +251,8 @@ func TestDeltaNoStateForUnschedulable(t *testing.T) {
 		t.Fatal("delta state retained for unschedulable result")
 	}
 }
+
+// TestDeltaDifferential drives random patch chains through both the
 // incremental path and a from-scratch analysis, asserting bit-identical
 // results at every step. Across bases, methods and chains it performs well
 // over 1000 patch applications.

@@ -37,19 +37,20 @@ type DPCPp struct {
 	// pre-cache behavior.
 	Fallbacks int
 
-	// Delta-analysis hooks (see delta.go); all nil outside incremental
-	// runs, costing the production path a nil check each.
+	// Delta-analysis hooks (see delta.go); all nil outside delta runs,
+	// costing the production path a nil check each.
 	//
-	// cap, when set, snapshots each converged task's per-view fixed points
-	// and epsilon memo rows; it is reset at the start of every WCRTs pass
-	// so it always holds the latest round. warmFix seeds the next
-	// taskWCRT's fixed-point iterates (element-wise max with the cold
-	// start); epsSeed preloads epsilon memo rows after taskReset. Both are
-	// per-task: the delta analyzer sets them immediately before a taskWCRT
-	// call and clears them after.
-	cap     *deltaCapture
+	// fix, when set, snapshots each converged task's per-view fixed
+	// points; it is cleared at the start of every WCRTs pass, so it always
+	// holds the latest round. plans records the collapse plan of every EP
+	// view enumeration; the view cache spans rounds, so plans accumulate
+	// for the analyzer's lifetime. warmFix seeds the next taskWCRT's
+	// fixed-point iterates (element-wise max with the cold start); the
+	// delta analyzer sets it immediately before a taskWCRT call and clears
+	// it after.
+	fix     map[rt.TaskID][]rt.Time
+	plans   map[rt.TaskID]*model.ViewPlan
 	warmFix []rt.Time
-	epsSeed []epsRow
 }
 
 type cachedViews struct {
@@ -78,9 +79,7 @@ func newDPCPp(sc *Scratch, ts *model.Taskset, pathCap int, en bool) *DPCPp {
 // out.
 func (a *DPCPp) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
 	round := a.sc.stageStart()
-	if a.cap != nil {
-		a.cap.reset()
-	}
+	clear(a.fix)
 	wcrts := a.sc.wcrts
 	clear(wcrts)
 	for _, t := range a.byPrio {
@@ -120,14 +119,14 @@ func (a *DPCPp) buildViews(t *model.Task) cachedViews {
 	if !a.en {
 		var pvs []model.PathView
 		var ok bool
-		if a.cap != nil {
+		if a.plans != nil {
 			// Delta runs compile the collapse structure alongside the
 			// enumeration so later WCET-only patches can replay it instead
 			// of re-enumerating (see model.ViewPlan).
 			var plan *model.ViewPlan
 			pvs, plan, ok = t.EnumerateViewsPlan(a.pathCap, &s.vs)
 			if ok {
-				a.cap.plans[t.ID] = plan
+				a.plans[t.ID] = plan
 			}
 		} else {
 			pvs, ok = t.EnumerateViewsScratch(a.pathCap, &s.vs)
@@ -401,13 +400,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 		ctx.hpShared = hpShared
 	}
 
-	// Delta runs preload still-valid epsilon rows from the retained state
-	// (taskReset just cleared the memo). The seed slice is sorted by
-	// (proc, base); re-seeding reproduces exactly the entries the
-	// from-scratch fixed points would compute (see Delta.ApplyTo).
-	for _, row := range a.epsSeed {
-		s.eps.put(row.key, row.val)
-	}
 	ctx.eps = &s.eps
 	ctx.epsScratch = s.times.alloc(len(ctx.procs))
 
@@ -542,9 +534,9 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 		// sequential loop.
 		return rt.Infinity
 	}
-	if a.cap != nil {
-		//schedlint:ignore hotpath delta-state capture copies per-view results only under the delta analyzer; cap is nil on the zero-alloc production path
-		a.cap.record(t.ID, xs, ctx.eps)
+	if a.fix != nil {
+		// Delta runs retain the per-view fixed points as warm-start seeds.
+		a.fix[t.ID] = append([]rt.Time(nil), xs...)
 	}
 	var worst rt.Time
 	for _, r := range xs {

@@ -3,32 +3,13 @@ package analysis
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"dpcpp/internal/rt"
 )
 
-// mapRows is the map-backed row capture the table replaces: every entry,
-// sorted by (proc, base).
-func mapRows(model map[epsKey]rt.Time) []epsRow {
-	rows := make([]epsRow, 0, len(model))
-	for k, v := range model {
-		rows = append(rows, epsRow{key: k, val: v})
-	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].key.proc != rows[b].key.proc {
-			return rows[a].key.proc < rows[b].key.proc
-		}
-		return rows[a].key.base < rows[b].key.base
-	})
-	return rows
-}
-
 // checkTable asserts the table holds exactly the model's entries: every
-// model key reads back its value, a sample of absent keys misses, and the
-// captured rows equal the map-backed capture.
+// model key reads back its value and a sample of absent keys misses.
 func checkTable(t *testing.T, step int, m *epsTable, model map[epsKey]rt.Time, rng *rand.Rand) {
 	t.Helper()
 	if m.n != len(model) {
@@ -44,16 +25,6 @@ func checkTable(t *testing.T, step int, m *epsTable, model map[epsKey]rt.Time, r
 		_, inModel := model[k]
 		if _, ok := m.get(k); ok != inModel {
 			t.Fatalf("step %d: get(%v) hit=%v, model hit=%v", step, k, ok, inModel)
-		}
-	}
-	got := m.appendRows(nil)
-	if want := mapRows(model); len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-		t.Fatalf("step %d: captured rows diverge from the map capture:\n got:  %v\n want: %v", step, got, want)
-	}
-	for i := 1; i < len(got); i++ {
-		a, b := got[i-1].key, got[i].key
-		if a.proc > b.proc || (a.proc == b.proc && a.base >= b.base) {
-			t.Fatalf("step %d: rows %d/%d out of (proc, base) order: %v then %v", step, i-1, i, a, b)
 		}
 	}
 }
@@ -102,15 +73,6 @@ func TestEpsTableMatchesMapModel(t *testing.T) {
 	}
 }
 
-func sortedKeys(model map[epsKey]rt.Time) []epsKey {
-	rows := mapRows(model)
-	keys := make([]epsKey, len(rows))
-	for i, r := range rows {
-		keys[i] = r.key
-	}
-	return keys
-}
-
 // TestEpsTableGrowsMidTask fills one task's table far past its initial
 // size, then checks that the grown table keeps every entry, resets in
 // O(1) and serves the next task without allocating.
@@ -118,16 +80,17 @@ func TestEpsTableGrowsMidTask(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var m epsTable
 	model := make(map[epsKey]rt.Time)
+	var keys []epsKey
 	for i := 0; i < 1000; i++ {
 		k := epsKey{proc: rt.ProcID(i % 32), base: rt.Time(rng.Int63n(1 << 50))}
 		m.put(k, rt.Time(i))
 		model[k] = rt.Time(i)
+		keys = append(keys, k)
 	}
 	checkTable(t, 0, &m, model, rng)
 	if len(m.slots) < 2*len(model) {
 		t.Fatalf("table of %d entries has %d slots, want load <= 1/2", len(model), len(m.slots))
 	}
-	keys := sortedKeys(model)
 	allocs := testing.AllocsPerRun(20, func() {
 		m.reset()
 		for _, k := range keys {

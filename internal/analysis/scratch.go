@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"dpcpp/internal/model"
@@ -314,24 +312,4 @@ func (m *epsTable) grow() {
 			m.put(sl.key, sl.val)
 		}
 	}
-}
-
-// appendRows appends the live entries to dst sorted by (proc, base), the
-// order the delta analyzer retains and re-seeds them in.
-func (m *epsTable) appendRows(dst []epsRow) []epsRow {
-	start := len(dst)
-	for i := range m.slots {
-		if sl := &m.slots[i]; sl.gen == m.gen {
-			dst = append(dst, epsRow{key: sl.key, val: sl.val})
-		}
-	}
-	slices.SortFunc(dst[start:], compareEpsRows)
-	return dst
-}
-
-func compareEpsRows(a, b epsRow) int {
-	if c := cmp.Compare(a.key.proc, b.key.proc); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.key.base, b.key.base)
 }

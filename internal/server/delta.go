@@ -289,7 +289,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			info.Reused = st.Reused
 			info.Recomputed = st.Recomputed
 			info.WarmStarted = st.WarmStarted
-			info.EpsRowsSeeded = st.EpsRowsSeeded
 			info.ViewsSeeded = st.ViewsSeeded
 			info.ViewsReplayed = st.ViewsReplayed
 		}

@@ -219,9 +219,9 @@ type DeltaInfo struct {
 	Reused      int `json:"reused,omitempty"`
 	Recomputed  int `json:"recomputed,omitempty"`
 	WarmStarted int `json:"warm_started,omitempty"`
-	// EpsRowsSeeded / ViewsSeeded / ViewsReplayed count memo and view
-	// structures seeded from the retained state instead of rebuilt.
-	EpsRowsSeeded int `json:"eps_rows_seeded,omitempty"`
+	// ViewsSeeded / ViewsReplayed count tasks whose path views were
+	// reused verbatim from the retained state, or re-derived through its
+	// retained collapse plan, instead of enumerated afresh.
 	ViewsSeeded   int `json:"views_seeded,omitempty"`
 	ViewsReplayed int `json:"views_replayed,omitempty"`
 }
