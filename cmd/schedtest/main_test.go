@@ -17,28 +17,34 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestFig2aGolden pins the -fig output byte-for-byte: every seed is a pure
+// TestFigGolden pins the -fig output byte-for-byte: every seed is a pure
 // function of (base seed, scenario, point, sample), so a reduced-sample run
-// is fully deterministic across platforms and worker counts.
-func TestFig2aGolden(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-fig", "2a", "-n", "2", "-seed", "2020"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
-	}
-	golden := filepath.Join("testdata", "fig2a_n2.golden")
-	if *update {
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("-fig 2a output changed; run with -update if intended.\ngot:\n%s\nwant:\n%s",
-			stdout.String(), string(want))
+// is fully deterministic across platforms and worker counts. Fig. 2(b)'s
+// m=32 sets are where augmentation rounds pile up, so its golden guards the
+// rounds that stop at the first deadline miss.
+func TestFigGolden(t *testing.T) {
+	for _, fig := range []string{"2a", "2b"} {
+		t.Run(fig, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-fig", fig, "-n", "2", "-seed", "2020"}, &stdout, &stderr)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+			}
+			golden := filepath.Join("testdata", "fig"+fig+"_n2.golden")
+			if *update {
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("-fig %s output changed; run with -update if intended.\ngot:\n%s\nwant:\n%s",
+					fig, stdout.String(), string(want))
+			}
+		})
 	}
 }
 

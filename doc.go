@@ -58,6 +58,12 @@
 // (keyed by processor and recurrence base), and the experiment harness
 // drains entire scenario grids through one shared work-conserving pool
 // (experiments.RunGrid) with scheduling-independent deterministic seeding.
+// A partitioning round that can still augment a cluster stops at the first
+// task that misses its deadline (partition.Analyzer's untilMiss): a task's
+// bound reads only the bounds above it, and the round's map is discarded
+// anyway, so results stay bit-identical while the fig2-sweep benchmark
+// rose from a median 167 to 257 tasksets/s (10 alternating 40 s pairs on a
+// shared 2-core Xeon).
 //
 // # The differential audit
 //

@@ -60,8 +60,8 @@ func testWCRTsZeroAlloc(t *testing.T, en bool) {
 		a := NewDPCPp(ts, DefaultPathCap, en)
 		rec := newHistRecorder()
 		a.sc.SetStageRecorder(rec)
-		a.WCRTs(p) // warm: builds the view cache and sizes every arena
-		if n := testing.AllocsPerRun(20, func() { a.WCRTs(p) }); n != 0 {
+		a.WCRTs(p, false) // warm: builds the view cache and sizes every arena
+		if n := testing.AllocsPerRun(20, func() { a.WCRTs(p, false) }); n != 0 {
 			t.Fatalf("%s m=%d warm WCRTs: %v allocs/run, want 0", m, procs, n)
 		}
 		if rec.h[StageRound].Count() == 0 || rec.h[StageFixPoint].Count() == 0 {

@@ -98,7 +98,10 @@ func Schedulable(m Method, ts *model.Taskset, opts Options) bool {
 // knownOrDeadline returns the response-time bound to use for eta terms:
 // the already-computed WCRT for higher-priority tasks, or the deadline for
 // tasks not yet analyzed (sound within the test: if they later fail, the
-// whole set is rejected anyway).
+// whole set is rejected anyway). A WCRTs pass fills the map in priority
+// order, so a task's bound never depends on any task below it; that is
+// what lets an untilMiss pass stop at the first miss without changing a
+// value it computed.
 func knownOrDeadline(wcrts map[rt.TaskID]rt.Time, t *model.Task) rt.Time {
 	if r, ok := wcrts[t.ID]; ok && r <= t.Deadline {
 		return r

@@ -174,8 +174,8 @@ func TestEPDominatesENPerPartition(t *testing.T) {
 			continue
 		}
 		// Compare both analyzers on the final partition of the EP run.
-		epW := ep.WCRTs(res.Partition)
-		enW := NewDPCPp(ts, DefaultPathCap, true).WCRTs(res.Partition)
+		epW := ep.WCRTs(res.Partition, false)
+		enW := NewDPCPp(ts, DefaultPathCap, true).WCRTs(res.Partition, false)
 		for id, w := range epW {
 			if w > enW[id] {
 				t.Errorf("seed %d task %d: EP bound %s exceeds EN bound %s",
@@ -218,13 +218,13 @@ func TestWCRTsDecreaseWithMoreProcessors(t *testing.T) {
 	small.Assign(0, 1)
 	small.Assign(1, 1)
 	small.PlaceResource(0, 0)
-	wSmall := a.WCRTs(small)
+	wSmall := a.WCRTs(small, false)
 
 	big := partition.New(ts)
 	big.Assign(0, 2)
 	big.Assign(1, 2)
 	big.PlaceResource(0, 0)
-	wBig := a.WCRTs(big)
+	wBig := a.WCRTs(big, false)
 
 	for id := range wSmall {
 		if wBig[id] > wSmall[id] {

@@ -50,8 +50,9 @@ func NewSpin(ts *model.Taskset) *Spin {
 	return s
 }
 
-// WCRTs implements partition.Analyzer.
-func (s *Spin) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+// WCRTs implements partition.Analyzer. Every task is computed whatever
+// untilMiss says: each bound is closed-form.
+func (s *Spin) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 	out := make(map[rt.TaskID]rt.Time, len(s.ts.Tasks))
 	for _, t := range s.ts.Tasks {
 		out[t.ID] = s.taskWCRT(p, t)
@@ -138,8 +139,9 @@ func NewLPP(ts *model.Taskset) *LPPAnalyzer {
 	return a
 }
 
-// WCRTs implements partition.Analyzer.
-func (a *LPPAnalyzer) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+// WCRTs implements partition.Analyzer. Every task is computed whatever
+// untilMiss says: each bound is closed-form.
+func (a *LPPAnalyzer) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 	out := make(map[rt.TaskID]rt.Time, len(a.ts.Tasks))
 	for _, t := range a.ts.Tasks {
 		out[t.ID] = a.taskWCRT(p, t)
@@ -187,8 +189,8 @@ type FedFP struct {
 func NewFedFP(ts *model.Taskset) *FedFP { return &FedFP{ts: ts} }
 
 // WCRTs implements partition.Analyzer with the classic federated bound
-// r = L* + (C - L*) / m_i.
-func (f *FedFP) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+// r = L* + (C - L*) / m_i, computed for every task whatever untilMiss says.
+func (f *FedFP) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 	out := make(map[rt.TaskID]rt.Time, len(f.ts.Tasks))
 	for _, t := range f.ts.Tasks {
 		mi := int64(p.NumProcs(t.ID))

@@ -255,22 +255,25 @@ type deltaAnalyzer struct {
 	stats DeltaStats
 }
 
-// WCRTs implements partition.Analyzer.
-func (da *deltaAnalyzer) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+// WCRTs implements partition.Analyzer. Both the full and the matched-round
+// pass honour untilMiss.
+func (da *deltaAnalyzer) WCRTs(p *partition.Partition, untilMiss bool) map[rt.TaskID]rt.Time {
 	da.stats.Rounds++
 	if (da.structureOnly || da.nondecreasing) && p.EqualAssignment(da.base.part) {
 		da.stats.MatchedRounds++
-		return da.wcrtsIncremental(p)
+		return da.wcrtsIncremental(p, untilMiss)
 	}
-	return da.a.WCRTs(p)
+	return da.a.WCRTs(p, untilMiss)
 }
 
 // wcrtsIncremental is the delta re-derivation entry point: one WCRTs pass
 // over a partition identical to the retained one, reusing retained results
-// wherever the change classification proves them unchanged.
+// wherever the change classification proves them unchanged. With untilMiss
+// it stops after the first recomputed task that misses its deadline; a
+// reused task never misses, since the base it comes from is schedulable.
 //
 //schedlint:hotpath
-func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]rt.Time {
+func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition, untilMiss bool) map[rt.TaskID]rt.Time {
 	a := da.a
 	sc := a.sc
 	round := sc.stageStart()
@@ -316,6 +319,9 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 			if da.hasGlobalCS[id] {
 				da.wGlobal = true
 			}
+		}
+		if untilMiss && r > t.Deadline {
+			break
 		}
 	}
 	sc.stageEnd(StageRound, round)

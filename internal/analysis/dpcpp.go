@@ -33,8 +33,9 @@ type DPCPp struct {
 
 	// Fallbacks counts tasks analyzed with EN bounds because their path
 	// count exceeded pathCap (diagnostics only). It increments once per
-	// per-task view construction, including cache hits, mirroring the
-	// pre-cache behavior.
+	// task a round actually analyzes, including view-cache hits; tasks
+	// below a round's first miss are not analyzed under untilMiss and are
+	// not counted.
 	Fallbacks int
 
 	// Delta-analysis hooks (see delta.go); all nil outside delta runs,
@@ -72,18 +73,25 @@ func newDPCPp(sc *Scratch, ts *model.Taskset, pathCap int, en bool) *DPCPp {
 
 // WCRTs implements partition.Analyzer: it analyzes tasks from highest to
 // lowest priority so that eta terms can use the already-computed bounds of
-// higher-priority tasks (Sec. IV-B).
+// higher-priority tasks (Sec. IV-B). A task's bound reads only its own
+// partition data and the bounds above it, so with untilMiss the pass stops
+// right after the first task that misses its deadline and every value it
+// did compute equals the full pass's.
 //
 // The returned map is scratch-owned and valid until the next WCRTs call on
 // this analyzer; internal/partition copies it into every Result it hands
 // out.
-func (a *DPCPp) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+func (a *DPCPp) WCRTs(p *partition.Partition, untilMiss bool) map[rt.TaskID]rt.Time {
 	round := a.sc.stageStart()
 	clear(a.fix)
 	wcrts := a.sc.wcrts
 	clear(wcrts)
 	for _, t := range a.byPrio {
-		wcrts[t.ID] = a.taskWCRT(p, t, wcrts)
+		r := a.taskWCRT(p, t, wcrts)
+		wcrts[t.ID] = r
+		if untilMiss && r > t.Deadline {
+			break
+		}
 	}
 	a.sc.stageEnd(StageRound, round)
 	return wcrts

@@ -21,7 +21,7 @@ type naiveEP struct {
 	a *DPCPp
 }
 
-func (n *naiveEP) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+func (n *naiveEP) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 	wcrts := make(map[rt.TaskID]rt.Time, len(n.a.ts.Tasks))
 	for _, t := range n.a.ts.ByPriorityDesc() {
 		ctx := n.a.buildCtx(p, t, wcrts)
@@ -142,8 +142,8 @@ func TestCollapsedEPMatchesNaiveReference(t *testing.T) {
 			continue
 		}
 		// Direct per-task comparison on one fixed partition.
-		w1 := NewDPCPp(ts, DefaultPathCap, false).WCRTs(fast.Partition)
-		w2 := (&naiveEP{NewDPCPp(ts, DefaultPathCap, false)}).WCRTs(fast.Partition)
+		w1 := NewDPCPp(ts, DefaultPathCap, false).WCRTs(fast.Partition, false)
+		w2 := (&naiveEP{NewDPCPp(ts, DefaultPathCap, false)}).WCRTs(fast.Partition, false)
 		if !reflect.DeepEqual(w1, w2) {
 			t.Errorf("corpus %d: per-partition WCRTs diverge:\n fast: %v\n ref:  %v", ci, w1, w2)
 		}
@@ -161,7 +161,7 @@ type directRef struct {
 	a *DPCPp
 }
 
-func (d *directRef) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+func (d *directRef) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 	wcrts := make(map[rt.TaskID]rt.Time, len(d.a.ts.Tasks))
 	for _, t := range d.a.ts.ByPriorityDesc() {
 		ctx := d.a.buildCtx(p, t, wcrts)
@@ -257,8 +257,8 @@ func TestMatchesMemoFreeReference(t *testing.T) {
 			if fast.Partition == nil {
 				continue
 			}
-			w1 := NewDPCPp(ts, DefaultPathCap, en).WCRTs(fast.Partition)
-			w2 := (&directRef{NewDPCPp(ts, DefaultPathCap, en)}).WCRTs(fast.Partition)
+			w1 := NewDPCPp(ts, DefaultPathCap, en).WCRTs(fast.Partition, false)
+			w2 := (&directRef{NewDPCPp(ts, DefaultPathCap, en)}).WCRTs(fast.Partition, false)
 			if !reflect.DeepEqual(w1, w2) {
 				t.Errorf("en=%v corpus %d: per-partition WCRTs diverge:\n prod: %v\n ref:  %v", en, ci, w1, w2)
 			}

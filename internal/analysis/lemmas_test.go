@@ -47,7 +47,7 @@ func gammaSet(t *testing.T) (*model.Taskset, *partition.Partition) {
 //	r = 30 + 18 = 48us.
 func TestLemma2WindowTerms(t *testing.T) {
 	ts, p := gammaSet(t)
-	w := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p)
+	w := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p, false)
 
 	// hi: eps = 1*(beta=8 + gamma=0) = 8; zeta = eta_mid*8 + eta_lo*8 = 16.
 	// B = 8 -> R_hi = 20 + 8 = 28us.
@@ -92,7 +92,7 @@ func TestZetaCapsDivergedEpsilon(t *testing.T) {
 	p.Assign(1, 1)
 	p.PlaceResource(0, 3)
 
-	w := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p)
+	w := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p, false)
 	// The hog's CS utilization is 120/200 = 0.6, so gamma(W) = ceil((W+R)/200)*120
 	// diverges (each 200us window brings 120us of work plus the backlog):
 	// W never settles -> eps = Infinity -> B falls back to zeta(r).
@@ -140,7 +140,7 @@ func TestSigmaGatesIntraBlocking(t *testing.T) {
 	// is charged B-side terms only; A's path is charged A-side only. If
 	// sigma leaked, the A-path would also pay B's 4x5us. We check the
 	// bound equals the value computed with correct gating.
-	w := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p)
+	w := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p, false)
 
 	// Move both resources to one processor: now ANY path requesting one
 	// of them is charged the other's off-path work too, so the bound
@@ -150,7 +150,7 @@ func TestSigmaGatesIntraBlocking(t *testing.T) {
 	p2.Assign(1, 1)
 	p2.PlaceResource(0, 2)
 	p2.PlaceResource(1, 2)
-	w2 := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p2)
+	w2 := NewDPCPp(ts, DefaultPathCap, false).WCRTs(p2, false)
 
 	if w2[0] < w[0] {
 		t.Errorf("co-locating contended resources reduced the bound: %s -> %s",
@@ -164,7 +164,7 @@ func TestSigmaGatesIntraBlocking(t *testing.T) {
 func TestEtaUsesComputedResponseOfHigherPriority(t *testing.T) {
 	ts, p := gammaSet(t)
 	a := NewDPCPp(ts, DefaultPathCap, false)
-	w := a.WCRTs(p)
+	w := a.WCRTs(p, false)
 
 	// Recompute lo's bound with hi's response artificially forced to its
 	// deadline by analyzing with an empty cache: the real pipeline result

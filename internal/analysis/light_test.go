@@ -189,9 +189,9 @@ func TestLightAnalysisAccountsForPreemption(t *testing.T) {
 	}
 
 	tsBase, pBase := build(5 * rt.Microsecond)
-	wBase := NewDPCPp(tsBase, DefaultPathCap, false).WCRTs(pBase)
+	wBase := NewDPCPp(tsBase, DefaultPathCap, false).WCRTs(pBase, false)
 	tsBig, pBig := build(10 * rt.Microsecond)
-	wBig := NewDPCPp(tsBig, DefaultPathCap, false).WCRTs(pBig)
+	wBig := NewDPCPp(tsBig, DefaultPathCap, false).WCRTs(pBig, false)
 
 	if wBase[0] != 18*rt.Microsecond {
 		t.Errorf("base R_A = %s, want 18us", rt.FormatTime(wBase[0]))

@@ -180,8 +180,8 @@ func crossChecks(cfg Config, g *genTaskset, results []methodVerdict) []Violation
 		}
 	}
 	if dpcpPart != nil {
-		ep := analyzerFor(analysis.DPCPpEP, g.ts, cfg.PathCap).WCRTs(dpcpPart)
-		en := analyzerFor(analysis.DPCPpEN, g.ts, cfg.PathCap).WCRTs(dpcpPart)
+		ep := analyzerFor(analysis.DPCPpEP, g.ts, cfg.PathCap).WCRTs(dpcpPart, false)
+		en := analyzerFor(analysis.DPCPpEN, g.ts, cfg.PathCap).WCRTs(dpcpPart, false)
 		for _, t := range g.ts.Tasks {
 			if ep[t.ID] > en[t.ID] {
 				report(analysis.DPCPpEP, "ep-exceeds-en",
@@ -210,8 +210,8 @@ func crossChecks(cfg Config, g *genTaskset, results []methodVerdict) []Violation
 			report(m, "non-monotone", fmt.Sprintf("rebinding partition: %v", err))
 			continue
 		}
-		base := analyzerFor(m, g.ts, cfg.PathCap).WCRTs(p)
-		infl := analyzerFor(m, scaled, cfg.PathCap).WCRTs(p2)
+		base := analyzerFor(m, g.ts, cfg.PathCap).WCRTs(p, false)
+		infl := analyzerFor(m, scaled, cfg.PathCap).WCRTs(p2, false)
 		for _, t := range g.ts.Tasks {
 			if infl[t.ID] < base[t.ID] {
 				report(m, "non-monotone",

@@ -337,10 +337,18 @@ type Analyzer interface {
 	// task's deadline (or rt.Infinity) marks the task unschedulable under
 	// this partition.
 	//
+	// With untilMiss false the map holds every task. With untilMiss true
+	// the analyzer walks ts.ByPriorityDesc() and may return right after the
+	// first task whose bound exceeds its deadline: the map then holds that
+	// task and every task of higher priority, each with exactly the value a
+	// full pass computes. A pass with no miss is complete either way. Algorithm1 and IterativeFederated set untilMiss
+	// while processors remain unassigned, because any miss then only
+	// selects the cluster to grow and the map is discarded.
+	//
 	// The returned map may be analyzer-owned scratch, valid only until the
 	// next WCRTs call on the same analyzer. The partitioning loops below
 	// respect that lifetime and copy the map into any Result they return.
-	WCRTs(p *Partition) map[rt.TaskID]rt.Time
+	WCRTs(p *Partition, untilMiss bool) map[rt.TaskID]rt.Time
 }
 
 // copyWCRTs detaches a WCRT map from its (possibly scratch-owned) analyzer
@@ -380,6 +388,13 @@ const (
 // Algorithm1 runs the paper's task-and-resource partitioning: initial
 // federated assignment, worst-fit-decreasing resource placement, and
 // schedulability-test-driven processor augmentation with rollback.
+//
+// A round that can still augment asks the analyzer to stop at the first
+// deadline miss (untilMiss): only the highest-priority failing task is
+// needed to pick the cluster to grow, and the tasks below it are analyzed
+// again next round anyway. The terminal round (no processors left) and a
+// round without a miss see a complete map, so every Result is the same as
+// with full passes.
 func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
 	p := New(ts)
 	for _, t := range ts.Tasks {
@@ -407,7 +422,7 @@ func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Res
 			return Result{Partition: p, Rounds: rounds,
 				Reason: "infeasible global resource allocation"}
 		}
-		wcrts := a.WCRTs(p)
+		wcrts := a.WCRTs(p, p.Unassigned() > 0)
 		augmented := false
 		for _, t := range byPrio {
 			if wcrts[t.ID] <= t.Deadline {
@@ -450,7 +465,7 @@ func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
 		if rounds > 4*ts.NumProcs+8 {
 			return Result{Partition: p, Rounds: rounds, Reason: "round limit exceeded"}
 		}
-		wcrts := a.WCRTs(p)
+		wcrts := a.WCRTs(p, p.Unassigned() > 0)
 		augmented := false
 		for _, t := range byPrio {
 			if wcrts[t.ID] <= t.Deadline {
@@ -547,7 +562,9 @@ func AlgorithmMixed(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic)
 			return Result{Partition: p, Rounds: rounds,
 				Reason: "infeasible global resource allocation"}
 		}
-		wcrts := a.WCRTs(p)
+		// Full passes: a light task's miss is terminal and its Result
+		// carries the map.
+		wcrts := a.WCRTs(p, false)
 		augmented := false
 		for _, t := range byPrio {
 			if wcrts[t.ID] <= t.Deadline {

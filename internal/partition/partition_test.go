@@ -14,7 +14,7 @@ type stubAnalyzer struct {
 	need map[rt.TaskID]int
 }
 
-func (s stubAnalyzer) WCRTs(p *Partition) map[rt.TaskID]rt.Time {
+func (s stubAnalyzer) WCRTs(p *Partition, _ bool) map[rt.TaskID]rt.Time {
 	out := make(map[rt.TaskID]rt.Time)
 	for _, t := range p.TS.Tasks {
 		if s.need != nil && p.NumProcs(t.ID) < s.need[t.ID] {
@@ -385,5 +385,86 @@ func TestEqualAssignment(t *testing.T) {
 		if a.EqualAssignment(d) {
 			t.Error("distinct resource placement reported equal")
 		}
+	}
+}
+
+// untilMissStub is stubAnalyzer honouring untilMiss the way a real
+// analyzer may: it walks priorities and stops after the first miss. It
+// counts the calls whose flag differs from what the loop should pass.
+type untilMissStub struct {
+	need  map[rt.TaskID]int
+	full  bool // the loop must always ask for complete passes
+	calls int
+	wrong int
+}
+
+func (s *untilMissStub) WCRTs(p *Partition, untilMiss bool) map[rt.TaskID]rt.Time {
+	s.calls++
+	if untilMiss != (!s.full && p.Unassigned() > 0) {
+		s.wrong++
+	}
+	out := make(map[rt.TaskID]rt.Time)
+	for _, t := range p.TS.ByPriorityDesc() {
+		r := t.Deadline / 2
+		if p.NumProcs(t.ID) < s.need[t.ID] {
+			r = rt.Infinity
+		}
+		out[t.ID] = r
+		if untilMiss && r > t.Deadline {
+			break
+		}
+	}
+	return out
+}
+
+// TestLoopsPassUntilMiss checks that the partitioning loops let a round
+// stop at the first miss exactly while processors remain unassigned
+// (AlgorithmMixed never does), and that every Result carrying a WCRT map
+// has an entry for every task: a terminal or miss-free round is complete.
+func TestLoopsPassUntilMiss(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		m     int
+		need  map[rt.TaskID]int
+		full  bool
+		sched bool
+		run   func(*model.Taskset, Analyzer) Result
+	}{
+		// Task 0 has the higher priority, so its misses truncate the map.
+		{"Algorithm1/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, false, true,
+			func(ts *model.Taskset, a Analyzer) Result { return Algorithm1(ts, a, WFD) }},
+		{"Algorithm1/exhausts", 8, map[rt.TaskID]int{0: 7}, false, false,
+			func(ts *model.Taskset, a Analyzer) Result { return Algorithm1(ts, a, WFD) }},
+		{"IterativeFederated/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, false, true,
+			IterativeFederated},
+		{"IterativeFederated/exhausts", 8, map[rt.TaskID]int{0: 7}, false, false,
+			IterativeFederated},
+		{"AlgorithmMixed/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, true, true,
+			func(ts *model.Taskset, a Analyzer) Result { return AlgorithmMixed(ts, a, WFD) }},
+		{"AlgorithmMixed/exhausts", 8, map[rt.TaskID]int{0: 7}, true, false,
+			func(ts *model.Taskset, a Analyzer) Result { return AlgorithmMixed(ts, a, WFD) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := partitionSet(t, tc.m)
+			s := &untilMissStub{need: tc.need, full: tc.full}
+			res := tc.run(ts, s)
+			if res.Schedulable != tc.sched {
+				t.Fatalf("Schedulable = %v, want %v (reason %q)", res.Schedulable, tc.sched, res.Reason)
+			}
+			if s.calls != res.Rounds || res.Rounds < 2 {
+				t.Errorf("%d WCRTs calls over %d rounds, want equal and >= 2", s.calls, res.Rounds)
+			}
+			if s.wrong != 0 {
+				t.Errorf("%d of %d rounds passed the wrong untilMiss", s.wrong, s.calls)
+			}
+			if res.WCRT == nil {
+				t.Fatal("Result carries no WCRT map")
+			}
+			for _, tk := range ts.Tasks {
+				if _, ok := res.WCRT[tk.ID]; !ok {
+					t.Errorf("Result WCRT map lacks task %d", tk.ID)
+				}
+			}
+		})
 	}
 }

@@ -95,7 +95,7 @@ func TestCloneCopiesShared(t *testing.T) {
 // the packing logic.
 type mixedStub struct{}
 
-func (mixedStub) WCRTs(p *Partition) map[rt.TaskID]rt.Time {
+func (mixedStub) WCRTs(p *Partition, _ bool) map[rt.TaskID]rt.Time {
 	out := make(map[rt.TaskID]rt.Time)
 	for _, t := range p.TS.Tasks {
 		out[t.ID] = 0
