@@ -35,17 +35,13 @@ func vertexCount(ts *model.Taskset, t *model.Task) []int64 {
 type Spin struct {
 	ts     *model.Taskset
 	vcount map[rt.TaskID][]int64
-	bounds map[rt.TaskID]*model.PathBounds
 }
 
 // NewSpin returns a SPIN-SON analyzer over the taskset.
 func NewSpin(ts *model.Taskset) *Spin {
-	s := &Spin{ts: ts,
-		vcount: make(map[rt.TaskID][]int64, len(ts.Tasks)),
-		bounds: make(map[rt.TaskID]*model.PathBounds, len(ts.Tasks))}
+	s := &Spin{ts: ts, vcount: make(map[rt.TaskID][]int64, len(ts.Tasks))}
 	for _, t := range ts.Tasks {
 		s.vcount[t.ID] = vertexCount(ts, t)
-		s.bounds[t.ID] = t.ComputePathBounds()
 	}
 	return s
 }
@@ -65,7 +61,7 @@ func (s *Spin) taskWCRT(p *partition.Partition, t *model.Task) rt.Time {
 	if mi == 0 {
 		mi = 1
 	}
-	b := s.bounds[t.ID]
+	b := t.PathBounds()
 
 	var pathSpin, offSpin rt.Time
 	for q := 0; q < s.ts.NumResources; q++ {
@@ -124,17 +120,13 @@ func (s *Spin) perRequestWait(p *partition.Partition, t *model.Task, q rt.Resour
 type LPPAnalyzer struct {
 	ts     *model.Taskset
 	vcount map[rt.TaskID][]int64
-	bounds map[rt.TaskID]*model.PathBounds
 }
 
 // NewLPP returns an LPP analyzer over the taskset.
 func NewLPP(ts *model.Taskset) *LPPAnalyzer {
-	a := &LPPAnalyzer{ts: ts,
-		vcount: make(map[rt.TaskID][]int64, len(ts.Tasks)),
-		bounds: make(map[rt.TaskID]*model.PathBounds, len(ts.Tasks))}
+	a := &LPPAnalyzer{ts: ts, vcount: make(map[rt.TaskID][]int64, len(ts.Tasks))}
 	for _, t := range ts.Tasks {
 		a.vcount[t.ID] = vertexCount(ts, t)
-		a.bounds[t.ID] = t.ComputePathBounds()
 	}
 	return a
 }
@@ -154,7 +146,7 @@ func (a *LPPAnalyzer) taskWCRT(p *partition.Partition, t *model.Task) rt.Time {
 	if mi == 0 {
 		mi = 1
 	}
-	b := a.bounds[t.ID]
+	b := t.PathBounds()
 
 	var pathWait rt.Time
 	for q := 0; q < a.ts.NumResources; q++ {

@@ -174,7 +174,7 @@ func (a *DPCPp) buildViews(t *model.Task) cachedViews {
 func (a *DPCPp) enView(t *model.Task) []pathView {
 	nr := a.ts.NumResources
 	s := a.sc
-	b := t.ComputePathBounds()
+	b := t.PathBounds()
 	views := s.pviews.alloc(1)
 	on := s.flat.alloc(nr)
 	off := s.flat.alloc(nr)

@@ -13,7 +13,8 @@ type Stage uint8
 
 const (
 	// StageViews is per-task path-view construction: EnumerateViews (EP)
-	// or the path-bounds DP (EN), timed only on view-cache misses.
+	// or the single EN view built from the task's stored path bounds,
+	// timed only on view-cache misses.
 	StageViews Stage = iota
 	// StageFixPoint is the batched response-time fixed-point iteration of
 	// one task's view set (rta.FixPointBatch inside taskWCRT).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"dpcpp/internal/rt"
@@ -131,6 +132,13 @@ func FuzzTasksetPatch(f *testing.F) {
 		}
 		if rt2.Hash() != out.Hash() {
 			t.Fatalf("patched hash unstable across JSON round trip: %s vs %s", out.Hash(), rt2.Hash())
+		}
+		// Every task's stored path bounds equal those of the same task
+		// rebuilt from its JSON, so no patched task keeps stale bounds.
+		for _, pt := range out.Tasks {
+			if got, want := pt.PathBounds(), rt2.Task(pt.ID).PathBounds(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("task %d path bounds %+v, rebuilt %+v", pt.ID, *got, *want)
+			}
 		}
 		// Untouched tasks must be absent from the delta; touched ones present.
 		for id, c := range pd.Changed {

@@ -5,7 +5,9 @@
 // A Task is built incrementally (AddVertex / AddEdge / SetCSLen) and then
 // sealed with Finalize, which validates the structure and precomputes the
 // derived quantities the analyses need: total WCET, longest path length,
-// per-task request counts, and topological order. A Taskset is sealed with
+// per-task request counts, topological order, and the path bounds (the
+// per-path extremes of length, non-critical WCET and request counts that
+// DPCP-p-EN, SPIN-SON and LPP read). A Taskset is sealed with
 // its own Finalize, which classifies resources as local or global and
 // assigns rate-monotonic priorities unless priorities were set explicitly.
 //
@@ -60,16 +62,16 @@ type Task struct {
 	CSLen []rt.Time `json:"cslen"`
 
 	// Derived by Finalize.
-	finalized   bool
-	wcet        rt.Time       // C_i = sum of vertex WCETs
-	longestPath rt.Time       // L*_i
-	topo        []rt.VertexID // topological order
-	succ        [][]rt.VertexID
-	pred        [][]rt.VertexID
-	nReq        []int64 // N_{i,q} per resource
-	heads       []rt.VertexID
-	tails       []rt.VertexID
-	canon       []byte // canonical body (vertices/edges/CS), see hash.go
+	finalized bool
+	wcet      rt.Time       // C_i = sum of vertex WCETs
+	topo      []rt.VertexID // topological order
+	succ      [][]rt.VertexID
+	pred      [][]rt.VertexID
+	nReq      []int64 // N_{i,q} per resource
+	heads     []rt.VertexID
+	tails     []rt.VertexID
+	canon     []byte     // canonical body (vertices/edges/CS), see hash.go
+	bounds    PathBounds // path extremes, L*_i among them
 }
 
 // NewTask returns an empty task with the given identity and timing.
@@ -114,9 +116,11 @@ func (t *Task) setCSLen(q rt.ResourceID, csLen rt.Time) {
 	t.CSLen[q] = csLen
 }
 
-// Finalize validates the task and computes its derived quantities.
-// numResources is the number of resources in the enclosing taskset; it
-// sizes the per-resource vectors.
+// Finalize validates the task and computes its derived quantities: total
+// WCET, request totals, topological order, heads and tails, the canonical
+// hash body and the path bounds (PathBounds, which include the longest
+// path L*_i). numResources is the number of resources in the enclosing
+// taskset; it sizes the per-resource vectors.
 func (t *Task) Finalize(numResources int) error {
 	if t.finalized {
 		return nil
@@ -195,22 +199,6 @@ func (t *Task) Finalize(numResources int) error {
 		}
 	}
 
-	// Longest path over the DAG in topological order (saturating, so
-	// absurd decoded WCETs cannot wrap into negative lengths).
-	dist := make([]rt.Time, n)
-	t.longestPath = 0
-	for _, x := range t.topo {
-		d := rt.SatAdd(dist[x], t.Vertices[x].WCET)
-		if d > t.longestPath {
-			t.longestPath = d
-		}
-		for _, y := range t.succ[x] {
-			if d > dist[y] {
-				dist[y] = d
-			}
-		}
-	}
-
 	t.heads = t.heads[:0]
 	t.tails = t.tails[:0]
 	for x := range t.Vertices {
@@ -228,6 +216,7 @@ func (t *Task) Finalize(numResources int) error {
 	// (Priority may still be assigned by the owning taskset's Finalize, so
 	// the header line is not cached.)
 	t.canon = t.appendCanonBody(nil)
+	t.bounds = t.computePathBounds() // includes L*_i
 
 	t.finalized = true
 	return nil
@@ -275,7 +264,7 @@ func (t *Task) mustFinal() {
 func (t *Task) WCET() rt.Time { t.mustFinal(); return t.wcet }
 
 // LongestPath returns L*_i, the length of the longest complete path.
-func (t *Task) LongestPath() rt.Time { t.mustFinal(); return t.longestPath }
+func (t *Task) LongestPath() rt.Time { t.mustFinal(); return t.bounds.MaxLength }
 
 // Utilization returns U_i = C_i / T_i.
 func (t *Task) Utilization() float64 {

@@ -231,7 +231,8 @@ func (e *taskEdit) build() *Task {
 // request profile and critical sections are untouched: the clone shares
 // every structural derived field (topology, predecessor/successor lists,
 // request totals, per-vertex request maps) with the immutable base and
-// recomputes only the WCET sum, the longest path and the canonical body.
+// recomputes only the WCET sum, the canonical body and the path bounds
+// (whose lengths, L*_i among them, move with the WCETs).
 // The only validation a WCET edit can invalidate is L_{i,q}-work fitting
 // inside the vertex, which is re-checked here with Finalize's error text.
 func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
@@ -275,20 +276,11 @@ func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 	for _, v := range nt.Vertices {
 		nt.wcet = rt.SatAdd(nt.wcet, v.WCET)
 	}
-	dist := make([]rt.Time, len(nt.Vertices))
-	nt.longestPath = 0
-	for _, x := range nt.topo {
-		d := rt.SatAdd(dist[x], nt.Vertices[x].WCET)
-		if d > nt.longestPath {
-			nt.longestPath = d
-		}
-		for _, y := range nt.succ[x] {
-			if d > dist[y] {
-				dist[y] = d
-			}
-		}
-	}
-	nt.canon = nt.appendCanonBody(nil)
+	// Only WCET digits change, so the base's body plus 20 bytes (the widest
+	// int64) per override always fits: one allocation instead of a growth
+	// series.
+	nt.canon = nt.appendCanonBody(make([]byte, 0, len(t.canon)+20*len(over)))
+	nt.bounds = nt.computePathBounds()
 	return nt, nil
 }
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 
 	"dpcpp/internal/rt"
@@ -97,6 +98,13 @@ func TestPatchWCETFastPathMatchesRebuild(t *testing.T) {
 		ft.NonCritWCET() != st.NonCritWCET() {
 		t.Errorf("derived quantities diverge: fast{C=%d lp=%d} rebuilt{C=%d lp=%d}",
 			ft.WCET(), ft.LongestPath(), st.WCET(), st.LongestPath())
+	}
+	// The clone must recompute its bounds, not inherit the base's.
+	if !reflect.DeepEqual(ft.PathBounds(), st.PathBounds()) {
+		t.Errorf("path bounds diverge: fast %+v rebuilt %+v", *ft.PathBounds(), *st.PathBounds())
+	}
+	if reflect.DeepEqual(ft.PathBounds(), ts.Task(0).PathBounds()) {
+		t.Error("fast-path clone kept the base task's path bounds")
 	}
 }
 

@@ -134,11 +134,11 @@ func (t *Task) makePath(vertices []rt.VertexID, nr int) *Path {
 }
 
 // PathBounds holds, for one task, the extreme values over all complete
-// paths of every path-dependent quantity used by the EN analysis. The EN
-// analysis treats the worst-case path as unknown and substitutes, per term,
-// the extreme in the pessimistic direction — a sound relaxation of
-// enumerating the per-resource request counts as in the paper's
-// DPCP-p-EN baseline.
+// paths of every path-dependent quantity used by the EN analysis and the
+// SPIN-SON and LPP baselines. The EN analysis treats the worst-case path as
+// unknown and substitutes, per term, the extreme in the pessimistic
+// direction — a sound relaxation of enumerating the per-resource request
+// counts as in the paper's DPCP-p-EN baseline.
 type PathBounds struct {
 	MaxLength  rt.Time // L*_i
 	MinLength  rt.Time // min over paths of L(lambda)
@@ -147,87 +147,104 @@ type PathBounds struct {
 	MaxReq     []int64 // per resource: max over paths of N^lambda_{i,q}
 }
 
-// ComputePathBounds computes PathBounds in O((V+E) * nr) by per-resource
-// dynamic programming over the topological order, without enumerating paths.
-func (t *Task) ComputePathBounds() *PathBounds {
+// PathBounds returns the task's path bounds, computed once by Finalize.
+// The result is shared and must not be modified.
+func (t *Task) PathBounds() *PathBounds { t.mustFinal(); return &t.bounds }
+
+// ComputePathBounds computes PathBounds afresh, without consulting the
+// bounds Finalize stored; PathBounds is the cached accessor.
+func (t *Task) ComputePathBounds() PathBounds {
 	t.mustFinal()
+	return t.computePathBounds()
+}
+
+// computePathBounds computes PathBounds in O((V+E) * (3+2u)) for the u
+// resources the task uses, in one reverse-topological pass and without
+// enumerating paths. Each vertex carries one state row
+//
+//	[minLen, minNonCrit, minReq[0..u), maxReq[0..u), maxLen]
+//
+// seeded with the vertex's own weights; the pass then adds, column by
+// column, the min (first 2+u columns) or max (the rest) over its
+// successors' finished rows, so row x ends up holding the extremes over
+// all paths from x to a tail. maxLen is L*_i, which adds with saturation
+// so that absurd decoded WCETs cannot wrap it negative. The pass reads the
+// topological order, successor lists, heads and request totals, and makes
+// exactly two allocations: the result slab holding MinReq and MaxReq, and
+// the rows.
+func (t *Task) computePathBounds() PathBounds {
 	nr := len(t.nReq)
-	b := &PathBounds{
-		MaxLength: t.longestPath,
-		//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-		MinReq: make([]int64, nr),
-		//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-		MaxReq: make([]int64, nr),
+	slab := make([]int64, 2*nr)
+	b := PathBounds{MinReq: slab[:nr:nr], MaxReq: slab[nr:]}
+
+	// Until the results are written, MaxReq[q] holds 1 + the state column
+	// of used resource q, and 0 for an unused one.
+	col := b.MaxReq
+	u := 0
+	for q, n := range t.nReq {
+		if n > 0 {
+			u++
+			col[q] = int64(u)
+		}
+	}
+	w, mid := 3+2*u, 2+u
+	rows := make([]int64, len(t.Vertices)*w)
+	for x, v := range t.Vertices {
+		r := rows[x*w : (x+1)*w]
+		r[0], r[1], r[w-1] = v.WCET, v.WCET, v.WCET
+		for q, c := range v.Requests {
+			r[1] -= rt.SatMul(int64(c), t.CSLen[q])
+			if k := int(col[q]) - 1; k >= 0 {
+				r[2+k] += int64(c)
+				r[mid+k] += int64(c)
+			}
+		}
 	}
 
-	// Min non-critical length and min total length over complete paths.
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	b.MinNonCrit = t.minOverPaths(func(x rt.VertexID) int64 {
-		return t.VertexNonCrit(x)
-	})
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	b.MinLength = t.minOverPaths(func(x rt.VertexID) int64 {
-		return t.Vertices[x].WCET
-	})
-
-	for q := 0; q < nr; q++ {
-		if t.nReq[q] == 0 {
+	for i := len(t.topo) - 1; i >= 0; i-- {
+		x := int(t.topo[i])
+		succ := t.succ[x]
+		if len(succ) == 0 {
 			continue
 		}
-		//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-		weight := func(x rt.VertexID) int64 {
-			return int64(t.Vertices[x].Requests[rt.ResourceID(q)])
+		r := rows[x*w : (x+1)*w]
+		first := int(succ[0]) * w
+		for j := 0; j < mid; j++ {
+			opt := rows[first+j]
+			for _, y := range succ[1:] {
+				opt = min(opt, rows[int(y)*w+j])
+			}
+			r[j] += opt
 		}
-		b.MinReq[q] = t.minOverPaths(weight)
-		b.MaxReq[q] = t.maxOverPaths(weight)
+		for j := mid; j < w; j++ {
+			opt := rows[first+j]
+			for _, y := range succ[1:] {
+				opt = max(opt, rows[int(y)*w+j])
+			}
+			if j < w-1 {
+				r[j] += opt
+			} else {
+				r[j] = rt.SatAdd(r[j], opt)
+			}
+		}
+	}
+
+	// Fold the heads' rows into the first head's, which is no longer read.
+	best := rows[int(t.heads[0])*w : (int(t.heads[0])+1)*w]
+	for _, h := range t.heads[1:] {
+		r := rows[int(h)*w : (int(h)+1)*w]
+		for j := 0; j < mid; j++ {
+			best[j] = min(best[j], r[j])
+		}
+		for j := mid; j < w; j++ {
+			best[j] = max(best[j], r[j])
+		}
+	}
+	b.MinLength, b.MinNonCrit, b.MaxLength = best[0], best[1], best[w-1]
+	for q := range col {
+		if k := int(col[q]) - 1; k >= 0 {
+			b.MinReq[q], b.MaxReq[q] = best[2+k], best[mid+k]
+		}
 	}
 	return b
-}
-
-// minOverPaths returns min over complete paths of the sum of w(x) along the
-// path. DP in reverse topological order.
-func (t *Task) minOverPaths(w func(rt.VertexID) int64) int64 {
-	return t.optOverPaths(w, func(a, b int64) bool { return a < b })
-}
-
-// maxOverPaths returns max over complete paths of the sum of w(x).
-func (t *Task) maxOverPaths(w func(rt.VertexID) int64) int64 {
-	return t.optOverPaths(w, func(a, b int64) bool { return a > b })
-}
-
-func (t *Task) optOverPaths(w func(rt.VertexID) int64, better func(a, b int64) bool) int64 {
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	best := make([]int64, len(t.Vertices))
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	seen := make([]bool, len(t.Vertices))
-	for i := len(t.topo) - 1; i >= 0; i-- {
-		x := t.topo[i]
-		if len(t.succ[x]) == 0 {
-			best[x] = w(x)
-			seen[x] = true
-			continue
-		}
-		var opt int64
-		first := true
-		for _, y := range t.succ[x] {
-			if !seen[y] {
-				continue
-			}
-			if first || better(best[y], opt) {
-				opt = best[y]
-				first = false
-			}
-		}
-		best[x] = w(x) + opt
-		seen[x] = true
-	}
-	var opt int64
-	first := true
-	for _, h := range t.heads {
-		if first || better(best[h], opt) {
-			opt = best[h]
-			first = false
-		}
-	}
-	return opt
 }

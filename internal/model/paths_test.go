@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -126,78 +127,161 @@ func randomDAGTask(r *rand.Rand, nVerts, nRes int) *Task {
 	return task
 }
 
-// Property: for every enumerated path, length and request counts stay within
-// the DP bounds, and the maximum enumerated length equals L*.
+// boundsDAGTask builds a random DAG task for the path-bounds properties: 3
+// to 6 resources with one unused index strictly between used ones,
+// multi-count requests with per-resource CS lengths, and sparse edges so
+// that most tasks have several heads and several tails.
+func boundsDAGTask(r *rand.Rand) *Task {
+	nVerts := 2 + r.Intn(9)
+	nRes := 3 + r.Intn(4)
+	gap := 1 + r.Intn(nRes-2)
+	task := NewTask(0, rt.Second, rt.Second)
+	for i := 0; i < nVerts; i++ {
+		task.AddVertex(rt.Time(50+r.Intn(50)) * rt.Microsecond)
+	}
+	edgeProb := []float64{0.05, 0.2, 0.4}[r.Intn(3)]
+	for i := 0; i < nVerts; i++ {
+		for j := i + 1; j < nVerts; j++ {
+			if r.Float64() < edgeProb {
+				task.AddEdge(rt.VertexID(i), rt.VertexID(j))
+			}
+		}
+	}
+	// The outermost resources go first, so they always find room and the
+	// unused gap index really lies between used ones.
+	order := []int{0, nRes - 1}
+	for q := 1; q < nRes-1; q++ {
+		if q != gap {
+			order = append(order, q)
+		}
+	}
+	need := make([]rt.Time, nVerts)
+	for _, q := range order {
+		cs := rt.Time(1+r.Intn(3)) * rt.Microsecond
+		for k := 1 + r.Intn(3); k > 0; k-- {
+			x := r.Intn(nVerts)
+			n := 1 + r.Intn(3)
+			if need[x]+rt.Time(n)*cs > task.Vertices[x].WCET {
+				continue
+			}
+			need[x] += rt.Time(n) * cs
+			task.AddRequest(rt.VertexID(x), rt.ResourceID(q), n, cs)
+		}
+	}
+	if err := task.Finalize(nRes); err != nil {
+		panic(err)
+	}
+	return task
+}
+
+// enumeratedBounds returns the extremes of every PathBounds field over the
+// task's enumerated paths: the reference the DP must reproduce exactly.
+func enumeratedBounds(task *Task, paths []*Path) PathBounds {
+	nr := len(task.CSLen)
+	b := PathBounds{MinLength: rt.Infinity, MinNonCrit: rt.Infinity,
+		MinReq: make([]int64, nr), MaxReq: make([]int64, nr)}
+	for q := range b.MinReq {
+		b.MinReq[q] = 1 << 62
+	}
+	for _, p := range paths {
+		b.MaxLength = max(b.MaxLength, p.Length)
+		b.MinLength = min(b.MinLength, p.Length)
+		b.MinNonCrit = min(b.MinNonCrit, p.NonCrit)
+		for q := 0; q < nr; q++ {
+			n := p.Requests(rt.ResourceID(q))
+			b.MinReq[q] = min(b.MinReq[q], n)
+			b.MaxReq[q] = max(b.MaxReq[q], n)
+		}
+	}
+	return b
+}
+
+// boundsCoverage counts how often the bounds properties saw the shapes
+// they are meant to exercise, so a generator change cannot silently stop
+// covering them.
+type boundsCoverage struct{ multiHead, multiTail, multiCount int }
+
+func (c *boundsCoverage) observe(task *Task) {
+	if len(task.Heads()) > 1 {
+		c.multiHead++
+	}
+	if len(task.Tails()) > 1 {
+		c.multiTail++
+	}
+	for _, v := range task.Vertices {
+		for _, n := range v.Requests {
+			if n > 1 {
+				c.multiCount++
+				return
+			}
+		}
+	}
+}
+
+func (c *boundsCoverage) check(t *testing.T) {
+	t.Helper()
+	if c.multiHead == 0 || c.multiTail == 0 || c.multiCount == 0 {
+		t.Errorf("generator coverage too thin: %+v", *c)
+	}
+}
+
+// Property: every enumerated path lies within all five bounds, for both
+// the bounds Finalize stored and a fresh ComputePathBounds.
 func TestPathBoundsDominateEnumeration(t *testing.T) {
+	var cov boundsCoverage
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		task := randomDAGTask(r, 2+r.Intn(9), 2)
-		b := task.ComputePathBounds()
+		task := boundsDAGTask(r)
+		cov.observe(task)
 		paths, ok := task.EnumeratePaths(100000)
 		if !ok {
 			return true // cap exceeded: nothing to check
 		}
-		var maxLen rt.Time
-		for _, p := range paths {
-			if p.Length > b.MaxLength {
+		fresh := task.ComputePathBounds()
+		for _, b := range []*PathBounds{task.PathBounds(), &fresh} {
+			if b.MaxLength != task.LongestPath() {
 				return false
 			}
-			if p.Length > maxLen {
-				maxLen = p.Length
-			}
-			if p.NonCrit < b.MinNonCrit {
-				return false
-			}
-			for q := 0; q < 2; q++ {
-				n := p.Requests(rt.ResourceID(q))
-				if n < b.MinReq[q] || n > b.MaxReq[q] {
+			for _, p := range paths {
+				if p.Length > b.MaxLength || p.Length < b.MinLength || p.NonCrit < b.MinNonCrit {
 					return false
+				}
+				for q := range task.CSLen {
+					n := p.Requests(rt.ResourceID(q))
+					if n < b.MinReq[q] || n > b.MaxReq[q] {
+						return false
+					}
 				}
 			}
 		}
-		return maxLen == b.MaxLength
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	cov.check(t)
 }
 
-// Property: the DP bounds are tight, i.e. attained by some enumerated path.
+// Property: the DP bounds are tight — every field equals the extreme over
+// the enumerated paths — and the stored bounds equal a fresh compute.
 func TestPathBoundsTight(t *testing.T) {
+	var cov boundsCoverage
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		task := randomDAGTask(r, 2+r.Intn(8), 2)
-		b := task.ComputePathBounds()
+		task := boundsDAGTask(r)
+		cov.observe(task)
 		paths, ok := task.EnumeratePaths(100000)
 		if !ok {
 			return true
 		}
-		for q := 0; q < 2; q++ {
-			minSeen, maxSeen := int64(1<<62), int64(-1)
-			for _, p := range paths {
-				n := p.Requests(rt.ResourceID(q))
-				if n < minSeen {
-					minSeen = n
-				}
-				if n > maxSeen {
-					maxSeen = n
-				}
-			}
-			if minSeen != b.MinReq[q] || maxSeen != b.MaxReq[q] {
-				return false
-			}
-		}
-		minNC := rt.Infinity
-		for _, p := range paths {
-			if p.NonCrit < minNC {
-				minNC = p.NonCrit
-			}
-		}
-		return minNC == b.MinNonCrit
+		want := enumeratedBounds(task, paths)
+		return reflect.DeepEqual(*task.PathBounds(), want) &&
+			reflect.DeepEqual(task.ComputePathBounds(), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	cov.check(t)
 }
 
 // Property: CountPaths agrees with enumeration.
@@ -269,5 +353,20 @@ func TestDiamondPathCount(t *testing.T) {
 	}
 	if got, want := task.CountPaths(), int64(1<<k); got != want {
 		t.Errorf("CountPaths = %d, want %d", got, want)
+	}
+}
+
+// The longest path saturates instead of wrapping when decoded WCETs are
+// absurd, like every other sum of times.
+func TestLongestPathSaturates(t *testing.T) {
+	task := NewTask(0, rt.Second, rt.Second)
+	a := task.AddVertex(rt.Infinity / 2)
+	b := task.AddVertex(rt.Infinity/2 + 2)
+	task.AddEdge(a, b)
+	if err := task.Finalize(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := task.LongestPath(); got != rt.Infinity {
+		t.Errorf("LongestPath = %d, want rt.Infinity", got)
 	}
 }

@@ -248,8 +248,9 @@ func vertexCaps(nVerts int, edges []diEdge, deadline rt.Time) (caps []rt.Time, c
 //   - Request units are only placed on vertices whose remaining cap can
 //     absorb the critical section, so C_{i,x} >= sum_q N_{i,x,q} L_{i,q}.
 //
-// Edges must go from lower to higher vertex index. Both the paper-grid
-// Generator and the adversarial generators build on this assembly.
+// Edges must go from lower to higher vertex index, and each draw must name
+// a distinct resource. Both the paper-grid Generator and the adversarial
+// generators build on this assembly.
 func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 	nVerts int, edges []diEdge, draws []resourceDraw, nr int) (*model.Task, error) {
 
@@ -262,19 +263,17 @@ func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 	}
 
 	// Place request units on vertices with room for the critical section.
+	// placed[x*len(draws)+i] counts the units of draws[i] on vertex x.
 	csNeed := make([]rt.Time, nVerts)
-	placed := make([]map[rt.ResourceID]int, nVerts)
-	for _, d := range draws {
+	placed := make([]int, nVerts*len(draws))
+	for i, d := range draws {
 		for unit := int64(0); unit < d.n; unit++ {
 			x, ok := pickWithRoom(r, caps, csNeed, d.cs)
 			if !ok {
 				break // drop remaining units of this resource
 			}
 			csNeed[x] += d.cs
-			if placed[x] == nil {
-				placed[x] = make(map[rt.ResourceID]int)
-			}
-			placed[x][d.q]++
+			placed[x*len(draws)+i]++
 		}
 	}
 	var totalCS rt.Time
@@ -302,16 +301,11 @@ func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 	for _, e := range edges {
 		task.AddEdge(rt.VertexID(e.from), rt.VertexID(e.to))
 	}
-	for x, reqs := range placed {
-		for q, n := range reqs {
-			cs := rt.Time(0)
-			for _, d := range draws {
-				if d.q == q {
-					cs = d.cs
-					break
-				}
+	for x := 0; x < nVerts; x++ {
+		for i, d := range draws {
+			if n := placed[x*len(draws)+i]; n > 0 {
+				task.AddRequest(rt.VertexID(x), d.q, n, d.cs)
 			}
-			task.AddRequest(rt.VertexID(x), q, n, cs)
 		}
 	}
 	if err := task.Finalize(nr); err != nil {
@@ -324,18 +318,28 @@ func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 }
 
 // pickWithRoom picks a uniformly random vertex whose cap can absorb one more
-// critical section of length cs.
+// critical section of length cs: it counts the n candidates, draws
+// k = r.Intn(n) and walks to the k-th, so it allocates nothing.
 func pickWithRoom(r *rand.Rand, caps, csNeed []rt.Time, cs rt.Time) (int, bool) {
-	var candidates []int
+	n := 0
 	for x := range caps {
 		if csNeed[x]+cs <= caps[x] {
-			candidates = append(candidates, x)
+			n++
 		}
 	}
-	if len(candidates) == 0 {
+	if n == 0 {
 		return 0, false
 	}
-	return candidates[r.Intn(len(candidates))], true
+	k := r.Intn(n)
+	for x := range caps {
+		if csNeed[x]+cs <= caps[x] {
+			if k == 0 {
+				return x, true
+			}
+			k--
+		}
+	}
+	panic("unreachable")
 }
 
 // waterfill distributes budget across vertices with random proportions,
@@ -356,8 +360,10 @@ func waterfill(r *rand.Rand, caps, csNeed []rt.Time, budget rt.Time) []rt.Time {
 	}
 
 	pool := budget
+	active := make([]int, 0, n)
+	weights := make([]float64, 0, n)
 	for pool > 0 {
-		var active []int
+		active = active[:0]
 		for x := 0; x < n; x++ {
 			if slack(x) > 0 {
 				active = append(active, x)
@@ -366,7 +372,7 @@ func waterfill(r *rand.Rand, caps, csNeed []rt.Time, budget rt.Time) []rt.Time {
 		if len(active) == 0 {
 			return nil // cannot happen given the slack check above
 		}
-		weights := make([]float64, len(active))
+		weights = weights[:len(active)]
 		var wsum float64
 		for i := range active {
 			weights[i] = r.ExpFloat64() + 0.1
