@@ -41,7 +41,7 @@ type (
 	// views, not concrete paths.
 	PathView = model.PathView
 	// ViewScratch is the reusable working memory of
-	// Task.EnumerateViewsScratch; see its ownership contract there.
+	// Task.EnumerateViews; see its ownership contract there.
 	ViewScratch = model.ViewScratch
 )
 
@@ -105,7 +105,7 @@ func Schedulable(m Method, ts *Taskset, opts Options) bool {
 	return analysis.Schedulable(m, ts, opts)
 }
 
-// Incremental what-if analysis: patches and retained delta state.
+// What-if analysis: patches and the bases they apply to.
 type (
 	// Patch is a canonical edit script against a finalized taskset.
 	Patch = model.Patch
@@ -115,11 +115,11 @@ type (
 	PatchError = model.PatchError
 	// PatchDelta is the precise changed-task set produced by ApplyPatch.
 	PatchDelta = model.PatchDelta
-	// Delta is the retained state of a completed EP/EN analysis; Apply
-	// answers patched what-if queries incrementally. See the package
-	// documentation for ownership and invalidation rules.
+	// Delta is the base of a what-if chain: a taskset an EP/EN analysis
+	// found schedulable, with its method and options. Apply patches it and
+	// analyzes the patched taskset in full.
 	Delta = analysis.Delta
-	// DeltaStats reports what an incremental run reused.
+	// DeltaStats is the empty second result of Delta.ApplyTo.
 	DeltaStats = analysis.DeltaStats
 )
 
@@ -130,9 +130,9 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 	return model.ApplyPatch(ts, p)
 }
 
-// NewDelta runs a full analysis and retains its internals for later
-// incremental Apply calls. The state is nil (with a valid Result) for
-// methods without an incremental form and for unschedulable results.
+// NewDelta runs a full analysis and returns the taskset as a what-if base
+// for later Apply calls. The state is nil (with a valid Result) for
+// methods other than DPCP-p-EP/EN and for unschedulable results.
 func NewDelta(sc *Scratch, m Method, ts *Taskset, opts Options) (Result, *Delta) {
 	return analysis.NewDelta(sc, m, ts, opts)
 }

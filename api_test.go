@@ -55,9 +55,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeDelta exercises the incremental what-if API through the
-// facade: retain a base analysis, patch one WCET, and check the
-// incremental verdict against a full re-analysis of the patched set.
+// TestFacadeDelta exercises the what-if API through the facade: retain a
+// base, patch one WCET, and check the Delta verdict against a direct
+// analysis of the patched set.
 func TestFacadeDelta(t *testing.T) {
 	scen, err := Fig2Scenario("2a")
 	if err != nil {
@@ -86,7 +86,7 @@ func TestFacadeDelta(t *testing.T) {
 	if len(pd.ChangedIDs()) != 1 || pd.ChangedIDs()[0] != ts.Tasks[0].ID {
 		t.Fatalf("changed-task set = %v, want exactly task %d", pd.ChangedIDs(), ts.Tasks[0].ID)
 	}
-	_, got, _, _, err := d.Apply(sc, p)
+	_, got, _, err := d.Apply(sc, p)
 	if err != nil {
 		t.Fatal(err)
 	}

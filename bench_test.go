@@ -274,13 +274,10 @@ func BenchmarkInstrumentedAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaAnalyze measures the incremental what-if path the server's
-// POST /v1/analyze/delta rides: retained delta state answering a one-vertex
-// WCET bump (the canonical admission-control query) via Delta.Apply —
-// patch application, canonical re-hash, and the incremental re-analysis —
-// against the cold full re-analysis of the same patched taskset. Gated by
-// cmd/benchgate: the one-vertex-wcet-bump series is the endpoint's
-// cache-hit-territory latency claim.
+// BenchmarkDeltaAnalyze measures the what-if query the server's POST
+// /v1/analyze/delta answers: a one-vertex WCET bump (the canonical
+// admission-control query) applied with model.ApplyPatch, then a full EP
+// analysis of the patched taskset. Gated by cmd/benchgate.
 func BenchmarkDeltaAnalyze(b *testing.B) {
 	scen, _ := taskgen.Fig2Scenario("2a")
 	g := taskgen.NewGenerator(scen)
@@ -289,7 +286,7 @@ func BenchmarkDeltaAnalyze(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Bump the lowest-priority task: the common "can this component grow"
-	// query, and the one the delta analyzer reuses the most state for.
+	// query.
 	low := ts.Tasks[0]
 	for _, tk := range ts.Tasks {
 		if low.Priority.Higher(tk.Priority) {
@@ -303,20 +300,6 @@ func BenchmarkDeltaAnalyze(b *testing.B) {
 		}}}
 	}
 
-	b.Run("one-vertex-wcet-bump", func(b *testing.B) {
-		sc := analysis.NewScratch()
-		_, d := analysis.NewDelta(sc, analysis.DPCPpEP, ts, analysis.Options{})
-		if d == nil {
-			b.Fatal("base taskset not schedulable; no delta state")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, _, _, err := d.Apply(sc, bump(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("cold-full-analysis", func(b *testing.B) {
 		sc := analysis.NewScratch()
 		analysis.TestWith(sc, analysis.DPCPpEP, ts, analysis.Options{}) // warm the arenas
@@ -447,7 +430,7 @@ func BenchmarkPathEnumeration(b *testing.B) {
 		var views []PathView
 		for i := 0; i < b.N; i++ {
 			var ok bool
-			if views, ok = task.EnumerateViews(1 << 14); !ok {
+			if views, ok = task.EnumerateViews(1<<14, nil); !ok {
 				b.Fatal("cap exceeded unexpectedly")
 			}
 		}
@@ -459,7 +442,7 @@ func BenchmarkPathEnumeration(b *testing.B) {
 		var views []PathView
 		for i := 0; i < b.N; i++ {
 			var ok bool
-			if views, ok = task.EnumerateViewsScratch(1<<14, &vs); !ok {
+			if views, ok = task.EnumerateViews(1<<14, &vs); !ok {
 				b.Fatal("cap exceeded unexpectedly")
 			}
 		}

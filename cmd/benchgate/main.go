@@ -39,9 +39,9 @@ func main() {
 // zero-allocation trajectory this gate exists for) on a Fig. 2(a) and a
 // Fig. 2(b) taskset, the view enumeration engine under it, the
 // instrumented variant that pins the per-stage observability overhead at
-// zero extra allocations, and the incremental delta path whose
-// cache-hit-territory latency POST /v1/analyze/delta claims. Fixed
-// -benchtime iteration counts keep allocs/op deterministic.
+// zero extra allocations, and the patch-then-analyze query POST
+// /v1/analyze/delta serves. Fixed -benchtime iteration counts keep
+// allocs/op deterministic.
 const defaultBench = "BenchmarkAnalysisMethods|BenchmarkAnalysisFig2b|BenchmarkPathEnumeration|BenchmarkInstrumentedAnalysis|BenchmarkDeltaAnalyze"
 
 func run(args []string, stdout, stderr io.Writer) int {

@@ -115,51 +115,33 @@
 // through experiments.SampleSeed, so a streamed acceptance curve is
 // bit-identical to `schedtest -fig` with the same seed.
 //
-// # Incremental delta analysis
+// # What-if analysis
 //
 // POST /v1/analyze/delta serves what-if queries — one patched task per
-// request — without re-deriving the unchanged remainder of the taskset.
-// model.ApplyPatch turns (base, Patch) into a finalized taskset plus a
-// precise changed-task set, and analysis.Delta retains a completed EP/EN
-// run's internals: the final partition and WCRTs, per-task path views and
-// their collapse plans, and per-view final fixed-point iterates. An
-// incremental run seeds the untouched tasks' views (and replays a
-// WCET-edited task's views through its retained plan) and replays
-// partitioning; for every round whose assignment matches the retained
-// final partition it replays retained WCRTs for tasks with no changed
-// inputs, and re-derives the rest, warm-starting rta.FixPointBatch from
-// their retained iterates when the patch only grows the recurrence. The
-// Lemma 2 epsilon memo is not retained: it is rebuilt per task, which
-// measured as fast as re-seeding it. Verdicts and WCRTs are bit-identical
-// to a full re-analysis — enforced by a differential suite and the audit's
-// randomized patch-chain leg.
+// request — against a base taskset the server already holds, so a client
+// quotes the base's hash instead of uploading it again. model.ApplyPatch
+// turns (base, Patch) into a finalized taskset plus a precise changed-task
+// set, and the patched taskset is analyzed in full: analysis.Delta is
+// only the base (a finalized schedulable taskset with its method and
+// options), and Delta.ApplyTo is TestWith on the patched taskset. A delta
+// verdict is therefore, by construction, the verdict /v1/analyze gives
+// for the same edited taskset. The audit's patch leg checks that a patched
+// taskset hashes and analyzes exactly like the same taskset rebuilt from
+// its JSON.
 //
 // Ownership and invalidation rules:
 //
 //   - A *analysis.Delta is owned by the server's bounded LRU of retained
-//     states, keyed by (base hash, method, options) — the same canonical
-//     key space as the result cache. It is immutable after construction:
-//     Apply/ApplyTo never mutate the receiver, they return a fresh state
-//     for the patched taskset, which the server retains under the patched
-//     hash so edit chains stay incremental.
-//   - Invalidation is structural, not temporal. Any partitioning round
-//     whose assignment diverges from the retained final partition — a task
-//     or resource lands elsewhere, typically after add/remove-task or a
-//     large timing edit — reuses only the seeded views: the run falls back
-//     to full analysis for that round (DeltaStats reports MatchedRounds <
-//     Rounds). A patch that is neither structure-only (WCET and edge
-//     edits) nor nondecreasing (WCET, CS-length and request growth) — a CS
-//     shrink or a timing edit, say — matches no round at all. Task skips
-//     need a structure-only patch and stop at any task whose recurrence
-//     reads a changed input.
-//     Request-count increases invalidate the warm start for the affected
-//     task (its views change shape), and an unschedulable result retains no
-//     state at all: there are no final WCRTs to reuse.
-//   - LRU eviction degrades performance, never correctness: a query whose
-//     base state was evicted is answered by re-establishing the base with
-//     a full analysis (counted in delta_fallbacks) when the request
-//     carries base_taskset, or rejected with a structured 400 telling the
-//     client to re-send it when it carries only the hash.
+//     bases, keyed by (base hash, method, options) — the same canonical
+//     key space as the result cache. It is immutable: Apply/ApplyTo return
+//     a fresh base for a schedulable patched taskset, which the server
+//     retains under the patched hash so an edit chain can quote it. An
+//     unschedulable result is not retained.
+//   - LRU eviction costs one upload, never correctness: a query whose base
+//     was evicted is answered by re-establishing the base with a full
+//     analysis (counted in delta_fallbacks) when the request carries
+//     base_taskset, or rejected with a structured 400 telling the client
+//     to re-send it when it carries only the hash.
 //
 // # Sweep jobs and the persistent store
 //
@@ -194,9 +176,10 @@
 //   - Results returned by Test/TestWith are always scratch-independent:
 //     they own their memory and may be retained while the scratch moves
 //     on. Internal borrowers are scoped instead — an analyzer's WCRTs map
-//     is valid until its next WCRTs call, model.EnumerateViewsScratch's
-//     views until the next call on the same ViewScratch — and every such
-//     lifetime is documented at the API returning it.
+//     is valid until its next WCRTs call, the views Task.EnumerateViews
+//     returns through a ViewScratch until the next call on the same
+//     scratch — and every such lifetime is documented at the API
+//     returning it.
 //   - Steady state allocates nothing: arenas grow to a high-water mark
 //     and are reset, not freed, between tasks and tasksets. This is
 //     pinned by AllocsPerRun tests and by the committed benchmark

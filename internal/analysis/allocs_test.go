@@ -120,11 +120,11 @@ func TestTestWithSteadyStateAllocs(t *testing.T) {
 
 // TestDeltaApplyAllocs pins the allocation count of the canonical delta
 // query, the BenchmarkDeltaAnalyze base: a one-vertex WCET bump of the
-// lowest-priority task of a fig2a taskset, answered from retained EP state
-// through Delta.Apply (patch, re-hash, incremental analysis, retained next
-// state). Unlike WCRTs it cannot reach zero — the patched taskset, its
-// Result and the next Delta are fresh by contract — so the bound is the
-// measured steady state with headroom; raising it needs a profile first.
+// lowest-priority task of a fig2a taskset, answered from an EP base
+// through Delta.Apply (patch, re-hash, full analysis, next base). Unlike
+// WCRTs it cannot reach zero — the patched taskset, its Result and the
+// next Delta are fresh by contract — so the bound is the measured steady
+// state with headroom; raising it needs a profile first.
 func TestDeltaApplyAllocs(t *testing.T) {
 	const bound = 200
 	scen, err := taskgen.Fig2Scenario("2a")
@@ -144,12 +144,12 @@ func TestDeltaApplyAllocs(t *testing.T) {
 	sc := NewScratch()
 	_, d := NewDelta(sc, DPCPpEP, ts, Options{})
 	if d == nil {
-		t.Fatal("base taskset not schedulable; no delta state")
+		t.Fatal("base taskset not schedulable; no delta base")
 	}
 	bump := onePatch(model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0,
 		Value: low.Vertices[0].WCET + 1})
 	apply := func() {
-		if _, _, _, _, err := d.Apply(sc, bump); err != nil {
+		if _, _, _, err := d.Apply(sc, bump); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dpcpp/internal/model"
@@ -12,10 +13,8 @@ import (
 )
 
 // randomPatch draws one structurally valid random patch for ts. The op mix
-// covers every reuse mode of the delta analyzer: pure WCET bumps (skip +
-// warm start), WCET shrinks (skip without warm start), CS/request edits
-// (view invalidation, sharer flips), edge edits, timing edits and
-// add/remove-task (full fallback).
+// covers every patch kind the what-if path sees: WCET bumps and shrinks,
+// CS/request edits (including sharer flips), edge edits and timing edits.
 func randomPatch(r *rand.Rand, ts *model.Taskset) model.Patch {
 	for tries := 0; tries < 32; tries++ {
 		t := ts.Tasks[r.Intn(len(ts.Tasks))]
@@ -98,8 +97,8 @@ func randomPatch(r *rand.Rand, ts *model.Taskset) model.Patch {
 
 func onePatch(op model.PatchOp) model.Patch { return model.Patch{Ops: []model.PatchOp{op}} }
 
-// requireIdentical asserts a delta result is bit-identical to a full
-// re-analysis: verdict, reason, rounds, every WCRT, and the assignment.
+// requireIdentical asserts two results are bit-identical: verdict,
+// reason, rounds, every WCRT, and the assignment.
 func requireIdentical(t *testing.T, label string, d, full partition.Result) {
 	t.Helper()
 	if d.Schedulable != full.Schedulable || d.Reason != full.Reason || d.Rounds != full.Rounds {
@@ -114,112 +113,34 @@ func requireIdentical(t *testing.T, label string, d, full partition.Result) {
 			t.Fatalf("%s: WCRT of task %d differs: delta=%d full=%d", label, id, d.WCRT[id], r)
 		}
 	}
-	if d.Partition != nil && full.Partition != nil && !d.Partition.EqualAssignment(full.Partition) {
+	if d.Partition != nil && full.Partition != nil && !sameAssignment(d.Partition, full.Partition) {
 		t.Fatalf("%s: final partitions differ", label)
 	}
 }
 
-// reuseWant is the reuse profile one patch kind must produce: matched
-// partition rounds, reused and recomputed task analyses, warm-started
-// fixed points, and seeded and replayed path views (DeltaStats fields).
-type reuseWant struct {
-	matched, reused, recomputed, warm, seeded, replayed int
+// sameAssignment reports whether two partitions agree on every cluster,
+// processor owner, shared light task and resource placement, in order.
+func sameAssignment(a, b *partition.Partition) bool {
+	if a.TS.NumProcs != b.TS.NumProcs {
+		return false
+	}
+	for _, t := range a.TS.Tasks {
+		if !slices.Equal(a.Procs(t.ID), b.Procs(t.ID)) {
+			return false
+		}
+	}
+	for k := 0; k < a.TS.NumProcs; k++ {
+		p := rt.ProcID(k)
+		if a.Owner(p) != b.Owner(p) || !slices.Equal(a.SharedOn(p), b.SharedOn(p)) ||
+			!slices.Equal(a.ResourcesOn(p), b.ResourcesOn(p)) {
+			return false
+		}
+	}
+	return true
 }
 
-// TestDeltaReuseEngages pins which reuse tiers each patch kind engages:
-// on a 4-task fig2a taskset, one edit of the lowest-priority task per
-// kind, for EP and EN, must produce exactly the expected reuse profile
-// while staying bit-identical to a full re-analysis.
-//
-//   - WCET and edge edits are structure-only: the final round matches, the
-//     3 untouched tasks are skipped and only the edited one recomputes
-//     (warm-started when its WCET grew; EP replays its views from the
-//     retained plan, EN builds views without one).
-//   - CS growth is nondecreasing but not structure-only: the round matches
-//     and all 4 tasks recompute, each warm-started.
-//   - CS shrink and period changes fit neither mode: no round matches, and
-//     only the untouched tasks' views are seeded.
-//
-// A regression that silently degrades a reuse tier to recompute-everything
-// stays correct, so only these counters catch it.
-func TestDeltaReuseEngages(t *testing.T) {
-	scen, err := taskgen.Fig2Scenario("2a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := taskgen.NewGenerator(scen)
-	ts, err := g.Taskset(rand.New(rand.NewSource(1)), 6.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts.Tasks) != 4 {
-		t.Fatalf("base has %d tasks; the profiles below assume 4", len(ts.Tasks))
-	}
-	low := ts.Tasks[0]
-	for _, tk := range ts.Tasks[1:] {
-		if low.Priority.Higher(tk.Priority) {
-			low = tk
-		}
-	}
-	q := low.Resources()[0]
-	topo := low.Topo()
-	from, to := topo[0], topo[len(topo)-1]
-	for _, s := range low.Succ(from) {
-		if s == to {
-			t.Fatalf("task %d already has edge (%d,%d)", low.ID, from, to)
-		}
-	}
-	wcet := low.Vertices[0].WCET
-	kinds := []struct {
-		name   string
-		op     model.PatchOp
-		ep, en reuseWant
-	}{
-		{"set_wcet-up", model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0, Value: wcet + 1000},
-			reuseWant{1, 3, 1, 1, 3, 1}, reuseWant{1, 3, 1, 1, 3, 0}},
-		{"set_wcet-down", model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0, Value: wcet - 1000},
-			reuseWant{1, 3, 1, 0, 3, 1}, reuseWant{1, 3, 1, 0, 3, 0}},
-		{"add_edge", model.PatchOp{Op: model.OpAddEdge, Task: low.ID, From: from, To: to},
-			reuseWant{1, 3, 1, 0, 3, 0}, reuseWant{1, 3, 1, 0, 3, 0}},
-		{"set_cslen-up", model.PatchOp{Op: model.OpSetCSLen, Task: low.ID, Resource: q, Value: low.CS(q) + 1},
-			reuseWant{1, 0, 4, 4, 3, 0}, reuseWant{1, 0, 4, 4, 3, 0}},
-		{"set_cslen-down", model.PatchOp{Op: model.OpSetCSLen, Task: low.ID, Resource: q, Value: low.CS(q) - 1},
-			reuseWant{0, 0, 0, 0, 3, 0}, reuseWant{0, 0, 0, 0, 3, 0}},
-		{"set_period", model.PatchOp{Op: model.OpSetPeriod, Task: low.ID, Value: low.Period + 1000},
-			reuseWant{0, 0, 0, 0, 4, 0}, reuseWant{0, 0, 0, 0, 4, 0}},
-	}
-	for _, k := range kinds {
-		for _, m := range []Method{DPCPpEP, DPCPpEN} {
-			want := k.ep
-			if m == DPCPpEN {
-				want = k.en
-			}
-			label := fmt.Sprintf("%s/%s", k.name, m)
-			sc := NewScratch()
-			_, d := NewDelta(sc, m, ts, Options{})
-			if d == nil {
-				t.Fatalf("%s: no delta state retained for schedulable base", label)
-			}
-			patched, pd, err := model.ApplyPatch(ts, onePatch(k.op))
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			res, st, next := d.ApplyTo(sc, patched, pd)
-			requireIdentical(t, label, res, TestWith(NewScratch(), m, patched, Options{}))
-			if (next != nil) != res.Schedulable {
-				t.Errorf("%s: state retained=%v for schedulable=%v result", label, next != nil, res.Schedulable)
-			}
-			got := reuseWant{st.MatchedRounds, st.Reused, st.Recomputed,
-				st.WarmStarted, st.ViewsSeeded, st.ViewsReplayed}
-			if got != want {
-				t.Errorf("%s: reuse profile %+v, want %+v (rounds %d)", label, got, want, st.Rounds)
-			}
-		}
-	}
-}
-
-// TestDeltaNoStateForUnschedulable pins that Delta never retains state for
-// an unschedulable base: chaining from a failed what-if must re-anchor.
+// TestDeltaNoStateForUnschedulable pins that Delta never chains onto an
+// unschedulable result: chaining from a failed what-if must re-anchor.
 func TestDeltaNoStateForUnschedulable(t *testing.T) {
 	scen, err := taskgen.Fig2Scenario("2a")
 	if err != nil {
@@ -252,8 +173,8 @@ func TestDeltaNoStateForUnschedulable(t *testing.T) {
 	}
 }
 
-// TestDeltaDifferential drives random patch chains through both the
-// incremental path and a from-scratch analysis, asserting bit-identical
+// TestDeltaDifferential drives random patch chains through both Delta and
+// a from-scratch analysis on a separate scratch, asserting bit-identical
 // results at every step. Across bases, methods and chains it performs well
 // over 1000 patch applications.
 func TestDeltaDifferential(t *testing.T) {

@@ -37,21 +37,6 @@ type DPCPp struct {
 	// below a round's first miss are not analyzed under untilMiss and are
 	// not counted.
 	Fallbacks int
-
-	// Delta-analysis hooks (see delta.go); all nil outside delta runs,
-	// costing the production path a nil check each.
-	//
-	// fix, when set, snapshots each converged task's per-view fixed
-	// points; it is cleared at the start of every WCRTs pass, so it always
-	// holds the latest round. plans records the collapse plan of every EP
-	// view enumeration; the view cache spans rounds, so plans accumulate
-	// for the analyzer's lifetime. warmFix seeds the next taskWCRT's
-	// fixed-point iterates (element-wise max with the cold start); the
-	// delta analyzer sets it immediately before a taskWCRT call and clears
-	// it after.
-	fix     map[rt.TaskID][]rt.Time
-	plans   map[rt.TaskID]*model.ViewPlan
-	warmFix []rt.Time
 }
 
 type cachedViews struct {
@@ -83,7 +68,6 @@ func newDPCPp(sc *Scratch, ts *model.Taskset, pathCap int, en bool) *DPCPp {
 // out.
 func (a *DPCPp) WCRTs(p *partition.Partition, untilMiss bool) map[rt.TaskID]rt.Time {
 	round := a.sc.stageStart()
-	clear(a.fix)
 	wcrts := a.sc.wcrts
 	clear(wcrts)
 	for _, t := range a.byPrio {
@@ -125,20 +109,7 @@ func (a *DPCPp) buildViews(t *model.Task) cachedViews {
 	nr := a.ts.NumResources
 	s := a.sc
 	if !a.en {
-		var pvs []model.PathView
-		var ok bool
-		if a.plans != nil {
-			// Delta runs compile the collapse structure alongside the
-			// enumeration so later WCET-only patches can replay it instead
-			// of re-enumerating (see model.ViewPlan).
-			var plan *model.ViewPlan
-			pvs, plan, ok = t.EnumerateViewsPlan(a.pathCap, &s.vs)
-			if ok {
-				a.plans[t.ID] = plan
-			}
-		} else {
-			pvs, ok = t.EnumerateViewsScratch(a.pathCap, &s.vs)
-		}
+		pvs, ok := t.EnumerateViews(a.pathCap, &s.vs)
 		if ok {
 			// The enumerated views borrow s.vs until its next call; convert
 			// them immediately into analyzer-lifetime arena storage (the
@@ -487,17 +458,6 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 		bs[vi], iIntras[vi], iaStatics[vi] = b, iIntra, iaStatic
 		xs[vi] = rt.SatAdd(v.length, rt.SatAdd(b, rt.CeilDiv(iIntra, ctx.mi)))
 	}
-	if a.warmFix != nil && len(a.warmFix) == nv {
-		// Warm start from retained per-view fixed points (delta runs only):
-		// the caller guarantees each seed lies between the cold start and
-		// the new least fixed point, so the iteration converges to exactly
-		// the fixed point a cold start would reach (see rta.FixPointBatch).
-		for vi := range xs {
-			if w := a.warmFix[vi]; w > xs[vi] {
-				xs[vi] = w
-			}
-		}
-	}
 	// Lemma 3 epsilon terms (constant in r; computed via Lemma 2's W).
 	for pi := range ctx.procs {
 		pc := &ctx.procs[pi]
@@ -541,10 +501,6 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 		// irrelevant past this point, exactly like the early exit of the
 		// sequential loop.
 		return rt.Infinity
-	}
-	if a.fix != nil {
-		// Delta runs retain the per-view fixed points as warm-start seeds.
-		a.fix[t.ID] = append([]rt.Time(nil), xs...)
 	}
 	var worst rt.Time
 	for _, r := range xs {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -91,52 +90,6 @@ func checkPrefix(t *testing.T, label string, ts *model.Taskset, a partition.Anal
 			t.Fatalf("%s: task %d: untilMiss (%d, present=%v) != full %d", label, tk.ID, r, ok, full[tk.ID])
 		}
 		missed = r > tk.Deadline
-	}
-}
-
-// TestUntilMissDeltaState checks that a delta state retained from a run
-// with early-stopping rounds answers the canonical one-vertex bump exactly
-// like a state retained from full passes: same Result, same DeltaStats,
-// and the two retained states themselves are deeply equal.
-func TestUntilMissDeltaState(t *testing.T) {
-	scen, err := taskgen.Fig2Scenario("2a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := taskgen.NewGenerator(scen).Taskset(rand.New(rand.NewSource(1)), 6.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	low := ts.Tasks[0]
-	for _, tk := range ts.Tasks[1:] {
-		if low.Priority.Higher(tk.Priority) {
-			low = tk
-		}
-	}
-	bump := onePatch(model.PatchOp{Op: model.OpSetWCET, Task: low.ID, Vertex: 0,
-		Value: low.Vertices[0].WCET + 1})
-	patched, pd, err := model.ApplyPatch(ts, bump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Method{DPCPpEP, DPCPpEN} {
-		res, d := NewDelta(nil, m, ts, Options{})
-		a := newCapturingDPCPp(NewScratch(), ts, DefaultPathCap, m == DPCPpEN)
-		fres := partition.Algorithm1(ts, fullPass{a}, partition.WFD)
-		if d == nil || !fres.Schedulable {
-			t.Fatalf("%s: base taskset not schedulable", m)
-		}
-		requireIdentical(t, string(m)+" base", res, fres)
-		fd := retainDelta(a, fres, partition.WFD, nil, nil)
-		if !reflect.DeepEqual(d, fd) {
-			t.Fatalf("%s: retained delta states differ", m)
-		}
-		got, gotStats, _ := d.ApplyTo(nil, patched, pd)
-		want, wantStats, _ := fd.ApplyTo(nil, patched, pd)
-		requireIdentical(t, string(m)+" bump", got, want)
-		if gotStats != wantStats {
-			t.Fatalf("%s: delta stats %+v != full-pass state's %+v", m, gotStats, wantStats)
-		}
 	}
 }
 

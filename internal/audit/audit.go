@@ -21,10 +21,10 @@
 //   - Monotonicity: inflating every vertex WCET (holding structure,
 //     periods, priorities and requests fixed) never shrinks any per-task
 //     bound on an identical partition, for every analysis.
-//   - Delta: for each certified DPCP-p verdict, a deterministic random
-//     patch chain driven through the incremental analyzer
-//     (analysis.Delta) must produce verdicts bit-identical to a full
-//     re-analysis of every patched taskset.
+//   - Patch: for each certified DPCP-p verdict, a deterministic random
+//     patch chain driven through model.ApplyPatch must produce tasksets
+//     that hash and analyze bit-identically to the same tasksets rebuilt
+//     from their JSON.
 //
 // Any violating taskset is shrunk to a minimal reproduction (drop tasks,
 // then vertices, then halve WCETs and request counts) and serialized via
@@ -115,7 +115,7 @@ type Violation struct {
 	Method string `json:"method,omitempty"`
 	// Kind classifies the breach: deadline-miss, bound-exceeded,
 	// sim-invariant, sim-error, lemma1, ep-exceeds-en, non-monotone,
-	// delta-mismatch.
+	// patch-mismatch.
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 	// Fixture is the path of the shrunken reproduction, when written.
@@ -137,7 +137,7 @@ type Report struct {
 	Schedulable map[string]int `json:"schedulable"` // certified verdicts per method
 	SimRuns     int64          `json:"sim_runs"`
 	CrossChecks int            `json:"cross_checks"` // tasksets with EP/EN + monotonicity checks
-	DeltaChecks int            `json:"delta_checks"` // patch chains driven through the delta leg
+	DeltaChecks int            `json:"delta_checks"` // patch chains driven through the patch leg
 	Violations  []Violation    `json:"violations"`
 	ElapsedSec  float64        `json:"elapsed_seconds"`
 	TimedOut    bool           `json:"timed_out"`
@@ -216,9 +216,9 @@ func Run(cfg Config) (*Report, error) {
 				vs = append(vs, r.violations...)
 			}
 			vs = append(vs, crossChecks(cfg, c.set, c.results)...)
-			var dvs []Violation
-			dvs, chains = deltaChecks(cfg, c.set, c.results)
-			vs = append(vs, dvs...)
+			var pvs []Violation
+			pvs, chains = patchChecks(cfg, c.set, c.results)
+			vs = append(vs, pvs...)
 			crossed = true
 		}
 		if len(vs) > 0 {

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"bytes"
 	"flag"
 	"math/rand"
 	"path/filepath"
@@ -44,12 +43,12 @@ func TestAuditSmoke(t *testing.T) {
 		t.Errorf("only %d shapes exercised: %v", len(rep.ByShape), rep.ByShape)
 	}
 	if rep.DeltaChecks == 0 {
-		t.Error("delta leg drove no patch chains; incremental analysis unchecked")
+		t.Error("patch leg drove no patch chains; ApplyPatch unchecked")
 	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s (fixture: %s)", v, v.Fixture)
 	}
-	t.Logf("audit: %d generated (%d gen failures), %d certified verdicts, %d sim runs, %d cross-checked, %d delta chains, shapes %v",
+	t.Logf("audit: %d generated (%d gen failures), %d certified verdicts, %d sim runs, %d cross-checked, %d patch chains, shapes %v",
 		rep.Generated, rep.GenFailures, certs, rep.SimRuns, rep.CrossChecks, rep.DeltaChecks, rep.ByShape)
 }
 
@@ -156,12 +155,4 @@ func TestShrinkMinimizes(t *testing.T) {
 	if !pred(ts2) {
 		t.Error("round-tripped fixture lost the predicate")
 	}
-}
-
-func roundTrip(ts *model.Taskset) (*model.Taskset, error) {
-	var buf bytes.Buffer
-	if err := model.EncodeTaskset(&buf, ts); err != nil {
-		return nil, err
-	}
-	return model.DecodeTaskset(&buf)
 }

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -231,19 +232,21 @@ func inflateWCET(ts *model.Taskset) (*model.Taskset, error) {
 	})
 }
 
-// deltaChainSteps is the length of each random patch chain the delta leg
+// patchChainSteps is the length of each random patch chain the patch leg
 // drives per certified DPCP-p verdict.
-const deltaChainSteps = 3
+const patchChainSteps = 3
 
-// deltaChecks is the incremental-analysis leg: starting from each certified
-// DPCP-p verdict, it retains delta state (analysis.NewDelta), drives a
-// short deterministic random patch chain through Delta.ApplyTo, and
-// requires every step's verdict to be bit-identical to a full re-analysis
-// of the patched taskset. A divergence is a "delta-mismatch" violation;
-// because CheckTaskset runs this leg too, shrinking minimizes such
-// tasksets into fixtures exactly like soundness breaches. Returns the
+// patchChecks is the what-if leg: starting from each certified DPCP-p
+// verdict, it drives a short deterministic random patch chain through
+// model.ApplyPatch and requires every step's patched taskset to analyze
+// bit-identically to the same taskset rebuilt from its JSON, with the same
+// canonical hash. ApplyPatch derives a WCET-only edit through a fast clone
+// rather than a full Finalize, so this pins that the clone is
+// indistinguishable from a fresh build. A divergence is a "patch-mismatch"
+// violation; because CheckTaskset runs this leg too, shrinking minimizes
+// such tasksets into fixtures exactly like soundness breaches. Returns the
 // violations plus the number of chains driven.
-func deltaChecks(cfg Config, g *genTaskset, results []methodVerdict) ([]Violation, int) {
+func patchChecks(cfg Config, g *genTaskset, results []methodVerdict) ([]Violation, int) {
 	var out []Violation
 	chains := 0
 	opts := analysis.Options{PathCap: cfg.PathCap}
@@ -251,49 +254,63 @@ func deltaChecks(cfg Config, g *genTaskset, results []methodVerdict) ([]Violatio
 		if (m != analysis.DPCPpEP && m != analysis.DPCPpEN) || !results[mi].res.Schedulable {
 			continue
 		}
-		report := func(kind, detail string) {
+		report := func(detail string) {
 			out = append(out, Violation{
 				Index: g.index, Seed: g.seed, Shape: g.label,
-				Method: string(m), Kind: kind, Detail: detail,
+				Method: string(m), Kind: "patch-mismatch", Detail: detail,
 			})
 		}
 		sc, fullSc := analysis.NewScratch(), analysis.NewScratch()
-		_, d := analysis.NewDelta(sc, m, g.ts, opts)
-		if d == nil {
-			report("delta-mismatch", "no delta state retained for a certified taskset")
-			continue
-		}
 		chains++
+		base := g.ts
 		rng := rand.New(rand.NewSource(seedFor(g.seed, 0, "delta|"+string(m))))
-		for step := 0; step < deltaChainSteps; step++ {
-			p, ok := deltaPatch(rng, d.Base())
+		for step := 0; step < patchChainSteps; step++ {
+			p, ok := deltaPatch(rng, base)
 			if !ok {
 				break
 			}
-			patched, pd, err := model.ApplyPatch(d.Base(), p)
+			patched, _, err := model.ApplyPatch(base, p)
 			if err != nil {
-				report("delta-mismatch", fmt.Sprintf("step %d: valid generated patch rejected: %v", step, err))
+				report(fmt.Sprintf("step %d: valid generated patch rejected: %v", step, err))
 				break
 			}
-			res, _, next := d.ApplyTo(sc, patched, pd)
-			full := analysis.TestWith(fullSc, m, patched, opts)
+			built, err := roundTrip(patched)
+			if err != nil {
+				report(fmt.Sprintf("step %d: patched taskset does not rebuild: %v", step, err))
+				break
+			}
+			if built.Hash() != patched.Hash() {
+				report(fmt.Sprintf("step %d: patched hash %s != rebuilt %s", step, patched.Hash(), built.Hash()))
+				break
+			}
+			res := analysis.TestWith(sc, m, patched, opts)
+			full := analysis.TestWith(fullSc, m, built, opts)
 			if detail := diffResults(res, full); detail != "" {
-				report("delta-mismatch", fmt.Sprintf("step %d: delta vs full re-analysis: %s", step, detail))
+				report(fmt.Sprintf("step %d: patched vs rebuilt: %s", step, detail))
 				break
 			}
-			if next != nil {
-				// Chain onward from the patched state; an unschedulable step
-				// re-anchors the next patch on the previous base.
-				d = next
+			if res.Schedulable {
+				// Chain onward from the patched taskset; an unschedulable
+				// step re-anchors the next patch on the previous base.
+				base = patched
 			}
 		}
 	}
 	return out, chains
 }
 
-// diffResults compares a delta verdict against a full re-analysis; "" means
-// bit-identical (the delta contract), anything else describes the first
-// divergence.
+// roundTrip rebuilds a taskset from its JSON encoding, through the full
+// decode-and-Finalize path.
+func roundTrip(ts *model.Taskset) (*model.Taskset, error) {
+	var buf bytes.Buffer
+	if err := model.EncodeTaskset(&buf, ts); err != nil {
+		return nil, err
+	}
+	return model.DecodeTaskset(&buf)
+}
+
+// diffResults compares two verdicts; "" means bit-identical, anything
+// else describes the first divergence.
 func diffResults(got, want partition.Result) string {
 	if got.Schedulable != want.Schedulable {
 		return fmt.Sprintf("schedulable %v != %v", got.Schedulable, want.Schedulable)
@@ -316,9 +333,8 @@ func diffResults(got, want partition.Result) string {
 }
 
 // deltaPatch draws one structurally valid random patch for ts, mixing
-// nondecreasing edits (WCET/request growth — the warm-start path) with
-// shrinks and timing edits (the recompute and fallback paths). ok=false
-// when no valid op was found within the try budget.
+// WCET and request growth with shrinks and period edits. ok=false when no
+// valid op was found within the try budget.
 func deltaPatch(r *rand.Rand, ts *model.Taskset) (model.Patch, bool) {
 	one := func(op model.PatchOp) (model.Patch, bool) {
 		return model.Patch{Ops: []model.PatchOp{op}}, true

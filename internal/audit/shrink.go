@@ -177,8 +177,8 @@ func CheckTaskset(cfg Config, ts *model.Taskset, label string, index int, seed i
 		out = append(out, results[mi].violations...)
 	}
 	out = append(out, crossChecks(cfg, g, results)...)
-	dvs, _ := deltaChecks(cfg, g, results)
-	return append(out, dvs...)
+	pvs, _ := patchChecks(cfg, g, results)
+	return append(out, pvs...)
 }
 
 // shrinkAndFix shrinks the violating taskset to a minimal reproduction and

@@ -55,8 +55,8 @@
 // Function-level, in the function's doc comment. Seeds the hotpath
 // analyzer's call-graph closure: the function and everything statically
 // reachable from it must not allocate. Annotate the zero-alloc entry
-// points (EnumerateViewsScratch, FixPointBatch, taskWCRT, the scratch
-// methods), not every function they call.
+// points (EnumerateViews, FixPointBatch, taskWCRT, the scratch methods),
+// not every function they call.
 //
 //	//schedlint:ignore <analyzer> <reason>
 //

@@ -9,8 +9,8 @@ import (
 
 // Patch is a canonical description of a taskset edit: an ordered list of
 // operations applied atomically by ApplyPatch. Patches are the unit of the
-// incremental what-if analysis (internal/analysis.Delta and the server's
-// POST /v1/analyze/delta): the patched taskset's canonical hash is the
+// what-if analysis (internal/analysis.Delta and the server's POST
+// /v1/analyze/delta): the patched taskset's canonical hash is the
 // patch-aware cache key, so a delta result and a from-scratch analysis of
 // the same edited taskset share the content-addressed result cache.
 type Patch struct {
@@ -77,9 +77,9 @@ func patchErr(op int, code, format string, args ...any) *PatchError {
 	return &PatchError{Op: op, Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Change is a bitmask classifying how a patch touched one task. The delta
-// analyzer derives its reuse modes from these bits; they are precise in the
-// sense that an op writing a value equal to the old one sets no bit.
+// Change is a bitmask classifying how a patch touched one task. The bits
+// are precise in the sense that an op writing a value equal to the old one
+// sets no bit.
 type Change uint16
 
 const (
@@ -107,33 +107,12 @@ const (
 	ChangeRemoved
 )
 
-// viewBits are the changes that invalidate a task's cached path views:
-// anything touching vertices, edges, request vectors or CS lengths. Period,
-// deadline and priority do not enter view construction.
-const viewBits = ChangeWCETUp | ChangeWCETDown | ChangeEdges |
-	ChangeCSUp | ChangeCSDown | ChangeReqUp | ChangeReqDown |
-	ChangeSharers | ChangeAdded
-
 // PatchDelta is the precise changed-task set produced by ApplyPatch.
 type PatchDelta struct {
 	// Changed maps each touched task to its change bits. Tasks absent from
 	// the map are bit-for-bit identical (including priority) in the base and
 	// patched tasksets.
 	Changed map[rt.TaskID]Change
-}
-
-// All returns the union of every task's change bits.
-func (d *PatchDelta) All() Change {
-	var u Change
-	for _, c := range d.Changed {
-		u |= c
-	}
-	return u
-}
-
-// ViewsChanged reports whether the task's cached path views are invalid.
-func (d *PatchDelta) ViewsChanged(id rt.TaskID) bool {
-	return d.Changed[id]&viewBits != 0
 }
 
 // ChangedIDs returns the touched task IDs in ascending order.

@@ -42,16 +42,16 @@ type sigDelta struct {
 	n    int64
 }
 
-// ViewScratch holds the reusable working memory of EnumerateViewsScratch:
-// the per-vertex DP state, the signature arena, the merger (including its
-// map index and key buffer) and the backing arrays of the returned views.
+// ViewScratch holds the reusable working memory of EnumerateViews: the
+// per-vertex DP state, the signature arena, the merger (including its map
+// index and key buffer) and the backing arrays of the returned views.
 //
 // Ownership: a ViewScratch may be used by one goroutine at a time, and the
-// views returned by EnumerateViewsScratch (including their NReq vectors)
-// borrow the scratch — they are valid only until the next
-// EnumerateViewsScratch call on the same scratch. Callers that retain views
-// must copy them out first (internal/analysis does: it converts views into
-// its own representation immediately).
+// views EnumerateViews returns through it (including their NReq vectors)
+// borrow the scratch — they are valid only until the next EnumerateViews
+// call on the same scratch. Callers that retain views must copy them out
+// first (internal/analysis does: it converts views into its own
+// representation immediately).
 type ViewScratch struct {
 	active  []rt.ResourceID
 	slot    []int
@@ -60,7 +60,6 @@ type ViewScratch struct {
 	states  [][]viewState
 	final   []viewState
 	zeroSig []int64
-	replay  []rt.Time // ViewPlan.Replay value slots
 
 	// sigs is the arena backing every signature copied during one call;
 	// sigOff is the bump pointer, reset per call. Growth allocates a fresh
@@ -119,37 +118,14 @@ func sliceCap[T any](s []T, n int) []T {
 // The cap keeps the EN-fallback semantics of EnumeratePaths bit-compatible:
 // ok=false whenever the task has more than cap complete paths, regardless
 // of how few views they would collapse into. A cap <= 0 means unlimited.
-func (t *Task) EnumerateViews(cap int) (views []PathView, ok bool) {
-	return t.EnumerateViewsScratch(cap, nil)
-}
-
-// EnumerateViewsScratch is EnumerateViews computing through a reusable
-// scratch. With a nil scratch the returned views own fresh memory exactly
-// like EnumerateViews; with a non-nil scratch the views (and their NReq
-// backing) borrow it and stay valid only until the next call on the same
-// scratch. The fold order, merge order and therefore the returned view
-// order are identical either way.
+//
+// With a nil scratch the returned views own fresh memory. With a non-nil
+// scratch the views (and their NReq backing) borrow it and stay valid only
+// until the next call on the same scratch. The fold order, merge order and
+// therefore the returned view order are identical either way.
 //
 //schedlint:hotpath
-func (t *Task) EnumerateViewsScratch(cap int, s *ViewScratch) (views []PathView, ok bool) {
-	return t.enumerateViews(cap, s, nil)
-}
-
-// EnumerateViewsPlan is EnumerateViewsScratch that additionally compiles
-// the collapse structure into a heap-owned ViewPlan for later replay under
-// changed vertex WCETs. The returned views are identical to (and borrow
-// scratch exactly like) EnumerateViewsScratch's.
-func (t *Task) EnumerateViewsPlan(cap int, s *ViewScratch) (views []PathView, plan *ViewPlan, ok bool) {
-	plan = &ViewPlan{}
-	views, ok = t.enumerateViews(cap, s, plan)
-	if !ok {
-		return nil, nil, false
-	}
-	return views, plan, true
-}
-
-//schedlint:hotpath
-func (t *Task) enumerateViews(cap int, s *ViewScratch, rec *ViewPlan) (views []PathView, ok bool) {
+func (t *Task) EnumerateViews(cap int, s *ViewScratch) (views []PathView, ok bool) {
 	t.mustFinal()
 	if cap > 0 && t.CountPaths() > int64(cap) {
 		return nil, false
@@ -200,63 +176,26 @@ func (t *Task) enumerateViews(cap int, s *ViewScratch, rec *ViewPlan) (views []P
 		//schedlint:ignore hotpath grow-only resize; a warmed scratch never re-enters this branch
 		s.states = append(s.states[:have], make([][]viewState, nv-have)...)
 	}
-	// When recording, every (vertex, class) pair gets a global value slot;
-	// slotBase[x] is vertex x's first slot. Recording allocates, but it only
-	// runs under the delta analyzer, never on the production path.
-	var slotBase []int32
-	var nextSlot int32
-	if rec != nil {
-		//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-		slotBase = make([]int32, nv)
-	}
 	for _, x := range t.topo {
 		m.begin(s.states[x][:0])
-		var seg *planSeg
-		if rec != nil {
-			slotBase[x] = nextSlot
-			//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-			rec.segs = append(rec.segs, planSeg{x: x})
-			seg = &rec.segs[len(rec.segs)-1]
-		}
 		if len(t.pred[x]) == 0 {
-			j := s.fold(m, x, na, s.zeroSig, s.nonCrit[x], 1)
-			if seg != nil {
-				//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-				seg.ops = append(seg.ops, planOp{src: -1, dst: slotBase[x] + int32(j)})
-			}
+			s.fold(m, x, na, s.zeroSig, s.nonCrit[x], 1)
 		} else {
 			for _, p := range t.pred[x] {
-				for i, st := range s.states[p] {
-					j := s.fold(m, x, na, st.sig, st.nonCrit+s.nonCrit[x], st.paths)
-					if seg != nil {
-						//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-						seg.ops = append(seg.ops, planOp{src: slotBase[p] + int32(i), dst: slotBase[x] + int32(j)})
-					}
+				for _, st := range s.states[p] {
+					s.fold(m, x, na, st.sig, st.nonCrit+s.nonCrit[x], st.paths)
 				}
 			}
 		}
 		s.states[x] = m.take()
-		if rec != nil {
-			nextSlot += int32(len(s.states[x]))
-		}
 	}
 
 	// Merge the tail classes into the final views. Length is recovered from
 	// the signature: L = C'(lambda) + sum over active q of sig_q * L_{i,q}.
 	m.begin(s.final[:0])
-	var fseg *planSeg
-	if rec != nil {
-		//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-		rec.segs = append(rec.segs, planSeg{x: -1})
-		fseg = &rec.segs[len(rec.segs)-1]
-	}
 	for _, tail := range t.tails {
-		for i, st := range s.states[tail] {
-			j := m.add(st.sig, st.nonCrit, st.paths)
-			if fseg != nil {
-				//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-				fseg.ops = append(fseg.ops, planOp{src: slotBase[tail] + int32(i), dst: int32(j)})
-			}
+		for _, st := range s.states[tail] {
+			m.add(st.sig, st.nonCrit, st.paths)
 		}
 	}
 	s.final = m.take()
@@ -268,26 +207,6 @@ func (t *Task) enumerateViews(cap int, s *ViewScratch, rec *ViewPlan) (views []P
 	s.nreq = sliceCap(s.nreq, len(final)*nr)
 	nreqFlat := s.nreq
 	clear(nreqFlat)
-	if rec != nil {
-		rec.nv = nv
-		rec.slots = int(nextSlot)
-		rec.nFinal = len(final)
-		rec.nr = nr
-		//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-		rec.nreq = make([]int64, len(final)*nr)
-		//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-		rec.csPart = make([]rt.Time, len(final))
-		//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-		rec.paths = make([]int64, len(final))
-		// Per-vertex critical-section work is WCET-independent; freezing it
-		// lets Replay derive non-critical WCETs without touching the
-		// request maps.
-		//schedlint:ignore hotpath plan recording runs only under the delta analyzer
-		rec.csw = make([]rt.Time, nv)
-		for x := range t.Vertices {
-			rec.csw[x] = t.Vertices[x].WCET - s.nonCrit[x]
-		}
-	}
 	for i, st := range final {
 		nreq := nreqFlat[i*nr : (i+1)*nr : (i+1)*nr]
 		length := st.nonCrit
@@ -296,23 +215,13 @@ func (t *Task) enumerateViews(cap int, s *ViewScratch, rec *ViewPlan) (views []P
 			length = rt.SatAdd(length, rt.SatMul(st.sig[j], t.CSLen[q]))
 		}
 		views[i] = PathView{NReq: nreq, Length: length, NonCrit: st.nonCrit, Paths: st.paths}
-		if rec != nil {
-			copy(rec.nreq[i*nr:(i+1)*nr], nreq)
-			var cs rt.Time
-			for j, q := range s.active {
-				cs = rt.SatAdd(cs, rt.SatMul(st.sig[j], t.CSLen[q]))
-			}
-			rec.csPart[i] = cs
-			rec.paths[i] = st.paths
-		}
 	}
 	return views, true
 }
 
 // fold extends one predecessor class by vertex x and hands it to the
-// merger, returning the class index the contribution merged into.
-// Signatures only copy (from the arena) when x issues requests.
-func (s *ViewScratch) fold(m *sigMerger, x rt.VertexID, na int, base []int64, nc rt.Time, paths int64) int {
+// merger. Signatures only copy (from the arena) when x issues requests.
+func (s *ViewScratch) fold(m *sigMerger, x rt.VertexID, na int, base []int64, nc rt.Time, paths int64) {
 	sig := base
 	if len(s.deltas[x]) > 0 {
 		sig = s.allocSig(na)
@@ -321,13 +230,13 @@ func (s *ViewScratch) fold(m *sigMerger, x rt.VertexID, na int, base []int64, nc
 			sig[d.slot] += d.n
 		}
 	}
-	return m.add(sig, nc, paths)
+	m.add(sig, nc, paths)
 }
 
 // CountViews returns the number of distinct request-vector signatures over
 // complete paths, i.e. len(EnumerateViews) without the cap check.
 func (t *Task) CountViews() int {
-	views, _ := t.EnumerateViews(0)
+	views, _ := t.EnumerateViews(0, nil)
 	return len(views)
 }
 
@@ -415,20 +324,19 @@ func (m *sigMerger) reindex() {
 	}
 }
 
-// add folds one (signature, nonCrit, paths) triple in and returns the index
-// of the class it landed in (classes are only ever appended, so indices are
-// stable for the duration of a merge).
-func (m *sigMerger) add(sig []int64, nonCrit rt.Time, paths int64) int {
+// add folds one (signature, nonCrit, paths) triple into its class,
+// appending a new class when the signature is unseen.
+func (m *sigMerger) add(sig []int64, nonCrit rt.Time, paths int64) {
 	if !m.indexed {
 		for i := range m.out {
 			if sigEqual(m.out[i].sig, sig) {
 				m.merge(i, nonCrit, paths)
-				return i
+				return
 			}
 		}
 		if len(m.out) < linearMergeMax {
 			m.out = append(m.out, viewState{sig: sig, nonCrit: nonCrit, paths: paths})
-			return len(m.out) - 1
+			return
 		}
 		// Crossing the threshold: index everything seen so far.
 		m.reindex()
@@ -439,11 +347,10 @@ func (m *sigMerger) add(sig []int64, nonCrit rt.Time, paths int64) int {
 	j := m.find(sig)
 	if e := m.table[j]; e != 0 {
 		m.merge(int(e-1), nonCrit, paths)
-		return int(e - 1)
+		return
 	}
 	m.table[j] = int32(len(m.out) + 1)
 	m.out = append(m.out, viewState{sig: sig, nonCrit: nonCrit, paths: paths})
-	return len(m.out) - 1
 }
 
 func (m *sigMerger) merge(i int, nonCrit rt.Time, paths int64) {
@@ -464,107 +371,4 @@ func sigEqual(a, b []int64) bool {
 		}
 	}
 	return true
-}
-
-// planOp is one max-fold of the recorded collapse DP: slot dst accumulates
-// slot src's value plus the segment vertex's non-critical WCET. src == -1
-// seeds a head-vertex class from the vertex alone; in the final segment
-// (planSeg.x == -1) dst indexes the final views and no WCET is added.
-type planOp struct{ src, dst int32 }
-
-// planSeg groups the recorded ops of one vertex, in topological order; the
-// trailing segment with x == -1 merges tail classes into the final views.
-type planSeg struct {
-	x   rt.VertexID
-	ops []planOp
-}
-
-// ViewPlan is the compiled structure of one task's signature-collapsing
-// view enumeration. Which class a path prefix folds into — and therefore
-// the whole plan — depends only on the DAG, the request vectors and the
-// active-resource set, never on vertex WCETs: WCETs enter the DP purely as
-// the weights being max-accumulated. Replay therefore re-derives the exact
-// EnumerateViews result for a WCET-edited variant of the task (same
-// signatures, same view order, same path counts) in one linear pass over
-// the recorded ops, skipping all signature hashing and merging.
-//
-// A plan is immutable after EnumerateViewsPlan returns and safe for
-// concurrent Replay calls through distinct scratches. It becomes invalid —
-// silently, so callers must gate on the change classification — as soon as
-// the task's vertex count, edges, request vectors or critical-section
-// lengths change.
-type ViewPlan struct {
-	nv     int // vertex count the plan was compiled for
-	slots  int // number of (vertex, class) value slots
-	nFinal int // number of final views
-	nr     int
-	segs   []planSeg
-	nreq   []int64   // nFinal x nr: view i's request vector (static)
-	csPart []rt.Time // per view: saturating sum_q NReq_q * L_{i,q} (static)
-	paths  []int64   // per view: collapsed concrete paths (static)
-	csw    []rt.Time // per vertex: critical-section work (static)
-}
-
-// NumViews returns the number of views the plan reproduces.
-func (p *ViewPlan) NumViews() int { return p.nFinal }
-
-// Replay recomputes the task's path views under its current vertex WCETs.
-// t must be structurally identical to the task the plan was compiled from
-// (same DAG, requests and CS lengths); only vertex WCETs may differ. The
-// returned views borrow the scratch and the plan exactly like
-// EnumerateViewsScratch's views borrow the scratch: valid until the next
-// enumeration or replay through s. Returns nil if t's vertex count does not
-// match the plan.
-func (p *ViewPlan) Replay(t *Task, s *ViewScratch) []PathView {
-	t.mustFinal()
-	if len(t.Vertices) != p.nv {
-		return nil
-	}
-	if s == nil {
-		s = &ViewScratch{}
-	}
-	vals := sliceCap(s.replay, p.slots+p.nFinal)
-	s.replay = vals
-	// Non-critical WCETs are non-negative (Finalize rejects critical
-	// sections exceeding the vertex WCET), so -1 is a safe "unwritten"
-	// floor for the max-accumulation.
-	for i := range vals {
-		vals[i] = -1
-	}
-	fin := vals[p.slots:]
-	for si := range p.segs {
-		seg := &p.segs[si]
-		if seg.x < 0 {
-			for _, op := range seg.ops {
-				if v := vals[op.src]; v > fin[op.dst] {
-					fin[op.dst] = v
-				}
-			}
-			continue
-		}
-		nc := t.Vertices[seg.x].WCET - p.csw[seg.x]
-		for _, op := range seg.ops {
-			v := nc
-			if op.src >= 0 {
-				// Plain addition, exactly like the recorded DP's
-				// st.nonCrit + s.nonCrit[x] fold.
-				v = vals[op.src] + nc
-			}
-			if v > vals[op.dst] {
-				vals[op.dst] = v
-			}
-		}
-	}
-	views := sliceCap(s.views, p.nFinal)
-	s.views = views
-	for i := 0; i < p.nFinal; i++ {
-		nonCrit := fin[i]
-		views[i] = PathView{
-			NReq:    p.nreq[i*p.nr : (i+1)*p.nr : (i+1)*p.nr],
-			Length:  rt.SatAdd(nonCrit, p.csPart[i]),
-			NonCrit: nonCrit,
-			Paths:   p.paths[i],
-		}
-	}
-	return views
 }

@@ -11,7 +11,7 @@ import (
 
 func TestEnumerateViewsGi(t *testing.T) {
 	task := paperTaskGi(t)
-	views, ok := task.EnumerateViews(0)
+	views, ok := task.EnumerateViews(0, nil)
 	if !ok {
 		t.Fatal("EnumerateViews: cap exceeded without a cap")
 	}
@@ -53,10 +53,10 @@ func TestEnumerateViewsGi(t *testing.T) {
 
 func TestEnumerateViewsCapMatchesEnumeratePaths(t *testing.T) {
 	task := paperTaskGi(t)
-	if _, ok := task.EnumerateViews(3); ok {
+	if _, ok := task.EnumerateViews(3, nil); ok {
 		t.Error("EnumerateViews(cap=3) succeeded on a 4-path DAG, want cap exceeded")
 	}
-	if views, ok := task.EnumerateViews(4); !ok || len(views) != 3 {
+	if views, ok := task.EnumerateViews(4, nil); !ok || len(views) != 3 {
 		t.Errorf("EnumerateViews(cap=4): ok=%v len=%d, want 3 views", ok, len(views))
 	}
 }
@@ -91,7 +91,7 @@ func TestViewsMatchEnumerationGrouping(t *testing.T) {
 			}
 			g.paths++
 		}
-		views, ok := task.EnumerateViews(100000)
+		views, ok := task.EnumerateViews(100000, nil)
 		if !ok || len(views) != len(groups) {
 			return false
 		}
@@ -136,7 +136,7 @@ func exponentialDAG(tb testing.TB, k int) *Task {
 
 func TestEnumerateViewsCollapsesExponentialDAG(t *testing.T) {
 	task := exponentialDAG(t, 14)
-	views, ok := task.EnumerateViews(1 << 14)
+	views, ok := task.EnumerateViews(1<<14, nil)
 	if !ok {
 		t.Fatal("cap exceeded unexpectedly")
 	}
@@ -156,7 +156,7 @@ func TestEnumerateViewsCollapsesExponentialDAG(t *testing.T) {
 func TestEnumerateViewsAllocs(t *testing.T) {
 	task := exponentialDAG(t, 14)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, ok := task.EnumerateViews(1 << 14); !ok {
+		if _, ok := task.EnumerateViews(1<<14, nil); !ok {
 			t.Fatal("cap exceeded")
 		}
 	})
@@ -188,7 +188,7 @@ func TestVisitPathsDeepChain(t *testing.T) {
 	if got := len(paths[0].Vertices); got != n {
 		t.Errorf("chain path has %d vertices, want %d", got, n)
 	}
-	views, ok := task.EnumerateViews(0)
+	views, ok := task.EnumerateViews(0, nil)
 	if !ok || len(views) != 1 || views[0].Length != rt.Time(n)*rt.Microsecond {
 		t.Errorf("chain views: ok=%v %+v", ok, views)
 	}

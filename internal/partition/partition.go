@@ -197,76 +197,6 @@ func (p *Partition) AppendClusterResources(dst []rt.ResourceID, id rt.TaskID) []
 	return dst
 }
 
-// EqualAssignment reports whether p and o describe exactly the same
-// assignment: the same processor owners, the same clusters in the same
-// order, the same light-task sharing, and the same resource placement
-// (including each processor's resource order, which the analysis iterates).
-// The incremental delta analyzer uses it to decide whether a candidate
-// partition of a patched taskset matches the retained final partition of
-// the base analysis — order-sensitive equality is what makes replaying the
-// base computation bit-identical.
-func (p *Partition) EqualAssignment(o *Partition) bool {
-	if o == nil || len(p.owner) != len(o.owner) {
-		return false
-	}
-	for k, id := range p.owner {
-		if o.owner[k] != id {
-			return false
-		}
-	}
-	if len(p.procs) != len(o.procs) {
-		return false
-	}
-	for id, ps := range p.procs {
-		ops, ok := o.procs[id]
-		if !ok || len(ops) != len(ps) {
-			return false
-		}
-		for j, k := range ps {
-			if ops[j] != k {
-				return false
-			}
-		}
-	}
-	if len(p.resProc) != len(o.resProc) {
-		return false
-	}
-	for q, k := range p.resProc {
-		if ok2, have := o.resProc[q]; !have || ok2 != k {
-			return false
-		}
-	}
-	if len(p.resOn) != len(o.resOn) {
-		return false
-	}
-	for k, res := range p.resOn {
-		ores, ok := o.resOn[k]
-		if !ok || len(ores) != len(res) {
-			return false
-		}
-		for j, q := range res {
-			if ores[j] != q {
-				return false
-			}
-		}
-	}
-	if len(p.shared) != len(o.shared) {
-		return false
-	}
-	for k, ids := range p.shared {
-		oids, ok := o.shared[k]
-		if !ok || len(oids) != len(ids) {
-			return false
-		}
-		for j, id := range ids {
-			if oids[j] != id {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // CloneFor returns a deep copy of the partition bound to another taskset,
 // which must have the same processor count and contain every task ID the
 // partition mentions. The audit's WCET-scaling check uses it to evaluate an

@@ -357,37 +357,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestEqualAssignment(t *testing.T) {
-	ts := partitionSet(t, 16)
-	a := Algorithm1(ts, stubAnalyzer{}, WFD).Partition
-	b := Algorithm1(ts, stubAnalyzer{}, WFD).Partition
-	if !a.EqualAssignment(a) {
-		t.Error("partition not equal to itself")
-	}
-	if !a.EqualAssignment(b) {
-		t.Error("identical Algorithm1 runs produced unequal assignments")
-	}
-	if a.EqualAssignment(nil) {
-		t.Error("partition equal to nil")
-	}
-	// A different augmentation outcome (task 1 grown to 6 processors) is a
-	// different assignment.
-	c := Algorithm1(ts, stubAnalyzer{need: map[rt.TaskID]int{1: 6}}, WFD).Partition
-	if a.EqualAssignment(c) {
-		t.Error("distinct cluster sizes reported equal")
-	}
-	// Mutating resource placement alone must break equality: the analysis
-	// iterates each processor's resource list in order.
-	d := b.Clone()
-	if q := d.ResourceProc(0); q != rt.NoProc {
-		d.ClearResources()
-		d.PlaceResource(0, (q+1)%16)
-		if a.EqualAssignment(d) {
-			t.Error("distinct resource placement reported equal")
-		}
-	}
-}
-
 // untilMissStub is stubAnalyzer honouring untilMiss the way a real
 // analyzer may: it walks priorities and stops after the first miss. It
 // counts the calls whose flag differs from what the loop should pass.

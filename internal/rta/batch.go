@@ -21,12 +21,10 @@ import "dpcpp/internal/rt"
 //
 // Warm starts: because each step function is monotone, iterating from ANY
 // start value at or below the least fixed point converges to exactly that
-// least fixed point — usually in far fewer waves. The incremental delta
-// analyzer exploits this by seeding xs[i] with max(cold start, retained
-// fixed point) when a patch can only grow the recurrence inputs (the old
-// least fixed point is then a lower bound on the new one). The caller owns
-// that bound: a seed ABOVE the least fixed point is silently absorbed into
-// a larger fixed point of the same recurrence (see
+// least fixed point — usually in far fewer waves. A caller may seed xs[i]
+// with any known lower bound on the least fixed point, and it owns that
+// bound: a seed ABOVE the least fixed point is silently absorbed into a
+// larger fixed point of the same recurrence (see
 // TestFixPointBatchWarmStart's overshoot example), so FixPointBatch cannot
 // detect it — never seed from state whose inputs may have shrunk.
 //

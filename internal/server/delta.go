@@ -15,10 +15,10 @@ import (
 	"dpcpp/internal/partition"
 )
 
-// errUnknownBase reports a delta request whose base hash has no retained
-// incremental state and whose body carried no base_taskset to rebuild it
-// from. The handler maps it to a structured 400 telling the client to
-// re-send with base_taskset (one-time cost; subsequent patches hit state).
+// errUnknownBase reports a delta request whose base hash names no retained
+// base and whose body carried no base_taskset to rebuild it from. The
+// handler maps it to a structured 400 telling the client to re-send with
+// base_taskset (one-time cost; subsequent patches find the base).
 var errUnknownBase = errors.New("no retained state for base taskset")
 
 // wireResult converts an analysis verdict to its cache/wire form.
@@ -32,20 +32,19 @@ func wireResult(res partition.Result) *MethodResult {
 }
 
 // analyzeDelta answers one method of a POST /v1/analyze/delta request: it
-// resolves the base's retained incremental state (running — and retaining —
-// a full base analysis when the body supplied base_taskset and no state
-// exists), applies the patch, and analyzes the patched taskset through
-// analysis.Delta.ApplyTo. The patched taskset's canonical hash addresses
+// resolves the retained base (analyzing — and retaining — the base when
+// the body supplied base_taskset and none is retained), applies the patch,
+// and analyzes the patched taskset through analysis.Delta.ApplyTo, an
+// ordinary full analysis. The patched taskset's canonical hash addresses
 // the SAME result cache as /v1/analyze, so a delta result and a
 // from-scratch analysis of the identical edited taskset share entries and
-// coalesce onto one flight. A successful run chains fresh state under the
-// patched hash, keeping patch sequences incremental.
+// coalesce onto one flight. A schedulable result is retained as a base
+// under the patched hash, so the next patch in a chain can quote it.
 //
-// The returned stats are non-nil only when this call executed the
-// incremental analysis itself (not when the result came from a cache,
-// store, or coalesced flight).
+// analyzed is true only when this call ran the patched analysis itself
+// (not when the result came from a cache, store, or coalesced flight).
 func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *model.Taskset,
-	p model.Patch, m analysis.Method, opts analysis.Options) (model.Hash, *MethodResult, *analysis.DeltaStats, error) {
+	p model.Patch, m analysis.Method, opts analysis.Options) (model.Hash, *MethodResult, bool, error) {
 
 	tr := obs.TraceFromContext(ctx)
 	skey := cacheKey(baseHash, m, opts, false)
@@ -54,16 +53,16 @@ func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *
 		e.deltaHits.Add(1)
 	} else {
 		if baseTS == nil {
-			return model.Hash{}, nil, nil, errUnknownBase
+			return model.Hash{}, nil, false, errUnknownBase
 		}
 		e.deltaFallbacks.Add(1)
-		// Full base analysis, retaining fresh state. It occupies a worker
+		// Full base analysis, retaining the base. It occupies a worker
 		// slot like any analysis and lands the base verdict in the shared
 		// result cache, so a later /v1/analyze of the base is a cache hit.
 		select {
 		case e.slots <- struct{}{}:
 		case <-ctx.Done():
-			return model.Hash{}, nil, nil, ctx.Err()
+			return model.Hash{}, nil, false, ctx.Err()
 		}
 		e.analyses.Add(1)
 		start := time.Now()
@@ -75,16 +74,15 @@ func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *
 		tr.AddSpan("delta-base", start)
 		e.cache.add(skey, wireResult(res))
 		if nd == nil {
-			// Unschedulable base (or a method with no incremental form):
-			// nothing to patch from, so the patched taskset is analyzed
-			// from scratch through the ordinary engine path.
+			// Unschedulable base: it is not retained, so the patched
+			// taskset goes through the ordinary engine path.
 			patched, _, err := model.ApplyPatch(baseTS, p)
 			if err != nil {
-				return model.Hash{}, nil, nil, err
+				return model.Hash{}, nil, false, err
 			}
 			ph := patched.Hash()
 			mr, err := e.analyze(ctx, ph, patched, m, opts, false)
-			return ph, mr, nil, err
+			return ph, mr, false, err
 		}
 		e.deltaStates.add(skey, nd)
 		d = nd
@@ -93,7 +91,7 @@ func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *
 	patchStart := time.Now()
 	patched, pd, err := model.ApplyPatch(d.Base(), p)
 	if err != nil {
-		return model.Hash{}, nil, nil, err
+		return model.Hash{}, nil, false, err
 	}
 	ph := patched.Hash()
 	tr.AddSpan("patch", patchStart)
@@ -103,11 +101,11 @@ func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *
 	if v, ok := e.cache.get(pkey); ok {
 		e.cacheHits.Add(1)
 		tr.AddSpan("cache", cacheStart)
-		return ph, v, nil, nil
+		return ph, v, false, nil
 	}
 	e.cacheMisses.Add(1)
 
-	var stats *analysis.DeltaStats
+	analyzed := false
 	flightStart := time.Now()
 	v, err, shared := e.flight.do(ctx, pkey, func(fctx context.Context) (*MethodResult, error) {
 		if v, ok := e.cache.get(pkey); ok {
@@ -126,18 +124,18 @@ func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *
 		e.analyses.Add(1)
 		start := time.Now()
 		sc := e.scratch.Get().(*analysis.Scratch)
-		res, st, next := d.ApplyTo(sc, patched, pd)
+		res, _, next := d.ApplyTo(sc, patched, pd)
 		e.scratch.Put(sc)
 		e.latency.Observe(time.Since(start))
 		tr.AddSpan("delta-analysis", start)
-		stats = &st
+		analyzed = true
 		mr := wireResult(res)
 		e.cache.add(pkey, mr)
 		e.storePut(pkey, mr)
 		if next != nil {
 			// Chain: the patched taskset becomes a ready base for the next
 			// patch in the sequence, under its own content address.
-			e.deltaStates.add(cacheKey(ph, m, opts, false), next)
+			e.deltaStates.add(pkey, next)
 		}
 		return mr, nil
 	})
@@ -147,9 +145,9 @@ func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *
 	}
 	if err != nil {
 		e.noteAbort(err)
-		return model.Hash{}, nil, nil, err
+		return model.Hash{}, nil, false, err
 	}
-	return ph, v, stats, nil
+	return ph, v, analyzed, nil
 }
 
 // parseHash decodes a canonical taskset hash (64 lowercase hex digits).
@@ -164,7 +162,7 @@ func parseHash(s string) (model.Hash, error) {
 }
 
 // parseDeltaMethods resolves the method list of a delta request: only the
-// DPCP-p variants have an incremental form, and an empty list means both.
+// DPCP-p variants are served, and an empty list means both.
 func parseDeltaMethods(names []string) ([]analysis.Method, error) {
 	if len(names) == 0 {
 		return []analysis.Method{analysis.DPCPpEP, analysis.DPCPpEN}, nil
@@ -241,15 +239,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	type deltaOut struct {
-		hash  model.Hash
-		mr    *MethodResult
-		stats *analysis.DeltaStats
-		err   error
+		hash     model.Hash
+		mr       *MethodResult
+		analyzed bool
+		err      error
 	}
 	outs := make([]deltaOut, len(ms))
 	experiments.ParallelFor(len(ms), len(ms), func(_, i int) {
 		o := &outs[i]
-		o.hash, o.mr, o.stats, o.err = s.engine.analyzeDelta(
+		o.hash, o.mr, o.analyzed, o.err = s.engine.analyzeDelta(
 			ctx, baseHash, req.BaseTaskset, req.Patch, ms[i], opts)
 	})
 	for _, o := range outs {
@@ -282,15 +280,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	for i, m := range ms {
 		resp.Results[string(m)] = outs[i].mr
 		info := &DeltaInfo{}
-		if st := outs[i].stats; st != nil {
+		if outs[i].analyzed {
 			info.Incremental = true
-			info.Rounds = st.Rounds
-			info.MatchedRounds = st.MatchedRounds
-			info.Reused = st.Reused
-			info.Recomputed = st.Recomputed
-			info.WarmStarted = st.WarmStarted
-			info.ViewsSeeded = st.ViewsSeeded
-			info.ViewsReplayed = st.ViewsReplayed
+			info.Rounds = outs[i].mr.Rounds
 		}
 		resp.Delta[string(m)] = info
 	}

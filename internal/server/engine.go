@@ -48,13 +48,13 @@ type engine struct {
 	// permanently closed) without a store.
 	br     *store.Breaker
 	flight flightGroup[*MethodResult]
-	// deltaStates retains incremental analysis states (analysis.Delta) for
-	// recently analyzed tasksets, keyed exactly like the result cache minus
-	// the explain flag: <base hash>|<method>|pc|pl. A POST /v1/analyze/delta
-	// whose base is present answers what-if patches through ApplyTo in
-	// cache-hit territory; a miss falls back to a full base analysis that
-	// retains fresh state. Bounded like the result cache; eviction only
-	// costs the next delta request one full analysis.
+	// deltaStates retains what-if bases (analysis.Delta: a finalized
+	// schedulable taskset plus method and options) for recently analyzed
+	// tasksets, keyed exactly like the result cache minus the explain flag:
+	// <base hash>|<method>|pc|pl. A POST /v1/analyze/delta whose base is
+	// present needs no taskset upload; a miss falls back to a full base
+	// analysis that retains the base. Bounded like the result cache;
+	// eviction only costs the next delta request one full analysis.
 	deltaStates *lru[*analysis.Delta]
 	// slots bounds concurrently executing analyses to the worker count;
 	// queued counts admitted-but-unfinished jobs for backpressure.
@@ -91,9 +91,9 @@ type engine struct {
 	storeHits   atomic.Int64
 	storePuts   atomic.Int64
 	storeErrors atomic.Int64
-	// deltaHits counts delta requests served through a retained incremental
-	// state; deltaFallbacks those that had to run a full base analysis
-	// first (state missing or evicted).
+	// deltaHits counts delta requests whose base was retained;
+	// deltaFallbacks those that had to run a full base analysis first
+	// (base missing or evicted).
 	deltaHits      atomic.Int64
 	deltaFallbacks atomic.Int64
 }
@@ -123,9 +123,9 @@ type Metrics struct {
 	// it has opened.
 	StoreState string `json:"store_state,omitempty"`
 	StoreTrips int64  `json:"store_trips"`
-	// DeltaHits counts POST /v1/analyze/delta method results served through
-	// a retained incremental state; DeltaFallbacks those that needed a full
-	// base analysis first; DeltaStates is the retained-state gauge.
+	// DeltaHits counts POST /v1/analyze/delta method results whose base was
+	// retained; DeltaFallbacks those that needed a full base analysis
+	// first; DeltaStates is the retained-base gauge.
 	DeltaHits      int64 `json:"delta_hits"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	DeltaStates    int64 `json:"delta_states"`

@@ -12,9 +12,9 @@ import (
 // analysis — the acceptance invariant the coalescing test pins.
 //
 // The group is generic in its result type so the same primitive serves the
-// engine's method-result flights (full analyses and incremental delta
-// analyses share one group — and therefore one in-flight computation — per
-// patched-taskset cache key) and any future value-shaped work.
+// engine's method-result flights (/v1/analyze and delta analyses share
+// one group — and therefore one in-flight computation — per patched-taskset
+// cache key) and any future value-shaped work.
 //
 // Cancellation is per-caller, not per-computation: the computation runs on
 // its own goroutine under a flight-owned context, so a waiter whose

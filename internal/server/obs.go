@@ -102,9 +102,9 @@ func (s *Server) registerMetrics() {
 	r.Counter("schedd_coalesced_total",
 		"Requests coalesced onto another caller's in-flight analysis.", e.coalesced.Load)
 	r.Counter("schedd_delta_hits_total",
-		"Delta queries answered from retained incremental state.", e.deltaHits.Load)
+		"Delta queries whose base taskset was retained.", e.deltaHits.Load)
 	r.Counter("schedd_delta_fallbacks_total",
-		"Delta queries that rebuilt base state with a full analysis.", e.deltaFallbacks.Load)
+		"Delta queries that re-established their base with a full analysis.", e.deltaFallbacks.Load)
 	r.Counter("schedd_rejected_total",
 		"Requests rejected by admission control (429).", e.rejected.Load)
 	r.Counter("schedd_canceled_total",
@@ -138,7 +138,7 @@ func (s *Server) registerMetrics() {
 		"Entries in the in-memory result cache.",
 		func() float64 { return float64(e.cache.entries()) })
 	r.Gauge("schedd_delta_states",
-		"Retained incremental delta states (bounded LRU).",
+		"Retained what-if base tasksets (bounded LRU).",
 		func() float64 { return float64(e.deltaStates.entries()) })
 	r.Gauge("schedd_sweeps_active",
 		"Sweep jobs running or queued for the runner.",

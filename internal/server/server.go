@@ -26,8 +26,8 @@
 //
 //	POST /v1/analyze        one taskset, one or all methods
 //	POST /v1/analyze/batch  many tasksets, shared options
-//	POST /v1/analyze/delta  what-if query: base hash + patch, answered
-//	                        incrementally from retained delta state
+//	POST /v1/analyze/delta  what-if query: base hash + patch, analyzed
+//	                        against a retained base taskset
 //	GET  /v1/grid           streaming acceptance-curve points (NDJSON)
 //	POST /v1/sweeps         submit an asynchronous multi-scenario sweep job
 //	GET  /v1/sweeps         list sweep jobs

@@ -171,15 +171,16 @@ type SweepResults struct {
 }
 
 // DeltaRequest is the body of POST /v1/analyze/delta: a what-if query
-// against an already-analyzed base taskset, expressed as a patch. Base
-// names the base by its canonical hash (the hash POST /v1/analyze
-// returned); when the server still retains incremental state for it, the
-// query runs in cache-hit territory. BaseTaskset re-supplies the full base
-// so a server that has evicted (or never built) the state can rebuild it
-// — a one-time full-analysis cost, after which subsequent patches against
-// the same base, and against each response's patched hash, are
-// incremental. At least one of the two must be present; when both are,
-// they must agree.
+// against an already-analyzed base taskset, expressed as a patch. The
+// server applies the patch and analyzes the patched taskset in full; the
+// endpoint saves the client from uploading the base again, not the server
+// from analyzing. Base names the base by its canonical hash (the hash POST
+// /v1/analyze returned), which works while the server retains the base.
+// BaseTaskset re-supplies the full base so a server that has evicted (or
+// never seen) it can rebuild it — a one-time full analysis of the base,
+// after which patches against the same base, and against each schedulable
+// response's patched hash, can quote the hash alone. At least one of the
+// two must be present; when both are, they must agree.
 type DeltaRequest struct {
 	Base        string         `json:"base,omitempty"`
 	BaseTaskset *model.Taskset `json:"base_taskset,omitempty"`
@@ -188,12 +189,11 @@ type DeltaRequest struct {
 	// add_task. Invalid patches get a structured 400 carrying the
 	// offending operation (errorResponse.Patch).
 	Patch model.Patch `json:"patch"`
-	// Methods selects the analyses; empty means both incremental methods
-	// (DPCP-p-EP and DPCP-p-EN). Other methods are rejected: only the
-	// DPCP-p variants retain incremental state.
+	// Methods selects the analyses; empty means both DPCP-p-EP and
+	// DPCP-p-EN. Other methods are rejected.
 	Methods []string `json:"methods,omitempty"`
 	// PathCap and Placement must match the base analysis's options —
-	// retained state is keyed by (hash, method, options) exactly like the
+	// retained bases are keyed by (hash, method, options) exactly like the
 	// result cache.
 	PathCap   int    `json:"path_cap,omitempty"`
 	Placement string `json:"placement,omitempty"`
@@ -204,26 +204,19 @@ type DeltaRequest struct {
 
 // DeltaInfo reports how one method's delta query was answered.
 type DeltaInfo struct {
-	// Incremental is true when the verdict was re-derived from retained
-	// delta state; false when it was served from the result cache/store or
-	// computed from scratch (unschedulable base, coalesced flight).
+	// Incremental is true when this request analyzed the patched taskset
+	// against a retained base; false when the verdict was served from the
+	// result cache/store or a coalesced flight, or computed through the
+	// ordinary analyze path (unschedulable base).
 	Incremental bool `json:"incremental"`
-	// Rounds / MatchedRounds count outer partition rounds and how many
-	// matched the retained assignment (mismatch forces a full fallback for
-	// that round).
-	Rounds        int `json:"rounds,omitempty"`
+	// Rounds counts the partitioning rounds of the analysis this request
+	// ran (set only when Incremental).
+	Rounds int `json:"rounds,omitempty"`
+	// MatchedRounds, Reused and Recomputed are always zero; they stay
+	// because perfbench reads them.
 	MatchedRounds int `json:"matched_rounds,omitempty"`
-	// Reused / Recomputed / WarmStarted count per-task response-time
-	// bounds carried over unchanged, re-derived, and re-derived from a
-	// warm-started fixed point.
-	Reused      int `json:"reused,omitempty"`
-	Recomputed  int `json:"recomputed,omitempty"`
-	WarmStarted int `json:"warm_started,omitempty"`
-	// ViewsSeeded / ViewsReplayed count tasks whose path views were
-	// reused verbatim from the retained state, or re-derived through its
-	// retained collapse plan, instead of enumerated afresh.
-	ViewsSeeded   int `json:"views_seeded,omitempty"`
-	ViewsReplayed int `json:"views_replayed,omitempty"`
+	Reused        int `json:"reused,omitempty"`
+	Recomputed    int `json:"recomputed,omitempty"`
 }
 
 // DeltaResponse is the body of a successful POST /v1/analyze/delta. Hash
