@@ -121,27 +121,29 @@
 // request — against a base taskset the server already holds, so a client
 // quotes the base's hash instead of uploading it again. model.ApplyPatch
 // turns (base, Patch) into a finalized taskset plus a precise changed-task
-// set, and the patched taskset is analyzed in full: analysis.Delta is
-// only the base (a finalized schedulable taskset with its method and
-// options), and Delta.ApplyTo is TestWith on the patched taskset. A delta
-// verdict is therefore, by construction, the verdict /v1/analyze gives
-// for the same edited taskset. The audit's patch leg checks that a patched
-// taskset hashes and analyzes exactly like the same taskset rebuilt from
-// its JSON.
+// set, and the patched taskset is analyzed in full through the same engine
+// path as /v1/analyze: result cache, singleflight, store and worker slot.
+// A verdict is a pure function of the finalized taskset, so the endpoint
+// keeps no analysis state; a delta verdict is, by construction, the
+// verdict /v1/analyze gives for the same edited taskset. The audit's patch
+// leg checks that a patched taskset hashes and analyzes exactly like the
+// same taskset rebuilt from its JSON.
 //
 // Ownership and invalidation rules:
 //
-//   - A *analysis.Delta is owned by the server's bounded LRU of retained
-//     bases, keyed by (base hash, method, options) — the same canonical
-//     key space as the result cache. It is immutable: Apply/ApplyTo return
-//     a fresh base for a schedulable patched taskset, which the server
-//     retains under the patched hash so an edit chain can quote it. An
-//     unschedulable result is not retained.
+//   - The server's bounded LRU of retained bases holds finalized
+//     *model.Taskset values, keyed by (base hash, method, options) — the
+//     same canonical key space as the result cache. Retained tasksets are
+//     immutable: ApplyPatch never mutates its input. A schedulable patched
+//     taskset that the request itself analyzed is retained under the
+//     patched hash, so an edit chain can quote it. An unschedulable base
+//     or result is not retained.
 //   - LRU eviction costs one upload, never correctness: a query whose base
-//     was evicted is answered by re-establishing the base with a full
-//     analysis (counted in delta_fallbacks) when the request carries
-//     base_taskset, or rejected with a structured 400 telling the client
-//     to re-send it when it carries only the hash.
+//     was evicted (counted in delta_fallbacks) re-establishes it when the
+//     request carries base_taskset, resolving the base verdict through the
+//     result cache, flight and store like any analysis, or is rejected with
+//     a structured 400 telling the client to re-send it when it carries
+//     only the hash.
 //
 // # Sweep jobs and the persistent store
 //

@@ -13,7 +13,9 @@ import (
 // A schedulable patched result becomes the next base, so a chain of edits
 // can quote the previous answer.
 //
-// A Delta is immutable and safe for concurrent Apply calls.
+// A Delta is immutable and safe for concurrent Apply calls. The server
+// does not use it (it retains plain base tasksets); it stays for the root
+// facade (dpcpp.Delta) and perfbench.
 type Delta struct {
 	ts   *model.Taskset
 	m    Method

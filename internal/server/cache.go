@@ -20,11 +20,12 @@ const numShards = 16
 // behaves like per-shard LRU and under adversarial skew still evicts from
 // wherever the entries actually are.
 //
-// Two instances exist per server: the engine's result cache (keyed by
-// taskset hash + method + options fingerprint, holding wire results) and
-// the exact-body fast path (keyed by the SHA-256 of raw /v1/analyze bodies,
-// holding serialized responses), so a repeat of a byte-identical request
-// skips even the JSON decode.
+// Three instances exist per server: the engine's result cache (keyed by
+// taskset hash + method + options fingerprint, holding wire results), the
+// engine's retained what-if bases (same keys minus explain, holding
+// finalized tasksets), and the exact-body fast path (keyed by the SHA-256
+// of raw /v1/analyze bodies, holding serialized responses), so a repeat of
+// a byte-identical request skips even the JSON decode.
 type lru[V any] struct {
 	shards [numShards]lruShard[V]
 	size   int64 // global capacity bound

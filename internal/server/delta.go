@@ -12,7 +12,6 @@ import (
 	"dpcpp/internal/experiments"
 	"dpcpp/internal/model"
 	"dpcpp/internal/obs"
-	"dpcpp/internal/partition"
 )
 
 // errUnknownBase reports a delta request whose base hash names no retained
@@ -21,133 +20,57 @@ import (
 // base_taskset (one-time cost; subsequent patches find the base).
 var errUnknownBase = errors.New("no retained state for base taskset")
 
-// wireResult converts an analysis verdict to its cache/wire form.
-func wireResult(res partition.Result) *MethodResult {
-	return &MethodResult{
-		Schedulable: res.Schedulable,
-		WCRT:        res.WCRT,
-		Rounds:      res.Rounds,
-		Reason:      res.Reason,
-	}
-}
-
-// analyzeDelta answers one method of a POST /v1/analyze/delta request: it
-// resolves the retained base (analyzing — and retaining — the base when
-// the body supplied base_taskset and none is retained), applies the patch,
-// and analyzes the patched taskset through analysis.Delta.ApplyTo, an
-// ordinary full analysis. The patched taskset's canonical hash addresses
-// the SAME result cache as /v1/analyze, so a delta result and a
-// from-scratch analysis of the identical edited taskset share entries and
-// coalesce onto one flight. A schedulable result is retained as a base
-// under the patched hash, so the next patch in a chain can quote it.
+// analyzeDelta answers one method of a POST /v1/analyze/delta request. A
+// verdict is a pure function of the finalized taskset, so the what-if work
+// is only finding the base and applying the patch: the base (on a
+// fallback) and the patched taskset both go through engine.analyze, and
+// so share its result cache, flight and store with /v1/analyze.
 //
-// analyzed is true only when this call ran the patched analysis itself
-// (not when the result came from a cache, store, or coalesced flight).
+// A fallback retains a schedulable base. When the base is retained and
+// this call ran the patched analysis itself, the bool result
+// (DeltaInfo.Incremental) is true, and a schedulable patched taskset is
+// retained under its own hash so the next patch in a chain can quote it.
 func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *model.Taskset,
 	p model.Patch, m analysis.Method, opts analysis.Options) (model.Hash, *MethodResult, bool, error) {
 
-	tr := obs.TraceFromContext(ctx)
 	skey := cacheKey(baseHash, m, opts, false)
-	d, ok := e.deltaStates.get(skey)
-	if ok {
+	base, retained := e.deltaStates.get(skey)
+	if retained {
 		e.deltaHits.Add(1)
 	} else {
 		if baseTS == nil {
 			return model.Hash{}, nil, false, errUnknownBase
 		}
 		e.deltaFallbacks.Add(1)
-		// Full base analysis, retaining the base. It occupies a worker
-		// slot like any analysis and lands the base verdict in the shared
-		// result cache, so a later /v1/analyze of the base is a cache hit.
-		select {
-		case e.slots <- struct{}{}:
-		case <-ctx.Done():
-			return model.Hash{}, nil, false, ctx.Err()
+		bmr, _, err := e.analyze(ctx, baseHash, baseTS, m, opts, false)
+		if err != nil {
+			return model.Hash{}, nil, false, err
 		}
-		e.analyses.Add(1)
-		start := time.Now()
-		sc := e.scratch.Get().(*analysis.Scratch)
-		res, nd := analysis.NewDelta(sc, m, baseTS, opts)
-		e.scratch.Put(sc)
-		<-e.slots
-		e.latency.Observe(time.Since(start))
-		tr.AddSpan("delta-base", start)
-		e.cache.add(skey, wireResult(res))
-		if nd == nil {
-			// Unschedulable base: it is not retained, so the patched
-			// taskset goes through the ordinary engine path.
-			patched, _, err := model.ApplyPatch(baseTS, p)
-			if err != nil {
-				return model.Hash{}, nil, false, err
-			}
-			ph := patched.Hash()
-			mr, err := e.analyze(ctx, ph, patched, m, opts, false)
-			return ph, mr, false, err
+		// An unschedulable base is not retained: its patched taskset is
+		// still answered, but nothing can chain from it.
+		if retained = bmr.Schedulable; retained {
+			e.deltaStates.add(skey, baseTS)
 		}
-		e.deltaStates.add(skey, nd)
-		d = nd
+		base = baseTS
 	}
 
 	patchStart := time.Now()
-	patched, pd, err := model.ApplyPatch(d.Base(), p)
+	patched, _, err := model.ApplyPatch(base, p)
 	if err != nil {
 		return model.Hash{}, nil, false, err
 	}
 	ph := patched.Hash()
-	tr.AddSpan("patch", patchStart)
+	obs.TraceFromContext(ctx).AddSpan("patch", patchStart)
 
-	pkey := cacheKey(ph, m, opts, false)
-	cacheStart := time.Now()
-	if v, ok := e.cache.get(pkey); ok {
-		e.cacheHits.Add(1)
-		tr.AddSpan("cache", cacheStart)
-		return ph, v, false, nil
-	}
-	e.cacheMisses.Add(1)
-
-	analyzed := false
-	flightStart := time.Now()
-	v, err, shared := e.flight.do(ctx, pkey, func(fctx context.Context) (*MethodResult, error) {
-		if v, ok := e.cache.get(pkey); ok {
-			return v, nil
-		}
-		if mr := e.storeGet(pkey); mr != nil {
-			e.cache.add(pkey, mr)
-			return mr, nil
-		}
-		select {
-		case e.slots <- struct{}{}:
-		case <-fctx.Done():
-			return nil, fctx.Err()
-		}
-		defer func() { <-e.slots }()
-		e.analyses.Add(1)
-		start := time.Now()
-		sc := e.scratch.Get().(*analysis.Scratch)
-		res, _, next := d.ApplyTo(sc, patched, pd)
-		e.scratch.Put(sc)
-		e.latency.Observe(time.Since(start))
-		tr.AddSpan("delta-analysis", start)
-		analyzed = true
-		mr := wireResult(res)
-		e.cache.add(pkey, mr)
-		e.storePut(pkey, mr)
-		if next != nil {
-			// Chain: the patched taskset becomes a ready base for the next
-			// patch in the sequence, under its own content address.
-			e.deltaStates.add(pkey, next)
-		}
-		return mr, nil
-	})
-	if shared {
-		e.coalesced.Add(1)
-		tr.AddSpan("flight", flightStart)
-	}
+	mr, analyzed, err := e.analyze(ctx, ph, patched, m, opts, false)
 	if err != nil {
-		e.noteAbort(err)
 		return model.Hash{}, nil, false, err
 	}
-	return ph, v, analyzed, nil
+	incremental := retained && analyzed
+	if incremental && mr.Schedulable {
+		e.deltaStates.add(cacheKey(ph, m, opts, false), patched)
+	}
+	return ph, mr, incremental, nil
 }
 
 // parseHash decodes a canonical taskset hash (64 lowercase hex digits).
@@ -161,48 +84,30 @@ func parseHash(s string) (model.Hash, error) {
 	return h, nil
 }
 
-// parseDeltaMethods resolves the method list of a delta request: only the
-// DPCP-p variants are served, and an empty list means both.
-func parseDeltaMethods(names []string) ([]analysis.Method, error) {
-	if len(names) == 0 {
-		return []analysis.Method{analysis.DPCPpEP, analysis.DPCPpEN}, nil
-	}
-	ms, err := parseMethods(names)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range ms {
-		if m != analysis.DPCPpEP && m != analysis.DPCPpEN {
-			return nil, fmt.Errorf("method %q has no incremental form (delta supports %s, %s)",
-				m, analysis.DPCPpEP, analysis.DPCPpEN)
-		}
-	}
-	return ms, nil
-}
-
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
 	var req DeltaRequest
 	if decodeBody(w, r, &req) != nil {
 		return
 	}
-	ms, err := parseDeltaMethods(req.Methods)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	methods := req.Methods
+	if len(methods) == 0 {
+		methods = []string{string(analysis.DPCPpEP), string(analysis.DPCPpEN)}
+	}
+	ms, opts, ok := s.validateOptions(w, methods, req.PathCap, req.Placement)
+	if !ok {
 		return
 	}
-	if req.PathCap < 0 {
-		writeError(w, http.StatusBadRequest, "negative path_cap %d", req.PathCap)
-		return
+	for _, m := range ms {
+		if m != analysis.DPCPpEP && m != analysis.DPCPpEN {
+			writeError(w, http.StatusBadRequest, "method %q has no incremental form (delta supports %s, %s)",
+				m, analysis.DPCPpEP, analysis.DPCPpEN)
+			return
+		}
 	}
-	pl, err := parsePlacement(req.Placement)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts := analysis.Options{PathCap: req.PathCap, Placement: pl}
 
 	var baseHash model.Hash
+	var err error
 	switch {
 	case req.BaseTaskset != nil:
 		if !finalizeTaskset(w, req.BaseTaskset, "") {

@@ -3,11 +3,16 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
+	"dpcpp/internal/partition"
 	"dpcpp/internal/rt"
 )
 
@@ -320,5 +325,186 @@ func TestDeltaSharesResultCache(t *testing.T) {
 	if m := s.Metrics(); m.Analyses != analysesBefore {
 		t.Errorf("full analyze of the patched set executed %d new analyses, want 0 (cache hit)",
 			m.Analyses-analysesBefore)
+	}
+}
+
+// TestDeltaFallbackReusesCachedBase pins that a fallback resolves the base
+// through the result cache: once /v1/analyze has analyzed the base, a delta
+// carrying base_taskset runs only the patched analyses.
+func TestDeltaFallbackReusesCachedBase(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	base := testTaskset(t, 0)
+
+	w := post(t, s, "/v1/analyze", analyzeBody(t, base,
+		string(analysis.DPCPpEP), string(analysis.DPCPpEN)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("base analyze: status %d: %s", w.Code, w.Body.String())
+	}
+	before := s.Metrics().Analyses
+
+	w = post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		BaseTaskset: jsonRoundTrip(t, base),
+		Patch:       wcetBump(0, 1, 120*rt.Microsecond),
+	}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("delta: status %d: %s", w.Code, w.Body.String())
+	}
+	m := s.Metrics()
+	if got := m.Analyses - before; got != 2 {
+		t.Errorf("fallback delta ran %d analyses, want 2 (the patched EP/EN pair; the base is cached)", got)
+	}
+	if m.DeltaFallbacks != 2 || m.DeltaStates < 1 {
+		t.Errorf("delta_fallbacks=%d delta_states=%d, want 2 and >= 1", m.DeltaFallbacks, m.DeltaStates)
+	}
+}
+
+// TestDeltaFallbacksCoalesce pins that concurrent fallbacks for the same
+// base and patch share one base analysis and one patched analysis through
+// the engine's flight, and all get the same answer.
+func TestDeltaFallbacksCoalesce(t *testing.T) {
+	const n = 8
+	s := newTestServer(t, Config{Workers: 2})
+	base := testTaskset(t, 0)
+	p := wcetBump(0, 1, 120*rt.Microsecond)
+	patched, _, err := model.ApplyPatch(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := deltaBody(t, DeltaRequest{
+		BaseTaskset: jsonRoundTrip(t, base),
+		Patch:       p,
+		Methods:     []string{string(analysis.DPCPpEP)},
+	})
+
+	var mu sync.Mutex
+	calls := map[model.Hash]int{}
+	entered := make(chan struct{}, 2*n)
+	release := make(chan struct{})
+	inner := s.engine.testFn
+	s.engine.testFn = func(m analysis.Method, ts *model.Taskset, opts analysis.Options) partition.Result {
+		mu.Lock()
+		calls[ts.Hash()]++
+		mu.Unlock()
+		entered <- struct{}{}
+		<-release
+		return inner(m, ts, opts)
+	}
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+
+	replies := make([]*httptest.ResponseRecorder, n)
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i] = post(t, s, "/v1/analyze/delta", body)
+		}()
+	}
+
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delta analysis reached engine.testFn")
+	}
+	baseKey := cacheKey(base.Hash(), analysis.DPCPpEP, analysis.Options{}, false)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.engine.flight.waiting(baseKey) < n-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d fallbacks coalesced onto the base analysis", s.engine.flight.waiting(baseKey), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unblock()
+	wg.Wait()
+
+	mu.Lock()
+	if calls[base.Hash()] != 1 || calls[patched.Hash()] != 1 || len(calls) != 2 {
+		t.Errorf("analyses per taskset = %v, want one base and one patched", calls)
+	}
+	mu.Unlock()
+	if m := s.Metrics(); m.Analyses != 2 || m.DeltaFallbacks != n {
+		t.Errorf("analyses=%d delta_fallbacks=%d, want 2 and %d", m.Analyses, m.DeltaFallbacks, n)
+	}
+	var first DeltaResponse
+	incremental := 0
+	for i, w := range replies {
+		if w.Code != http.StatusOK {
+			t.Fatalf("reply %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+		resp := decodeDelta(t, w.Body.Bytes())
+		if resp.Delta[string(analysis.DPCPpEP)].Incremental {
+			incremental++
+		}
+		if i == 0 {
+			first = resp
+			continue
+		}
+		if resp.Hash != first.Hash || !reflect.DeepEqual(resp.Results, first.Results) {
+			t.Errorf("reply %d (%s, %+v) differs from reply 0 (%s, %+v)",
+				i, resp.Hash, resp.Results, first.Hash, first.Results)
+		}
+	}
+	if incremental != 1 {
+		t.Errorf("%d replies report incremental, want exactly 1 (the one that ran the patched analysis)", incremental)
+	}
+}
+
+// TestDeltaUnschedulableBase pins the reply for a base that is not
+// schedulable: the patched taskset is still answered, exactly as
+// /v1/analyze answers it, but nothing is retained to chain from.
+func TestDeltaUnschedulableBase(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	base := testTaskset(t, 10*rt.Millisecond) // a vertex longer than its deadline
+	p := wcetBump(0, 1, 120*rt.Microsecond)
+
+	w := post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		BaseTaskset: jsonRoundTrip(t, base),
+		Patch:       p,
+	}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("delta: status %d: %s", w.Code, w.Body.String())
+	}
+	resp := decodeDelta(t, w.Body.Bytes())
+	if m := s.Metrics(); m.DeltaStates != 0 {
+		t.Errorf("delta_states=%d after an unschedulable base, want 0", m.DeltaStates)
+	}
+	for meth, info := range resp.Delta {
+		if info.Incremental {
+			t.Errorf("%s: incremental answer from an unretained base: %+v", meth, info)
+		}
+	}
+
+	patched, _, err := model.ApplyPatch(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := post(t, s, "/v1/analyze", analyzeBody(t, patched,
+		string(analysis.DPCPpEP), string(analysis.DPCPpEN)))
+	if full.Code != http.StatusOK {
+		t.Fatalf("full analyze: status %d: %s", full.Code, full.Body.String())
+	}
+	var fullResp AnalyzeResponse
+	if err := json.Unmarshal(full.Body.Bytes(), &fullResp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Hash != fullResp.Hash || !reflect.DeepEqual(resp.Results, fullResp.Results) {
+		t.Errorf("delta (%s, %+v) != full analyze (%s, %+v)", resp.Hash, resp.Results, fullResp.Hash, fullResp.Results)
+	}
+	for meth, mr := range resp.Results {
+		if mr.Schedulable {
+			t.Errorf("%s: patched taskset schedulable; the fixture no longer pins an unschedulable chain", meth)
+		}
+	}
+
+	w = post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		Base:  base.Hash().String(),
+		Patch: p,
+	}))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "no retained state") {
+		t.Errorf("hash-only follow-up: status %d: %s, want 400 naming no retained state", w.Code, w.Body.String())
 	}
 }

@@ -48,14 +48,14 @@ type engine struct {
 	// permanently closed) without a store.
 	br     *store.Breaker
 	flight flightGroup[*MethodResult]
-	// deltaStates retains what-if bases (analysis.Delta: a finalized
-	// schedulable taskset plus method and options) for recently analyzed
-	// tasksets, keyed exactly like the result cache minus the explain flag:
-	// <base hash>|<method>|pc|pl. A POST /v1/analyze/delta whose base is
-	// present needs no taskset upload; a miss falls back to a full base
-	// analysis that retains the base. Bounded like the result cache;
-	// eviction only costs the next delta request one full analysis.
-	deltaStates *lru[*analysis.Delta]
+	// deltaStates retains what-if bases: finalized tasksets whose analysis
+	// found them schedulable, keyed exactly like the result cache minus the
+	// explain flag: <base hash>|<method>|pc|pl. It holds no analysis state;
+	// a POST /v1/analyze/delta whose base is present just needs no taskset
+	// upload. A miss with base_taskset resolves the base through analyze
+	// (result cache, flight, store) and retains it. Bounded like the result
+	// cache; eviction only costs the client one re-upload.
+	deltaStates *lru[*model.Taskset]
 	// slots bounds concurrently executing analyses to the worker count;
 	// queued counts admitted-but-unfinished jobs for backpressure.
 	slots  chan struct{}
@@ -91,9 +91,9 @@ type engine struct {
 	storeHits   atomic.Int64
 	storePuts   atomic.Int64
 	storeErrors atomic.Int64
-	// deltaHits counts delta requests whose base was retained;
-	// deltaFallbacks those that had to run a full base analysis first
-	// (base missing or evicted).
+	// deltaHits counts delta method results whose base was retained;
+	// deltaFallbacks those that had to resolve the base from base_taskset
+	// first (base missing or evicted).
 	deltaHits      atomic.Int64
 	deltaFallbacks atomic.Int64
 }
@@ -144,7 +144,7 @@ func newEngine(workers, cacheSize int, maxQueue int64, st *store.Store, br *stor
 		workers:     workers,
 		maxQueue:    maxQueue,
 		cache:       newLRU[*MethodResult](cacheSize),
-		deltaStates: newLRU[*analysis.Delta](cacheSize),
+		deltaStates: newLRU[*model.Taskset](cacheSize),
 		st:          st,
 		br:          br,
 		slots:       make(chan struct{}, workers),
@@ -256,8 +256,12 @@ func cacheKey(h model.Hash, m analysis.Method, opts analysis.Options, explain bo
 // caller's slot claim is released — a disconnected client frees its worker
 // slot. An analysis that already started runs to completion and lands in
 // the cache even if every client that wanted it has gone.
+//
+// The bool result reports whether this call's own flight ran the analysis
+// (not a cache, store or coalesced answer); the delta endpoint reports it
+// as DeltaInfo.Incremental.
 func (e *engine) analyze(ctx context.Context, h model.Hash, ts *model.Taskset,
-	m analysis.Method, opts analysis.Options, explain bool) (*MethodResult, error) {
+	m analysis.Method, opts analysis.Options, explain bool) (*MethodResult, bool, error) {
 
 	// Only DPCP-p-EP ever carries a breakdown, so the explain flag must
 	// not fork the cache key (or re-run the analysis) of any other method.
@@ -271,9 +275,12 @@ func (e *engine) analyze(ctx context.Context, h model.Hash, ts *model.Taskset,
 	if v, ok := e.cache.get(key); ok {
 		e.cacheHits.Add(1)
 		tr.AddSpan("cache", cacheStart)
-		return v, nil
+		return v, false, nil
 	}
 	e.cacheMisses.Add(1)
+	// Written only by this call's own flight body, and read only after
+	// that flight has finished.
+	analyzed := false
 	flightStart := time.Now()
 	v, err, shared := e.flight.do(ctx, key, func(fctx context.Context) (*MethodResult, error) {
 		// A racing flight may have completed — and cached — between this
@@ -305,6 +312,7 @@ func (e *engine) analyze(ctx context.Context, h model.Hash, ts *model.Taskset,
 		res := e.testFn(m, ts, opts)
 		e.latency.Observe(time.Since(start))
 		tr.AddSpan("analysis", start)
+		analyzed = true
 		mr := &MethodResult{
 			Schedulable: res.Schedulable,
 			WCRT:        res.WCRT,
@@ -330,9 +338,9 @@ func (e *engine) analyze(ctx context.Context, h model.Hash, ts *model.Taskset,
 	}
 	if err != nil {
 		e.noteAbort(err)
-		return nil, err
+		return nil, false, err
 	}
-	return v, nil
+	return v, analyzed, nil
 }
 
 // noteAbort counts an abandoned analyze call by cause.

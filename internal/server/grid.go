@@ -182,7 +182,7 @@ func (st *sweepPointState) analyze(ctx context.Context, e *engine, ts *model.Tas
 	}
 	h := ts.Hash()
 	for mi, m := range ms {
-		mr, err := e.analyze(ctx, h, ts, m, opts, false)
+		mr, _, err := e.analyze(ctx, h, ts, m, opts, false)
 		if err != nil {
 			st.aborted.Add(1)
 			return

@@ -46,7 +46,7 @@ func TestCancelFreesWorkerSlot(t *testing.T) {
 	ts1 := jsonRoundTrip(t, testTaskset(t, 0))
 	done1 := make(chan error, 1)
 	go func() {
-		_, err := s.engine.analyze(context.Background(), ts1.Hash(), ts1, analysis.DPCPpEN, analysis.Options{}, false)
+		_, _, err := s.engine.analyze(context.Background(), ts1.Hash(), ts1, analysis.DPCPpEN, analysis.Options{}, false)
 		done1 <- err
 	}()
 	<-entered // the only worker slot is now held
@@ -55,7 +55,7 @@ func TestCancelFreesWorkerSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done2 := make(chan error, 1)
 	go func() {
-		_, err := s.engine.analyze(ctx, ts2.Hash(), ts2, analysis.DPCPpEN, analysis.Options{}, false)
+		_, _, err := s.engine.analyze(ctx, ts2.Hash(), ts2, analysis.DPCPpEN, analysis.Options{}, false)
 		done2 <- err
 	}()
 	// Let the second call reach the slot queue, then abandon it. The sleep
@@ -82,7 +82,7 @@ func TestCancelFreesWorkerSlot(t *testing.T) {
 		t.Fatalf("blocked analysis failed after release: %v", err)
 	}
 	ts3 := jsonRoundTrip(t, testTaskset(t, 13))
-	mr, err := s.engine.analyze(context.Background(), ts3.Hash(), ts3, analysis.DPCPpEN, analysis.Options{}, false)
+	mr, _, err := s.engine.analyze(context.Background(), ts3.Hash(), ts3, analysis.DPCPpEN, analysis.Options{}, false)
 	if err != nil || mr == nil {
 		t.Fatalf("post-cancel analyze: %v (the canceled call leaked the slot?)", err)
 	}
@@ -101,7 +101,7 @@ func TestWaiterAbandonKeepsSharedComputation(t *testing.T) {
 	key := cacheKey(h, analysis.DPCPpEN, analysis.Options{}, false)
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := s.engine.analyze(context.Background(), h, ts, analysis.DPCPpEN, analysis.Options{}, false)
+		_, _, err := s.engine.analyze(context.Background(), h, ts, analysis.DPCPpEN, analysis.Options{}, false)
 		leaderDone <- err
 	}()
 	<-entered // leader is computing
@@ -109,7 +109,7 @@ func TestWaiterAbandonKeepsSharedComputation(t *testing.T) {
 	wctx, wcancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := s.engine.analyze(wctx, h, ts, analysis.DPCPpEN, analysis.Options{}, false)
+		_, _, err := s.engine.analyze(wctx, h, ts, analysis.DPCPpEN, analysis.Options{}, false)
 		waiterDone <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)

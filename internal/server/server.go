@@ -401,34 +401,36 @@ func (s *Server) finishAnalysis(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// decodeBody decodes one JSON document into dst with the request-boundary
-// hardening: the MaxBytesReader cap (413), unknown-field rejection and a
-// single-document requirement (400). The taskset itself is then validated
-// by model.Finalize, which PR 2 hardened against hostile documents — no
-// panic path is reachable from a request body.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// readBody reads the whole request body, mapping a MaxBytesReader overrun
+// to a 413 and any other read failure to a 400.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", tooLarge.Limit)
-			return err
+		} else {
+			writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		}
-		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
-		return err
 	}
-	if dec.More() {
-		err := fmt.Errorf("trailing data after JSON document")
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return err
-	}
-	return nil
+	return body, err
 }
 
-// decodeBytes is decodeBody for a pre-read body (the /v1/analyze fast
-// path reads the body up front to key the exact-body cache).
+// decodeBody reads the request body and decodes it with decodeBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeBytes(w, body, dst)
+}
+
+// decodeBytes decodes one JSON document into dst with the request-boundary
+// hardening: unknown-field rejection and a single-document requirement
+// (400); the body size cap is readBody's. The taskset itself is then
+// validated by model.Finalize, which is hardened against hostile
+// documents — no panic path is reachable from a request body.
 func decodeBytes(w http.ResponseWriter, body []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -460,15 +462,8 @@ func finalizeTaskset(w http.ResponseWriter, ts *model.Taskset, pos string) bool 
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(w, r)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		}
 		return
 	}
 	bodyKey := sha256.Sum256(body)
@@ -567,7 +562,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ti, mi := idx/len(ms), idx%len(ms)
-		mr, err := s.engine.analyze(ctx, hashes[ti], req.Tasksets[ti], ms[mi], opts, false)
+		mr, _, err := s.engine.analyze(ctx, hashes[ti], req.Tasksets[ti], ms[mi], opts, false)
 		mu.Lock()
 		if err != nil {
 			if firstErr == nil {
@@ -600,7 +595,7 @@ func (s *Server) analyzeOne(ctx context.Context, h model.Hash, ts *model.Taskset
 	results := make([]*MethodResult, len(ms))
 	errs := make([]error, len(ms))
 	experiments.ParallelFor(len(ms), len(ms), func(_, i int) {
-		results[i], errs[i] = s.engine.analyze(ctx, h, ts, ms[i], opts, explain)
+		results[i], _, errs[i] = s.engine.analyze(ctx, h, ts, ms[i], opts, explain)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -172,15 +172,17 @@ type SweepResults struct {
 
 // DeltaRequest is the body of POST /v1/analyze/delta: a what-if query
 // against an already-analyzed base taskset, expressed as a patch. The
-// server applies the patch and analyzes the patched taskset in full; the
-// endpoint saves the client from uploading the base again, not the server
-// from analyzing. Base names the base by its canonical hash (the hash POST
-// /v1/analyze returned), which works while the server retains the base.
+// server applies the patch and analyzes the patched taskset through the
+// same cache, flight and store as /v1/analyze; the endpoint saves the
+// client from uploading the base again, not the server from analyzing.
+// Base names the base by its canonical hash (the hash POST /v1/analyze
+// returned), which works while the server retains the base taskset.
 // BaseTaskset re-supplies the full base so a server that has evicted (or
-// never seen) it can rebuild it — a one-time full analysis of the base,
-// after which patches against the same base, and against each schedulable
-// response's patched hash, can quote the hash alone. At least one of the
-// two must be present; when both are, they must agree.
+// never seen) it can retain it again — its verdict comes from the result
+// cache, the store or one analysis — after which patches against the same
+// base, and against each schedulable response's patched hash, can quote
+// the hash alone. At least one of the two must be present; when both are,
+// they must agree.
 type DeltaRequest struct {
 	Base        string         `json:"base,omitempty"`
 	BaseTaskset *model.Taskset `json:"base_taskset,omitempty"`
@@ -204,10 +206,10 @@ type DeltaRequest struct {
 
 // DeltaInfo reports how one method's delta query was answered.
 type DeltaInfo struct {
-	// Incremental is true when this request analyzed the patched taskset
-	// against a retained base; false when the verdict was served from the
-	// result cache/store or a coalesced flight, or computed through the
-	// ordinary analyze path (unschedulable base).
+	// Incremental is true when this request's own flight analyzed the
+	// patched taskset and the base is retained; false when the verdict was
+	// served from the result cache/store or a coalesced flight, or when
+	// the base was unschedulable (and so not retained).
 	Incremental bool `json:"incremental"`
 	// Rounds counts the partitioning rounds of the analysis this request
 	// ran (set only when Incremental).
