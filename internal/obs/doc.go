@@ -1,7 +1,10 @@
 // Package obs is the dependency-free observability layer under the
 // service: structured logging helpers (log/slog), lock-free fixed-bucket
-// latency histograms, a hand-rolled Prometheus text-format registry, and
-// bounded-ring request tracing. Every later subsystem — the distributed
+// latency histograms, a metric registry, and bounded-ring request tracing.
+// The Registry is the one declaration of every service metric: each
+// counter, gauge or histogram is registered once, with its HELP text and
+// JSON key, and rendered both as Prometheus text (WriteTo) and as a flat
+// JSON object (WriteJSON), so the two endpoints cannot drift apart. Every later subsystem — the distributed
 // sweep fabric, delta analysis, optimizer jobs — reports through this
 // package, so it depends on nothing but the standard library and imposes
 // no allocation cost on the paths it instruments.
@@ -22,8 +25,9 @@
 //     through a narrow interface whose arguments are a uint8 stage index
 //     and a time.Duration — both word-sized, neither boxed. With no
 //     recorder installed the hooks cost two nil checks.
-//   - Exposition (Registry.WriteTo) and trace snapshots do allocate, but
-//     they run on scrape/debug requests, never on the recorded path.
+//   - Counter.Add is one atomic add. Rendering (Registry.WriteTo and
+//     WriteJSON) and trace snapshots do allocate, but they run on
+//     scrape/debug requests, never on the recorded path.
 //   - Traces preallocate their span storage; recording a span within that
 //     capacity is append-into-capacity under a mutex. Trace recording
 //     rides the request path (which allocates anyway, for JSON), not the

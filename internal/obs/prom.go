@@ -1,18 +1,22 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
-// Registry renders a fixed set of metrics as Prometheus text exposition
-// format (version 0.0.4), hand-rolled so the repository stays
-// dependency-free. Metrics are registered once at startup with read
-// functions (counters and gauges) or a *Histogram; WriteTo samples them at
-// scrape time. Registration is not safe for concurrent use with WriteTo —
-// register everything before serving.
+// Registry is the one declaration of a service's metrics. Each metric is
+// registered once at startup and rendered two ways at scrape time: WriteTo
+// emits Prometheus text exposition format (version 0.0.4), hand-rolled so
+// the repository stays dependency-free, and WriteJSON emits a flat JSON
+// object of every metric declared with a JSON key. Both renderings read the
+// same counter, read function or histogram, so they cannot disagree.
+// Registration is not safe for concurrent use with rendering — register
+// everything before serving.
 //
 // Families may carry multiple label sets (e.g. one request-latency series
 // per endpoint): register the same name repeatedly with distinct labels,
@@ -23,48 +27,61 @@ type Registry struct {
 }
 
 type metric struct {
-	name   string
+	name   string // Prometheus family; "" for a JSON-only Text
+	key    string // JSON key; "" for an exposition-only metric
 	help   string
-	typ    string // "counter" | "gauge" | "histogram"
+	typ    string // "counter" | "gauge" | "histogram"; "" for a Text
 	labels string // preformatted `k="v",k2="v2"` or ""
-	intVal func() int64
-	val    func() float64
+	val    func() int64
+	text   func() string
 	hist   *Histogram
 }
+
+// Counter is a registry-owned monotone counter. Add and Load are single
+// atomic operations and never allocate, so counters may sit on hot paths.
+type Counter struct{ v atomic.Int64 }
+
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Load returns the current count.
+func (c *Counter) Load() int64 { return c.v.Load() }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter registers a monotone counter read through fn.
-func (r *Registry) Counter(name, help string, fn func() int64) {
-	r.CounterL(name, "", help, fn)
+// Counter declares a counter owned by the registry and returns it. A
+// metric declared with key "" appears in the Prometheus text only.
+func (r *Registry) Counter(name, key, help string) *Counter {
+	c := &Counter{}
+	r.CounterFunc(name, key, help, c.Load)
+	return c
 }
 
-// CounterL is Counter with a label set (`k="v"` pairs, comma-separated,
-// already escaped).
-func (r *Registry) CounterL(name, labels, help string, fn func() int64) {
-	r.metrics = append(r.metrics, metric{name: name, help: help, typ: "counter", labels: labels, intVal: fn})
+// CounterFunc declares a counter kept elsewhere, read through fn.
+func (r *Registry) CounterFunc(name, key, help string, fn func() int64) {
+	r.metrics = append(r.metrics, metric{name: name, key: key, help: help, typ: "counter", val: fn})
 }
 
-// Gauge registers a point-in-time value read through fn.
-func (r *Registry) Gauge(name, help string, fn func() float64) {
-	r.GaugeL(name, "", help, fn)
+// Gauge declares a point-in-time value read through fn. labels is a
+// preformatted label set (see Labels) or "".
+func (r *Registry) Gauge(name, labels, key, help string, fn func() int64) {
+	r.metrics = append(r.metrics, metric{name: name, key: key, help: help, typ: "gauge", labels: labels, val: fn})
 }
 
-// GaugeL is Gauge with a label set.
-func (r *Registry) GaugeL(name, labels, help string, fn func() float64) {
-	r.metrics = append(r.metrics, metric{name: name, help: help, typ: "gauge", labels: labels, val: fn})
+// Text declares a JSON-only string value read through fn; WriteJSON omits
+// it while fn returns "".
+func (r *Registry) Text(key string, fn func() string) {
+	r.metrics = append(r.metrics, metric{key: key, text: fn})
 }
 
-// Histogram registers a histogram series; durations are exposed in
-// seconds, per Prometheus convention.
-func (r *Registry) Histogram(name, help string, h *Histogram) {
-	r.HistogramL(name, "", help, h)
-}
-
-// HistogramL is Histogram with a label set.
-func (r *Registry) HistogramL(name, labels, help string, h *Histogram) {
+// Histogram declares a latency histogram over DefaultLatencyBounds and
+// returns it. Histograms appear in the Prometheus text only, in seconds
+// per Prometheus convention.
+func (r *Registry) Histogram(name, labels, help string) *Histogram {
+	h := NewHistogram(DefaultLatencyBounds())
 	r.metrics = append(r.metrics, metric{name: name, help: help, typ: "histogram", labels: labels, hist: h})
+	return h
 }
 
 // WriteTo renders the registry in Prometheus text exposition format.
@@ -75,6 +92,9 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	families := make(map[string][]*metric, len(r.metrics))
 	for i := range r.metrics {
 		m := &r.metrics[i]
+		if m.name == "" {
+			continue
+		}
 		if _, ok := families[m.name]; !ok {
 			order = append(order, m.name)
 		}
@@ -86,18 +106,46 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(&b, "# HELP %s %s\n", name, escapeHelp(fam[0].help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", name, fam[0].typ)
 		for _, m := range fam {
-			switch m.typ {
-			case "counter":
-				fmt.Fprintf(&b, "%s%s %d\n", name, braced(m.labels), m.intVal())
-			case "gauge":
-				fmt.Fprintf(&b, "%s%s %s\n", name, braced(m.labels), formatFloat(m.val()))
-			case "histogram":
+			if m.hist != nil {
 				writeHistogram(&b, name, m.labels, m.hist.Snapshot())
+			} else {
+				fmt.Fprintf(&b, "%s%s %d\n", name, braced(m.labels), m.val())
 			}
 		}
 	}
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
+}
+
+// WriteJSON renders every metric declared with a JSON key as one flat,
+// newline-terminated JSON object, keys in registration order.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	b := []byte{'{'}
+	for _, m := range r.metrics {
+		if m.key == "" {
+			continue
+		}
+		var v []byte
+		if m.text != nil {
+			s := m.text()
+			if s == "" {
+				continue
+			}
+			v, _ = json.Marshal(s) // marshaling a string cannot fail
+		} else {
+			v = strconv.AppendInt(nil, m.val(), 10)
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		k, _ := json.Marshal(m.key)
+		b = append(b, k...)
+		b = append(b, ':')
+		b = append(b, v...)
+	}
+	b = append(b, "}\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
 func writeHistogram(b *strings.Builder, name, labels string, s HistogramSnapshot) {
@@ -132,7 +180,7 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// Label builds one escaped `k="v"` pair for the *L registration variants.
+// Label builds one escaped `k="v"` pair for a registration's label set.
 func Label(k, v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	v = strings.ReplaceAll(v, `"`, `\"`)

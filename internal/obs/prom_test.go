@@ -65,15 +65,14 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("app_requests_total", "Requests served.", func() int64 { return 42 })
-	r.Gauge("app_queue_depth", "Jobs queued.", func() float64 { return 7 })
-	r.GaugeL("app_state", Labels("state", "open"), "State flags.", func() float64 { return 1 })
-	r.GaugeL("app_state", Labels("state", "closed"), "State flags.", func() float64 { return 0 })
+	r.CounterFunc("app_requests_total", "", "Requests served.", func() int64 { return 42 })
+	r.Gauge("app_queue_depth", "", "", "Jobs queued.", func() int64 { return 7 })
+	r.Gauge("app_state", Labels("state", "open"), "", "State flags.", func() int64 { return 1 })
+	r.Gauge("app_state", Labels("state", "closed"), "", "State flags.", func() int64 { return 0 })
 
-	h := NewHistogram([]time.Duration{time.Millisecond, time.Second})
+	h := r.Histogram("app_latency_seconds", "", "Latency.")
 	h.Observe(500 * time.Microsecond)
-	h.Observe(2 * time.Second) // +Inf bucket
-	r.Histogram("app_latency_seconds", "Latency.", h)
+	h.Observe(2 * time.Minute) // past the last default bound: +Inf bucket
 
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
@@ -92,23 +91,69 @@ func TestRegistryExposition(t *testing.T) {
 	if got := samples[`app_latency_seconds_bucket{le="0.001"}`]; got != 1 {
 		t.Errorf("le=0.001 bucket = %v, want 1", got)
 	}
-	if got := samples[`app_latency_seconds_bucket{le="1"}`]; got != 1 {
-		t.Errorf("le=1 bucket = %v, want 1", got)
+	if got := samples[`app_latency_seconds_bucket{le="60"}`]; got != 1 {
+		t.Errorf("le=60 bucket = %v, want 1", got)
 	}
 	inf := samples[`app_latency_seconds_bucket{le="+Inf"}`]
 	if inf != 2 || inf != samples["app_latency_seconds_count"] {
 		t.Errorf("+Inf bucket = %v, count = %v; must both be 2", inf, samples["app_latency_seconds_count"])
 	}
-	if got := samples["app_latency_seconds_sum"]; got < 2.0004 || got > 2.0006 {
-		t.Errorf("sum = %v seconds, want ~2.0005", got)
+	if got := samples["app_latency_seconds_sum"]; got < 120.0004 || got > 120.0006 {
+		t.Errorf("sum = %v seconds, want ~120.0005", got)
 	}
 	// Cumulative buckets never decrease.
-	if samples[`app_latency_seconds_bucket{le="1"}`] < samples[`app_latency_seconds_bucket{le="0.001"}`] {
+	if samples[`app_latency_seconds_bucket{le="60"}`] < samples[`app_latency_seconds_bucket{le="0.001"}`] {
 		t.Error("buckets are not monotone")
 	}
 	// One HELP/TYPE header per family even with multiple series.
 	if strings.Count(text, "# TYPE app_state gauge") != 1 {
 		t.Errorf("app_state family must have exactly one TYPE header:\n%s", text)
+	}
+}
+
+// TestRegistryJSON pins WriteJSON: keyed metrics in registration order, a
+// Text omitted while empty and absent from the exposition, exposition-only
+// metrics absent from the JSON, and one counter behind both renderings.
+func TestRegistryJSON(t *testing.T) {
+	r := NewRegistry()
+	hits := r.Counter("app_hits_total", "hits", "Hits.")
+	state := ""
+	r.Text("state", func() string { return state })
+	r.Gauge("app_inflight", "", "", "In flight (exposition only).", func() int64 { return 3 })
+	r.Gauge("app_depth", "", "depth", "Depth.", func() int64 { return 7 })
+	r.Histogram("app_latency_seconds", "", "Latency.").Observe(time.Millisecond)
+
+	render := func() (string, string) {
+		var js, text strings.Builder
+		if err := r.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.WriteTo(&text); err != nil {
+			t.Fatal(err)
+		}
+		return js.String(), text.String()
+	}
+	js, text := render()
+	if want := `{"hits":0,"depth":7}` + "\n"; js != want {
+		t.Fatalf("WriteJSON = %q, want %q", js, want)
+	}
+	parseExposition(t, text)
+
+	hits.Add(5)
+	state = "open"
+	js, text = render()
+	if want := `{"hits":5,"state":"open","depth":7}` + "\n"; js != want {
+		t.Fatalf("WriteJSON = %q, want %q", js, want)
+	}
+	samples := parseExposition(t, text)
+	if samples["app_hits_total"] != 5 || hits.Load() != 5 {
+		t.Errorf("app_hits_total = %v, Load = %d; want 5 in both", samples["app_hits_total"], hits.Load())
+	}
+	if samples["app_inflight"] != 3 {
+		t.Errorf("app_inflight = %v, want 3", samples["app_inflight"])
+	}
+	if strings.Contains(text, "state") || strings.Contains(text, "open") {
+		t.Errorf("a Text must not reach the exposition:\n%s", text)
 	}
 }
 

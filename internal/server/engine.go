@@ -77,33 +77,32 @@ type engine struct {
 	latency *obs.Histogram
 	// stages holds the per-stage Theorem 1 pipeline histograms, fed by the
 	// allocation-free scratch hooks (analysis.StageRecorder).
-	stages *stageRecorder
+	stages stageRecorder
 
-	// Counters behind GET /v1/metrics.
-	requests    atomic.Int64
-	analyses    atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	coalesced   atomic.Int64
-	rejected    atomic.Int64
-	canceled    atomic.Int64
-	deadlines   atomic.Int64
-	storeHits   atomic.Int64
-	storePuts   atomic.Int64
-	storeErrors atomic.Int64
-	// deltaHits counts delta method results whose base was retained;
-	// deltaFallbacks those that had to resolve the base from base_taskset
-	// first (base missing or evicted).
-	deltaHits      atomic.Int64
-	deltaFallbacks atomic.Int64
+	// Counters behind both metric endpoints; newEngine declares each one
+	// with its HELP text.
+	requests       *obs.Counter
+	analyses       *obs.Counter
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	coalesced      *obs.Counter
+	rejected       *obs.Counter
+	canceled       *obs.Counter
+	deadlines      *obs.Counter
+	storeHits      *obs.Counter
+	storePuts      *obs.Counter
+	storeErrors    *obs.Counter
+	deltaHits      *obs.Counter
+	deltaFallbacks *obs.Counter
 }
 
 // Metrics is the JSON body of GET /v1/metrics: monotonic counters plus
-// point-in-time gauges.
+// point-in-time gauges. The server's metric registry renders the body;
+// Metrics decodes it, so its fields follow registration order.
 type Metrics struct {
 	// Requests counts analysis-bearing requests only (/v1/analyze,
-	// /v1/analyze/batch, /v1/grid, POST /v1/sweeps) — liveness and metrics
-	// probes never inflate it.
+	// /v1/analyze/batch, /v1/analyze/delta, /v1/grid, POST /v1/sweeps) —
+	// liveness and metrics probes never inflate it.
 	Requests    int64 `json:"requests"`
 	Analyses    int64 `json:"analyses"`
 	CacheHits   int64 `json:"cache_hits"`
@@ -124,8 +123,9 @@ type Metrics struct {
 	StoreState string `json:"store_state,omitempty"`
 	StoreTrips int64  `json:"store_trips"`
 	// DeltaHits counts POST /v1/analyze/delta method results whose base was
-	// retained; DeltaFallbacks those that needed a full base analysis
-	// first; DeltaStates is the retained-base gauge.
+	// retained; DeltaFallbacks those whose base was missing and was
+	// resolved from base_taskset through the result cache, flight, store
+	// or a fresh analysis; DeltaStates is the retained-base gauge.
 	DeltaHits      int64 `json:"delta_hits"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	DeltaStates    int64 `json:"delta_states"`
@@ -138,7 +138,9 @@ type Metrics struct {
 	SweepsActive    int64 `json:"sweeps_active"`
 }
 
-func newEngine(workers, cacheSize int, maxQueue int64, st *store.Store, br *store.Breaker) *engine {
+// newEngine builds the engine and declares its metrics in reg, in the
+// order of the Metrics fields.
+func newEngine(reg *obs.Registry, workers, cacheSize int, maxQueue int64, st *store.Store, br *store.Breaker) *engine {
 	workers = experiments.Workers(workers)
 	e := &engine{
 		workers:     workers,
@@ -148,12 +150,63 @@ func newEngine(workers, cacheSize int, maxQueue int64, st *store.Store, br *stor
 		st:          st,
 		br:          br,
 		slots:       make(chan struct{}, workers),
-		latency:     obs.NewHistogram(obs.DefaultLatencyBounds()),
-		stages:      newStageRecorder(),
+	}
+	e.requests = reg.Counter("schedd_requests_total", "requests",
+		"Analysis-bearing requests (analyze, batch, delta, grid, sweep submissions).")
+	e.analyses = reg.Counter("schedd_analyses_total", "analyses",
+		"Analyses actually executed (cache and store misses).")
+	e.cacheHits = reg.Counter("schedd_cache_hits_total", "cache_hits",
+		"Result-cache hits, one per method result served.")
+	e.cacheMisses = reg.Counter("schedd_cache_misses_total", "cache_misses", "Result-cache misses.")
+	e.coalesced = reg.Counter("schedd_coalesced_total", "coalesced",
+		"Requests coalesced onto another caller's in-flight analysis.")
+	e.rejected = reg.Counter("schedd_rejected_total", "rejected",
+		"Requests rejected by admission control (429).")
+	e.canceled = reg.Counter("schedd_canceled_total", "canceled",
+		"Analyses abandoned because the client went away.")
+	e.deadlines = reg.Counter("schedd_deadline_exceeded_total", "deadline_exceeded",
+		"Analyses cut off by a request deadline.")
+	e.storeHits = reg.Counter("schedd_store_hits_total", "store_hits", "Persistent-store result hits.")
+	e.storePuts = reg.Counter("schedd_store_puts_total", "store_puts", "Results persisted to the store.")
+	e.storeErrors = reg.Counter("schedd_store_errors_total", "store_errors",
+		"Store failures (degraded to recomputation, never to request failures).")
+	reg.Text("store_state", br.State)
+	reg.CounterFunc("schedd_store_breaker_trips_total", "store_trips",
+		"Times the store circuit breaker opened.", br.Trips)
+	e.deltaHits = reg.Counter("schedd_delta_hits_total", "delta_hits",
+		"Delta method results whose base taskset was retained.")
+	e.deltaFallbacks = reg.Counter("schedd_delta_fallbacks_total", "delta_fallbacks",
+		"Delta method results whose base was missing and was resolved from base_taskset "+
+			"through the result cache, flight, store or a fresh analysis.")
+	reg.Gauge("schedd_delta_states", "", "delta_states",
+		"Retained what-if base tasksets (bounded LRU).", e.deltaStates.entries)
+	reg.Gauge("schedd_queue_depth", "", "queued_jobs",
+		"Admitted-but-unfinished analysis jobs.", e.queued.Load)
+	reg.Gauge("schedd_cache_entries", "", "cache_entries",
+		"Entries in the in-memory result cache.", e.cache.entries)
+	reg.Gauge("schedd_workers", "", "workers",
+		"Configured analysis worker slots.", func() int64 { return int64(workers) })
+	reg.Gauge("schedd_inflight_analyses", "", "",
+		"Analyses executing right now (occupied worker slots).", func() int64 { return int64(len(e.slots)) })
+	for _, state := range []string{store.BreakerClosed, store.BreakerOpen, store.BreakerHalfOpen} {
+		reg.Gauge("schedd_store_breaker_state", obs.Labels("state", state), "",
+			"Store circuit-breaker state (1 for the current state, 0 otherwise; all 0 without a store).",
+			func() int64 {
+				if br.State() == state {
+					return 1
+				}
+				return 0
+			})
+	}
+	e.latency = reg.Histogram("schedd_analysis_duration_seconds", "",
+		"Wall time of executed analyses (cache misses only).")
+	for stage := analysis.Stage(0); stage < analysis.NumStages; stage++ {
+		e.stages[stage] = reg.Histogram("schedd_analysis_stage_duration_seconds", obs.Labels("stage", stage.String()),
+			"Per-stage analysis pipeline timing (views, fixpoint, round).")
 	}
 	e.scratch.New = func() any {
 		sc := analysis.NewScratch()
-		sc.SetStageRecorder(e.stages)
+		sc.SetStageRecorder(&e.stages)
 		return sc
 	}
 	e.testFn = e.runTest
@@ -164,19 +217,9 @@ func newEngine(workers, cacheSize int, maxQueue int64, st *store.Store, br *stor
 // analysis.StageRecorder hook. The histograms are lock-free, so one
 // recorder is shared by every pooled Scratch; recording is allocation-free
 // (pinned by the analysis package's zero-alloc gates).
-type stageRecorder struct {
-	h [analysis.NumStages]*obs.Histogram
-}
+type stageRecorder [analysis.NumStages]*obs.Histogram
 
-func newStageRecorder() *stageRecorder {
-	r := &stageRecorder{}
-	for i := range r.h {
-		r.h[i] = obs.NewHistogram(obs.DefaultLatencyBounds())
-	}
-	return r
-}
-
-func (r *stageRecorder) RecordStage(s analysis.Stage, d time.Duration) { r.h[s].Observe(d) }
+func (r *stageRecorder) RecordStage(s analysis.Stage, d time.Duration) { r[s].Observe(d) }
 
 // runTest is the default testFn: the analysis computes through a pooled
 // scratch, checked out for exactly one call.
@@ -415,30 +458,4 @@ func (e *engine) storePut(key string, mr *MethodResult) {
 		return
 	}
 	e.storePuts.Add(1)
-}
-
-// snapshot captures the engine's metrics; the server layers the sweep-job
-// counters on top (Server.Metrics).
-func (e *engine) snapshot() Metrics {
-	return Metrics{
-		Requests:         e.requests.Load(),
-		Analyses:         e.analyses.Load(),
-		CacheHits:        e.cacheHits.Load(),
-		CacheMisses:      e.cacheMisses.Load(),
-		Coalesced:        e.coalesced.Load(),
-		Rejected:         e.rejected.Load(),
-		Canceled:         e.canceled.Load(),
-		DeadlineExceeded: e.deadlines.Load(),
-		StoreHits:        e.storeHits.Load(),
-		StorePuts:        e.storePuts.Load(),
-		StoreErrors:      e.storeErrors.Load(),
-		StoreState:       e.br.State(),
-		StoreTrips:       e.br.Trips(),
-		DeltaHits:        e.deltaHits.Load(),
-		DeltaFallbacks:   e.deltaFallbacks.Load(),
-		DeltaStates:      e.deltaStates.entries(),
-		QueuedJobs:       e.queued.Load(),
-		CacheEntries:     e.cache.entries(),
-		Workers:          e.workers,
-	}
 }

@@ -19,6 +19,7 @@ import (
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
 	"dpcpp/internal/model"
+	"dpcpp/internal/obs"
 	"dpcpp/internal/store"
 	"dpcpp/internal/taskgen"
 )
@@ -256,8 +257,8 @@ type jobRegistry struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	submitted atomic.Int64
-	completed atomic.Int64
+	submitted *obs.Counter
+	completed *obs.Counter
 	active    atomic.Int64
 }
 
@@ -275,6 +276,11 @@ func newJobRegistry(srv *Server, st *store.Store) (*jobRegistry, error) {
 		ctx:    ctx,
 		cancel: cancel,
 	}
+	reg := srv.obs.reg
+	r.submitted = reg.Counter("schedd_sweeps_submitted_total", "sweeps_submitted", "Sweep jobs submitted.")
+	r.completed = reg.Counter("schedd_sweeps_completed_total", "sweeps_completed", "Sweep jobs run to completion.")
+	reg.Gauge("schedd_sweeps_active", "", "sweeps_active", "Sweep jobs running or queued for the runner.",
+		func() int64 { return r.active.Load() + int64(len(r.queue)) })
 	if st != nil {
 		r.jobsDir = filepath.Join(st.Dir(), "jobs")
 		if err := os.MkdirAll(r.jobsDir, 0o755); err != nil {
@@ -697,13 +703,6 @@ func (r *jobRegistry) delete(id string) bool {
 func (r *jobRegistry) close() {
 	r.cancel()
 	r.wg.Wait()
-}
-
-// fill merges the sweep counters into a metrics snapshot.
-func (r *jobRegistry) fill(m *Metrics) {
-	m.SweepsSubmitted = r.submitted.Load()
-	m.SweepsCompleted = r.completed.Load()
-	m.SweepsActive = r.active.Load() + int64(len(r.queue))
 }
 
 func newSweepID() string {

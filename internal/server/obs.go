@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dpcpp/internal/analysis"
 	"dpcpp/internal/obs"
 	"dpcpp/internal/store"
 )
@@ -49,8 +48,8 @@ func classifyEndpoint(path string) string {
 }
 
 // serverObs bundles one Server's observability state: the base logger,
-// the Prometheus registry, the trace ring, and the per-endpoint latency
-// histograms.
+// the metric registry behind /metrics and /v1/metrics, the trace ring,
+// and the per-endpoint latency histograms.
 type serverObs struct {
 	log  *slog.Logger
 	reg  *obs.Registry
@@ -65,7 +64,9 @@ type serverObs struct {
 	accessN     atomic.Int64
 }
 
-func newServerObs(logger *slog.Logger, accessEvery int, traceBuffer int) *serverObs {
+// newServerObs builds the observability state over reg and declares the
+// per-endpoint request-latency histograms in it.
+func newServerObs(reg *obs.Registry, logger *slog.Logger, accessEvery int, traceBuffer int) *serverObs {
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
@@ -74,97 +75,16 @@ func newServerObs(logger *slog.Logger, accessEvery int, traceBuffer int) *server
 	}
 	o := &serverObs{
 		log:         logger,
-		reg:         obs.NewRegistry(),
+		reg:         reg,
 		ring:        obs.NewTraceRing(traceBuffer),
 		perEndpoint: make(map[string]*obs.Histogram, len(obsEndpoints)),
 		accessEvery: int64(accessEvery),
 	}
 	for _, ep := range obsEndpoints {
-		o.perEndpoint[ep] = obs.NewHistogram(obs.DefaultLatencyBounds())
+		o.perEndpoint[ep] = reg.Histogram("schedd_request_duration_seconds", obs.Labels("endpoint", ep),
+			"HTTP request latency by endpoint.")
 	}
 	return o
-}
-
-// registerMetrics populates the Prometheus registry from the engine's and
-// registry's live counters. Registration order is exposition order.
-func (s *Server) registerMetrics() {
-	e, j, r := s.engine, s.jobs, s.obs.reg
-
-	r.Counter("schedd_requests_total",
-		"Analysis-bearing requests (analyze, batch, grid, sweep submissions).",
-		e.requests.Load)
-	r.Counter("schedd_analyses_total",
-		"Analyses actually executed (cache and store misses).", e.analyses.Load)
-	r.Counter("schedd_cache_hits_total",
-		"Result-cache hits, one per method result served.", e.cacheHits.Load)
-	r.Counter("schedd_cache_misses_total",
-		"Result-cache misses.", e.cacheMisses.Load)
-	r.Counter("schedd_coalesced_total",
-		"Requests coalesced onto another caller's in-flight analysis.", e.coalesced.Load)
-	r.Counter("schedd_delta_hits_total",
-		"Delta queries whose base taskset was retained.", e.deltaHits.Load)
-	r.Counter("schedd_delta_fallbacks_total",
-		"Delta queries that re-established their base with a full analysis.", e.deltaFallbacks.Load)
-	r.Counter("schedd_rejected_total",
-		"Requests rejected by admission control (429).", e.rejected.Load)
-	r.Counter("schedd_canceled_total",
-		"Analyses abandoned because the client went away.", e.canceled.Load)
-	r.Counter("schedd_deadline_exceeded_total",
-		"Analyses cut off by a request deadline.", e.deadlines.Load)
-	r.Counter("schedd_store_hits_total",
-		"Persistent-store result hits.", e.storeHits.Load)
-	r.Counter("schedd_store_puts_total",
-		"Results persisted to the store.", e.storePuts.Load)
-	r.Counter("schedd_store_errors_total",
-		"Store failures (degraded to recomputation, never to request failures).",
-		e.storeErrors.Load)
-	r.Counter("schedd_store_breaker_trips_total",
-		"Times the store circuit breaker opened.", e.br.Trips)
-	r.Counter("schedd_sweeps_submitted_total",
-		"Sweep jobs submitted.", j.submitted.Load)
-	r.Counter("schedd_sweeps_completed_total",
-		"Sweep jobs run to completion.", j.completed.Load)
-
-	r.Gauge("schedd_workers",
-		"Configured analysis worker slots.",
-		func() float64 { return float64(e.workers) })
-	r.Gauge("schedd_inflight_analyses",
-		"Analyses executing right now (occupied worker slots).",
-		func() float64 { return float64(len(e.slots)) })
-	r.Gauge("schedd_queue_depth",
-		"Admitted-but-unfinished analysis jobs.",
-		func() float64 { return float64(e.queued.Load()) })
-	r.Gauge("schedd_cache_entries",
-		"Entries in the in-memory result cache.",
-		func() float64 { return float64(e.cache.entries()) })
-	r.Gauge("schedd_delta_states",
-		"Retained what-if base tasksets (bounded LRU).",
-		func() float64 { return float64(e.deltaStates.entries()) })
-	r.Gauge("schedd_sweeps_active",
-		"Sweep jobs running or queued for the runner.",
-		func() float64 { return float64(j.active.Load() + int64(len(j.queue))) })
-	for _, state := range []string{store.BreakerClosed, store.BreakerOpen, store.BreakerHalfOpen} {
-		state := state
-		r.GaugeL("schedd_store_breaker_state", obs.Labels("state", state),
-			"Store circuit-breaker state (1 for the current state, 0 otherwise; all 0 without a store).",
-			func() float64 {
-				if e.br.State() == state {
-					return 1
-				}
-				return 0
-			})
-	}
-
-	for _, ep := range obsEndpoints {
-		r.HistogramL("schedd_request_duration_seconds", obs.Labels("endpoint", ep),
-			"HTTP request latency by endpoint.", s.obs.perEndpoint[ep])
-	}
-	r.Histogram("schedd_analysis_duration_seconds",
-		"Wall time of executed analyses (cache misses only).", e.latency)
-	for st := analysis.Stage(0); st < analysis.NumStages; st++ {
-		r.HistogramL("schedd_analysis_stage_duration_seconds", obs.Labels("stage", st.String()),
-			"Per-stage analysis pipeline timing (views, fixpoint, round).", e.stages.h[st])
-	}
 }
 
 // obsResponseWriter observes one response: it captures the status code and

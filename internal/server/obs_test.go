@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/obs"
+	"dpcpp/internal/rt"
 )
 
 // get performs one GET against the handler without a network hop.
@@ -55,7 +58,7 @@ func TestObservabilityHeaders(t *testing.T) {
 
 // TestPromMetricsEndpoint drives real traffic and checks the Prometheus
 // exposition: required families present, histogram invariants hold, and
-// the counters agree with the JSON /v1/metrics view.
+// every counter and gauge agrees with its JSON /v1/metrics twin.
 func TestPromMetricsEndpoint(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	for i := 0; i < 3; i++ {
@@ -108,12 +111,155 @@ func TestPromMetricsEndpoint(t *testing.T) {
 		t.Error("schedd_analyses_total: want 1")
 	}
 	// Stage histograms saw real samples through the pooled scratch hooks.
-	if s.engine.stages.h[analysis.StageRound].Count() == 0 {
+	if s.engine.stages[analysis.StageRound].Count() == 0 {
 		t.Error("round-stage histogram empty; scratch hooks are not wired")
 	}
 	// Without a store, every breaker-state gauge reads 0.
 	if !strings.Contains(text, `schedd_store_breaker_state{state="closed"} 0`) {
 		t.Error("breaker-state gauge for closed should be 0 without a store")
+	}
+
+	// After a delta fallback and a delta hit, the exposition carries
+	// exactly the declared families, and every /v1/metrics number equals
+	// its Prometheus twin.
+	w = post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		BaseTaskset: jsonRoundTrip(t, testTaskset(t, 0)),
+		Patch:       wcetBump(0, 1, 120*rt.Microsecond),
+	}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("fallback delta: %d %s", w.Code, w.Body.String())
+	}
+	// One method, so delta_hits (1) and delta_fallbacks (2) differ.
+	w = post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		Base:    decodeDelta(t, w.Body.Bytes()).BaseHash,
+		Methods: []string{string(analysis.DPCPpEP)},
+		Patch:   wcetBump(0, 1, 130*rt.Microsecond),
+	}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("delta hit: %d %s", w.Code, w.Body.String())
+	}
+	if m := s.Metrics(); m.DeltaFallbacks != 2 || m.DeltaHits != 1 {
+		t.Fatalf("delta_fallbacks=%d delta_hits=%d, want 2 and 1", m.DeltaFallbacks, m.DeltaHits)
+	}
+	var js map[string]any
+	if err := json.Unmarshal(get(t, s, "/v1/metrics").Body.Bytes(), &js); err != nil {
+		t.Fatal(err)
+	}
+	text = get(t, s, "/metrics").Body.String()
+	want := map[string]bool{
+		"schedd_inflight_analyses":               true,
+		"schedd_store_breaker_state":             true,
+		"schedd_request_duration_seconds":        true,
+		"schedd_analysis_duration_seconds":       true,
+		"schedd_analysis_stage_duration_seconds": true,
+	}
+	for _, series := range promTwins {
+		want[series] = true
+	}
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# TYPE "):
+			family := strings.Fields(line)[2]
+			if !want[family] {
+				t.Errorf("undeclared family %s", family)
+			}
+			delete(want, family)
+		case strings.HasPrefix(line, "#"):
+		default:
+			sp := strings.LastIndexByte(line, ' ')
+			v, err := strconv.ParseFloat(line[sp+1:], 64)
+			if sp < 0 || err != nil {
+				t.Fatalf("malformed sample line %q", line)
+			}
+			samples[line[:sp]] = v
+		}
+	}
+	for family := range want {
+		t.Errorf("exposition missing family %s", family)
+	}
+	for key, v := range js {
+		if key == "store_state" {
+			continue
+		}
+		series, ok := promTwins[key]
+		if !ok {
+			t.Errorf("/v1/metrics key %q has no Prometheus twin", key)
+		} else if got, ok := samples[series]; !ok || got != v.(float64) {
+			t.Errorf("%s = %v (present %v), want /v1/metrics %s = %v", series, got, ok, key, v)
+		}
+	}
+}
+
+// promTwins names the Prometheus series behind each numeric /v1/metrics
+// key.
+var promTwins = map[string]string{
+	"requests":          "schedd_requests_total",
+	"analyses":          "schedd_analyses_total",
+	"cache_hits":        "schedd_cache_hits_total",
+	"cache_misses":      "schedd_cache_misses_total",
+	"coalesced":         "schedd_coalesced_total",
+	"rejected":          "schedd_rejected_total",
+	"canceled":          "schedd_canceled_total",
+	"deadline_exceeded": "schedd_deadline_exceeded_total",
+	"store_hits":        "schedd_store_hits_total",
+	"store_puts":        "schedd_store_puts_total",
+	"store_errors":      "schedd_store_errors_total",
+	"store_trips":       "schedd_store_breaker_trips_total",
+	"delta_hits":        "schedd_delta_hits_total",
+	"delta_fallbacks":   "schedd_delta_fallbacks_total",
+	"delta_states":      "schedd_delta_states",
+	"queued_jobs":       "schedd_queue_depth",
+	"cache_entries":     "schedd_cache_entries",
+	"workers":           "schedd_workers",
+	"sweeps_submitted":  "schedd_sweeps_submitted_total",
+	"sweeps_completed":  "schedd_sweeps_completed_total",
+	"sweeps_active":     "schedd_sweeps_active",
+}
+
+// TestMetricsWireContract pins GET /v1/metrics to the Metrics type, with
+// and without a store: the body is exactly the encoding of
+// Server.Metrics, every key is a Metrics field, and every field is
+// present except store_state without a store.
+func TestMetricsWireContract(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s := newTestServer(t, Config{Workers: 2, StoreDir: dir})
+		base := testTaskset(t, 0)
+		if w := post(t, s, "/v1/analyze", analyzeBody(t, base, string(analysis.DPCPpEP))); w.Code != http.StatusOK {
+			t.Fatalf("store %q: analyze: %d %s", dir, w.Code, w.Body.String())
+		}
+		if w := post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+			BaseTaskset: jsonRoundTrip(t, base),
+			Patch:       wcetBump(0, 1, 120*rt.Microsecond),
+		})); w.Code != http.StatusOK {
+			t.Fatalf("store %q: delta: %d %s", dir, w.Code, w.Body.String())
+		}
+
+		body := get(t, s, "/v1/metrics").Body.Bytes()
+		want, err := json.Marshal(s.Metrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != string(want)+"\n" {
+			t.Errorf("store %q: /v1/metrics body\n%s\nwant json.Marshal(Metrics())\n%s", dir, body, want)
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var m Metrics
+		if err := dec.Decode(&m); err != nil {
+			t.Errorf("store %q: strict decode: %v", dir, err)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(body, &keys); err != nil {
+			t.Fatal(err)
+		}
+		fields := reflect.TypeFor[Metrics]().NumField()
+		if dir == "" {
+			fields-- // store_state is omitted without a store
+		}
+		if len(keys) != fields {
+			t.Errorf("store %q: %d keys, want %d: %s", dir, len(keys), fields, body)
+		}
 	}
 }
 

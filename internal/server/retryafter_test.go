@@ -7,6 +7,7 @@ import (
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
+	"dpcpp/internal/obs"
 	"dpcpp/internal/rt"
 )
 
@@ -29,7 +30,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 		// A pathological backlog is capped rather than extrapolated.
 		{"huge backlog", 30 * time.Second, 1000, 60},
 	} {
-		e := newEngine(4, 8, 64, nil, nil)
+		e := newEngine(obs.NewRegistry(), 4, 8, 64, nil, nil)
 		if tc.latency > 0 {
 			e.latency.Observe(tc.latency)
 		}
@@ -45,7 +46,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // the one recorder move the estimate — there is no separate accumulator to
 // drift.
 func TestRetryAfterTracksHistogram(t *testing.T) {
-	e := newEngine(4, 8, 64, nil, nil)
+	e := newEngine(obs.NewRegistry(), 4, 8, 64, nil, nil)
 	e.queued.Store(4)
 	e.latency.Observe(8 * time.Second)          // adopted: EWMA = 8s
 	if got := e.retryAfterSeconds(); got != 8 { // 4 jobs * 8s / 4 workers
@@ -69,7 +70,7 @@ func TestRetryAfterTracksHistogram(t *testing.T) {
 // verdict comparison fails if recycled scratch state leaks between
 // tasksets.
 func TestPooledScratchConcurrency(t *testing.T) {
-	e := newEngine(4, 8, 1024, nil, nil)
+	e := newEngine(obs.NewRegistry(), 4, 8, 1024, nil, nil)
 	tss := make([]*model.Taskset, 6)
 	for i := range tss {
 		tss[i] = testTaskset(t, rt.Time(i)*10*rt.Microsecond)

@@ -255,12 +255,13 @@ func New(cfg Config) (*Server, error) {
 		}
 		br = store.NewBreaker(cfg.StoreBreakerThreshold, cfg.StoreBreakerProbe)
 	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:    cfg,
-		engine: newEngine(cfg.Workers, cfg.CacheSize, int64(cfg.MaxQueue), st, br),
+		engine: newEngine(reg, cfg.Workers, cfg.CacheSize, int64(cfg.MaxQueue), st, br),
 		mux:    http.NewServeMux(),
 		fast:   newLRU[fastResponse](cfg.CacheSize),
-		obs:    newServerObs(cfg.Logger, cfg.AccessLogEvery, cfg.TraceBuffer),
+		obs:    newServerObs(reg, cfg.Logger, cfg.AccessLogEvery, cfg.TraceBuffer),
 	}
 	if br != nil {
 		s.observeBreaker(br)
@@ -269,7 +270,6 @@ func New(cfg Config) (*Server, error) {
 	if s.jobs, err = newJobRegistry(s, st); err != nil {
 		return nil, err
 	}
-	s.registerMetrics()
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/analyze/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/analyze/delta", s.handleDelta)
@@ -337,10 +337,15 @@ func (s *Server) bumpWriteDeadline(w http.ResponseWriter) {
 	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteDeadline))
 }
 
-// Metrics returns a snapshot of the service counters.
+// Metrics returns a snapshot of the service counters: the GET /v1/metrics
+// body, decoded.
 func (s *Server) Metrics() Metrics {
-	m := s.engine.snapshot()
-	s.jobs.fill(&m)
+	var b bytes.Buffer
+	s.obs.reg.WriteJSON(&b) // writes to a bytes.Buffer cannot fail
+	var m Metrics
+	if err := json.Unmarshal(b.Bytes(), &m); err != nil {
+		panic("server: metric registry JSON does not decode into Metrics: " + err.Error())
+	}
 	return m
 }
 
@@ -368,7 +373,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	w.Header().Set("Content-Type", "application/json")
+	s.obs.reg.WriteJSON(w) // nothing useful to do on a client that went away
 }
 
 // requestCtx derives the analysis context of one request: the client's
