@@ -11,13 +11,17 @@ import (
 )
 
 // FuzzTasksetJSON fuzzes the taskset JSON surface (cmd/taskgen output,
-// audit fixtures, cmd/dpcpsim input): any byte slice that decodes into a
-// valid taskset must re-encode bit-stably — Taskset → JSON → Taskset →
-// JSON yields identical bytes — and the round-tripped taskset must agree
-// on every derived quantity. Inputs Finalize rejects are simply skipped;
-// the fuzzer's other job is proving Finalize rejects malformed documents
-// instead of panicking (hostile vertex IDs, negative CS lengths, negative
-// resource counts, overflowing WCETs).
+// audit fixtures, cmd/dpcpsim input, the taskset of an analyze body).
+//
+// Whenever Scanner accepts a document, strict encoding/json accepts it too
+// and decodes a reflect.DeepEqual value, nil versus empty slices and maps
+// included. Any byte slice that decodes into a valid taskset must
+// re-encode bit-stably — Taskset → JSON → Taskset → JSON yields identical
+// bytes — and the round-tripped taskset must agree on every derived
+// quantity. Inputs Finalize rejects are simply skipped; the fuzzer's other
+// job is proving Finalize rejects malformed documents instead of panicking
+// (hostile vertex IDs, null tasks and vertices, negative resource IDs and
+// CS lengths, negative resource counts, overflowing WCETs).
 //
 // The seed corpus lives in testdata/fuzz/FuzzTasksetJSON; run
 // `go test -fuzz FuzzTasksetJSON ./internal/model` to hunt.
@@ -26,8 +30,31 @@ func FuzzTasksetJSON(f *testing.F) {
 	f.Add([]byte(`{"tasks":[],"num_resources":-1,"num_procs":2}`))
 	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":7,"wcet":100}]}],"num_resources":0,"num_procs":2}`))
 	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"priority":1,"vertices":[{"id":0,"wcet":100,"requests":{"0":2}}],"cslen":[-5]}],"num_resources":1,"num_procs":2}`))
+	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100,"requests":{"-1":1}}]}],"num_resources":1,"num_procs":2}`))
+	for _, doc := range fixtureTasksets(f) {
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, doc, "\n", " "); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+		f.Add(indented.Bytes())
+	}
+	for _, docs := range []map[string]string{scanAccepted, scanDeclined} {
+		for _, doc := range docs {
+			f.Add([]byte(doc))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if scanned, ok := scanTaskset(data); ok {
+			var want Taskset
+			if err := strictDecode(data, &want); err != nil {
+				t.Fatalf("scanner accepted what encoding/json rejects (%v): %q", err, data)
+			}
+			if !reflect.DeepEqual(scanned, &want) {
+				t.Fatalf("scanned %+v, encoding/json decodes %+v from %q", scanned, &want, data)
+			}
+		}
 		ts, err := DecodeTaskset(bytes.NewReader(data))
 		if err != nil {
 			return // malformed or invalid: rejection (not a panic) is the contract

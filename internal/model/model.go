@@ -172,6 +172,9 @@ func (t *Task) Finalize(numResources int) error {
 	t.wcet = 0
 	t.nReq = make([]int64, numResources)
 	for x, v := range t.Vertices {
+		if v == nil {
+			return fmt.Errorf("model: task %d vertex at index %d is null", t.ID, x)
+		}
 		// Vertex IDs are assigned by AddVertex and must equal the slice
 		// index: the simulator and segment builder index by them. A JSON
 		// document is free to claim otherwise, so Finalize enforces it.
@@ -187,7 +190,7 @@ func (t *Task) Finalize(numResources int) error {
 			if c < 0 {
 				return fmt.Errorf("model: task %d vertex %d has negative request count", t.ID, v.ID)
 			}
-			if int(q) >= numResources {
+			if q < 0 || int(q) >= numResources {
 				return fmt.Errorf("model: task %d vertex %d requests unknown resource %d", t.ID, v.ID, q)
 			}
 			t.nReq[q] += int64(c)

@@ -41,7 +41,10 @@ func (ts *Taskset) Finalize() error {
 		return fmt.Errorf("model: negative resource count %d", ts.NumResources)
 	}
 	seen := make(map[rt.TaskID]bool, len(ts.Tasks))
-	for _, t := range ts.Tasks {
+	for i, t := range ts.Tasks {
+		if t == nil {
+			return fmt.Errorf("model: task at index %d is null", i)
+		}
 		if seen[t.ID] {
 			return fmt.Errorf("model: duplicate task ID %d", t.ID)
 		}

@@ -432,11 +432,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	return decodeBytes(w, body, dst)
 }
 
-// decodeBytes decodes one JSON document into dst with the request-boundary
-// hardening: unknown-field rejection and a single-document requirement
-// (400); the body size cap is readBody's. The taskset itself is then
-// validated by model.Finalize, which is hardened against hostile
-// documents — no panic path is reachable from a request body.
+// decodeBytes decodes one JSON document into dst with encoding/json and
+// the request-boundary hardening: unknown fields and any byte but JSON
+// whitespace after the document are rejected (400); the body size cap is
+// readBody's. It is the only decoder of batch, delta and sweep bodies, and
+// of every analyze body that scanAnalyzeRequest declines. The taskset
+// itself is then validated by model.Finalize, which is hardened against
+// hostile documents — no panic path is reachable from a request body.
 func decodeBytes(w http.ResponseWriter, body []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -444,12 +446,57 @@ func decodeBytes(w http.ResponseWriter, body []byte, dst any) error {
 		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
 		err := fmt.Errorf("trailing data after JSON document")
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return err
 	}
 	return nil
+}
+
+// analyzeKeys are AnalyzeRequest's JSON names, in field order.
+var analyzeKeys = []string{"taskset", "methods", "path_cap", "placement", "explain", "timeout_ms"}
+
+// scanners recycles model.Scanners, whose staging buffers grow to the
+// largest arrays of a request.
+var scanners = sync.Pool{New: func() any { return new(model.Scanner) }}
+
+// scanAnalyzeRequest decodes an analyze body with model.Scanner, which
+// skips encoding/json's reflection for the common shape of a request. It
+// reports false, with a zero request, when the scanner declines; the
+// caller then decodes the body with decodeBytes, so encoding/json alone
+// judges (and words the 400 for) anything unusual. An accepted body
+// yields exactly the request decodeBytes would.
+func scanAnalyzeRequest(body []byte) (AnalyzeRequest, bool) {
+	s := scanners.Get().(*model.Scanner)
+	s.Reset(body)
+	defer func() {
+		s.Reset(nil)
+		scanners.Put(s)
+	}()
+	var req AnalyzeRequest
+	var seen uint64
+	for {
+		switch s.Key(analyzeKeys, &seen) {
+		case 0:
+			req.Taskset = s.Taskset()
+		case 1:
+			req.Methods = s.Strings()
+		case 2:
+			req.PathCap = s.Int()
+		case 3:
+			req.Placement = s.Str()
+		case 4:
+			req.Explain = s.Bool()
+		case 5:
+			req.TimeoutMS = s.Int64()
+		default:
+			if !s.End() {
+				return AnalyzeRequest{}, false
+			}
+			return req, true
+		}
+	}
 }
 
 // finalizeTaskset validates a decoded taskset, translating model's
@@ -466,6 +513,10 @@ func finalizeTaskset(w http.ResponseWriter, ts *model.Taskset, pos string) bool 
 	return true
 }
 
+// handleAnalyze serves POST /v1/analyze. A byte-identical repeat is
+// answered from the exact-body cache. Any other body is decoded by
+// scanAnalyzeRequest, or by decodeBytes when the scanner declines, then
+// finalized, hashed and answered from the result cache or an analysis.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
 	body, err := readBody(w, r)
@@ -483,8 +534,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req AnalyzeRequest
-	if decodeBytes(w, body, &req) != nil {
+	req, ok := scanAnalyzeRequest(body)
+	if !ok && decodeBytes(w, body, &req) != nil {
 		return
 	}
 	ms, opts, ok := s.validateOptions(w, req.Methods, req.PathCap, req.Placement)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -456,6 +458,13 @@ func TestCachedServedUnderSaturation(t *testing.T) {
 	}
 }
 
+// Tasksets whose Finalize once panicked.
+const (
+	nullTask    = `{"tasks":[null],"num_resources":0,"num_procs":2}`
+	nullVertex  = `{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[null]}],"num_resources":0,"num_procs":2}`
+	negResource = `{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100,"requests":{"-1":1}}]}],"num_resources":1,"num_procs":2}`
+)
+
 // TestHostileRequests: every malformed body must produce a structured 4xx,
 // never a panic or a 500 (the PR-2 model.Finalize hardening surfaces here).
 func TestHostileRequests(t *testing.T) {
@@ -487,6 +496,16 @@ func TestHostileRequests(t *testing.T) {
 		{"batch bad item", "/v1/analyze/batch",
 			`{"tasksets":[` + valid + `,{"tasks":[],"num_resources":0,"num_procs":0}]}`,
 			http.StatusBadRequest},
+		// Each of these panicked in Finalize, or got a 200 despite trailing
+		// bytes, before the model and decodeBytes rejected them.
+		{"null task", "/v1/analyze", `{"taskset":` + nullTask + `}`, http.StatusBadRequest},
+		{"null vertex", "/v1/analyze", `{"taskset":` + nullVertex + `}`, http.StatusBadRequest},
+		{"negative resource", "/v1/analyze", `{"taskset":` + negResource + `}`, http.StatusBadRequest},
+		{"batch null task", "/v1/analyze/batch", `{"tasksets":[` + nullTask + `]}`, http.StatusBadRequest},
+		{"delta null vertex", "/v1/analyze/delta", `{"base_taskset":` + nullVertex + `,"patch":{"ops":[]}}`, http.StatusBadRequest},
+		{"trailing ]", "/v1/analyze", `{"taskset":` + valid + `}]`, http.StatusBadRequest},
+		{"trailing }x", "/v1/analyze", `{"taskset":` + valid + `}}x`, http.StatusBadRequest},
+		{"batch trailing ]", "/v1/analyze/batch", `{"tasksets":[` + valid + `]}]`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -602,16 +621,58 @@ func TestFastPathHitAccounting(t *testing.T) {
 }
 
 // FuzzAnalyzeRequest: no request body may reach a panic anywhere under the
-// handler — the fuzzer's job is proving the 4xx path is total. Seeds
-// include the hostile documents the model fuzzer found plus a hostile
-// full-envelope request.
+// handler — the fuzzer's job is proving the 4xx path is total. And
+// whenever scanAnalyzeRequest accepts a body, decodeBytes (strict
+// encoding/json) accepts it too and decodes a reflect.DeepEqual request,
+// nil versus empty slices and maps included. Seeds include the hostile
+// documents the model fuzzer found, a hostile full-envelope request, the
+// schedd golden request and the shapes the scanner must decline.
 func FuzzAnalyzeRequest(f *testing.F) {
-	f.Add([]byte(`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100}]}],"num_resources":0,"num_procs":2}}`))
-	f.Add([]byte(`{"taskset":{"tasks":[],"num_resources":-1,"num_procs":2}}`))
-	f.Add([]byte(`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":7,"wcet":100}]}],"num_resources":0,"num_procs":2},"methods":["DPCP-p-EP"],"path_cap":-99,"placement":"zzz","explain":true}`))
-	f.Add([]byte(`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"priority":1,"vertices":[{"id":0,"wcet":100,"requests":{"0":2}}],"cslen":[-5]}],"num_resources":1,"num_procs":2}}`))
+	const small = `{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100,"requests":{"0":1}}],"edges":[],"cslen":[10]}],"num_resources":1,"num_procs":2},"methods":["DPCP-p-EN"]}`
+	golden, err := os.ReadFile("../../cmd/schedd/testdata/fig2a_request.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var padded bytes.Buffer
+	if err := json.Indent(&padded, golden, "\r", "\t "); err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100}]}],"num_resources":0,"num_procs":2}}`,
+		`{"taskset":{"tasks":[],"num_resources":-1,"num_procs":2}}`,
+		`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":7,"wcet":100}]}],"num_resources":0,"num_procs":2},"methods":["DPCP-p-EP"],"path_cap":-99,"placement":"zzz","explain":true}`,
+		`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"priority":1,"vertices":[{"id":0,"wcet":100,"requests":{"0":2}}],"cslen":[-5]}],"num_resources":1,"num_procs":2}}`,
+		`{"taskset":` + nullTask + `}`,
+		`{"taskset":` + nullVertex + `}`,
+		`{"taskset":` + negResource + `}`,
+		string(golden),
+		"\n " + padded.String() + "\t\r\n",
+		small,
+		strings.Replace(small, `"wcet"`, `"WCET"`, 1),
+		strings.Replace(small, `"id":0,"period"`, `"id":0,"id":0,"period"`, 1),
+		strings.Replace(small, `{"0":1}`, `{"+0":1}`, 1),
+		strings.Replace(small, `"id":0,"period"`, `"id":0,"name":"\u0071","period"`, 1),
+		strings.Replace(small, `"wcet":100`, `"wcet":1e3`, 1),
+		strings.Replace(small, `"id":0,"period"`, `"id":-0,"period"`, 1),
+		strings.Replace(small, `"methods":["DPCP-p-EN"]`, `"methods":null`, 1),
+		strings.Replace(small, `"methods":["DPCP-p-EN"]`, `"methods":[],"path_cap":0,"placement":"","explain":false,"timeout_ms":0`, 1),
+		strings.Replace(small, `{"0":1}`, `{}`, 1),
+		small + `]`,
+		small + `}x`,
+	} {
+		f.Add([]byte(body))
+	}
 	s := newTestServer(f, Config{Workers: 1, MaxBody: 1 << 16})
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if req, ok := scanAnalyzeRequest(body); ok {
+			var want AnalyzeRequest
+			if err := decodeBytes(httptest.NewRecorder(), body, &want); err != nil {
+				t.Fatalf("scanner accepted what encoding/json rejects (%v): %q", err, body)
+			}
+			if !reflect.DeepEqual(req, want) {
+				t.Fatalf("scanned %+v, encoding/json decodes %+v from %q", req, want, body)
+			}
+		}
 		w := post(t, s, "/v1/analyze", body)
 		switch w.Code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
@@ -626,9 +687,12 @@ func FuzzAnalyzeRequest(f *testing.F) {
 // miss, one analysis per request) vs hit (content-addressed cache). The
 // tiny taskset isolates the transport floor; the fig2a family uses the
 // paper's Sec. VII-A synthesis at util 8, where the cache turns
-// millisecond analyses into microsecond lookups.
+// millisecond analyses into microsecond lookups. fig2a-semantic is the
+// serve-repeat semantic hit: every body is new (tasks rotated, the first
+// one renamed), so it misses the exact-body cache and pays decode,
+// Finalize and Hash before the result cache answers.
 func BenchmarkServerAnalyze(b *testing.B) {
-	fig2aBody := func(b *testing.B, seed int64) []byte {
+	fig2aSet := func(b *testing.B, seed int64) *model.Taskset {
 		b.Helper()
 		scen, err := taskgen.Fig2Scenario("2a")
 		if err != nil {
@@ -639,12 +703,18 @@ func BenchmarkServerAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		return ts
+	}
+	encode := func(b *testing.B, ts *model.Taskset) []byte {
+		b.Helper()
 		body, err := json.Marshal(AnalyzeRequest{Taskset: ts, Methods: []string{string(analysis.DPCPpEP)}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return body
 	}
+	fig2aBody := func(b *testing.B, seed int64) []byte { return encode(b, fig2aSet(b, seed)) }
+	var semantic *model.Taskset
 	for _, bc := range []struct {
 		name string
 		body func(b *testing.B, i int) []byte
@@ -657,6 +727,12 @@ func BenchmarkServerAnalyze(b *testing.B) {
 		}},
 		{"fig2a-cold", func(b *testing.B, i int) []byte { return fig2aBody(b, int64(i)) }},
 		{"fig2a-hit", func(b *testing.B, i int) []byte { return fig2aBody(b, 1) }},
+		{"fig2a-semantic", func(b *testing.B, i int) []byte {
+			if semantic == nil {
+				semantic = fig2aSet(b, 1)
+			}
+			return encode(b, renamedRotation(semantic, i))
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := newTestServer(b, Config{Workers: 1, CacheSize: 1 << 20, MaxQueue: 1 << 30})
@@ -664,8 +740,8 @@ func BenchmarkServerAnalyze(b *testing.B) {
 			for i := range bodies {
 				bodies[i] = bc.body(b, i)
 			}
-			if strings.HasSuffix(bc.name, "-hit") && b.N > 0 {
-				post(b, s, "/v1/analyze", bodies[0]) // warm the cache
+			if !strings.HasSuffix(bc.name, "-cold") {
+				post(b, s, "/v1/analyze", bc.body(b, -1)) // warm the cache
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
