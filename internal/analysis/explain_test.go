@@ -1,29 +1,115 @@
 package analysis
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"dpcpp/internal/model"
 	"dpcpp/internal/partition"
 	"dpcpp/internal/rt"
 )
 
-func TestExplainMatchesWCRTs(t *testing.T) {
-	ts := handSet(t)
-	res := Test(DPCPpEP, ts, Options{})
-	if !res.Schedulable {
-		t.Fatalf("unschedulable: %s", res.Reason)
-	}
-	a := NewDPCPp(ts, DefaultPathCap, false)
-	breakdowns := a.Explain(res.Partition)
-	if len(breakdowns) != 2 {
-		t.Fatalf("got %d breakdowns", len(breakdowns))
-	}
-	for _, bd := range breakdowns {
-		if bd.Total != res.WCRT[bd.TaskID] {
-			t.Errorf("task %d: breakdown total %s != WCRT %s",
-				bd.TaskID, rt.FormatTime(bd.Total), rt.FormatTime(res.WCRT[bd.TaskID]))
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// explainCase is one Explain input: a taskset, the path cap of the
+// analysis and the partitioning result it ran on.
+type explainCase struct {
+	name string
+	ts   *model.Taskset
+	cap  int
+	res  partition.Result
+}
+
+// explainCases runs DPCP-p-EP over the equivalence corpus at the default
+// path cap and at cap 2 (where most fork-join tasks fall back to EN), plus
+// the light-task set under AlgorithmMixed for the Sec. VI shared term.
+func explainCases(t *testing.T) []explainCase {
+	t.Helper()
+	var cases []explainCase
+	corpus := equivalenceCorpus(t)
+	for _, pc := range []int{DefaultPathCap, 2} {
+		for ci, ts := range corpus {
+			cases = append(cases, explainCase{
+				name: fmt.Sprintf("corpus %d cap %d", ci, pc),
+				ts:   ts, cap: pc,
+				res: Test(DPCPpEP, ts, Options{PathCap: pc}),
+			})
 		}
+	}
+	ts := lightSet(t)
+	cases = append(cases, explainCase{
+		name: "light", ts: ts, cap: DefaultPathCap,
+		res: partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD),
+	})
+	return cases
+}
+
+// rawBreakdown prints a Breakdown's fields without its String method.
+type rawBreakdown Breakdown
+
+// TestExplainGolden pins every raw Breakdown field Explain reports on the
+// final partition of each explainCases input.
+func TestExplainGolden(t *testing.T) {
+	var b strings.Builder
+	for _, c := range explainCases(t) {
+		fmt.Fprintf(&b, "%s schedulable=%v\n", c.name, c.res.Schedulable)
+		if c.res.Partition == nil {
+			continue
+		}
+		for _, bd := range NewDPCPp(c.ts, c.cap, false).Explain(c.res.Partition) {
+			fmt.Fprintf(&b, "  %+v\n", rawBreakdown(bd))
+		}
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "explain.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got != string(want) {
+		t.Errorf("Explain output changed; run with -update if intended.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExplainMatchesWCRTs checks that every breakdown's Total is the WCRT
+// the analysis reported, and that each converged Total is the sum of its
+// components as Theorem 1 forms it.
+func TestExplainMatchesWCRTs(t *testing.T) {
+	checked := 0
+	for _, c := range explainCases(t) {
+		if c.res.WCRT == nil {
+			continue
+		}
+		for _, bd := range NewDPCPp(c.ts, c.cap, false).Explain(c.res.Partition) {
+			checked++
+			if bd.Total != c.res.WCRT[bd.TaskID] {
+				t.Errorf("%s task %d: breakdown total %s != WCRT %s", c.name,
+					bd.TaskID, rt.FormatTime(bd.Total), rt.FormatTime(c.res.WCRT[bd.TaskID]))
+			}
+			if bd.Total >= rt.Infinity {
+				continue
+			}
+			sum := rt.SatAdd(bd.PathLength, bd.InterTaskBlocking)
+			sum = rt.SatAdd(sum, bd.IntraTaskBlocking)
+			sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(bd.IntraInterference, bd.AgentInterference), bd.Procs))
+			sum = rt.SatAdd(sum, bd.SharedPreemption)
+			if sum != bd.Total {
+				t.Errorf("%s task %d: components sum to %s, Total %s", c.name,
+					bd.TaskID, rt.FormatTime(sum), rt.FormatTime(bd.Total))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no breakdown checked")
 	}
 }
 
