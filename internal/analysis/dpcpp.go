@@ -30,13 +30,6 @@ type DPCPp struct {
 	// result (including its tie order, which feeds the eta terms) is fixed
 	// per taskset, and WCRTs runs once per partitioning round.
 	byPrio []*model.Task
-
-	// Fallbacks counts tasks analyzed with EN bounds because their path
-	// count exceeded pathCap (diagnostics only). It increments once per
-	// task a round actually analyzes, including view-cache hits; tasks
-	// below a round's first miss are not analyzed under untilMiss and are
-	// not counted.
-	Fallbacks int
 }
 
 type cachedViews struct {
@@ -98,9 +91,6 @@ func (a *DPCPp) pathViews(t *model.Task) []pathView {
 		c = a.buildViews(t)
 		a.sc.stageEnd(StageViews, start)
 		a.sc.viewCache[t.ID] = c
-	}
-	if c.fallback {
-		a.Fallbacks++
 	}
 	return c.views
 }
@@ -191,8 +181,7 @@ type etaTerm struct {
 }
 
 // etaSum evaluates sum_j eta_j(window) * work_j, computing each eta from
-// the term's own (T, R). The single-view evaluators (pathWCRT, Explain)
-// and the Lemma 2 W recurrence use it.
+// the term's own (T, R). The Lemma 2 W recurrence uses it.
 func etaSum(terms []etaTerm, window rt.Time) rt.Time {
 	var total rt.Time
 	for _, e := range terms {
@@ -239,8 +228,8 @@ type taskCtx struct {
 	// srcPeriod / srcResp hold (T_j, R_j) of every task with a term in
 	// the Theorem 1 recurrence (procs[].other, cluster, hpShared); each
 	// such etaTerm's src indexes them. eta_j(r) does not depend on the
-	// processor, so taskWCRT's fixed-point step computes it once per task
-	// into etas and every zeta, cluster and shared sum reuses the count.
+	// processor, so theorem1 computes it once per task into etas and
+	// every zeta, cluster and shared sum reuses the count.
 	// srcOf maps a position in ts.Tasks to 1 + its source index (0: none).
 	srcPeriod []rt.Time
 	srcResp   []rt.Time
@@ -254,10 +243,6 @@ type taskCtx struct {
 	// rt.Infinity marks a diverged recurrence. The table is the Scratch's
 	// flat (proc, base) table, emptied in O(1) per task.
 	eps *epsTable
-	// epsScratch holds the per-processor epsilon values of the view under
-	// evaluation in the single-view path (pathWCRT: Explain and reference
-	// implementations); the batched path keeps its own flat array.
-	epsScratch []rt.Time
 }
 
 // epsKey identifies one Lemma 2 fixed-point computation within a task's
@@ -380,7 +365,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	}
 
 	ctx.eps = &s.eps
-	ctx.epsScratch = s.times.alloc(len(ctx.procs))
 
 	ctx.clusterRes = p.AppendClusterResources(s.resIDs.alloc(nr)[:0], t.ID)
 	if len(ctx.clusterRes) > 0 {
@@ -407,99 +391,32 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	return ctx
 }
 
-// taskWCRT evaluates Theorem 1 over every candidate path view of one task.
-// The per-view constants (Lemmas 4 and 5, the static Lemma 6 term, and the
-// Lemma 2/3 epsilons) are computed up front into flat batch arrays — the
-// epsilons processor-major, so one processor's beta/gamma tables and its
-// (proc, base) rows in the epsilon table stay hot across the whole view
-// batch — and the response-time fixed points of all views then iterate in
-// lockstep via rta.FixPointBatch, streaming the shared eta tables once per
-// wave instead of once per view. Each fixed-point step computes eta_j(r)
-// once per contributing task j (ctx.etas) and forms every processor's
-// zeta_k(r), the Lemma 6 cluster sum and the shared-processor term as
-// sum_j eta_j * work_j from those counts, instead of dividing once per
-// (processor, task) pair. Results are bit-identical to evaluating pathWCRT
-// per view (the epequiv suite pins this against the per-path reference and
-// the memo-free directRef).
+// taskWCRT evaluates Theorem 1 over every candidate path view of one task:
+// prepareViews computes the r-independent terms, the response-time fixed
+// points of all views then iterate in lockstep via rta.FixPointBatch over
+// theorem1 (streaming the shared eta tables once per wave instead of once
+// per view), and the bound is the largest view's. The epequiv suite pins
+// the result against the per-path reference and the memo-free directRef.
 //
 //schedlint:hotpath
 func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	wcrts map[rt.TaskID]rt.Time) rt.Time {
 
 	ctx := a.buildCtx(p, t, wcrts)
-	// A light task runs sequentially: the whole job is its only "path";
-	// every request is on it and nothing runs off it (handled by viewsFor).
 	views := a.viewsFor(ctx)
-	nv := len(views)
+	terms, eps, xs := a.prepareViews(ctx, views)
 	np := len(ctx.procs)
 	s := a.sc
+	done := s.bools.alloc(len(views))
 
-	bs := s.times.alloc(nv)
-	iIntras := s.times.alloc(nv)
-	iaStatics := s.times.alloc(nv)
-	xs := s.times.alloc(nv)
-	eps := s.times.alloc(nv * np)
-	done := s.bools.alloc(nv)
-
-	for vi := range views {
-		v := &views[vi]
-		// Lemma 4: intra-task blocking (constant in r).
-		b := a.intraBlocking(ctx, v)
-		// Lemma 5: intra-task interference (constant in r).
-		iIntra := v.offNonCrit
-		for j, q := range ctx.localRes {
-			iIntra = rt.SatAdd(iIntra, rt.SatMul(v.offPath[q], ctx.localCS[j]))
-		}
-		// Static off-path agent work on the own cluster (Lemma 6, Eq. 9).
-		var iaStatic rt.Time
-		for j, q := range ctx.clusterRes {
-			iaStatic = rt.SatAdd(iaStatic, rt.SatMul(v.offPath[q], ctx.clusterCS[j]))
-		}
-		bs[vi], iIntras[vi], iaStatics[vi] = b, iIntra, iaStatic
-		xs[vi] = rt.SatAdd(v.length, rt.SatAdd(b, rt.CeilDiv(iIntra, ctx.mi)))
-	}
-	// Lemma 3 epsilon terms (constant in r; computed via Lemma 2's W).
-	for pi := range ctx.procs {
-		pc := &ctx.procs[pi]
-		for vi := range views {
-			eps[vi*np+pi] = a.epsilon(ctx, pc, &views[vi])
-		}
-	}
-
-	srcPeriod, srcResp, etas := ctx.srcPeriod, ctx.srcResp, ctx.etas
 	fixStart := s.stageStart()
 	//schedlint:ignore hotpath closure captures only locals that never escape FixPointBatch; the alloc-gate benchmarks hold it to 0 allocs/op
 	ok := rta.FixPointBatch(xs, t.Deadline, done, func(vi int, r rt.Time) rt.Time {
-		v := &views[vi]
-		ve := eps[vi*np : (vi+1)*np]
-		// eta_j(r) once per contributing task, shared by every sum below.
-		for j, resp := range srcResp {
-			etas[j] = rta.Eta(r, resp, srcPeriod[j])
-		}
-		// Lemma 3: B_i <= sum_k min(eps_k, zeta_k(r)).
-		var blocking rt.Time
-		for i := range ctx.procs {
-			zeta := etaWork(ctx.procs[i].other, etas)
-			if ve[i] < zeta {
-				blocking = rt.SatAdd(blocking, ve[i])
-			} else {
-				blocking = rt.SatAdd(blocking, zeta)
-			}
-		}
-		// Lemma 6: I_A.
-		ia := rt.SatAdd(etaWork(ctx.cluster, etas), iaStatics[vi])
-		sum := rt.SatAdd(v.length, blocking)
-		sum = rt.SatAdd(sum, bs[vi])
-		sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntras[vi], ia), ctx.mi))
-		// Sec. VI: higher-priority light tasks on the same processor
-		// interfere with their full WCET (partitioned fixed-priority).
-		return rt.SatAdd(sum, etaWork(ctx.hpShared, etas))
+		return ctx.theorem1(&views[vi], &terms[vi], eps[vi*np:(vi+1)*np], r).total
 	})
 	s.stageEnd(StageFixPoint, fixStart)
 	if !ok {
-		// One diverged view dooms the task either way; per-view results are
-		// irrelevant past this point, exactly like the early exit of the
-		// sequential loop.
+		// One diverged view dooms the task: no per-view result is needed.
 		return rt.Infinity
 	}
 	var worst rt.Time
@@ -511,65 +428,107 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	return worst
 }
 
-// pathWCRT evaluates Theorem 1 for one path view:
-//
-//	r <= L(lambda) + B_i + b_i + (I_intra + I_A) / m_i
-//
-// as the least fixed point over r (B and I_A depend on r through eta).
-// The production path (taskWCRT) batches this computation across views;
-// pathWCRT remains the single-view evaluator behind Explain and the
-// per-path reference implementation of the equivalence suite.
-func (a *DPCPp) pathWCRT(ctx *taskCtx, v *pathView) rt.Time {
+// viewsFor returns the candidate path views of the context's task. The
+// shared-task (Sec. VI) view — a light task runs sequentially, so the whole
+// job is its only path, with every request on it and nothing off it — is
+// rebuilt per round from per-task scratch: like the taskCtx it is valid
+// only until the next buildCtx call on this analyzer.
+func (a *DPCPp) viewsFor(ctx *taskCtx) []pathView {
 	t := ctx.task
-
-	// Lemma 4: intra-task blocking (constant in r).
-	b := a.intraBlocking(ctx, v)
-
-	// Lemma 5: intra-task interference (constant in r).
-	iIntra := v.offNonCrit
-	for j, q := range ctx.localRes {
-		iIntra = rt.SatAdd(iIntra, rt.SatMul(v.offPath[q], ctx.localCS[j]))
+	if !ctx.shared {
+		return a.pathViews(t)
 	}
-
-	// Lemma 3 epsilon terms (constant in r; computed via Lemma 2's W).
-	eps := ctx.epsScratch
-	for i := range ctx.procs {
-		eps[i] = a.epsilon(ctx, &ctx.procs[i], v)
+	s := a.sc
+	nr := a.ts.NumResources
+	on := s.i64s.alloc(nr)
+	off := s.i64s.allocZero(nr)
+	for q := 0; q < nr; q++ {
+		on[q] = t.NumRequests(rt.ResourceID(q))
 	}
+	s.sharedView[0] = pathView{length: t.WCET(), onPath: on, offPath: off}
+	return s.sharedView[:1]
+}
 
-	// Static off-path agent work on the own cluster (Lemma 6, Eq. 9).
-	var iaStatic rt.Time
-	for j, q := range ctx.clusterRes {
-		iaStatic = rt.SatAdd(iaStatic, rt.SatMul(v.offPath[q], ctx.clusterCS[j]))
-	}
+// viewTerms are the Theorem 1 terms of one path view that do not depend
+// on the response time r.
+type viewTerms struct {
+	b        rt.Time // b_i (Lemma 4)
+	iIntra   rt.Time // I^intra_i (Lemma 5)
+	iaStatic rt.Time // off-path agent work on the own cluster (Lemma 6, Eq. 9)
+}
 
-	recurrence := func(r rt.Time) rt.Time {
-		// Lemma 3: B_i <= sum_k min(eps_k, zeta_k(r)).
-		var blocking rt.Time
-		for i := range ctx.procs {
-			zeta := etaSum(ctx.procs[i].other, r)
-			if eps[i] < zeta {
-				blocking = rt.SatAdd(blocking, eps[i])
-			} else {
-				blocking = rt.SatAdd(blocking, zeta)
-			}
+// prepareViews computes the r-independent Theorem 1 terms of every view
+// into per-task arena slices: terms[vi]; the Lemma 3 epsilons (computed
+// via Lemma 2's W), with eps[vi*len(ctx.procs)+k] the value of view vi on
+// ctx.procs[k]; and each fixed point's start value
+// xs[vi] = L + b_i + ceil(I^intra_i / m_i). The epsilons are filled
+// processor-major, so one processor's beta/gamma tables and its (proc,
+// base) rows in the epsilon table stay hot across the whole view batch.
+func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) (terms []viewTerms, eps, xs []rt.Time) {
+	s := a.sc
+	np := len(ctx.procs)
+	terms = s.vterms.alloc(len(views))
+	eps = s.times.alloc(len(views) * np)
+	xs = s.times.alloc(len(views))
+	for vi := range views {
+		v := &views[vi]
+		vt := viewTerms{b: a.intraBlocking(ctx, v), iIntra: v.offNonCrit}
+		for j, q := range ctx.localRes {
+			vt.iIntra = rt.SatAdd(vt.iIntra, rt.SatMul(v.offPath[q], ctx.localCS[j]))
 		}
-		// Lemma 6: I_A.
-		ia := rt.SatAdd(etaSum(ctx.cluster, r), iaStatic)
-		sum := rt.SatAdd(v.length, blocking)
-		sum = rt.SatAdd(sum, b)
-		sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntra, ia), ctx.mi))
-		// Sec. VI: higher-priority light tasks on the same processor
-		// interfere with their full WCET (partitioned fixed-priority).
-		return rt.SatAdd(sum, etaSum(ctx.hpShared, r))
+		for j, q := range ctx.clusterRes {
+			vt.iaStatic = rt.SatAdd(vt.iaStatic, rt.SatMul(v.offPath[q], ctx.clusterCS[j]))
+		}
+		terms[vi] = vt
+		xs[vi] = rt.SatAdd(v.length, rt.SatAdd(vt.b, rt.CeilDiv(vt.iIntra, ctx.mi)))
 	}
+	for pi := range ctx.procs {
+		pc := &ctx.procs[pi]
+		for vi := range views {
+			eps[vi*np+pi] = a.epsilon(ctx, pc, &views[vi])
+		}
+	}
+	return terms, eps, xs
+}
 
-	x0 := rt.SatAdd(v.length, rt.SatAdd(b, rt.CeilDiv(iIntra, ctx.mi)))
-	r, ok := rta.FixPoint(x0, t.Deadline, recurrence)
-	if !ok {
-		return rt.Infinity
+// rhs is Theorem 1's right-hand side at one r, with the r-dependent
+// components Explain reports.
+type rhs struct {
+	blocking rt.Time // B_i (Lemma 3)
+	agent    rt.Time // I^A_i (Lemma 6)
+	shared   rt.Time // Sec. VI co-located higher-priority light tasks
+	total    rt.Time
+}
+
+// theorem1 evaluates the right-hand side of Theorem 1 for one view:
+//
+//	L(lambda) + B_i + b_i + (I^intra_i + I^A_i) / m_i  (+ the Sec. VI term)
+//
+// where terms and eps are the view's entries from prepareViews. It is the
+// only evaluation of the bound: taskWCRT and Explain iterate it to its
+// least fixed point. eta_j(r) is computed once per contributing task
+// (ctx.etas), and every processor's zeta_k(r), the Lemma 6 cluster sum and
+// the shared-processor term are formed as sum_j eta_j * work_j from those
+// counts.
+func (ctx *taskCtx) theorem1(v *pathView, terms *viewTerms, eps []rt.Time, r rt.Time) rhs {
+	etas := ctx.etas
+	for j, resp := range ctx.srcResp {
+		etas[j] = rta.Eta(r, resp, ctx.srcPeriod[j])
 	}
-	return r
+	var f rhs
+	// Lemma 3: B_i <= sum_k min(eps_k, zeta_k(r)).
+	for i := range ctx.procs {
+		f.blocking = rt.SatAdd(f.blocking, min(eps[i], etaWork(ctx.procs[i].other, etas)))
+	}
+	f.agent = rt.SatAdd(etaWork(ctx.cluster, etas), terms.iaStatic)
+	// Higher-priority light tasks on the same processor interfere with
+	// their full WCET (partitioned fixed-priority).
+	f.shared = etaWork(ctx.hpShared, etas)
+	f.total = rt.SatAdd(v.length, f.blocking)
+	f.total = rt.SatAdd(f.total, terms.b)
+	f.total = rt.SatAdd(f.total, rt.CeilDiv(rt.SatAdd(terms.iIntra, f.agent), ctx.mi))
+	f.total = rt.SatAdd(f.total, f.shared)
+	return f
 }
 
 // intraBlocking evaluates Lemma 4.

@@ -14,9 +14,10 @@ import (
 
 // naiveEP is the pre-collapse reference implementation of DPCP-p-EP: one
 // pathView per concrete enumerated path, exactly as the engine worked
-// before signature collapsing. It reuses the production Theorem 1 evaluator
-// (pathWCRT), so any divergence between it and the collapsed engine
-// isolates the collapse/memoization layer.
+// before signature collapsing. It evaluates each view with directRef's
+// memo-free evaluator, which TestMatchesMemoFreeReference pins to the
+// production kernel, so a divergence between naiveEP and the collapsed
+// engine points at the collapse layer.
 type naiveEP struct {
 	a *DPCPp
 }
@@ -26,9 +27,10 @@ func (n *naiveEP) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 	for _, t := range n.a.ts.ByPriorityDesc() {
 		ctx := n.a.buildCtx(p, t, wcrts)
 		views := n.viewsFor(ctx)
+		ref := directRef{n.a}
 		var worst rt.Time
 		for i := range views {
-			r := n.a.pathWCRT(ctx, &views[i])
+			r := ref.viewWCRT(ctx, &views[i])
 			if r > worst {
 				worst = r
 			}
@@ -167,7 +169,7 @@ func (d *directRef) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time 
 		ctx := d.a.buildCtx(p, t, wcrts)
 		var worst rt.Time
 		for _, v := range d.a.viewsFor(ctx) {
-			worst = max(worst, d.pathWCRT(ctx, &v))
+			worst = max(worst, d.viewWCRT(ctx, &v))
 			if worst >= rt.Infinity {
 				break
 			}
@@ -177,7 +179,8 @@ func (d *directRef) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time 
 	return wcrts
 }
 
-func (d *directRef) pathWCRT(ctx *taskCtx, v *pathView) rt.Time {
+// viewWCRT is the least fixed point of Theorem 1 for one view.
+func (d *directRef) viewWCRT(ctx *taskCtx, v *pathView) rt.Time {
 	b := d.a.intraBlocking(ctx, v)
 	iIntra := v.offNonCrit
 	for j, q := range ctx.localRes {

@@ -69,88 +69,43 @@ func maxI64(a, b int64) int64 {
 }
 
 // Explain analyzes every task under the partition and returns per-task
-// breakdowns of the worst path, in descending priority order.
+// breakdowns of the worst path, in descending priority order. Each view's
+// fixed point iterates theorem1, the function taskWCRT iterates, and the
+// breakdown is theorem1's at that point, or at the deadline for a view
+// that diverges.
 func (a *DPCPp) Explain(p *partition.Partition) []Breakdown {
 	wcrts := make(map[rt.TaskID]rt.Time, len(a.ts.Tasks))
 	out := make([]Breakdown, 0, len(a.ts.Tasks))
-	for _, t := range a.ts.ByPriorityDesc() {
+	for _, t := range a.byPrio {
 		ctx := a.buildCtx(p, t, wcrts)
-		fallbackBefore := a.Fallbacks
 		views := a.viewsFor(ctx)
-
-		worst := Breakdown{TaskID: t.ID, Procs: ctx.mi, PathsConsidered: len(views)}
-		for i := range views {
-			bd := a.explainView(ctx, &views[i])
-			if bd.Total > worst.Total || i == 0 {
-				keep := worst
-				worst = bd
-				worst.TaskID = t.ID
-				worst.Procs = ctx.mi
-				worst.PathsConsidered = keep.PathsConsidered
+		terms, eps, xs := a.prepareViews(ctx, views)
+		np := len(ctx.procs)
+		worst := Breakdown{TaskID: t.ID, Procs: ctx.mi, PathsConsidered: len(views),
+			ENFallback: !ctx.shared && a.sc.viewCache[t.ID].fallback}
+		for vi := range views {
+			v, vt, ve := &views[vi], &terms[vi], eps[vi*np:(vi+1)*np]
+			r, ok := rta.FixPoint(xs[vi], t.Deadline, func(r rt.Time) rt.Time {
+				return ctx.theorem1(v, vt, ve, r).total
+			})
+			at := r
+			if !ok {
+				r, at = rt.Infinity, t.Deadline
 			}
+			if vi > 0 && r <= worst.Total {
+				continue
+			}
+			f := ctx.theorem1(v, vt, ve, at)
+			worst.PathLength = v.length
+			worst.InterTaskBlocking = f.blocking
+			worst.IntraTaskBlocking = vt.b
+			worst.IntraInterference = vt.iIntra
+			worst.AgentInterference = f.agent
+			worst.SharedPreemption = f.shared
+			worst.Total = r
 		}
-		worst.ENFallback = a.Fallbacks > fallbackBefore
 		wcrts[t.ID] = worst.Total
 		out = append(out, worst)
 	}
 	return out
 }
-
-// viewsFor mirrors taskWCRT's view construction. The shared-task (Sec. VI)
-// view is rebuilt per round from per-task scratch: like the taskCtx it is
-// valid only until the next buildCtx call on this analyzer.
-func (a *DPCPp) viewsFor(ctx *taskCtx) []pathView {
-	t := ctx.task
-	if !ctx.shared {
-		return a.pathViews(t)
-	}
-	s := a.sc
-	nr := a.ts.NumResources
-	on := s.i64s.alloc(nr)
-	off := s.i64s.allocZero(nr)
-	for q := 0; q < nr; q++ {
-		on[q] = t.NumRequests(rt.ResourceID(q))
-	}
-	s.sharedView[0] = pathView{length: t.WCET(), onPath: on, offPath: off}
-	return s.sharedView[:1]
-}
-
-// explainView computes the fixed point for one view and re-evaluates each
-// component at it.
-func (a *DPCPp) explainView(ctx *taskCtx, v *pathView) Breakdown {
-	t := ctx.task
-	r := a.pathWCRT(ctx, v)
-	bd := Breakdown{
-		PathLength: v.length,
-		Total:      r,
-	}
-	at := r
-	if at >= rt.Infinity {
-		at = t.Deadline // evaluate the components at the deadline
-	}
-
-	bd.IntraTaskBlocking = a.intraBlocking(ctx, v)
-	bd.IntraInterference = v.offNonCrit
-	for _, q := range ctx.localRes {
-		bd.IntraInterference = rt.SatAdd(bd.IntraInterference, rt.SatMul(v.offPath[q], t.CS(q)))
-	}
-	for i := range ctx.procs {
-		eps := a.epsilon(ctx, &ctx.procs[i], v)
-		zeta := etaSum(ctx.procs[i].other, at)
-		if eps < zeta {
-			bd.InterTaskBlocking = rt.SatAdd(bd.InterTaskBlocking, eps)
-		} else {
-			bd.InterTaskBlocking = rt.SatAdd(bd.InterTaskBlocking, zeta)
-		}
-	}
-	var iaStatic rt.Time
-	for _, q := range ctx.clusterRes {
-		iaStatic = rt.SatAdd(iaStatic, rt.SatMul(v.offPath[q], t.CS(q)))
-	}
-	bd.AgentInterference = rt.SatAdd(etaSum(ctx.cluster, at), iaStatic)
-	bd.SharedPreemption = etaSum(ctx.hpShared, at)
-	return bd
-}
-
-// Eta re-exported for diagnostic callers.
-func Eta(window, resp, period rt.Time) int64 { return rta.Eta(window, resp, period) }

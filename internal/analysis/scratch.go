@@ -144,6 +144,7 @@ type Scratch struct {
 	resIDs     arena[rt.ResourceID]
 	i64s       arena[int64]
 	bools      arena[bool]
+	vterms     arena[viewTerms]
 	eps        epsTable
 	sharedView [1]pathView
 
@@ -210,6 +211,7 @@ func (s *Scratch) taskReset() {
 	s.resIDs.reset()
 	s.i64s.reset()
 	s.bools.reset()
+	s.vterms.reset()
 	s.eps.reset()
 }
 

@@ -32,7 +32,8 @@ func (ts *Taskset) Hash() Hash {
 // AppendCanonical appends the canonical serialization of the taskset to b
 // and returns the extended slice. The form is deterministic and normalized:
 //
-//   - tasks are ordered by ID (their slice order is irrelevant),
+//   - tasks are ordered by ID (Taskset.Finalize sorts them, so their
+//     order in a document is irrelevant),
 //   - vertices appear in index order (Finalize guarantees ID == index),
 //   - per-vertex requests are sorted by resource ID with zero counts
 //     dropped,
@@ -55,9 +56,7 @@ func (ts *Taskset) AppendCanonical(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(ts.NumResources), 10)
 	b = append(b, '\n')
 
-	order := append([]*Task(nil), ts.Tasks...)
-	sort.Slice(order, func(i, j int) bool { return order[i].ID < order[j].ID })
-	for _, t := range order {
+	for _, t := range ts.Tasks { // Finalize ordered them by ID
 		b = t.appendCanonical(b)
 	}
 	return b

@@ -162,6 +162,11 @@ func (t *Task) Finalize(numResources int) error {
 		t.succ[e.From] = append(t.succ[e.From], e.To)
 		t.pred[e.To] = append(t.pred[e.To], e.From)
 	}
+	// A repeated edge is the same precedence constraint, and the canonical
+	// hash keeps it once; so must every path count and analysis.
+	if dedupAdjacency(t.succ) {
+		dedupAdjacency(t.pred)
+	}
 
 	topo, err := t.topoSort()
 	if err != nil {
@@ -223,6 +228,26 @@ func (t *Task) Finalize(numResources int) error {
 
 	t.finalized = true
 	return nil
+}
+
+// dedupAdjacency drops the repeated entries of every adjacency list in
+// place, keeping first occurrences in order, in O(V+E). It reports whether
+// it dropped any.
+func dedupAdjacency(adj [][]rt.VertexID) bool {
+	seen := make([]int, len(adj)) // seen[y] == x+1: y is already in adj[x]
+	dropped := false
+	for x, list := range adj {
+		kept := list[:0]
+		for _, y := range list {
+			if seen[y] != x+1 {
+				seen[y] = x + 1
+				kept = append(kept, y)
+			}
+		}
+		dropped = dropped || len(kept) < len(list)
+		adj[x] = kept
+	}
+	return dropped
 }
 
 func (t *Task) topoSort() ([]rt.VertexID, error) {

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dpcpp/internal/rt"
@@ -25,8 +27,9 @@ func NewTaskset(m, nr int) *Taskset {
 // Add appends a task. Must be called before Finalize.
 func (ts *Taskset) Add(t *Task) { ts.Tasks = append(ts.Tasks, t) }
 
-// Finalize validates every task, assigns rate-monotonic priorities when no
-// explicit priorities were provided, and classifies resources.
+// Finalize validates every task, orders the tasks by ID, assigns
+// rate-monotonic priorities when no explicit priorities were provided, and
+// classifies resources.
 //
 // RM ties are broken by task ID so that priorities are always unique and
 // deterministic, as the analysis requires.
@@ -53,6 +56,10 @@ func (ts *Taskset) Finalize() error {
 			return err
 		}
 	}
+	// The slice order is not part of the taskset (the canonical hash
+	// ignores it), so no analysis may see it: partitioning walks ts.Tasks
+	// to hand out processors and to break placement ties.
+	slices.SortFunc(ts.Tasks, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
 
 	if !ts.prioritiesExplicit() {
 		ts.AssignRMPriorities()
