@@ -152,8 +152,8 @@
 // connection per curve. POST /v1/sweeps accepts any subset of the Fig. 2
 // subplots and the 216-scenario grid and returns a job ID immediately; a
 // FIFO runner drains each job's (scenario, point, sample) fan-out through
-// experiments.ScenarioSweep on the shared pool, bounded by the same
-// worker slots interactive requests use. GET /v1/sweeps/{id} reports
+// experiments.Sweep — the same driver behind the CLI grids and the grid
+// stream — bounded by the same worker slots interactive requests use. GET /v1/sweeps/{id} reports
 // per-scenario progress in completed points; /results serves the curves.
 //
 // Durability is layered under both the cache and the jobs

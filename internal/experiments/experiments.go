@@ -9,9 +9,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sync/atomic"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
@@ -32,10 +34,11 @@ type Campaign struct {
 
 // Point is one utilization point of an acceptance-ratio curve.
 type Point struct {
-	Utilization float64 // total taskset utilization
-	Normalized  float64 // Utilization / m
-	Accepted    map[analysis.Method]int
-	Total       int
+	Utilization float64                 // total taskset utilization
+	Normalized  float64                 // Utilization / m
+	Accepted    map[analysis.Method]int // methods with a positive count
+	Total       int                     // samples analyzed
+	GenFailures int                     // samples whose generation failed
 }
 
 // Curve is the acceptance-ratio data of one scenario (one Fig. 2 subplot).
@@ -63,9 +66,8 @@ func (c *Curve) TotalAccepted(m analysis.Method) int {
 
 // SampleSeed derives the deterministic RNG seed of one sample: a pure
 // function of (base seed, scenario name, utilization point, sample index).
-// Every consumer of the grid — runPool here, and the analysis server's
-// streaming /v1/grid endpoint — must derive seeds through it, so the same
-// sweep yields bit-identical tasksets regardless of which frontend ran it.
+// Sweep derives every seed through it, so the same sweep yields
+// bit-identical tasksets regardless of which frontend ran it.
 func SampleSeed(base int64, scenario string, point, sample int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%d|%d", base, scenario, point, sample)
@@ -91,7 +93,7 @@ func retrySeed(seed int64, attempt int) int64 {
 // GenerateSample draws the taskset of one sample, retrying with derived
 // seeds when the structural constraints cannot be met for the drawn
 // parameters. The retry discipline is part of the determinism contract:
-// callers that reimplement it would diverge from runPool on hard draws.
+// callers that reimplement it would diverge from Sweep on hard draws.
 func GenerateSample(g *taskgen.Generator, seed int64, util float64) (*model.Taskset, error) {
 	var lastErr error
 	for attempt := 0; attempt < 16; attempt++ {
@@ -105,44 +107,10 @@ func GenerateSample(g *taskgen.Generator, seed int64, util float64) (*model.Task
 	return nil, lastErr
 }
 
-// normalized returns the campaign with defaults applied and the scenario
-// structure resolved.
-func (c Campaign) normalized() Campaign {
-	if len(c.Methods) == 0 {
-		c.Methods = analysis.Methods()
-	}
-	if c.TasksetsPerPoint <= 0 {
-		c.TasksetsPerPoint = 25
-	}
-	c.Scenario = c.Scenario.DefaultStructure()
-	return c
-}
-
-// workers passes the Parallelism knob through: the pool itself normalizes
-// <= 0 to GOMAXPROCS (see Workers).
-func (c Campaign) workers() int { return c.Parallelism }
-
-// newCurve allocates the empty acceptance-ratio curve of one campaign.
-func newCurve(c Campaign) *Curve {
-	curve := &Curve{Scenario: c.Scenario, Methods: c.Methods}
-	for _, u := range taskgen.UtilizationPoints(c.Scenario.M) {
-		curve.Points = append(curve.Points, Point{
-			Utilization: u,
-			Normalized:  u / float64(c.Scenario.M),
-			Accepted:    make(map[analysis.Method]int),
-		})
-	}
-	return curve
-}
-
 // Run sweeps the scenario's utilization points and returns the curve.
 func (c Campaign) Run() (*Curve, error) {
-	c = c.normalized()
-	curves, je := runPool([]Campaign{c}, c.workers(), nil)
-	if je != nil {
-		return curves[0], fmt.Errorf("point %d sample %d: %w", je.point, je.sample, je.err)
-	}
-	return curves[0], nil
+	curves, err := RunGrid(c, []taskgen.Scenario{c.Scenario})
+	return curves[0], err
 }
 
 // Dominates implements the paper's footnote: A dominates B when A's
@@ -223,23 +191,50 @@ func RunGrid(template Campaign, scenarios []taskgen.Scenario) ([]*Curve, error) 
 //
 // Results are bit-identical to running each scenario's Campaign alone:
 // every sample's RNG seed derives from (seed, scenario, point, sample),
-// never from worker scheduling. Unlike the former serial implementation,
-// all scenarios run to completion even when one fails; the returned error
-// is the failure of the lexicographically smallest (scenario, point,
-// sample) job, deterministically.
+// never from worker scheduling. All scenarios run to completion even when
+// one fails; the returned error is the failure of the lexicographically
+// smallest (scenario, point, sample) job, deterministically.
 func RunGridProgress(template Campaign, scenarios []taskgen.Scenario,
 	onCurve func(i int, c *Curve)) ([]*Curve, error) {
 
-	camps := make([]Campaign, len(scenarios))
+	ms := template.Methods
+	if len(ms) == 0 {
+		ms = analysis.Methods()
+	}
+	sw := Sweep{
+		Scenarios: make([]taskgen.Scenario, len(scenarios)),
+		Methods:   ms,
+		Seed:      template.Seed,
+		Samples:   template.TasksetsPerPoint,
+		Workers:   template.Parallelism,
+	}
+	curves := make([]*Curve, len(scenarios))
+	left := make([]atomic.Int64, len(scenarios)) // points not yet landed
 	for i, s := range scenarios {
-		c := template
-		c.Scenario = s
-		camps[i] = c.normalized()
+		s = s.DefaultStructure()
+		sw.Scenarios[i] = s
+		n := len(taskgen.UtilizationPoints(s.M))
+		curves[i] = &Curve{Scenario: s, Methods: ms, Points: make([]Point, n)}
+		left[i].Store(int64(n))
 	}
-	curves, je := runPool(camps, template.workers(), onCurve)
-	if je != nil {
-		return curves, fmt.Errorf("scenario %s: point %d sample %d: %w",
-			camps[je.scen].Scenario.Name(), je.point, je.sample, je.err)
-	}
-	return curves, nil
+	// One recycled analysis scratch per worker keeps a worker's
+	// steady-state sample (almost) allocation-free regardless of sweep size.
+	scratch := make([]*analysis.Scratch, Workers(sw.Workers))
+	err := sw.Run(context.Background(),
+		func(w int, ts *model.Taskset, verdicts []bool) error {
+			if scratch[w] == nil {
+				scratch[w] = analysis.NewScratch()
+			}
+			for mi, m := range ms {
+				verdicts[mi] = analysis.TestWith(scratch[w], m, ts, template.Options).Schedulable
+			}
+			return nil
+		},
+		func(si, pi int, p Point, _ bool) {
+			curves[si].Points[pi] = p
+			if left[si].Add(-1) == 0 && onCurve != nil {
+				onCurve(si, curves[si])
+			}
+		})
+	return curves, err
 }

@@ -2,106 +2,174 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
+	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
 	"dpcpp/internal/taskgen"
 )
 
-// ScenarioSweep drains the (utilization point, sample) jobs of one scenario
-// through the shared pool with per-point completion callbacks. It is the
-// primitive under every streaming or resumable sweep frontend: the analysis
-// server's GET /v1/grid streams a point the moment its last sample lands,
-// and the asynchronous sweep-job runner checkpoints completed points so a
-// restarted daemon re-runs only the remainder.
+// Sweep is the one driver of (scenario, utilization point, sample) jobs:
+// Campaign.Run, RunGrid and RunGridProgress, the analysis server's
+// streaming GET /v1/grid and its resumable sweep-job runner all drain their
+// work through it. One work-conserving pool (ParallelFor) walks the flat
+// job order (scenario, then point, then sample) across every scenario, so
+// a multi-scenario sweep keeps all cores busy instead of idling through
+// each scenario's tail.
 //
-// Points selects which utilization-point indices to run (indices into
-// taskgen.UtilizationPoints(Scenario.M)); nil means all of them. Because
-// every sample's generator seed is SampleSeed(Seed, scenario, point,
-// sample) — a pure function, independent of which other points run or how
-// workers interleave — running points {7} alone draws bit-identical
-// tasksets to a full sweep's point 7. That subsetting determinism is what
-// makes checkpoint/resume exact: a resumed sweep's curve equals an
-// uninterrupted run's, byte for byte.
-type ScenarioSweep struct {
-	// Scenario must have its structure resolved (DefaultStructure).
-	Scenario taskgen.Scenario
+// Determinism: every sample's taskset is GenerateSample at
+// SampleSeed(Seed, scenario, point, sample) — a pure function, independent
+// of which other points run or how workers interleave — and the per-point
+// tallies are commutative sums. Running points {7} alone therefore draws
+// bit-identical tasksets to a full sweep's point 7, which is what makes
+// checkpoint/resume exact.
+type Sweep struct {
+	// Scenarios must have their structure resolved (DefaultStructure).
+	Scenarios []taskgen.Scenario
+	// Methods are the analyses test decides, in verdict-slice order.
+	Methods []analysis.Method
 	// Seed is the base seed every sample seed derives from.
 	Seed int64
 	// Samples is the per-point sample count (<= 0 means 25, matching
 	// Campaign).
 	Samples int
-	// Points lists the utilization-point indices to run; nil = all.
-	Points []int
+	// Points selects utilization-point indices (into
+	// taskgen.UtilizationPoints(M)) per scenario: nil runs every point of
+	// every scenario, otherwise Points[i] lists scenario i's points. A
+	// scenario's points run in ascending order whatever the list order.
+	Points [][]int
 	// Workers bounds the pool (<= 0 = GOMAXPROCS).
 	Workers int
 }
 
-// Run executes the sweep. For every (point, sample) job it draws the
-// deterministic taskset and calls analyze(pi, si, ts, genErr) — with ts nil
-// and genErr set when generation failed structurally. When a point's last
-// sample drains, onPoint(pi, complete) fires exactly once, from a worker
-// goroutine; complete reports whether every sample of the point actually
-// ran. A canceled ctx stops new generation and analysis work — remaining
-// jobs drain without calling analyze, and their points report
-// complete=false — so callers never checkpoint a partially-run point.
-// Either callback may be nil.
-func (sw ScenarioSweep) Run(ctx context.Context,
-	analyze func(pi, si int, ts *model.Taskset, genErr error),
-	onPoint func(pi int, complete bool)) {
+// sweepPoint is the atomic bookkeeping of one selected point.
+type sweepPoint struct {
+	scen, point int
+	util        float64
+	drained     atomic.Int64   // samples done or skipped
+	total       atomic.Int64   // samples whose test returned nil
+	genFail     atomic.Int64   // samples whose generation failed
+	accepted    []atomic.Int64 // indexed like Sweep.Methods
+}
 
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Run drains every selected job. For each sample it draws the taskset and
+// calls test(worker, ts, verdicts) with verdicts (one per method, cleared)
+// to fill; worker in [0, Workers) lets test keep worker-local state
+// without locking. When a point's last sample drains, onPoint(scenario,
+// point, p, complete) fires exactly once, from a worker goroutine, with
+// the point's tallies: Accepted holds the methods with a positive count,
+// Total the samples test accepted, GenFailures the samples whose
+// generation failed. A point is complete only when every sample ran — its
+// generation failed or test returned nil — so Total+GenFailures ==
+// Samples; a test error leaves only its own point incomplete. A canceled
+// ctx stops new generation and test calls; the remaining jobs drain
+// without work and their points report complete=false. onPoint may be nil.
+//
+// Run returns the error of the first failing job in job order — a failed
+// generation or a non-nil test result — or, when none failed, ctx.Err().
+func (sw Sweep) Run(ctx context.Context,
+	test func(worker int, ts *model.Taskset, verdicts []bool) error,
+	onPoint func(scenario, point int, p Point, complete bool)) error {
+
 	samples := sw.Samples
 	if samples <= 0 {
 		samples = 25
 	}
-	utils := taskgen.UtilizationPoints(sw.Scenario.M)
-	points := sw.Points
-	if points == nil {
-		points = make([]int, len(utils))
-		for i := range points {
-			points[i] = i
+	var pts []sweepPoint
+	names := make([]string, len(sw.Scenarios))
+	for si, s := range sw.Scenarios {
+		names[si] = s.Name()
+		for pi, u := range taskgen.UtilizationPoints(s.M) {
+			if sw.Points == nil || slices.Contains(sw.Points[si], pi) {
+				pts = append(pts, sweepPoint{scen: si, point: pi, util: u,
+					accepted: make([]atomic.Int64, len(sw.Methods))})
+			}
 		}
 	}
-	if len(points) == 0 {
-		return
-	}
 
-	// left/ran are indexed like points (the sweep's local order), not like
-	// the scenario's full point list.
-	type pointState struct {
-		left atomic.Int64
-		ran  atomic.Int64
-	}
-	states := make([]pointState, len(points))
-	for i := range states {
-		states[i].left.Store(int64(samples))
-	}
+	var mu sync.Mutex // guards firstIdx and firstErr
+	firstIdx, firstErr := -1, error(nil)
 
+	// Worker-local state needs no locking: generators are per-scenario and
+	// stateless across samples, and the verdict slice is recycled job
+	// after job.
 	workers := Workers(sw.Workers)
-	gens := make([]*taskgen.Generator, workers)
-	name := sw.Scenario.Name()
-	ParallelFor(workers, len(points)*samples, func(worker, idx int) {
-		li, si := idx/samples, idx%samples
-		pi := points[li]
-		st := &states[li]
-		if ctx.Err() == nil {
-			g := gens[worker]
-			if g == nil {
-				g = taskgen.NewGenerator(sw.Scenario)
-				gens[worker] = g
-			}
-			seed := SampleSeed(sw.Seed, name, pi, si)
-			ts, err := GenerateSample(g, seed, utils[pi])
-			if analyze != nil {
-				analyze(pi, si, ts, err)
-			}
-			st.ran.Add(1)
+	gens := make([]map[int]*taskgen.Generator, workers)
+	verdicts := make([][]bool, workers)
+	for w := range gens {
+		gens[w] = make(map[int]*taskgen.Generator)
+		verdicts[w] = make([]bool, len(sw.Methods))
+	}
+
+	ParallelFor(workers, len(pts)*samples, func(w, idx int) {
+		p, k := &pts[idx/samples], idx%samples
+		var err error
+		if ctx.Err() == nil { // a canceled ctx drains the remaining jobs without work
+			err = sw.sample(w, p, k, names[p.scen], gens[w], verdicts[w], test)
 		}
-		if st.left.Add(-1) == 0 && onPoint != nil {
-			onPoint(pi, st.ran.Load() == int64(samples))
+		if err != nil {
+			mu.Lock()
+			if firstIdx < 0 || idx < firstIdx {
+				firstIdx = idx
+				firstErr = fmt.Errorf("scenario %s: point %d sample %d: %w", names[p.scen], p.point, k, err)
+			}
+			mu.Unlock()
+		}
+		if p.drained.Add(1) == int64(samples) && onPoint != nil {
+			pt := p.result(sw.Methods, sw.Scenarios[p.scen].M)
+			onPoint(p.scen, p.point, pt, pt.Total+pt.GenFailures == samples)
 		}
 	})
+	if firstErr == nil {
+		return ctx.Err()
+	}
+	return firstErr
+}
+
+// sample draws sample k of point p, runs test on it and folds the verdicts
+// into p's tallies.
+func (sw *Sweep) sample(w int, p *sweepPoint, k int, name string, gens map[int]*taskgen.Generator,
+	verdicts []bool, test func(int, *model.Taskset, []bool) error) error {
+
+	g := gens[p.scen]
+	if g == nil {
+		g = taskgen.NewGenerator(sw.Scenarios[p.scen])
+		gens[p.scen] = g
+	}
+	ts, err := GenerateSample(g, SampleSeed(sw.Seed, name, p.point, k), p.util)
+	if err != nil {
+		p.genFail.Add(1)
+		return err
+	}
+	clear(verdicts)
+	if err := test(w, ts, verdicts); err != nil {
+		return err
+	}
+	for mi, ok := range verdicts {
+		if ok {
+			p.accepted[mi].Add(1)
+		}
+	}
+	p.total.Add(1)
+	return nil
+}
+
+// result snapshots the point's tallies in curve form.
+func (p *sweepPoint) result(ms []analysis.Method, m int) Point {
+	pt := Point{
+		Utilization: p.util,
+		Normalized:  p.util / float64(m),
+		Accepted:    make(map[analysis.Method]int, len(ms)),
+		Total:       int(p.total.Load()),
+		GenFailures: int(p.genFail.Load()),
+	}
+	for mi, m := range ms {
+		if n := p.accepted[mi].Load(); n > 0 {
+			pt.Accepted[m] = int(n)
+		}
+	}
+	return pt
 }

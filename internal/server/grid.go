@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
@@ -21,11 +20,13 @@ import (
 const maxGridSamples = 10000
 
 // handleGrid streams one scenario's acceptance curve as NDJSON: one
-// GridPoint line the moment the pool completes each utilization point
+// GridPoint line the moment the sweep completes each utilization point
 // (completion order, not point order — lines carry their point index), and
-// a trailing GridDone line. Seeding is identical to the CLI sweeps
-// (experiments.SampleSeed), so a streamed curve matches `schedtest -fig`
-// bit-for-bit for the same seed and sample count.
+// a trailing GridDone line. A stream cut by timeout_ms or a disconnect ends
+// without the GridDone line and never carries a partially-run point.
+// Seeding is identical to the CLI sweeps (experiments.SampleSeed), so a
+// streamed curve matches `schedtest -fig` bit-for-bit for the same seed
+// and sample count.
 //
 // Query parameters:
 //
@@ -84,28 +85,31 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.engine.release(jobs)
 
-	// Per-point completion tracking: workers fold verdicts into atomic
-	// counters (sweepPointState) and the sweep hands the point index to
-	// the streaming loop when its last sample lands. A canceled stream
-	// stops paying for analyses (ScenarioSweep skips the work) but still
-	// drains every index so admission accounting stays exact.
-	states := newSweepPointStates(len(points), len(ms))
-	done := make(chan int, len(points))
+	// The sweep hands each completed point to the streaming loop; a point
+	// that did not run every sample (cancel/timeout) is never streamed. A
+	// canceled stream stops paying for analyses (Sweep skips the work) but
+	// still drains every job so admission accounting stays exact.
+	done := make(chan *GridPoint, len(points))
 	ctx, cancel := s.requestCtx(r, timeoutMS)
 	defer cancel()
 
 	go func() {
 		defer close(done)
-		experiments.ScenarioSweep{
-			Scenario: scen,
-			Seed:     seed,
-			Samples:  n,
-			Workers:  s.cfg.Workers,
-		}.Run(ctx,
-			func(pi, si int, ts *model.Taskset, genErr error) {
-				states[pi].analyze(ctx, s.engine, ts, genErr, ms, opts)
-			},
-			func(pi int, complete bool) { done <- pi })
+		// Run's error needs no handling: generation failures stream as
+		// gen_failures, and a test error means ctx ended, which the
+		// missing done line reports.
+		_ = experiments.Sweep{
+			Scenarios: []taskgen.Scenario{scen},
+			Methods:   ms,
+			Seed:      seed,
+			Samples:   n,
+			Workers:   s.cfg.Workers,
+		}.Run(ctx, s.engine.sweepTest(ctx, ms, opts),
+			func(_, pi int, p experiments.Point, complete bool) {
+				if complete {
+					done <- newGridPoint(pi, p, ms)
+				}
+			})
 	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -114,22 +118,16 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	streamed := 0
 	var writeErr error
-	for pi := range done {
+	for gp := range done {
 		// After the first failed write the client is gone: keep draining
 		// completions (the sweep still owes the admission release its
 		// drain), but stop encoding and flushing to a dead connection.
 		if writeErr != nil {
 			continue
 		}
-		// A point whose in-flight analyses were abandoned (cancel/timeout
-		// mid-sample) holds an undercounted curve; never stream it.
-		if states[pi].aborted.Load() > 0 {
-			continue
-		}
 		// Each NDJSON line re-arms the write deadline: the stream may run
 		// for minutes, but any single stalled write still times out.
 		s.bumpWriteDeadline(w)
-		gp := states[pi].gridPoint(pi, points[pi], scen.M, ms)
 		if writeErr = enc.Encode(gp); writeErr != nil {
 			continue
 		}
@@ -145,67 +143,41 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepPointState accumulates one utilization point's verdicts across its
-// samples; shared by the streaming grid endpoint and the sweep-job runner.
-type sweepPointState struct {
-	accepted []atomic.Int64 // indexed like the method slice
-	genFail  atomic.Int64
-	total    atomic.Int64
-	// aborted counts samples whose analysis was abandoned (context
-	// canceled or deadline exceeded mid-flight). Any aborted sample makes
-	// the point's counts undercounted, so consumers must treat the point
-	// as incomplete: the grid stream skips it and the sweep-job runner
-	// refuses to checkpoint it — otherwise a canceled last sample could
-	// freeze a wrong curve into a checkpoint and break byte-identical
-	// resume.
-	aborted atomic.Int64
-}
+// sweepTest is the experiments.Sweep test of the grid stream and the
+// sweep-job runner: it hashes each sample once and answers every method
+// through analyze (cache, flight, store, worker slot). An error means ctx
+// ended while an analysis was queued, which leaves the sample's point
+// incomplete.
+func (e *engine) sweepTest(ctx context.Context, ms []analysis.Method,
+	opts analysis.Options) func(int, *model.Taskset, []bool) error {
 
-func newSweepPointStates(points, methods int) []sweepPointState {
-	states := make([]sweepPointState, points)
-	for pi := range states {
-		states[pi].accepted = make([]atomic.Int64, methods)
-	}
-	return states
-}
-
-// analyze folds one sample into the point: every requested method's verdict
-// for the generated taskset, or a generation failure. An engine error (the
-// context ended while this sample's analysis was queued) marks the point
-// aborted instead of silently dropping a verdict.
-func (st *sweepPointState) analyze(ctx context.Context, e *engine, ts *model.Taskset,
-	genErr error, ms []analysis.Method, opts analysis.Options) {
-
-	if genErr != nil {
-		st.genFail.Add(1)
-		return
-	}
-	h := ts.Hash()
-	for mi, m := range ms {
-		mr, _, err := e.analyze(ctx, h, ts, m, opts, false)
-		if err != nil {
-			st.aborted.Add(1)
-			return
+	return func(_ int, ts *model.Taskset, verdicts []bool) error {
+		h := ts.Hash()
+		for mi, m := range ms {
+			mr, _, err := e.analyze(ctx, h, ts, m, opts, false)
+			if err != nil {
+				return err
+			}
+			verdicts[mi] = mr.Schedulable
 		}
-		if mr.Schedulable {
-			st.accepted[mi].Add(1)
-		}
+		return nil
 	}
-	st.total.Add(1)
 }
 
-// gridPoint renders the accumulated counts as the wire form.
-func (st *sweepPointState) gridPoint(pi int, util float64, m int, ms []analysis.Method) *GridPoint {
+// newGridPoint renders one completed point in wire form; unlike the
+// curve's Accepted, the wire form lists every requested method, zeros
+// included.
+func newGridPoint(pi int, p experiments.Point, ms []analysis.Method) *GridPoint {
 	gp := &GridPoint{
 		Point:       pi,
-		Utilization: util,
-		Normalized:  util / float64(m),
-		Total:       int(st.total.Load()),
-		GenFailures: int(st.genFail.Load()),
+		Utilization: p.Utilization,
+		Normalized:  p.Normalized,
+		Total:       p.Total,
+		GenFailures: p.GenFailures,
 		Accepted:    make(map[string]int, len(ms)),
 	}
-	for mi, meth := range ms {
-		gp.Accepted[string(meth)] = int(st.accepted[mi].Load())
+	for _, m := range ms {
+		gp.Accepted[string(m)] = p.Accepted[m]
 	}
 	return gp
 }

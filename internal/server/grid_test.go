@@ -2,15 +2,19 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync"
 	"testing"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
+	"dpcpp/internal/model"
+	"dpcpp/internal/partition"
 	"dpcpp/internal/taskgen"
 )
 
@@ -18,7 +22,12 @@ import (
 // the trailing done line.
 func gridGet(t *testing.T, s *Server, url string) ([]GridPoint, *GridDone, int) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, url, nil)
+	return gridServe(t, s, httptest.NewRequest(http.MethodGet, url, nil))
+}
+
+// gridServe is gridGet for a prepared request.
+func gridServe(t *testing.T, s *Server, req *http.Request) ([]GridPoint, *GridDone, int) {
+	t.Helper()
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -109,6 +118,40 @@ func TestGridStream(t *testing.T) {
 	// The sweep populated the cache: metrics must show analyses ran.
 	if m := s.Metrics(); m.Analyses == 0 || m.QueuedJobs != 0 {
 		t.Errorf("metrics after grid: %+v", m)
+	}
+}
+
+// TestGridCanceledStreamsOnlyRunPoints: a stream whose context ends
+// mid-sweep carries only points that ran every sample — never a point
+// whose samples were skipped — and ends without the done line.
+func TestGridCanceledStreamsOnlyRunPoints(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	const n = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inner := s.engine.testFn
+	var once sync.Once
+	s.engine.testFn = func(m analysis.Method, ts *model.Taskset, opts analysis.Options) partition.Result {
+		once.Do(cancel) // the client goes away during the first analysis
+		return inner(m, ts, opts)
+	}
+	req := httptest.NewRequest(http.MethodGet,
+		fmt.Sprintf("/v1/grid?scenario=2a&n=%d&methods=DPCP-p-EN", n), nil).WithContext(ctx)
+	points, done, code := gridServe(t, s, req)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	for _, gp := range points {
+		if gp.Total+gp.GenFailures != n {
+			t.Errorf("point %d streamed with total %d + genfail %d != n %d",
+				gp.Point, gp.Total, gp.GenFailures, n)
+		}
+	}
+	if done != nil {
+		t.Errorf("canceled stream sent the done line: %+v", done)
+	}
+	if m := s.Metrics(); m.QueuedJobs != 0 {
+		t.Errorf("admission not drained after canceled stream: %+v", m)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
-	"dpcpp/internal/model"
 	"dpcpp/internal/obs"
 	"dpcpp/internal/store"
 	"dpcpp/internal/taskgen"
@@ -28,11 +27,11 @@ import (
 // durable workload: POST /v1/sweeps accepts a whole campaign — any subset
 // of the Fig. 2 subplots and the g0..g215 grid, n samples per point, a
 // method subset — and returns immediately with a job ID. A single runner
-// goroutine drains submitted jobs FIFO; within a job, scenarios run in
-// order and each scenario's (point, sample) fan-out goes through
-// experiments.ScenarioSweep on the shared pool, bounded by the same engine
-// worker slots interactive requests use (so a sweep saturates idle cores
-// but cannot run more analyses concurrently than -workers allows).
+// goroutine drains submitted jobs FIFO; within a job, the incomplete
+// points of every scenario go through one experiments.Sweep on the shared
+// pool, bounded by the same engine worker slots interactive requests use
+// (so a sweep saturates idle cores but cannot run more analyses
+// concurrently than -workers allows).
 //
 // Sweeps deliberately bypass the admission queue: admission protects
 // interactive latency traffic from unbounded queueing, while a sweep is an
@@ -49,11 +48,11 @@ import (
 // <store-dir>/jobs/<id>.json — the normalized spec plus each completed
 // point's GridPoint — via atomic temp-file + rename. Point-completion
 // checkpoints are throttled (at most one write per sweepCheckpointEvery)
-// with forced writes at every scenario boundary, state change and
-// cancellation, so checkpoint I/O stays bounded on store-warmed re-runs
-// where thousands of points complete in milliseconds; a crash forfeits at
-// most the last interval's points, which the resume re-runs
-// deterministically. A restarted daemon reloads the directory,
+// with forced writes when a scenario's last point lands, at every state
+// change and on cancellation, so checkpoint I/O stays bounded on
+// store-warmed re-runs where thousands of points complete in milliseconds;
+// a crash forfeits at most the last interval's points, which the resume
+// re-runs deterministically. A restarted daemon reloads the directory,
 // lists finished jobs, and re-queues unfinished ones, whose runner then
 // re-runs only the incomplete points. Because every sample seed is
 // experiments.SampleSeed(seed, scenario, point, sample) — independent of
@@ -453,19 +452,19 @@ func (r *jobRegistry) run() {
 			return
 		case j := <-r.queue:
 			r.active.Add(1)
-			r.runJob(j)
+			r.runSweep(j)
 			r.active.Add(-1)
 		}
 	}
 }
 
-// runJob drains one job: every incomplete point of every scenario, in
-// order, checkpointing after each completed point. On daemon shutdown
+// runSweep drains one job: every incomplete point of every scenario,
+// checkpointing completed points as they land. On daemon shutdown
 // (Server.Close) the job keeps state "running" in its checkpoint and is
 // re-queued by the next resume-enabled daemon; on client cancellation
 // (DELETE) it stops at the next sample boundary and is never checkpointed
 // again.
-func (r *jobRegistry) runJob(j *sweepJob) {
+func (r *jobRegistry) runSweep(j *sweepJob) {
 	ctx, cancel := context.WithCancel(r.ctx)
 	defer cancel()
 	j.mu.Lock()
@@ -475,6 +474,16 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 	}
 	j.cp.State = sweepRunning
 	j.cancel = cancel
+	todo := make([][]int, len(j.cp.Points))        // incomplete points per scenario
+	left := make([]atomic.Int64, len(j.cp.Points)) // todo points not yet landed
+	for si, gps := range j.cp.Points {
+		for pi, gp := range gps {
+			if gp == nil {
+				todo[si] = append(todo[si], pi)
+			}
+		}
+		left[si].Store(int64(len(todo[si])))
+	}
 	j.mu.Unlock()
 	defer func() {
 		j.mu.Lock()
@@ -486,58 +495,41 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 	r.log().LogAttrs(ctx, slog.LevelInfo, "sweep running",
 		slog.String("sweep_id", j.cp.ID), slog.Int("scenarios", len(j.scens)))
 
-	for si := range j.scens {
-		j.mu.Lock()
-		var todo []int
-		for pi, gp := range j.cp.Points[si] {
-			if gp == nil {
-				todo = append(todo, pi)
+	// Run's error needs no handling: generation failures are part of the
+	// checkpointed points, and a test error means ctx ended, which the
+	// check below handles.
+	_ = experiments.Sweep{
+		Scenarios: j.scens,
+		Methods:   j.ms,
+		Seed:      j.cp.Spec.Seed,
+		Samples:   j.cp.Spec.N,
+		Points:    todo,
+		Workers:   r.srv.cfg.Workers,
+	}.Run(ctx, r.srv.engine.sweepTest(ctx, j.ms, j.opts),
+		func(si, pi int, p experiments.Point, complete bool) {
+			last := left[si].Add(-1) == 0
+			// An incomplete point (cancellation mid-point) is never
+			// checkpointed: the next run re-draws all of its samples,
+			// which SampleSeed makes bit-identical.
+			if !complete {
+				return
 			}
-		}
-		npoints := len(j.cp.Points[si])
-		j.mu.Unlock()
-		if len(todo) == 0 {
-			continue
-		}
-		if ctx.Err() != nil {
-			return
-		}
-
-		states := newSweepPointStates(npoints, len(j.ms))
-		utils := taskgen.UtilizationPoints(j.scens[si].M)
-		experiments.ScenarioSweep{
-			Scenario: j.scens[si],
-			Seed:     j.cp.Spec.Seed,
-			Samples:  j.cp.Spec.N,
-			Points:   todo,
-			Workers:  r.srv.cfg.Workers,
-		}.Run(ctx,
-			func(pi, _ int, ts *model.Taskset, genErr error) {
-				states[pi].analyze(ctx, r.srv.engine, ts, genErr, j.ms, j.opts)
-			},
-			func(pi int, complete bool) {
-				// An incomplete point (cancellation mid-point) is never
-				// checkpointed: the next run re-draws all of its samples,
-				// which SampleSeed makes bit-identical. A point whose last
-				// sample "ran" but whose analysis was abandoned mid-flight
-				// is just as incomplete — freezing its undercounted curve
-				// into the checkpoint would break that guarantee.
-				if !complete || states[pi].aborted.Load() > 0 {
-					return
-				}
-				gp := states[pi].gridPoint(pi, utils[pi], j.scens[si].M, j.ms)
-				j.mu.Lock()
-				j.cp.Points[si][pi] = gp
-				j.mu.Unlock()
+			j.mu.Lock()
+			j.cp.Points[si][pi] = newGridPoint(pi, p, j.ms)
+			j.mu.Unlock()
+			// A forced write when a scenario's last point lands, so
+			// throttling never leaves a finished scenario only in memory.
+			if last {
+				r.checkpoint(j)
+			} else {
 				r.checkpointThrottled(j)
-			})
-		// A forced write at every scenario boundary — and, on
-		// cancellation, before the runner exits — so throttling never
-		// leaves completed progress only in memory for long.
-		r.checkpoint(j)
-		if ctx.Err() != nil {
-			return
-		}
+			}
+		})
+	// A forced write after the sweep — on cancellation too, before the
+	// runner exits — so no completed progress stays only in memory.
+	r.checkpoint(j)
+	if ctx.Err() != nil {
+		return
 	}
 
 	// The done checkpoint is written before the done state is published,
