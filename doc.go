@@ -58,12 +58,16 @@
 // (keyed by processor and recurrence base), and the experiment harness
 // drains entire scenario grids through one shared work-conserving pool
 // (experiments.RunGrid) with scheduling-independent deterministic seeding.
-// A partitioning round that can still augment a cluster stops at the first
-// task that misses its deadline (partition.Analyzer's untilMiss): a task's
-// bound reads only the bounds above it, and the round's map is discarded
-// anyway, so results stay bit-identical while the fig2-sweep benchmark
-// rose from a median 167 to 257 tasksets/s (10 alternating 40 s pairs on a
-// shared 2-core Xeon). Path bounds are computed once per task, in one
+// One augmentation loop (package internal/partition) partitions for every
+// method: with resource placement for DPCP-p, without it for the
+// baselines, and with Sec. VI light-task packing in AlgorithmMixed. A round
+// stops at the first task that misses its deadline (partition.Analyzer's
+// untilMiss) exactly when processors remain unassigned and no light task
+// is packed, since only then does the miss just grow a cluster. A task's
+// bound reads only the bounds above it and the round's map is discarded,
+// so results stay bit-identical. Stopping early took the fig2-sweep
+// benchmark from a median 167 to 257 tasksets/s (10 alternating 40 s pairs
+// on a shared 2-core Xeon). Path bounds are computed once per task, in one
 // reverse-topological pass inside model.Task.Finalize, and shared by
 // DPCP-p-EN, SPIN-SON and LPP; together with allocation-light task
 // sampling this took fig2-sweep from a median 297 to 493 tasksets/s

@@ -72,22 +72,38 @@ func Test(m Method, ts *model.Taskset, opts Options) partition.Result {
 // scratch moves on to the next taskset. A Scratch serves one goroutine at a
 // time.
 func TestWith(sc *Scratch, m Method, ts *model.Taskset, opts Options) partition.Result {
+	return partitionFor(m, ts, NewAnalyzer(sc, m, ts, opts), opts.Placement)
+}
+
+// NewAnalyzer returns m's analyzer over ts. The DPCP-p analyses compute
+// through sc (nil gives them a private Scratch); the baselines need none.
+// It panics on an unknown method.
+func NewAnalyzer(sc *Scratch, m Method, ts *model.Taskset, opts Options) partition.Analyzer {
 	switch m {
 	case DPCPpEP, DPCPpEN:
 		if sc == nil {
 			sc = NewScratch()
 		}
-		en := m == DPCPpEN
-		return partition.Algorithm1(ts, newDPCPp(sc, ts, opts.pathCap(), en), opts.Placement)
+		return newDPCPp(sc, ts, opts.pathCap(), m == DPCPpEN)
 	case SPIN:
-		return partition.IterativeFederated(ts, NewSpin(ts))
+		return NewSpin(ts)
 	case LPP:
-		return partition.IterativeFederated(ts, NewLPP(ts))
+		return NewLPP(ts)
 	case FEDFP:
-		return partition.IterativeFederated(ts, NewFedFP(ts))
+		return NewFedFP(ts)
 	default:
 		panic(fmt.Sprintf("analysis: unknown method %q", m))
 	}
+}
+
+// partitionFor runs m's partitioning loop over a: Algorithm 1 with
+// resource placement for DPCP-p, without it for the baselines, whose
+// requests execute locally.
+func partitionFor(m Method, ts *model.Taskset, a partition.Analyzer, h partition.PlacementHeuristic) partition.Result {
+	if m == DPCPpEP || m == DPCPpEN {
+		return partition.Algorithm1(ts, a, h)
+	}
+	return partition.IterativeFederated(ts, a)
 }
 
 // Schedulable is a convenience wrapper returning only the verdict.

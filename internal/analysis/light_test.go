@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
 	"dpcpp/internal/model"
@@ -199,5 +200,37 @@ func TestLightAnalysisAccountsForPreemption(t *testing.T) {
 	if wBig[0] < wBase[0]+5*rt.Microsecond {
 		t.Errorf("A's bound must absorb the larger preemption: %s vs base %s",
 			rt.FormatTime(wBig[0]), rt.FormatTime(wBase[0]))
+	}
+}
+
+// TestMixedEqualsAlgorithm1OnHeavySets checks that the Sec. VI loop is
+// Algorithm 1 when there is no light task to pack. taskgen draws only
+// heavy tasks (U_i > 1), so over the equivalence corpus AlgorithmMixed
+// must return a Result deep-equal to Algorithm1's: verdict, reason, WCRT
+// map, rounds and final partition.
+func TestMixedEqualsAlgorithm1OnHeavySets(t *testing.T) {
+	misses := 0
+	for ci, ts := range equivalenceCorpus(t) {
+		for _, tk := range ts.Tasks {
+			if !tk.Heavy() {
+				t.Fatalf("corpus %d: taskgen drew light task %d (U=%.3f)", ci, tk.ID, tk.Utilization())
+			}
+		}
+		for _, m := range []Method{DPCPpEP, DPCPpEN} {
+			for _, h := range []partition.PlacementHeuristic{partition.WFD, partition.FFD} {
+				want := partition.Algorithm1(ts, NewAnalyzer(nil, m, ts, Options{}), h)
+				got := partition.AlgorithmMixed(ts, NewAnalyzer(nil, m, ts, Options{}), h)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s corpus %d placement %d: AlgorithmMixed {sched=%v rounds=%d reason=%q} != Algorithm1 {sched=%v rounds=%d reason=%q}",
+						m, ci, h, got.Schedulable, got.Rounds, got.Reason, want.Schedulable, want.Rounds, want.Reason)
+				}
+				if !want.Schedulable && want.WCRT != nil {
+					misses++
+				}
+			}
+		}
+	}
+	if misses == 0 {
+		t.Fatal("no run ended in a deadline miss, so the miss path went untested")
 	}
 }

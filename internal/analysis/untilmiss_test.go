@@ -22,28 +22,6 @@ func (f fullPass) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 	return f.a.WCRTs(p, false)
 }
 
-// newAnalyzer returns m's analyzer over ts on a private scratch.
-func newAnalyzer(m Method, ts *model.Taskset) partition.Analyzer {
-	switch m {
-	case DPCPpEP, DPCPpEN:
-		return NewDPCPp(ts, DefaultPathCap, m == DPCPpEN)
-	case SPIN:
-		return NewSpin(ts)
-	case LPP:
-		return NewLPP(ts)
-	default:
-		return NewFedFP(ts)
-	}
-}
-
-// runLoop runs the partitioning loop TestWith uses for m over analyzer a.
-func runLoop(m Method, ts *model.Taskset, a partition.Analyzer, h partition.PlacementHeuristic) partition.Result {
-	if m == DPCPpEP || m == DPCPpEN {
-		return partition.Algorithm1(ts, a, h)
-	}
-	return partition.IterativeFederated(ts, a)
-}
-
 // TestUntilMissChangesNoResult is the differential gate for stopping a
 // round at the first deadline miss: over the equivalence corpus, for every
 // method under both placements, the loops driven by the real analyzer and
@@ -56,14 +34,14 @@ func TestUntilMissChangesNoResult(t *testing.T) {
 		for _, m := range Methods() {
 			for _, h := range []partition.PlacementHeuristic{partition.WFD, partition.FFD} {
 				got := TestWith(nil, m, ts, Options{Placement: h})
-				want := runLoop(m, ts, fullPass{newAnalyzer(m, ts)}, h)
+				want := partitionFor(m, ts, fullPass{NewAnalyzer(nil, m, ts, Options{})}, h)
 				label := fmt.Sprintf("%s corpus %d placement %d", m, ci, h)
 				requireIdentical(t, label, got, want)
 				if (got.Partition == nil) != (want.Partition == nil) {
 					t.Fatalf("%s: partition presence differs", label)
 				}
 				if got.Partition != nil {
-					checkPrefix(t, label, ts, newAnalyzer(m, ts), got.Partition)
+					checkPrefix(t, label, ts, NewAnalyzer(nil, m, ts, Options{}), got.Partition)
 				}
 			}
 		}
@@ -126,7 +104,7 @@ func TestUntilMissSavesFixPoints(t *testing.T) {
 		var c fixPointCounter
 		sc := NewScratch()
 		sc.SetStageRecorder(&c)
-		var a partition.Analyzer = newDPCPp(sc, ts, DefaultPathCap, false)
+		a := NewAnalyzer(sc, DPCPpEP, ts, Options{})
 		if wrap {
 			a = fullPass{a}
 		}

@@ -137,29 +137,11 @@ func simBatch(cfg Config, g *genTaskset, m analysis.Method, proto sim.Protocol,
 	return out
 }
 
-// analyzerFor constructs the method's analyzer over the taskset.
-func analyzerFor(m analysis.Method, ts *model.Taskset, pathCap int) partition.Analyzer {
-	if pathCap <= 0 {
-		pathCap = analysis.DefaultPathCap
-	}
-	switch m {
-	case analysis.DPCPpEP:
-		return analysis.NewDPCPp(ts, pathCap, false)
-	case analysis.DPCPpEN:
-		return analysis.NewDPCPp(ts, pathCap, true)
-	case analysis.SPIN:
-		return analysis.NewSpin(ts)
-	case analysis.LPP:
-		return analysis.NewLPP(ts)
-	default:
-		return analysis.NewFedFP(ts)
-	}
-}
-
 // crossChecks runs the cross-method invariants once all method jobs of a
 // taskset are in: EP never exceeds EN on one identical partition, and every
 // bound is monotone under WCET inflation on one identical partition.
 func crossChecks(cfg Config, g *genTaskset, results []methodVerdict) []Violation {
+	opts := analysis.Options{PathCap: cfg.PathCap}
 	var out []Violation
 	report := func(method analysis.Method, kind, detail string) {
 		out = append(out, Violation{
@@ -181,8 +163,8 @@ func crossChecks(cfg Config, g *genTaskset, results []methodVerdict) []Violation
 		}
 	}
 	if dpcpPart != nil {
-		ep := analyzerFor(analysis.DPCPpEP, g.ts, cfg.PathCap).WCRTs(dpcpPart, false)
-		en := analyzerFor(analysis.DPCPpEN, g.ts, cfg.PathCap).WCRTs(dpcpPart, false)
+		ep := analysis.NewAnalyzer(nil, analysis.DPCPpEP, g.ts, opts).WCRTs(dpcpPart, false)
+		en := analysis.NewAnalyzer(nil, analysis.DPCPpEN, g.ts, opts).WCRTs(dpcpPart, false)
 		for _, t := range g.ts.Tasks {
 			if ep[t.ID] > en[t.ID] {
 				report(analysis.DPCPpEP, "ep-exceeds-en",
@@ -211,8 +193,8 @@ func crossChecks(cfg Config, g *genTaskset, results []methodVerdict) []Violation
 			report(m, "non-monotone", fmt.Sprintf("rebinding partition: %v", err))
 			continue
 		}
-		base := analyzerFor(m, g.ts, cfg.PathCap).WCRTs(p, false)
-		infl := analyzerFor(m, scaled, cfg.PathCap).WCRTs(p2, false)
+		base := analysis.NewAnalyzer(nil, m, g.ts, opts).WCRTs(p, false)
+		infl := analysis.NewAnalyzer(nil, m, scaled, opts).WCRTs(p2, false)
 		for _, t := range g.ts.Tasks {
 			if infl[t.ID] < base[t.ID] {
 				report(m, "non-monotone",

@@ -4,12 +4,20 @@
 // placement of global resources onto processors by utilization slack
 // (Algorithm 2). A first-fit-decreasing variant is provided as an ablation.
 //
+// One augmentation loop serves every method. Algorithm1 runs it with
+// resource placement (DPCP-p), IterativeFederated without (the SPIN-SON,
+// LPP and FED-FP baselines), and AlgorithmMixed with placement and the
+// Sec. VI light-task packing. Each round analyzes the partition and grows
+// the cluster of the highest-priority task that misses its deadline by
+// one processor, until no task misses or the miss is terminal.
+//
 //schedlint:deterministic
 package partition
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"dpcpp/internal/model"
 	"dpcpp/internal/rt"
@@ -226,7 +234,7 @@ func (p *Partition) CloneFor(ts *model.Taskset) (*Partition, error) {
 	return c, nil
 }
 
-// Clone returns a deep copy (used by Algorithm 1 to restart cleanly).
+// Clone returns a deep copy.
 func (p *Partition) Clone() *Partition {
 	c := New(p.TS)
 	copy(c.owner, p.owner)
@@ -271,13 +279,15 @@ type Analyzer interface {
 	// the analyzer walks ts.ByPriorityDesc() and may return right after the
 	// first task whose bound exceeds its deadline: the map then holds that
 	// task and every task of higher priority, each with exactly the value a
-	// full pass computes. A pass with no miss is complete either way. Algorithm1 and IterativeFederated set untilMiss
-	// while processors remain unassigned, because any miss then only
-	// selects the cluster to grow and the map is discarded.
+	// full pass computes. A pass with no miss is complete either way.
+	//
+	// The partitioning loop sets untilMiss exactly when processors remain
+	// unassigned and no light task is packed. Any miss then only selects
+	// the cluster to grow, and the map is discarded.
 	//
 	// The returned map may be analyzer-owned scratch, valid only until the
-	// next WCRTs call on the same analyzer. The partitioning loops below
-	// respect that lifetime and copy the map into any Result they return.
+	// next WCRTs call on the same analyzer. The partitioning loop respects
+	// that lifetime and copies the map into any Result it returns.
 	WCRTs(p *Partition, untilMiss bool) map[rt.TaskID]rt.Time
 }
 
@@ -318,16 +328,51 @@ const (
 // Algorithm1 runs the paper's task-and-resource partitioning: initial
 // federated assignment, worst-fit-decreasing resource placement, and
 // schedulability-test-driven processor augmentation with rollback.
+func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
+	return augment(ts, a, true, heuristic, false)
+}
+
+// IterativeFederated is Algorithm1 without resource placement; it drives
+// the SPIN, LPP and FED-FP baselines, whose requests execute locally.
+func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
+	return augment(ts, a, false, WFD, false)
+}
+
+// AlgorithmMixed extends Algorithm 1 to sets containing light tasks
+// (Sec. VI): heavy tasks receive federated clusters exactly as in
+// Algorithm 1, light tasks are packed worst-fit-decreasing by utilization
+// onto the remaining processors (several lights may share one processor),
+// and global resources are placed on the heavy clusters by Algorithm 2. A
+// failing light task is terminal: the paper leaves optimal light handling
+// open, and this implementation does not re-pack lights. On a set without
+// light tasks it is Algorithm1.
+func AlgorithmMixed(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
+	return augment(ts, a, true, heuristic, true)
+}
+
+// augment is the one augmentation loop behind Algorithm1,
+// IterativeFederated and AlgorithmMixed. Every task gets InitialProcs
+// processors, except that with packLights the light tasks are set aside
+// and packed onto the processors left over (Sec. VI). Each round then
+// clears and re-places the global resources when place is set (DPCP-p),
+// runs the analyzer, and scans the WCRTs in priority order for the first
+// miss. A miss is terminal when the task is shared or no processors
+// remain; otherwise that task's cluster grows by one processor and the
+// next round rolls the resources back (paper lines 13-14).
 //
-// A round that can still augment asks the analyzer to stop at the first
-// deadline miss (untilMiss): only the highest-priority failing task is
-// needed to pick the cluster to grow, and the tasks below it are analyzed
-// again next round anyway. The terminal round (no processors left) and a
+// A round asks the analyzer to stop at the first miss (untilMiss) exactly
+// when processors remain and no light task is packed: only then is every
+// miss an augmentation, whose map is discarded. A terminal round and a
 // round without a miss see a complete map, so every Result is the same as
 // with full passes.
-func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
+func augment(ts *model.Taskset, a Analyzer, place bool, heuristic PlacementHeuristic, packLights bool) Result {
 	p := New(ts)
+	var lights []*model.Task
 	for _, t := range ts.Tasks {
+		if packLights && !t.Heavy() {
+			lights = append(lights, t)
+			continue
+		}
 		mi, err := InitialProcs(t)
 		if err != nil {
 			return Result{Partition: p, Reason: err.Error()}
@@ -335,6 +380,11 @@ func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Res
 		if !p.Assign(t.ID, mi) {
 			return Result{Partition: p, Reason: fmt.Sprintf(
 				"not enough processors for initial assignment of task %d", t.ID)}
+		}
+	}
+	if len(lights) > 0 {
+		if reason := packLightTasks(p, lights); reason != "" {
+			return Result{Partition: p, Reason: reason}
 		}
 	}
 
@@ -347,172 +397,87 @@ func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Res
 			// sets; this guard catches degenerate inputs.
 			return Result{Partition: p, Rounds: rounds, Reason: "round limit exceeded"}
 		}
-		p.ClearResources()
-		if !placeResources(p, heuristic) {
-			return Result{Partition: p, Rounds: rounds,
-				Reason: "infeasible global resource allocation"}
+		if place {
+			p.ClearResources()
+			if !placeResources(p, heuristic) {
+				return Result{Partition: p, Rounds: rounds,
+					Reason: "infeasible global resource allocation"}
+			}
 		}
-		wcrts := a.WCRTs(p, p.Unassigned() > 0)
-		augmented := false
+		free := p.Unassigned() > 0
+		wcrts := a.WCRTs(p, free && len(lights) == 0)
+		var miss *model.Task
 		for _, t := range byPrio {
-			if wcrts[t.ID] <= t.Deadline {
-				continue
+			if wcrts[t.ID] > t.Deadline {
+				miss = t
+				break
 			}
-			if p.Unassigned() == 0 {
-				return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
-					Reason: fmt.Sprintf("task %d misses deadline (R=%s > D=%s) and no processors remain",
-						t.ID, rt.FormatTime(wcrts[t.ID]), rt.FormatTime(t.Deadline))}
-			}
-			p.Assign(t.ID, 1)
-			augmented = true
-			break // rollback resources and retry (paper line 13-14)
 		}
-		if !augmented {
+		if miss == nil {
 			return Result{Schedulable: true, Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds}
 		}
-	}
-}
-
-// IterativeFederated performs the same processor-augmentation loop without
-// resource placement; it drives the SPIN, LPP and FED-FP baselines, whose
-// requests execute locally.
-func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
-	p := New(ts)
-	for _, t := range ts.Tasks {
-		mi, err := InitialProcs(t)
-		if err != nil {
-			return Result{Partition: p, Reason: err.Error()}
-		}
-		if !p.Assign(t.ID, mi) {
-			return Result{Partition: p, Reason: fmt.Sprintf(
-				"not enough processors for initial assignment of task %d", t.ID)}
-		}
-	}
-	byPrio := ts.ByPriorityDesc()
-	rounds := 0
-	for {
-		rounds++
-		if rounds > 4*ts.NumProcs+8 {
-			return Result{Partition: p, Rounds: rounds, Reason: "round limit exceeded"}
-		}
-		wcrts := a.WCRTs(p, p.Unassigned() > 0)
-		augmented := false
-		for _, t := range byPrio {
-			if wcrts[t.ID] <= t.Deadline {
-				continue
-			}
-			if p.Unassigned() == 0 {
-				return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
-					Reason: fmt.Sprintf("task %d misses deadline and no processors remain", t.ID)}
-			}
-			p.Assign(t.ID, 1)
-			augmented = true
-			break
-		}
-		if !augmented {
-			return Result{Schedulable: true, Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds}
-		}
-	}
-}
-
-// AlgorithmMixed extends Algorithm 1 to sets containing light tasks
-// (Sec. VI): heavy tasks receive federated clusters exactly as in
-// Algorithm 1, light tasks are packed worst-fit-decreasing by utilization
-// onto the remaining processors (several lights may share one processor),
-// global resources are placed on the heavy clusters by Algorithm 2, and
-// the augmentation loop grows the cluster of the first failing heavy
-// task. A failing light task is terminal: the paper leaves optimal light
-// handling open, and this implementation does not re-pack lights.
-func AlgorithmMixed(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
-	p := New(ts)
-	var lights []*model.Task
-	for _, t := range ts.Tasks {
-		if !t.Heavy() {
-			lights = append(lights, t)
+		if free && !p.IsShared(miss.ID) {
+			p.Assign(miss.ID, 1)
 			continue
 		}
-		mi, err := InitialProcs(t)
-		if err != nil {
-			return Result{Partition: p, Reason: err.Error()}
-		}
-		if !p.Assign(t.ID, mi) {
-			return Result{Partition: p, Reason: fmt.Sprintf(
-				"not enough processors for initial assignment of heavy task %d", t.ID)}
-		}
+		return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
+			Reason: missReason(miss, wcrts[miss.ID], free)}
 	}
+}
 
-	// Light tasks: worst-fit decreasing by utilization over the remaining
-	// processors; a processor may host several lights while its total
-	// utilization stays at or below 1.
-	if len(lights) > 0 {
-		var pool []rt.ProcID
-		for k := 0; k < ts.NumProcs; k++ {
-			if p.Owner(rt.ProcID(k)) < 0 {
-				pool = append(pool, rt.ProcID(k))
-			}
-		}
-		if len(pool) == 0 {
-			return Result{Partition: p, Reason: "no processors left for light tasks"}
-		}
-		sort.SliceStable(lights, func(a, b int) bool {
-			ua, ub := lights[a].Utilization(), lights[b].Utilization()
-			if ua != ub {
-				return ua > ub
-			}
-			return lights[a].ID < lights[b].ID
-		})
-		util := make(map[rt.ProcID]float64, len(pool))
-		for _, t := range lights {
-			best := rt.NoProc
-			for _, k := range pool {
-				if best == rt.NoProc || util[k] < util[best] {
-					best = k
-				}
-			}
-			if util[best]+t.Utilization() > 1.0+1e-9 {
-				return Result{Partition: p, Reason: fmt.Sprintf(
-					"light task %d does not fit on any remaining processor", t.ID)}
-			}
-			if err := p.AssignShared(t.ID, best); err != nil {
-				return Result{Partition: p, Reason: err.Error()}
-			}
-			util[best] += t.Utilization()
-		}
+// missReason words a terminal deadline miss, "task %d misses deadline
+// (R=%s > D=%s)" plus " and no processors remain" when none do, in one
+// allocation: unschedulable verdicts are common in a sweep.
+func missReason(t *model.Task, r rt.Time, free bool) string {
+	var buf [128]byte
+	b := strconv.AppendInt(append(buf[:0], "task "...), int64(t.ID), 10)
+	b = rt.AppendTime(append(b, " misses deadline (R="...), r)
+	b = rt.AppendTime(append(b, " > D="...), t.Deadline)
+	b = append(b, ')')
+	if !free {
+		b = append(b, " and no processors remain"...)
 	}
+	return string(b)
+}
 
-	byPrio := ts.ByPriorityDesc()
-	rounds := 0
-	for {
-		rounds++
-		if rounds > 4*ts.NumProcs+8 {
-			return Result{Partition: p, Rounds: rounds, Reason: "round limit exceeded"}
-		}
-		p.ClearResources()
-		if !placeResources(p, heuristic) {
-			return Result{Partition: p, Rounds: rounds,
-				Reason: "infeasible global resource allocation"}
-		}
-		// Full passes: a light task's miss is terminal and its Result
-		// carries the map.
-		wcrts := a.WCRTs(p, false)
-		augmented := false
-		for _, t := range byPrio {
-			if wcrts[t.ID] <= t.Deadline {
-				continue
-			}
-			if p.IsShared(t.ID) || p.Unassigned() == 0 {
-				return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
-					Reason: fmt.Sprintf("task %d misses deadline (R=%s > D=%s)",
-						t.ID, rt.FormatTime(wcrts[t.ID]), rt.FormatTime(t.Deadline))}
-			}
-			p.Assign(t.ID, 1)
-			augmented = true
-			break
-		}
-		if !augmented {
-			return Result{Schedulable: true, Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds}
+// packLightTasks places light tasks worst-fit decreasing by utilization on
+// the processors no heavy cluster owns; a processor may host several
+// lights while its total utilization stays at or below 1. It returns why
+// the packing failed, or "".
+func packLightTasks(p *Partition, lights []*model.Task) string {
+	var pool []rt.ProcID
+	for k := 0; k < p.TS.NumProcs; k++ {
+		if p.Owner(rt.ProcID(k)) < 0 {
+			pool = append(pool, rt.ProcID(k))
 		}
 	}
+	if len(pool) == 0 {
+		return "no processors left for light tasks"
+	}
+	sort.SliceStable(lights, func(a, b int) bool {
+		ua, ub := lights[a].Utilization(), lights[b].Utilization()
+		if ua != ub {
+			return ua > ub
+		}
+		return lights[a].ID < lights[b].ID
+	})
+	util := make(map[rt.ProcID]float64, len(pool))
+	for _, t := range lights {
+		best := rt.NoProc
+		for _, k := range pool {
+			if best == rt.NoProc || util[k] < util[best] {
+				best = k
+			}
+		}
+		if util[best]+t.Utilization() > 1.0+1e-9 {
+			return fmt.Sprintf("light task %d does not fit on any remaining processor", t.ID)
+		}
+		if err := p.AssignShared(t.ID, best); err != nil {
+			return err.Error()
+		}
+		util[best] += t.Utilization()
+	}
+	return ""
 }
 
 // placeResources runs Algorithm 2 (WFD) or the FFD ablation. It returns

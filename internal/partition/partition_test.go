@@ -43,18 +43,30 @@ func heavyTask(id rt.TaskID, period rt.Time, width int, factor float64,
 	return t
 }
 
-func partitionSet(t *testing.T, m int) *model.Taskset {
+// partitionSet builds two heavy tasks sharing l0 (l1 local to task 0) on m
+// processors, plus any extra tasks.
+func partitionSet(t *testing.T, m int, extra ...*model.Task) *model.Taskset {
 	t.Helper()
 	ts := model.NewTaskset(m, 2)
-	// Two heavy tasks sharing l0; l1 local to task 0.
 	t0 := heavyTask(0, 1000*rt.Microsecond, 10, 2.0, 0, 2, 10*rt.Microsecond)
 	t0.AddRequest(1, 1, 1, 5*rt.Microsecond)
 	ts.Add(t0)
 	ts.Add(heavyTask(1, 2000*rt.Microsecond, 10, 3.0, 0, 4, 20*rt.Microsecond))
+	for _, x := range extra {
+		ts.Add(x)
+	}
 	if err := ts.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	return ts
+}
+
+// lightTask is task 2 with U = 0.25, which AlgorithmMixed packs onto a
+// shared processor.
+func lightTask() *model.Task {
+	light := model.NewTask(2, 4000*rt.Microsecond, 4000*rt.Microsecond)
+	light.AddVertex(1000 * rt.Microsecond)
+	return light
 }
 
 func TestInitialProcs(t *testing.T) {
@@ -204,6 +216,36 @@ func TestAlgorithm1ExhaustsProcessors(t *testing.T) {
 	}
 	if !strings.Contains(res.Reason, "no processors remain") {
 		t.Errorf("Reason = %q", res.Reason)
+	}
+}
+
+// TestMissReasonWording pins the one wording every loop gives a terminal
+// deadline miss, and that a packed light task's miss is terminal while
+// processors remain, without the "no processors remain" suffix.
+func TestMissReasonWording(t *testing.T) {
+	exhaust := stubAnalyzer{need: map[rt.TaskID]int{0: 7}}
+	const want = "task 0 misses deadline (R=inf > D=1ms) and no processors remain"
+	for _, tc := range []struct {
+		name string
+		res  Result
+	}{
+		{"Algorithm1", Algorithm1(partitionSet(t, 8), exhaust, WFD)},
+		{"IterativeFederated", IterativeFederated(partitionSet(t, 8), exhaust)},
+		{"AlgorithmMixed", AlgorithmMixed(partitionSet(t, 8), exhaust, WFD)},
+	} {
+		if tc.res.Reason != want {
+			t.Errorf("%s: Reason = %q, want %q", tc.name, tc.res.Reason, want)
+		}
+	}
+
+	ts := partitionSet(t, 16, lightTask())
+	res := AlgorithmMixed(ts, stubAnalyzer{need: map[rt.TaskID]int{2: 2}}, WFD)
+	if res.Schedulable || res.Rounds != 1 || len(res.WCRT) != 3 {
+		t.Fatalf("light miss: sched=%v rounds=%d |WCRT|=%d, want a terminal first round with a full map",
+			res.Schedulable, res.Rounds, len(res.WCRT))
+	}
+	if want := "task 2 misses deadline (R=inf > D=4ms)"; res.Reason != want {
+		t.Errorf("light miss: Reason = %q, want %q", res.Reason, want)
 	}
 }
 
@@ -387,15 +429,16 @@ func (s *untilMissStub) WCRTs(p *Partition, untilMiss bool) map[rt.TaskID]rt.Tim
 }
 
 // TestLoopsPassUntilMiss checks that the partitioning loops let a round
-// stop at the first miss exactly while processors remain unassigned
-// (AlgorithmMixed never does), and that every Result carrying a WCRT map
-// has an entry for every task: a terminal or miss-free round is complete.
+// stop at the first miss exactly while processors remain unassigned and no
+// light task is packed, and that every Result carrying a WCRT map has an
+// entry for every task: a terminal or miss-free round is complete.
 func TestLoopsPassUntilMiss(t *testing.T) {
+	mixed := func(ts *model.Taskset, a Analyzer) Result { return AlgorithmMixed(ts, a, WFD) }
 	for _, tc := range []struct {
 		name  string
 		m     int
 		need  map[rt.TaskID]int
-		full  bool
+		light bool // add a light task, which AlgorithmMixed packs
 		sched bool
 		run   func(*model.Taskset, Analyzer) Result
 	}{
@@ -408,17 +451,26 @@ func TestLoopsPassUntilMiss(t *testing.T) {
 			IterativeFederated},
 		{"IterativeFederated/exhausts", 8, map[rt.TaskID]int{0: 7}, false, false,
 			IterativeFederated},
-		{"AlgorithmMixed/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, true, true,
-			func(ts *model.Taskset, a Analyzer) Result { return AlgorithmMixed(ts, a, WFD) }},
-		{"AlgorithmMixed/exhausts", 8, map[rt.TaskID]int{0: 7}, true, false,
-			func(ts *model.Taskset, a Analyzer) Result { return AlgorithmMixed(ts, a, WFD) }},
+		// Without light tasks AlgorithmMixed is Algorithm1.
+		{"AlgorithmMixed/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, false, true, mixed},
+		{"AlgorithmMixed/exhausts", 8, map[rt.TaskID]int{0: 7}, false, false, mixed},
+		// A packed light task's miss is terminal and its Result carries
+		// the map, so every round is a full pass.
+		{"AlgorithmMixed/light", 16, map[rt.TaskID]int{0: 5, 1: 6}, true, true, mixed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := partitionSet(t, tc.m)
-			s := &untilMissStub{need: tc.need, full: tc.full}
+			var extra []*model.Task
+			if tc.light {
+				extra = append(extra, lightTask())
+			}
+			ts := partitionSet(t, tc.m, extra...)
+			s := &untilMissStub{need: tc.need, full: tc.light}
 			res := tc.run(ts, s)
 			if res.Schedulable != tc.sched {
 				t.Fatalf("Schedulable = %v, want %v (reason %q)", res.Schedulable, tc.sched, res.Reason)
+			}
+			if tc.light && !res.Partition.IsShared(2) {
+				t.Error("the light task was not packed")
 			}
 			if s.calls != res.Rounds || res.Rounds < 2 {
 				t.Errorf("%d WCRTs calls over %d rounds, want equal and >= 2", s.calls, res.Rounds)

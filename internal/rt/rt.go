@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // Time is a point in time or a duration, in nanoseconds.
@@ -31,18 +32,28 @@ const Infinity Time = math.MaxInt64 / 4
 
 // FormatTime renders t with an adaptive unit, for traces and reports.
 func FormatTime(t Time) string {
+	if t >= Infinity {
+		return "inf"
+	}
+	var buf [24]byte
+	return string(AppendTime(buf[:0], t))
+}
+
+// AppendTime appends FormatTime(t) to dst: t in the largest of s, ms and
+// us that divides it exactly, else in ns, or "inf".
+func AppendTime(dst []byte, t Time) []byte {
+	unit, scale := "ns", Nanosecond
 	switch {
 	case t >= Infinity:
-		return "inf"
+		return append(dst, "inf"...)
 	case t >= Second && t%Second == 0:
-		return fmt.Sprintf("%ds", t/Second)
+		unit, scale = "s", Second
 	case t >= Millisecond && t%Millisecond == 0:
-		return fmt.Sprintf("%dms", t/Millisecond)
+		unit, scale = "ms", Millisecond
 	case t >= Microsecond && t%Microsecond == 0:
-		return fmt.Sprintf("%dus", t/Microsecond)
-	default:
-		return fmt.Sprintf("%dns", t)
+		unit, scale = "us", Microsecond
 	}
+	return append(strconv.AppendInt(dst, t/scale, 10), unit...)
 }
 
 // CeilDiv returns ceil(a/b) for non-negative a and positive b.

@@ -165,5 +165,8 @@ func TestFormatTime(t *testing.T) {
 		if got := FormatTime(c.in); got != c.want {
 			t.Errorf("FormatTime(%d) = %q, want %q", c.in, got, c.want)
 		}
+		if got := string(AppendTime([]byte("R="), c.in)); got != "R="+c.want {
+			t.Errorf("AppendTime(%d) = %q, want %q", c.in, got, "R="+c.want)
+		}
 	}
 }
