@@ -38,6 +38,28 @@
 // See examples/ for runnable programs and cmd/schedtest for the full
 // evaluation harness.
 //
+// # The task model
+//
+// A model.Task holds the paper's DAG (Sec. II): vertices v_{i,x} with
+// WCETs, precedence edges, and per-vertex request counts N_{i,x,q}.
+// Finalize seals it in a compact layout built for the analyses, which
+// read it millions of times per sweep:
+//
+//   - Adjacency is compressed sparse rows (model.Adjacency): one offset
+//     array and one flat neighbour array per direction, built by counting
+//     sort. Task.Succ and Task.Pred return subslices of it, sorted
+//     ascending, with a repeated edge kept once.
+//   - A vertex's requests are a model.Requests: a slice of
+//     {Resource, Count} sorted by resource, with Count(q) as the lookup.
+//     The JSON form is unchanged: the object {"q": n, ...} that
+//     encoding/json writes for a map[rt.ResourceID]int, keys ordered as
+//     strings, zero counts kept.
+//   - The per-resource totals N_{i,q} and vertex counts V_{i,q}, the
+//     topological order, the path bounds and the canonical hash body are
+//     computed once. Finalize makes the same few allocations for any
+//     task size, and taskgen builds each task's vertices and request
+//     entries from one slab apiece.
+//
 // # The path-view engine
 //
 // The EP analysis nominally evaluates Theorem 1 once per complete DAG path,
@@ -107,7 +129,11 @@
 // sorted by ID, per-vertex requests sorted by resource, edges sorted and
 // de-duplicated, unused CS lengths and names dropped) — joined with every
 // option that can change a verdict (method, path cap, placement,
-// explain). Two byte-different but semantically identical tasksets
+// explain) and with analysis.SemanticsVersion, so a persisted result of
+// code that answered differently is a miss, never a stale answer (a test
+// pins the current answers by a fingerprint over a fixed corpus and fails
+// until the version is bumped). Two byte-different but semantically
+// identical tasksets
 // therefore share cache entries, N concurrent identical misses coalesce
 // onto exactly one analysis (singleflight), and admission is bounded:
 // when the queue is transiently full a request is rejected with 429 +

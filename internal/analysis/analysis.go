@@ -47,6 +47,19 @@ type Options struct {
 	Placement partition.PlacementHeuristic
 }
 
+// SemanticsVersion names what the analyses answer: the verdict, WCRTs and
+// reason every method returns for a given taskset and options. Result
+// caches and stores key on it, so a result computed by older code is never
+// served as this code's answer. Bump it with any change to those answers;
+// TestSemanticsFingerprint pins them by semanticsFingerprint and fails
+// until both are updated together.
+const SemanticsVersion = 1
+
+// semanticsFingerprint is the SHA-256, in hex, of the verdicts, WCRTs and
+// reasons of every method over the equivalence corpus of the analysis
+// tests, as computed by SemanticsVersion's code.
+const semanticsFingerprint = "920b2e86e455d27d67b0d56590d343faa06484e880e6a4e44ff6c532113d14dd"
+
 // DefaultPathCap bounds path enumeration when Options.PathCap is unset.
 const DefaultPathCap = 4096
 

@@ -6,21 +6,6 @@ import (
 	"dpcpp/internal/rt"
 )
 
-// vertexCount returns, per resource, the number of distinct vertices of the
-// task that issue at least one request to it. This bounds how many requests
-// of one job can be pending concurrently.
-func vertexCount(ts *model.Taskset, t *model.Task) []int64 {
-	counts := make([]int64, ts.NumResources)
-	for _, v := range t.Vertices {
-		for q, n := range v.Requests {
-			if n > 0 {
-				counts[q]++
-			}
-		}
-	}
-	return counts
-}
-
 // Spin is the SPIN-SON baseline (Dinh et al.): federated scheduling with
 // local execution of requests and FIFO non-preemptive spin locks.
 //
@@ -28,23 +13,18 @@ func vertexCount(ts *model.Taskset, t *model.Task) []int64 {
 // critical section per processor that can concurrently contend: task tau_j
 // contributes min(m_j, V_{j,q}) critical sections (spinning occupies a
 // processor, so concurrency is capped by the cluster size), and the task's
-// own other vertices contribute min(m_i - 1, V_{i,q} - 1). Spinning burns
-// processor time, so off-path spin inflates the interference term. The
-// worst-case path is unknown and bounded per-term exactly as in DPCP-p-EN,
-// matching the paper's remark that [6] enumerates the path request counts.
+// own other vertices contribute min(m_i - 1, V_{i,q} - 1), where V_{j,q} is
+// Task.VertexCount, the number of tau_j's vertices that request q.
+// Spinning burns processor time, so off-path spin inflates the interference
+// term. The worst-case path is unknown and bounded per-term exactly as in
+// DPCP-p-EN, matching the paper's remark that [6] enumerates the path
+// request counts.
 type Spin struct {
-	ts     *model.Taskset
-	vcount map[rt.TaskID][]int64
+	ts *model.Taskset
 }
 
 // NewSpin returns a SPIN-SON analyzer over the taskset.
-func NewSpin(ts *model.Taskset) *Spin {
-	s := &Spin{ts: ts, vcount: make(map[rt.TaskID][]int64, len(ts.Tasks))}
-	for _, t := range ts.Tasks {
-		s.vcount[t.ID] = vertexCount(ts, t)
-	}
-	return s
-}
+func NewSpin(ts *model.Taskset) *Spin { return &Spin{ts: ts} }
 
 // WCRTs implements partition.Analyzer. Every task is computed whatever
 // untilMiss says: each bound is closed-form.
@@ -92,13 +72,13 @@ func (s *Spin) perRequestWait(p *partition.Partition, t *model.Task, q rt.Resour
 		if mj == 0 {
 			mj = 1
 		}
-		conc := s.vcount[other.ID][q]
+		conc := other.VertexCount(q)
 		if mj < conc {
 			conc = mj
 		}
 		delta = rt.SatAdd(delta, rt.SatMul(conc, other.CS(q)))
 	}
-	intra := s.vcount[t.ID][q] - 1
+	intra := t.VertexCount(q) - 1
 	if intra > mi-1 {
 		intra = mi - 1
 	}
@@ -118,18 +98,11 @@ func (s *Spin) perRequestWait(p *partition.Partition, t *model.Task, q rt.Resour
 // exchange, waiting does not burn processor time, so no off-path spin term
 // inflates the interference bound.
 type LPPAnalyzer struct {
-	ts     *model.Taskset
-	vcount map[rt.TaskID][]int64
+	ts *model.Taskset
 }
 
 // NewLPP returns an LPP analyzer over the taskset.
-func NewLPP(ts *model.Taskset) *LPPAnalyzer {
-	a := &LPPAnalyzer{ts: ts, vcount: make(map[rt.TaskID][]int64, len(ts.Tasks))}
-	for _, t := range ts.Tasks {
-		a.vcount[t.ID] = vertexCount(ts, t)
-	}
-	return a
-}
+func NewLPP(ts *model.Taskset) *LPPAnalyzer { return &LPPAnalyzer{ts: ts} }
 
 // WCRTs implements partition.Analyzer. Every task is computed whatever
 // untilMiss says: each bound is closed-form.
@@ -159,9 +132,9 @@ func (a *LPPAnalyzer) taskWCRT(p *partition.Partition, t *model.Task) rt.Time {
 			if other.ID == t.ID || !other.UsesResource(rid) {
 				continue
 			}
-			delta = rt.SatAdd(delta, rt.SatMul(a.vcount[other.ID][q], other.CS(rid)))
+			delta = rt.SatAdd(delta, rt.SatMul(other.VertexCount(rid), other.CS(rid)))
 		}
-		if intra := a.vcount[t.ID][q] - 1; intra > 0 {
+		if intra := t.VertexCount(rid) - 1; intra > 0 {
 			delta = rt.SatAdd(delta, rt.SatMul(intra, t.CS(rid)))
 		}
 		pathWait = rt.SatAdd(pathWait, rt.SatMul(b.MaxReq[q], delta))

@@ -21,8 +21,8 @@ func randomPatch(r *rand.Rand, ts *model.Taskset) model.Patch {
 		x := rt.VertexID(r.Intn(len(t.Vertices)))
 		v := t.Vertices[x]
 		var csNeed rt.Time
-		for q, n := range v.Requests {
-			csNeed += rt.Time(n) * t.CS(q)
+		for _, rq := range v.Requests {
+			csNeed += rt.Time(rq.Count) * t.CS(rq.Resource)
 		}
 		switch r.Intn(10) {
 		case 0, 1, 2: // WCET bump up: always valid.
@@ -46,7 +46,7 @@ func randomPatch(r *rand.Rand, ts *model.Taskset) model.Patch {
 			if v.WCET-csNeed < t.CS(q) {
 				continue
 			}
-			n := v.Requests[q]
+			n := v.Requests.Count(q)
 			return onePatch(model.PatchOp{Op: model.OpSetRequest, Task: t.ID, Vertex: x,
 				Resource: q, Count: n + 1})
 		case 5: // Request count down (possibly a sharer flip to zero).
@@ -54,7 +54,7 @@ func randomPatch(r *rand.Rand, ts *model.Taskset) model.Patch {
 				continue
 			}
 			for _, q := range t.Resources() {
-				if n := v.Requests[q]; n > 0 {
+				if n := v.Requests.Count(q); n > 0 {
 					return onePatch(model.PatchOp{Op: model.OpSetRequest, Task: t.ID,
 						Vertex: x, Resource: q, Count: n - 1})
 				}

@@ -119,11 +119,9 @@ func hashTwin(t testing.TB, ts *model.Taskset) *model.Taskset {
 	if twin.NumResources > 0 {
 		v := twin.Tasks[0].Vertices[0]
 		q := rt.ResourceID(twin.NumResources - 1)
-		if v.Requests == nil {
-			v.Requests = make(map[rt.ResourceID]int)
-		}
-		if _, ok := v.Requests[q]; !ok {
-			v.Requests[q] = 0
+		// q is the largest resource, so a zero entry for it goes last.
+		if n := len(v.Requests); n == 0 || v.Requests[n-1].Resource != q {
+			v.Requests = append(v.Requests, model.Request{Resource: q})
 		}
 	}
 	slices.Reverse(twin.Tasks)

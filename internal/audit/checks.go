@@ -326,8 +326,8 @@ func deltaPatch(r *rand.Rand, ts *model.Taskset) (model.Patch, bool) {
 		x := rt.VertexID(r.Intn(len(t.Vertices)))
 		v := t.Vertices[x]
 		var csNeed rt.Time
-		for q, n := range v.Requests {
-			csNeed += rt.SatMul(int64(n), t.CS(q))
+		for _, r := range v.Requests {
+			csNeed += rt.SatMul(int64(r.Count), t.CS(r.Resource))
 		}
 		switch r.Intn(6) {
 		case 0, 1: // WCET bump up: always valid.
@@ -352,10 +352,10 @@ func deltaPatch(r *rand.Rand, ts *model.Taskset) (model.Patch, bool) {
 				continue
 			}
 			return one(model.PatchOp{Op: model.OpSetRequest, Task: t.ID, Vertex: x,
-				Resource: q, Count: v.Requests[q] + 1})
+				Resource: q, Count: v.Requests.Count(q) + 1})
 		case 4: // Request count down (possibly a sharer flip to zero).
 			for _, q := range t.Resources() {
-				if n := v.Requests[q]; n > 0 {
+				if n := v.Requests.Count(q); n > 0 {
 					return one(model.PatchOp{Op: model.OpSetRequest, Task: t.ID,
 						Vertex: x, Resource: q, Count: n - 1})
 				}

@@ -32,10 +32,10 @@ func specOf(t *model.Task) *taskSpec {
 	for _, v := range t.Vertices {
 		s.wcet = append(s.wcet, v.WCET)
 		reqs := make(map[rt.ResourceID]int, len(v.Requests))
-		for q, n := range v.Requests {
-			if n > 0 {
-				reqs[q] = n
-				s.cs[q] = t.CS(q)
+		for _, r := range v.Requests {
+			if r.Count > 0 {
+				reqs[r.Resource] = r.Count
+				s.cs[r.Resource] = t.CS(r.Resource)
 			}
 		}
 		s.reqs = append(s.reqs, reqs)

@@ -31,6 +31,7 @@ func FuzzTasksetJSON(f *testing.F) {
 	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":7,"wcet":100}]}],"num_resources":0,"num_procs":2}`))
 	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"priority":1,"vertices":[{"id":0,"wcet":100,"requests":{"0":2}}],"cslen":[-5]}],"num_resources":1,"num_procs":2}`))
 	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100,"requests":{"-1":1}}]}],"num_resources":1,"num_procs":2}`))
+	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100,"requests":{"2":1,"10":0,"0":1}},{"id":1,"wcet":100,"requests":{}}],"edges":[{"from":0,"to":1},{"from":0,"to":1}],"cslen":[5,0,5,0,0,0,0,0,0,0,9]}],"num_resources":11,"num_procs":2}`))
 	for _, doc := range fixtureTasksets(f) {
 		var indented bytes.Buffer
 		if err := json.Indent(&indented, doc, "\n", " "); err != nil {

@@ -3,7 +3,6 @@ package model
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"strconv"
 
 	"dpcpp/internal/rt"
@@ -84,46 +83,33 @@ func (t *Task) appendCanonical(b []byte) []byte {
 // appendCanonBody appends the structural part of the canonical form: the
 // vertex, edge and critical-section lines. It is priority-independent, so
 // Task.Finalize can cache it before the owning taskset assigns priorities.
+// The request profiles are sorted and the adjacency lists them sorted and
+// repeat-free, so the body is one walk over each.
 func (t *Task) appendCanonBody(b []byte) []byte {
 	for _, v := range t.Vertices {
 		b = append(b, 'v')
 		b = append(b, '|')
 		b = strconv.AppendInt(b, v.WCET, 10)
-		qs := make([]int, 0, len(v.Requests))
-		for q, c := range v.Requests {
-			if c > 0 {
-				qs = append(qs, int(q))
+		for _, r := range v.Requests {
+			if r.Count > 0 {
+				b = append(b, '|')
+				b = strconv.AppendInt(b, int64(r.Resource), 10)
+				b = append(b, ':')
+				b = strconv.AppendInt(b, int64(r.Count), 10)
 			}
-		}
-		sort.Ints(qs)
-		for _, q := range qs {
-			b = append(b, '|')
-			b = strconv.AppendInt(b, int64(q), 10)
-			b = append(b, ':')
-			b = strconv.AppendInt(b, int64(v.Requests[rt.ResourceID(q)]), 10)
 		}
 		b = append(b, '\n')
 	}
 
-	edges := append([]Edge(nil), t.Edges...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	for x := range t.Vertices {
+		for _, y := range t.adj.Succ(rt.VertexID(x)) {
+			b = append(b, 'e')
+			b = append(b, '|')
+			b = strconv.AppendInt(b, int64(x), 10)
+			b = append(b, '|')
+			b = strconv.AppendInt(b, int64(y), 10)
+			b = append(b, '\n')
 		}
-		return edges[i].To < edges[j].To
-	})
-	var prev Edge
-	for i, e := range edges {
-		if i > 0 && e == prev {
-			continue
-		}
-		prev = e
-		b = append(b, 'e')
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(e.From), 10)
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(e.To), 10)
-		b = append(b, '\n')
 	}
 
 	for q, n := range t.nReq {
@@ -136,4 +122,41 @@ func (t *Task) appendCanonBody(b []byte) []byte {
 		}
 	}
 	return b
+}
+
+// canonBodyLen returns the length of appendCanonBody's output, so the body
+// is built in one exactly sized allocation.
+func (t *Task) canonBodyLen() int {
+	n := 0
+	for _, v := range t.Vertices {
+		n += len("v|\n") + decLen(v.WCET)
+		for _, r := range v.Requests {
+			if r.Count > 0 {
+				n += len("|:") + decLen(int64(r.Resource)) + decLen(int64(r.Count))
+			}
+		}
+	}
+	for x := range t.Vertices {
+		for _, y := range t.adj.Succ(rt.VertexID(x)) {
+			n += len("e||\n") + decLen(int64(x)) + decLen(int64(y))
+		}
+	}
+	for q, c := range t.nReq {
+		if c > 0 {
+			n += len("cs|:\n") + decLen(int64(q)) + decLen(t.CSLen[q])
+		}
+	}
+	return n
+}
+
+// decLen returns the length of v in decimal, sign included.
+func decLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }

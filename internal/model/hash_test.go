@@ -62,7 +62,7 @@ func TestHashIgnoresDuplicateEdgesAndZeroRequests(t *testing.T) {
 	a := hashTaskSet(t, nil)
 	b := hashTaskSet(t, func(ts *Taskset) {
 		ts.Tasks[0].AddEdge(0, 1) // duplicate of the existing edge
-		ts.Tasks[1].Vertices[0].Requests[1] = 0
+		ts.Tasks[1].Vertices[0].Requests.add(1, 0)
 	})
 	if a.Hash() != b.Hash() {
 		t.Fatalf("duplicate edge / zero-count request changed the hash:\na: %s\nb: %s",
@@ -80,7 +80,7 @@ func TestHashSensitivity(t *testing.T) {
 		{"period", func(ts *Taskset) { ts.Tasks[1].Period += rt.Microsecond }},
 		{"deadline", func(ts *Taskset) { ts.Tasks[0].Deadline -= rt.Microsecond }},
 		{"edge", func(ts *Taskset) { ts.Tasks[0].Edges = nil }},
-		{"requests", func(ts *Taskset) { ts.Tasks[1].Vertices[0].Requests[0] = 2 }},
+		{"requests", func(ts *Taskset) { ts.Tasks[1].Vertices[0].Requests.set(0, 2) }},
 		{"cslen", func(ts *Taskset) {
 			ts.Tasks[1].CSLen[0] = 5 * rt.Microsecond
 		}},

@@ -2,14 +2,23 @@
 // sporadic parallel tasks structured as directed acyclic graphs, shared
 // resources protected by binary semaphores, and tasksets combining both.
 //
-// A Task is built incrementally (AddVertex / AddEdge / SetCSLen) and then
+// A Task is built incrementally (AddVertex / AddEdge / AddRequest) and then
 // sealed with Finalize, which validates the structure and precomputes the
 // derived quantities the analyses need: total WCET, longest path length,
-// per-task request counts, topological order, and the path bounds (the
-// per-path extremes of length, non-critical WCET and request counts that
-// DPCP-p-EN, SPIN-SON and LPP read). A Taskset is sealed with
-// its own Finalize, which classifies resources as local or global and
-// assigns rate-monotonic priorities unless priorities were set explicitly.
+// per-task request and requesting-vertex counts, topological order, and the
+// path bounds (the per-path extremes of length, non-critical WCET and
+// request counts that DPCP-p-EN, SPIN-SON and LPP read). A Taskset is
+// sealed with its own Finalize, which classifies resources as local or
+// global and assigns rate-monotonic priorities unless priorities were set
+// explicitly.
+//
+// The layout is compact. Finalize stores the DAG as CSR adjacency
+// (Adjacency: offsets plus one flat array per direction), so Succ and Pred
+// return subslices, sorted ascending and free of repeats. A vertex's
+// request profile is a sorted slice (Requests) rather than a map; on the
+// wire it keeps the JSON object form {"q": n} that encoding/json writes for
+// a map. Finalize makes a fixed number of allocations, however many
+// vertices and edges the task has.
 //
 //schedlint:deterministic
 package model
@@ -21,20 +30,20 @@ import (
 )
 
 // Vertex is one node v_{i,x} of a task's DAG. Its WCET C_{i,x} includes the
-// critical sections it executes; Requests[q] is N_{i,x,q}, the maximum
-// number of requests the vertex issues to resource q.
+// critical sections it executes; Requests.Count(q) is N_{i,x,q}, the
+// maximum number of requests the vertex issues to resource q.
 type Vertex struct {
-	ID       rt.VertexID           `json:"id"`
-	WCET     rt.Time               `json:"wcet"`
-	Requests map[rt.ResourceID]int `json:"requests,omitempty"`
+	ID       rt.VertexID `json:"id"`
+	WCET     rt.Time     `json:"wcet"`
+	Requests Requests    `json:"requests,omitempty"`
 }
 
 // TotalRequests returns the number of requests the vertex issues across all
 // resources.
 func (v *Vertex) TotalRequests() int {
 	n := 0
-	for _, c := range v.Requests {
-		n += c
+	for _, r := range v.Requests {
+		n += r.Count
 	}
 	return n
 }
@@ -64,12 +73,12 @@ type Task struct {
 	// Derived by Finalize.
 	finalized bool
 	wcet      rt.Time       // C_i = sum of vertex WCETs
-	topo      []rt.VertexID // topological order
-	succ      [][]rt.VertexID
-	pred      [][]rt.VertexID
-	nReq      []int64 // N_{i,q} per resource
-	heads     []rt.VertexID
+	adj       Adjacency     // successors and predecessors, sorted
+	topo      []rt.VertexID // topological order, heads first
+	heads     []rt.VertexID // topo's prefix of source vertices
 	tails     []rt.VertexID
+	nReq      []int64    // N_{i,q} per resource
+	nVert     []int64    // V_{i,q} per resource: vertices requesting q
 	canon     []byte     // canonical body (vertices/edges/CS), see hash.go
 	bounds    PathBounds // path extremes, L*_i among them
 }
@@ -97,11 +106,7 @@ func (t *Task) AddEdge(from, to rt.VertexID) {
 // share the same maximum critical-section length L_{i,q}, as in the paper;
 // csLen must therefore agree across calls for the same resource.
 func (t *Task) AddRequest(x rt.VertexID, q rt.ResourceID, n int, csLen rt.Time) {
-	v := t.Vertices[x]
-	if v.Requests == nil {
-		v.Requests = make(map[rt.ResourceID]int)
-	}
-	v.Requests[q] += n
+	t.Vertices[x].Requests.add(q, n)
 	t.setCSLen(q, csLen)
 }
 
@@ -117,10 +122,11 @@ func (t *Task) setCSLen(q rt.ResourceID, csLen rt.Time) {
 }
 
 // Finalize validates the task and computes its derived quantities: total
-// WCET, request totals, topological order, heads and tails, the canonical
-// hash body and the path bounds (PathBounds, which include the longest
-// path L*_i). numResources is the number of resources in the enclosing
-// taskset; it sizes the per-resource vectors.
+// WCET, request totals, adjacency, topological order, heads and tails, the
+// canonical hash body and the path bounds (PathBounds, which include the
+// longest path L*_i). numResources is the number of resources in the
+// enclosing taskset; it sizes the per-resource vectors. However large the
+// task, Finalize makes the same number of allocations.
 func (t *Task) Finalize(numResources int) error {
 	if t.finalized {
 		return nil
@@ -135,8 +141,8 @@ func (t *Task) Finalize(numResources int) error {
 		return fmt.Errorf("model: task %d violates constrained deadline: D=%d T=%d",
 			t.ID, t.Deadline, t.Period)
 	}
-	for len(t.CSLen) < numResources {
-		t.CSLen = append(t.CSLen, 0)
+	if len(t.CSLen) < numResources {
+		t.CSLen = append(t.CSLen, make([]rt.Time, numResources-len(t.CSLen))...)
 	}
 	if len(t.CSLen) > numResources {
 		return fmt.Errorf("model: task %d references resource beyond taskset's %d resources",
@@ -149,8 +155,6 @@ func (t *Task) Finalize(numResources int) error {
 	}
 
 	n := len(t.Vertices)
-	t.succ = make([][]rt.VertexID, n)
-	t.pred = make([][]rt.VertexID, n)
 	for _, e := range t.Edges {
 		if int(e.From) >= n || int(e.To) >= n || e.From < 0 || e.To < 0 {
 			return fmt.Errorf("model: task %d edge (%d,%d) references missing vertex",
@@ -159,23 +163,18 @@ func (t *Task) Finalize(numResources int) error {
 		if e.From == e.To {
 			return fmt.Errorf("model: task %d has self-loop at vertex %d", t.ID, e.From)
 		}
-		t.succ[e.From] = append(t.succ[e.From], e.To)
-		t.pred[e.To] = append(t.pred[e.To], e.From)
 	}
 	// A repeated edge is the same precedence constraint, and the canonical
-	// hash keeps it once; so must every path count and analysis.
-	if dedupAdjacency(t.succ) {
-		dedupAdjacency(t.pred)
-	}
-
-	topo, err := t.topoSort()
-	if err != nil {
+	// hash keeps it once; so does the adjacency, and with it every path
+	// count and analysis.
+	t.adj = NewAdjacency(n, t.Edges)
+	if err := t.topoSort(); err != nil {
 		return err
 	}
-	t.topo = topo
 
 	t.wcet = 0
-	t.nReq = make([]int64, numResources)
+	counts := make([]int64, 2*numResources)
+	t.nReq, t.nVert = counts[:numResources:numResources], counts[numResources:]
 	for x, v := range t.Vertices {
 		if v == nil {
 			return fmt.Errorf("model: task %d vertex at index %d is null", t.ID, x)
@@ -189,9 +188,13 @@ func (t *Task) Finalize(numResources int) error {
 		if v.WCET <= 0 {
 			return fmt.Errorf("model: task %d vertex %d has non-positive WCET", t.ID, v.ID)
 		}
+		if !v.Requests.sorted() {
+			return fmt.Errorf("model: task %d vertex %d requests are not sorted by resource", t.ID, v.ID)
+		}
 		t.wcet = rt.SatAdd(t.wcet, v.WCET)
 		var cs rt.Time
-		for q, c := range v.Requests {
+		for _, r := range v.Requests {
+			q, c := r.Resource, r.Count
 			if c < 0 {
 				return fmt.Errorf("model: task %d vertex %d has negative request count", t.ID, v.ID)
 			}
@@ -199,6 +202,9 @@ func (t *Task) Finalize(numResources int) error {
 				return fmt.Errorf("model: task %d vertex %d requests unknown resource %d", t.ID, v.ID, q)
 			}
 			t.nReq[q] += int64(c)
+			if c > 0 {
+				t.nVert[q]++
+			}
 			cs += rt.SatMul(int64(c), t.CSLen[q])
 		}
 		if cs > v.WCET {
@@ -207,79 +213,56 @@ func (t *Task) Finalize(numResources int) error {
 		}
 	}
 
-	t.heads = t.heads[:0]
-	t.tails = t.tails[:0]
-	for x := range t.Vertices {
-		if len(t.pred[x]) == 0 {
-			t.heads = append(t.heads, rt.VertexID(x))
-		}
-		if len(t.succ[x]) == 0 {
-			t.tails = append(t.tails, rt.VertexID(x))
-		}
-	}
-
 	// Freeze the structural part of the canonical serialization now: the
 	// vertex/edge/CS body never changes after Finalize, so Taskset.Hash can
-	// reuse it instead of re-sorting request maps and edges on every call.
-	// (Priority may still be assigned by the owning taskset's Finalize, so
-	// the header line is not cached.)
-	t.canon = t.appendCanonBody(nil)
+	// reuse it instead of rebuilding it on every call. (Priority may still
+	// be assigned by the owning taskset's Finalize, so the header line is
+	// not cached.)
+	t.canon = t.appendCanonBody(make([]byte, 0, t.canonBodyLen()))
 	t.bounds = t.computePathBounds() // includes L*_i
 
 	t.finalized = true
 	return nil
 }
 
-// dedupAdjacency drops the repeated entries of every adjacency list in
-// place, keeping first occurrences in order, in O(V+E). It reports whether
-// it dropped any.
-func dedupAdjacency(adj [][]rt.VertexID) bool {
-	seen := make([]int, len(adj)) // seen[y] == x+1: y is already in adj[x]
-	dropped := false
-	for x, list := range adj {
-		kept := list[:0]
-		for _, y := range list {
-			if seen[y] != x+1 {
-				seen[y] = x + 1
-				kept = append(kept, y)
-			}
-		}
-		dropped = dropped || len(kept) < len(list)
-		adj[x] = kept
-	}
-	return dropped
-}
-
-func (t *Task) topoSort() ([]rt.VertexID, error) {
+// topoSort sets the topological order, heads and tails from the
+// adjacency. It is Kahn's algorithm with the order doubling as its FIFO
+// queue: the heads, in index order, are the order's first entries. One
+// slab holds the order and the tails.
+func (t *Task) topoSort() error {
 	n := len(t.Vertices)
 	indeg := make([]int, n)
-	for x := range t.Vertices {
-		for range t.pred[x] {
-			indeg[x]++
+	nt := 0
+	for x := range indeg {
+		indeg[x] = len(t.adj.Pred(rt.VertexID(x)))
+		if len(t.adj.Succ(rt.VertexID(x))) == 0 {
+			nt++
 		}
 	}
-	queue := make([]rt.VertexID, 0, n)
-	for x := 0; x < n; x++ {
-		if indeg[x] == 0 {
-			queue = append(queue, rt.VertexID(x))
+	ids := make([]rt.VertexID, n+nt)
+	order, tails := ids[:0:n], ids[n:n]
+	for x, d := range indeg {
+		if d == 0 {
+			order = append(order, rt.VertexID(x))
+		}
+		if len(t.adj.Succ(rt.VertexID(x))) == 0 {
+			tails = append(tails, rt.VertexID(x))
 		}
 	}
-	order := make([]rt.VertexID, 0, n)
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		order = append(order, x)
-		for _, y := range t.succ[x] {
+	nh := len(order)
+	for i := 0; i < len(order); i++ {
+		for _, y := range t.adj.Succ(order[i]) {
 			indeg[y]--
 			if indeg[y] == 0 {
-				queue = append(queue, y)
+				order = append(order, y)
 			}
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("model: task %d DAG contains a cycle", t.ID)
+		return fmt.Errorf("model: task %d DAG contains a cycle", t.ID)
 	}
-	return order, nil
+	t.topo, t.heads, t.tails = order, order[:nh:nh], tails
+	return nil
 }
 
 func (t *Task) mustFinal() {
@@ -311,6 +294,17 @@ func (t *Task) NumRequests(q rt.ResourceID) int64 {
 		return 0
 	}
 	return t.nReq[q]
+}
+
+// VertexCount returns V_{i,q}, the number of the task's vertices that issue
+// at least one request to q. It bounds how many requests of one job can be
+// pending on q at once.
+func (t *Task) VertexCount(q rt.ResourceID) int64 {
+	t.mustFinal()
+	if int(q) >= len(t.nVert) {
+		return 0
+	}
+	return t.nVert[q]
 }
 
 // UsesResource reports whether the task issues any request to q.
@@ -347,8 +341,8 @@ func (t *Task) VertexNonCrit(x rt.VertexID) rt.Time {
 	t.mustFinal()
 	v := t.Vertices[x]
 	c := v.WCET
-	for q, n := range v.Requests {
-		c -= rt.SatMul(int64(n), t.CS(q))
+	for _, r := range v.Requests {
+		c -= rt.SatMul(int64(r.Count), t.CS(r.Resource))
 	}
 	return c
 }
@@ -356,16 +350,16 @@ func (t *Task) VertexNonCrit(x rt.VertexID) rt.Time {
 // Topo returns the vertices in a topological order.
 func (t *Task) Topo() []rt.VertexID { t.mustFinal(); return t.topo }
 
-// Succ returns the successors of vertex x.
-func (t *Task) Succ(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.succ[x] }
+// Succ returns the successors of vertex x, ascending and without repeats.
+func (t *Task) Succ(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.adj.Succ(x) }
 
-// Pred returns the predecessors of vertex x.
-func (t *Task) Pred(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.pred[x] }
+// Pred returns the predecessors of vertex x, ascending and without repeats.
+func (t *Task) Pred(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.adj.Pred(x) }
 
-// Heads returns the source vertices of the DAG.
+// Heads returns the source vertices of the DAG, ascending.
 func (t *Task) Heads() []rt.VertexID { t.mustFinal(); return t.heads }
 
-// Tails returns the sink vertices of the DAG.
+// Tails returns the sink vertices of the DAG, ascending.
 func (t *Task) Tails() []rt.VertexID { t.mustFinal(); return t.tails }
 
 // Resources returns the IDs of the resources the task uses, ascending.

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dpcpp/internal/rt"
@@ -128,7 +129,7 @@ func (d *PatchDelta) ChangedIDs() []rt.TaskID {
 // taskEdit is an editable deep copy of one finalized task, mirroring the
 // shrinker's spec representation: plain values only, so ops mutate freely
 // and build() reconstructs a fresh Task through the normal constructor
-// path (NewTask / AddVertex / AddEdge plus direct request-map and CSLen
+// path (NewTask / AddVertex / AddEdge plus direct request-profile and CSLen
 // writes), which Finalize then re-validates.
 type taskEdit struct {
 	id       rt.TaskID
@@ -137,7 +138,7 @@ type taskEdit struct {
 	priority rt.Priority
 	name     string
 	wcet     []rt.Time
-	reqs     []map[rt.ResourceID]int
+	reqs     []Requests
 	edges    [][2]rt.VertexID
 	cs       map[rt.ResourceID]rt.Time
 }
@@ -150,19 +151,15 @@ func editOf(t *Task) *taskEdit {
 		priority: t.Priority,
 		name:     t.Name,
 		wcet:     make([]rt.Time, len(t.Vertices)),
-		reqs:     make([]map[rt.ResourceID]int, len(t.Vertices)),
+		reqs:     make([]Requests, len(t.Vertices)),
 		cs:       make(map[rt.ResourceID]rt.Time),
 	}
 	for x, v := range t.Vertices {
 		e.wcet[x] = v.WCET
-		if len(v.Requests) > 0 {
-			m := make(map[rt.ResourceID]int, len(v.Requests))
-			for q, n := range v.Requests {
-				if n > 0 {
-					m[q] = n
-				}
+		for _, r := range v.Requests {
+			if r.Count > 0 {
+				e.reqs[x] = append(e.reqs[x], r)
 			}
-			e.reqs[x] = m
 		}
 	}
 	for _, ed := range t.Edges {
@@ -182,12 +179,8 @@ func (e *taskEdit) build() *Task {
 	t.Name = e.name
 	for x, w := range e.wcet {
 		t.AddVertex(w)
-		if m := e.reqs[x]; len(m) > 0 {
-			v := t.Vertices[x]
-			v.Requests = make(map[rt.ResourceID]int, len(m))
-			for q, n := range m {
-				v.Requests[q] = n
-			}
+		if len(e.reqs[x]) > 0 {
+			t.Vertices[x].Requests = e.reqs[x]
 		}
 	}
 	for _, ed := range e.edges {
@@ -208,8 +201,8 @@ func (e *taskEdit) build() *Task {
 // overrides applied. This is the fast path for the most common what-if
 // query — "what if this vertex ran longer/shorter?" — where the DAG,
 // request profile and critical sections are untouched: the clone shares
-// every structural derived field (topology, predecessor/successor lists,
-// request totals, per-vertex request maps) with the immutable base and
+// every structural derived field (topology, adjacency, request totals,
+// per-vertex request profiles) with the immutable base and
 // recomputes only the WCET sum, the canonical body and the path bounds
 // (whose lengths, L*_i among them, move with the WCETs).
 // The only validation a WCET edit can invalidate is L_{i,q}-work fitting
@@ -225,10 +218,10 @@ func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 		CSLen:    t.CSLen,
 
 		finalized: true,
+		adj:       t.adj,
 		topo:      t.topo,
-		succ:      t.succ,
-		pred:      t.pred,
 		nReq:      t.nReq,
+		nVert:     t.nVert,
 		heads:     t.heads,
 		tails:     t.tails,
 	}
@@ -242,8 +235,8 @@ func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 		}
 		v := t.Vertices[x]
 		var cs rt.Time
-		for q, c := range v.Requests {
-			cs += rt.SatMul(int64(c), t.CSLen[q])
+		for _, r := range v.Requests {
+			cs += rt.SatMul(int64(r.Count), t.CSLen[r.Resource])
 		}
 		if cs > w {
 			return nil, fmt.Errorf("model: task %d vertex %d: critical sections (%d) exceed WCET (%d)",
@@ -255,18 +248,15 @@ func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 	for _, v := range nt.Vertices {
 		nt.wcet = rt.SatAdd(nt.wcet, v.WCET)
 	}
-	// Only WCET digits change, so the base's body plus 20 bytes (the widest
-	// int64) per override always fits: one allocation instead of a growth
-	// series.
-	nt.canon = nt.appendCanonBody(make([]byte, 0, len(t.canon)+20*len(over)))
+	nt.canon = nt.appendCanonBody(make([]byte, 0, nt.canonBodyLen()))
 	nt.bounds = nt.computePathBounds()
 	return nt, nil
 }
 
 // usesResource reports whether the edited task requests q anywhere.
 func (e *taskEdit) usesResource(q rt.ResourceID) bool {
-	for _, m := range e.reqs {
-		if m[q] > 0 {
+	for _, rs := range e.reqs {
+		if rs.Count(q) > 0 {
 			return true
 		}
 	}
@@ -413,18 +403,8 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 				return nil, nil, patchErr(i, "bad_value", "request count must be non-negative, got %d", op.Count)
 			}
 			usedBefore := e.usesResource(op.Resource)
-			old := 0
-			if m := e.reqs[op.Vertex]; m != nil {
-				old = m[op.Resource]
-			}
-			if op.Count == 0 {
-				delete(e.reqs[op.Vertex], op.Resource)
-			} else {
-				if e.reqs[op.Vertex] == nil {
-					e.reqs[op.Vertex] = make(map[rt.ResourceID]int)
-				}
-				e.reqs[op.Vertex][op.Resource] = op.Count
-			}
+			old := e.reqs[op.Vertex].Count(op.Resource)
+			e.reqs[op.Vertex].set(op.Resource, op.Count)
 			if op.Count != old {
 				if e.usesResource(op.Resource) != usedBefore {
 					mark(e.id, ChangeSharers)
@@ -508,7 +488,7 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 				priority: nt.Priority,
 				name:     nt.Name,
 				wcet:     make([]rt.Time, len(nt.Vertices)),
-				reqs:     make([]map[rt.ResourceID]int, len(nt.Vertices)),
+				reqs:     make([]Requests, len(nt.Vertices)),
 				cs:       make(map[rt.ResourceID]rt.Time),
 			}
 			for x, v := range nt.Vertices {
@@ -517,11 +497,7 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 				}
 				e.wcet[x] = v.WCET
 				if len(v.Requests) > 0 {
-					m := make(map[rt.ResourceID]int, len(v.Requests))
-					for q, n := range v.Requests {
-						m[q] = n
-					}
-					e.reqs[x] = m
+					e.reqs[x] = slices.Clone(v.Requests)
 				}
 			}
 			for _, ed := range nt.Edges {

@@ -39,12 +39,13 @@ func (t *Task) CountPaths() int64 {
 	// Iterate in reverse topological order: count[x] = paths from x to a tail.
 	for i := len(t.topo) - 1; i >= 0; i-- {
 		x := t.topo[i]
-		if len(t.succ[x]) == 0 {
+		succ := t.adj.Succ(x)
+		if len(succ) == 0 {
 			count[x] = 1
 			continue
 		}
 		var c int64
-		for _, y := range t.succ[x] {
+		for _, y := range succ {
 			c = satAddI64(c, count[y])
 		}
 		count[x] = c
@@ -98,7 +99,7 @@ func (t *Task) visitPaths(visit func(vertices []rt.VertexID)) {
 		stack = append(stack[:0], h)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			succ := t.succ[f.x]
+			succ := t.adj.Succ(f.x)
 			if len(succ) == 0 {
 				visit(stack)
 			}
@@ -126,8 +127,8 @@ func (t *Task) makePath(vertices []rt.VertexID, nr int) *Path {
 		p.Length += v.WCET
 		p.NonCrit += t.VertexNonCrit(x)
 		p.onPath[x] = true
-		for q, n := range v.Requests {
-			p.NReq[q] += int64(n)
+		for _, r := range v.Requests {
+			p.NReq[r.Resource] += int64(r.Count)
 		}
 	}
 	return p
@@ -192,18 +193,19 @@ func (t *Task) computePathBounds() PathBounds {
 	for x, v := range t.Vertices {
 		r := rows[x*w : (x+1)*w]
 		r[0], r[1], r[w-1] = v.WCET, v.WCET, v.WCET
-		for q, c := range v.Requests {
-			r[1] -= rt.SatMul(int64(c), t.CSLen[q])
+		for _, rq := range v.Requests {
+			q, c := rq.Resource, int64(rq.Count)
+			r[1] -= rt.SatMul(c, t.CSLen[q])
 			if k := int(col[q]) - 1; k >= 0 {
-				r[2+k] += int64(c)
-				r[mid+k] += int64(c)
+				r[2+k] += c
+				r[mid+k] += c
 			}
 		}
 	}
 
 	for i := len(t.topo) - 1; i >= 0; i-- {
 		x := int(t.topo[i])
-		succ := t.succ[x]
+		succ := t.adj.Succ(rt.VertexID(x))
 		if len(succ) == 0 {
 			continue
 		}

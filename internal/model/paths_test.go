@@ -209,8 +209,8 @@ func (c *boundsCoverage) observe(task *Task) {
 		c.multiTail++
 	}
 	for _, v := range task.Vertices {
-		for _, n := range v.Requests {
-			if n > 1 {
+		for _, r := range v.Requests {
+			if r.Count > 1 {
 				c.multiCount++
 				return
 			}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"slices"
 
 	"dpcpp/internal/rt"
 )
@@ -26,8 +27,8 @@ import (
 // judge of unusual input. When the scanner accepts a document, the value it
 // built is exactly what strict encoding/json (DisallowUnknownFields and
 // nothing but whitespace after the value) decodes from it, down to empty
-// but non-nil slices and maps. FuzzTasksetJSON checks that with
-// reflect.DeepEqual.
+// but non-nil slices, request profiles included, and their sorted order.
+// FuzzTasksetJSON checks that with reflect.DeepEqual.
 //
 // The zero Scanner is ready for Reset.
 type Scanner struct {
@@ -42,6 +43,7 @@ type Scanner struct {
 	// value.
 	tasks []Task
 	verts []Vertex
+	reqs  Requests // every request profile of the vertex list being read
 	edges []Edge
 	times []rt.Time
 	strs  []string
@@ -318,14 +320,26 @@ func (s *Scanner) task(t *Task) {
 	}
 }
 
-// vertexList reads an array of Vertex objects.
+// vertexList reads an array of Vertex objects. Their request profiles are
+// staged in vertex order and then share one exactly sized backing array.
 func (s *Scanner) vertexList() []*Vertex {
 	s.verts = s.verts[:0]
+	if s.reqs == nil {
+		s.reqs = make(Requests, 0, 16) // so that {} stages an empty, non-nil profile
+	}
+	s.reqs = s.reqs[:0]
 	for s.elem(len(s.verts)) {
 		s.verts = append(s.verts, Vertex{})
 		s.vertex(&s.verts[len(s.verts)-1])
 	}
 	out := pointers(s.verts)
+	reqs := exact(s.reqs)
+	for _, v := range out {
+		if v.Requests != nil {
+			n := len(v.Requests)
+			v.Requests, reqs = reqs[:n:n], reqs[n:]
+		}
+	}
 	clear(s.verts)
 	return out
 }
@@ -346,9 +360,11 @@ func (s *Scanner) vertex(v *Vertex) {
 	}
 }
 
-// requests reads a Vertex.Requests object, whose keys are resource IDs.
-func (s *Scanner) requests() map[rt.ResourceID]int {
-	m := make(map[rt.ResourceID]int)
+// requests reads a Vertex.Requests object, whose keys are resource IDs,
+// onto the end of the staged profiles, inserting each entry in resource
+// order. The result aliases the staging buffer until vertexList moves it.
+func (s *Scanner) requests() Requests {
+	start := len(s.reqs)
 	for first := true; s.next(first, '{', '}'); first = false {
 		k := s.quoted()
 		q, n := leadingInt(k)
@@ -357,13 +373,15 @@ func (s *Scanner) requests() map[rt.ResourceID]int {
 			return nil
 		}
 		s.i++
-		if _, dup := m[rt.ResourceID(q)]; dup {
+		i, dup := slices.BinarySearchFunc(s.reqs[start:], rt.ResourceID(q), cmpResource)
+		if dup {
 			s.decline()
 			return nil
 		}
-		m[rt.ResourceID(q)] = s.Int()
+		c := s.Int()
+		s.reqs = slices.Insert(s.reqs, start+i, Request{Resource: rt.ResourceID(q), Count: c})
 	}
-	return m
+	return s.reqs[start:len(s.reqs):len(s.reqs)]
 }
 
 func (s *Scanner) edgeList() []Edge {

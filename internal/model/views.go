@@ -36,7 +36,8 @@ type viewState struct {
 }
 
 // sigDelta is one vertex's request increment on an active-resource slot,
-// hoisted out of the DP so the inner loop never touches the Requests maps.
+// hoisted out of the DP so the inner loop never touches the request
+// profiles.
 type sigDelta struct {
 	slot int
 	n    int64
@@ -156,9 +157,9 @@ func (t *Task) EnumerateViews(cap int, s *ViewScratch) (views []PathView, ok boo
 	for x, v := range t.Vertices {
 		s.nonCrit[x] = t.VertexNonCrit(rt.VertexID(x))
 		d := s.deltas[x][:0]
-		for q, n := range v.Requests {
-			if n > 0 {
-				d = append(d, sigDelta{slot: s.slot[q], n: int64(n)})
+		for _, r := range v.Requests {
+			if r.Count > 0 {
+				d = append(d, sigDelta{slot: s.slot[r.Resource], n: int64(r.Count)})
 			}
 		}
 		s.deltas[x] = d
@@ -178,10 +179,10 @@ func (t *Task) EnumerateViews(cap int, s *ViewScratch) (views []PathView, ok boo
 	}
 	for _, x := range t.topo {
 		m.begin(s.states[x][:0])
-		if len(t.pred[x]) == 0 {
+		if pred := t.adj.Pred(x); len(pred) == 0 {
 			s.fold(m, x, na, s.zeroSig, s.nonCrit[x], 1)
 		} else {
-			for _, p := range t.pred[x] {
+			for _, p := range pred {
 				for _, st := range s.states[p] {
 					s.fold(m, x, na, st.sig, st.nonCrit+s.nonCrit[x], st.paths)
 				}

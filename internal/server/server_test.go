@@ -521,6 +521,24 @@ func TestHostileRequests(t *testing.T) {
 	}
 }
 
+// TestNegativeRequestKeyMessage: a negative resource key gets Finalize's
+// error in its 400, whether the scanner or encoding/json decoded the body.
+func TestNegativeRequestKeyMessage(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	const want = "invalid taskset: model: task 0 vertex 0 requests unknown resource -1"
+	escaped := strings.Replace(negResource, `"id":0,"period"`, `"id":0,"name":"\u0071","period"`, 1)
+	if _, ok := scanAnalyzeRequest([]byte(`{"taskset":` + escaped + `}`)); ok {
+		t.Fatal("the escaped name no longer sends the body to encoding/json")
+	}
+	for _, ts := range []string{negResource, escaped} {
+		w := post(t, s, "/v1/analyze", []byte(`{"taskset":`+ts+`}`))
+		var er errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusBadRequest || er.Error != want {
+			t.Errorf("%s: status %d, body %s; want 400 with %q", ts, w.Code, w.Body.String(), want)
+		}
+	}
+}
+
 func TestRouting(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	for _, tc := range []struct {
@@ -657,6 +675,7 @@ func FuzzAnalyzeRequest(f *testing.F) {
 		strings.Replace(small, `"methods":["DPCP-p-EN"]`, `"methods":null`, 1),
 		strings.Replace(small, `"methods":["DPCP-p-EN"]`, `"methods":[],"path_cap":0,"placement":"","explain":false,"timeout_ms":0`, 1),
 		strings.Replace(small, `{"0":1}`, `{}`, 1),
+		strings.Replace(small, `{"0":1}`, `{"2":1,"10":0,"0":1}`, 1),
 		small + `]`,
 		small + `}x`,
 	} {

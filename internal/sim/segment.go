@@ -11,7 +11,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"dpcpp/internal/model"
 	"dpcpp/internal/rt"
@@ -53,14 +52,9 @@ const (
 func BuildSegments(t *model.Task, x rt.VertexID, placement CSPlacement) []Segment {
 	v := t.Vertices[x]
 	var reqs []rt.ResourceID
-	var qs []rt.ResourceID
-	for q := range v.Requests {
-		qs = append(qs, q)
-	}
-	sort.Slice(qs, func(a, b int) bool { return qs[a] < qs[b] })
-	for _, q := range qs {
-		for i := 0; i < v.Requests[q]; i++ {
-			reqs = append(reqs, q)
+	for _, r := range v.Requests { // sorted by resource
+		for i := 0; i < r.Count; i++ {
+			reqs = append(reqs, r.Resource)
 		}
 	}
 	nonCrit := t.VertexNonCrit(x)

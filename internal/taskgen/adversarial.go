@@ -172,39 +172,39 @@ func (a *Adversarial) task(r *rand.Rand, id rt.TaskID, period rt.Time,
 
 // structure draws the DAG skeleton of the shape; edges always go from lower
 // to higher vertex index.
-func (a *Adversarial) structure(r *rand.Rand, shape Shape) (int, []diEdge) {
+func (a *Adversarial) structure(r *rand.Rand, shape Shape) (int, []model.Edge) {
 	switch shape {
 	case ShapeChain:
 		k := 3 + r.Intn(22)
-		edges := make([]diEdge, 0, k-1)
+		edges := make([]model.Edge, 0, k-1)
 		for i := 0; i < k-1; i++ {
-			edges = append(edges, diEdge{i, i + 1})
+			edges = append(edges, edge(i, i+1))
 		}
 		return k, edges
 	case ShapeForkJoin:
 		w := 2 + r.Intn(14)
-		edges := make([]diEdge, 0, 2*w)
+		edges := make([]model.Edge, 0, 2*w)
 		for i := 1; i <= w; i++ {
-			edges = append(edges, diEdge{0, i}, diEdge{i, w + 1})
+			edges = append(edges, edge(0, i), edge(i, w+1))
 		}
 		return w + 2, edges
 	case ShapeLayered:
 		layers := 2 + r.Intn(4)
 		width := 2 + r.Intn(4)
 		n := layers * width
-		var edges []diEdge
+		var edges []model.Edge
 		at := func(l, i int) int { return l*width + i }
 		for l := 1; l < layers; l++ {
 			for i := 0; i < width; i++ {
 				// At least one incoming edge keeps every chain layer-deep.
-				edges = append(edges, diEdge{at(l-1, r.Intn(width)), at(l, i)})
+				edges = append(edges, edge(at(l-1, r.Intn(width)), at(l, i)))
 				for j := 0; j < width; j++ {
 					if r.Float64() < 0.3 {
-						edges = append(edges, diEdge{at(l-1, j), at(l, i)})
+						edges = append(edges, edge(at(l-1, j), at(l, i)))
 					}
 				}
 				if l >= 2 && r.Float64() < 0.1 { // layer-skipping edge
-					edges = append(edges, diEdge{at(l-2, r.Intn(width)), at(l, i)})
+					edges = append(edges, edge(at(l-2, r.Intn(width)), at(l, i)))
 				}
 			}
 		}
@@ -217,16 +217,16 @@ func (a *Adversarial) structure(r *rand.Rand, shape Shape) (int, []diEdge) {
 			return 1, nil
 		case 1:
 			k := 2 + r.Intn(3)
-			edges := make([]diEdge, 0, k-1)
+			edges := make([]model.Edge, 0, k-1)
 			for i := 0; i < k-1; i++ {
-				edges = append(edges, diEdge{i, i + 1})
+				edges = append(edges, edge(i, i+1))
 			}
 			return k, edges
 		default:
 			w := 2 + r.Intn(3)
-			edges := make([]diEdge, 0, 2*w)
+			edges := make([]model.Edge, 0, 2*w)
 			for i := 1; i <= w; i++ {
-				edges = append(edges, diEdge{0, i}, diEdge{i, w + 1})
+				edges = append(edges, edge(0, i), edge(i, w+1))
 			}
 			return w + 2, edges
 		}

@@ -169,19 +169,21 @@ func (g *Generator) drawResources(r *rand.Rand, nr int, wcet, deadline rt.Time, 
 	return draws
 }
 
-// diEdge is a directed precedence edge between vertex indices; from < to,
-// so vertex indices always form a topological order.
-type diEdge struct{ from, to int }
+// edge returns the precedence edge from -> to. The generators draw edges
+// with from < to, so vertex indices always form a topological order.
+func edge(from, to int) model.Edge {
+	return model.Edge{From: rt.VertexID(from), To: rt.VertexID(to)}
+}
 
 // buildDAG builds the Erdős–Rényi structure and hands it to assembleTask.
 func (g *Generator) buildDAG(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 	nVerts int, edgeProb float64, draws []resourceDraw, nr int) (*model.Task, error) {
 
-	var edges []diEdge
+	var edges []model.Edge
 	for i := 0; i < nVerts; i++ {
 		for j := i + 1; j < nVerts; j++ {
 			if r.Float64() < edgeProb {
-				edges = append(edges, diEdge{i, j})
+				edges = append(edges, edge(i, j))
 			}
 		}
 	}
@@ -190,30 +192,26 @@ func (g *Generator) buildDAG(r *rand.Rand, id rt.TaskID, period, deadline, wcet 
 
 // chainHeights returns h[x] = the maximum number of vertices on any chain
 // through x, for a DAG whose edges go from lower to higher vertex index.
-func chainHeights(nVerts int, edges []diEdge) []int {
-	succ := make([][]int, nVerts)
-	pred := make([][]int, nVerts)
-	for _, e := range edges {
-		succ[e.from] = append(succ[e.from], e.to)
-		pred[e.to] = append(pred[e.to], e.from)
-	}
-	fwd := make([]int, nVerts) // longest hop chain ending at x (inclusive)
-	bwd := make([]int, nVerts) // longest hop chain starting at x (inclusive)
-	for x := 0; x < nVerts; x++ {
+// Every predecessor of x then has a smaller index and every successor a
+// larger one, so one ascending sweep over the predecessor lists and one
+// descending sweep over the successor lists find the longest chains ending
+// and starting at each vertex.
+func chainHeights(nVerts int, edges []model.Edge) []int {
+	adj := model.NewAdjacency(nVerts, edges)
+	slab := make([]int, 3*nVerts)
+	fwd := slab[:nVerts]           // longest hop chain ending at x (inclusive)
+	bwd := slab[nVerts : 2*nVerts] // longest hop chain starting at x (inclusive)
+	h := slab[2*nVerts:]
+	for x := range fwd {
 		fwd[x] = 1
-		for _, p := range pred[x] {
-			if fwd[p]+1 > fwd[x] {
-				fwd[x] = fwd[p] + 1
-			}
+		for _, p := range adj.Pred(rt.VertexID(x)) {
+			fwd[x] = max(fwd[x], fwd[p]+1)
 		}
 	}
-	h := make([]int, nVerts)
 	for x := nVerts - 1; x >= 0; x-- {
 		bwd[x] = 1
-		for _, s := range succ[x] {
-			if bwd[s]+1 > bwd[x] {
-				bwd[x] = bwd[s] + 1
-			}
+		for _, s := range adj.Succ(rt.VertexID(x)) {
+			bwd[x] = max(bwd[x], bwd[s]+1)
 		}
 		h[x] = fwd[x] + bwd[x] - 1
 	}
@@ -222,7 +220,7 @@ func chainHeights(nVerts int, edges []diEdge) []int {
 
 // vertexCaps returns the per-vertex WCET caps (D/2 - margin)/h[x] and their
 // sum; a non-positive cap base yields nil.
-func vertexCaps(nVerts int, edges []diEdge, deadline rt.Time) (caps []rt.Time, capSum rt.Time) {
+func vertexCaps(nVerts int, edges []model.Edge, deadline rt.Time) (caps []rt.Time, capSum rt.Time) {
 	margin := rt.Time(2 * nVerts) // nanoseconds of slack for rounding fixes
 	capBase := deadline/2 - margin
 	if capBase <= 0 {
@@ -248,11 +246,12 @@ func vertexCaps(nVerts int, edges []diEdge, deadline rt.Time) (caps []rt.Time, c
 //   - Request units are only placed on vertices whose remaining cap can
 //     absorb the critical section, so C_{i,x} >= sum_q N_{i,x,q} L_{i,q}.
 //
-// Edges must go from lower to higher vertex index, and each draw must name
-// a distinct resource. Both the paper-grid Generator and the adversarial
-// generators build on this assembly.
+// Edges must go from lower to higher vertex index, and the draws must name
+// distinct resources in ascending order. The task takes ownership of edges.
+// Both the paper-grid Generator and the adversarial generators build on
+// this assembly.
 func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
-	nVerts int, edges []diEdge, draws []resourceDraw, nr int) (*model.Task, error) {
+	nVerts int, edges []model.Edge, draws []resourceDraw, nr int) (*model.Task, error) {
 
 	caps, capSum := vertexCaps(nVerts, edges, deadline)
 	if caps == nil {
@@ -290,23 +289,39 @@ func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 		return nil, fmt.Errorf("waterfill failed: insufficient slack")
 	}
 
+	// The vertices, and then all of their request entries, each come from
+	// one slab; a resource's L_{i,q} is recorded once some unit of it landed.
 	task := model.NewTask(id, period, deadline)
-	for x := 0; x < nVerts; x++ {
+	if len(edges) > 0 {
+		task.Edges = edges
+	}
+	task.CSLen = make([]rt.Time, nr)
+	task.Vertices = make([]*model.Vertex, nVerts)
+	verts := make([]model.Vertex, nVerts)
+	nReqs := 0
+	for _, n := range placed {
+		if n > 0 {
+			nReqs++
+		}
+	}
+	reqs := make(model.Requests, 0, nReqs)
+	for x := range verts {
 		w := csNeed[x] + alloc[x]
 		if w <= 0 {
 			w = 1 // the cap margin guarantees room for this
 		}
-		task.AddVertex(w)
-	}
-	for _, e := range edges {
-		task.AddEdge(rt.VertexID(e.from), rt.VertexID(e.to))
-	}
-	for x := 0; x < nVerts; x++ {
+		verts[x] = model.Vertex{ID: rt.VertexID(x), WCET: w}
+		start := len(reqs)
 		for i, d := range draws {
 			if n := placed[x*len(draws)+i]; n > 0 {
-				task.AddRequest(rt.VertexID(x), d.q, n, d.cs)
+				reqs = append(reqs, model.Request{Resource: d.q, Count: n})
+				task.CSLen[d.q] = d.cs
 			}
 		}
+		if len(reqs) > start {
+			verts[x].Requests = reqs[start:len(reqs):len(reqs)]
+		}
+		task.Vertices[x] = &verts[x]
 	}
 	if err := task.Finalize(nr); err != nil {
 		return nil, err
