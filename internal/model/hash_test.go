@@ -80,7 +80,7 @@ func TestHashSensitivity(t *testing.T) {
 		{"period", func(ts *Taskset) { ts.Tasks[1].Period += rt.Microsecond }},
 		{"deadline", func(ts *Taskset) { ts.Tasks[0].Deadline -= rt.Microsecond }},
 		{"edge", func(ts *Taskset) { ts.Tasks[0].Edges = nil }},
-		{"requests", func(ts *Taskset) { ts.Tasks[1].Vertices[0].Requests.set(0, 2) }},
+		{"requests", func(ts *Taskset) { ts.Tasks[1].Vertices[0].Requests[0].Count = 2 }},
 		{"cslen", func(ts *Taskset) {
 			ts.Tasks[1].CSLen[0] = 5 * rt.Microsecond
 		}},

@@ -188,8 +188,8 @@ func (t *Task) Finalize(numResources int) error {
 		if v.WCET <= 0 {
 			return fmt.Errorf("model: task %d vertex %d has non-positive WCET", t.ID, v.ID)
 		}
-		if !v.Requests.sorted() {
-			return fmt.Errorf("model: task %d vertex %d requests are not sorted by resource", t.ID, v.ID)
+		if err := v.Requests.orderErr(t.ID, v.ID); err != nil {
+			return err
 		}
 		t.wcet = rt.SatAdd(t.wcet, v.WCET)
 		var cs rt.Time

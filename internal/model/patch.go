@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"dpcpp/internal/rt"
@@ -130,7 +129,9 @@ func (d *PatchDelta) ChangedIDs() []rt.TaskID {
 // shrinker's spec representation: plain values only, so ops mutate freely
 // and build() reconstructs a fresh Task through the normal constructor
 // path (NewTask / AddVertex / AddEdge plus direct request-profile and CSLen
-// writes), which Finalize then re-validates.
+// writes), which Finalize then re-validates. Request profiles are edited as
+// maps, so a set_request op costs O(1) however large the profile and in
+// whatever resource order a patch sets it; build sorts each profile once.
 type taskEdit struct {
 	id       rt.TaskID
 	period   rt.Time
@@ -138,7 +139,7 @@ type taskEdit struct {
 	priority rt.Priority
 	name     string
 	wcet     []rt.Time
-	reqs     []Requests
+	reqs     []map[rt.ResourceID]int
 	edges    [][2]rt.VertexID
 	cs       map[rt.ResourceID]rt.Time
 }
@@ -151,15 +152,19 @@ func editOf(t *Task) *taskEdit {
 		priority: t.Priority,
 		name:     t.Name,
 		wcet:     make([]rt.Time, len(t.Vertices)),
-		reqs:     make([]Requests, len(t.Vertices)),
+		reqs:     make([]map[rt.ResourceID]int, len(t.Vertices)),
 		cs:       make(map[rt.ResourceID]rt.Time),
 	}
 	for x, v := range t.Vertices {
 		e.wcet[x] = v.WCET
-		for _, r := range v.Requests {
-			if r.Count > 0 {
-				e.reqs[x] = append(e.reqs[x], r)
+		if len(v.Requests) > 0 {
+			m := make(map[rt.ResourceID]int, len(v.Requests))
+			for _, r := range v.Requests {
+				if r.Count > 0 {
+					m[r.Resource] = r.Count
+				}
 			}
+			e.reqs[x] = m
 		}
 	}
 	for _, ed := range t.Edges {
@@ -179,8 +184,8 @@ func (e *taskEdit) build() *Task {
 	t.Name = e.name
 	for x, w := range e.wcet {
 		t.AddVertex(w)
-		if len(e.reqs[x]) > 0 {
-			t.Vertices[x].Requests = e.reqs[x]
+		if m := e.reqs[x]; len(m) > 0 {
+			t.Vertices[x].Requests = requestsOf(m)
 		}
 	}
 	for _, ed := range e.edges {
@@ -255,8 +260,8 @@ func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 
 // usesResource reports whether the edited task requests q anywhere.
 func (e *taskEdit) usesResource(q rt.ResourceID) bool {
-	for _, rs := range e.reqs {
-		if rs.Count(q) > 0 {
+	for _, m := range e.reqs {
+		if m[q] > 0 {
 			return true
 		}
 	}
@@ -403,8 +408,15 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 				return nil, nil, patchErr(i, "bad_value", "request count must be non-negative, got %d", op.Count)
 			}
 			usedBefore := e.usesResource(op.Resource)
-			old := e.reqs[op.Vertex].Count(op.Resource)
-			e.reqs[op.Vertex].set(op.Resource, op.Count)
+			old := e.reqs[op.Vertex][op.Resource]
+			if op.Count == 0 {
+				delete(e.reqs[op.Vertex], op.Resource)
+			} else {
+				if e.reqs[op.Vertex] == nil {
+					e.reqs[op.Vertex] = make(map[rt.ResourceID]int)
+				}
+				e.reqs[op.Vertex][op.Resource] = op.Count
+			}
 			if op.Count != old {
 				if e.usesResource(op.Resource) != usedBefore {
 					mark(e.id, ChangeSharers)
@@ -488,16 +500,25 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 				priority: nt.Priority,
 				name:     nt.Name,
 				wcet:     make([]rt.Time, len(nt.Vertices)),
-				reqs:     make([]Requests, len(nt.Vertices)),
+				reqs:     make([]map[rt.ResourceID]int, len(nt.Vertices)),
 				cs:       make(map[rt.ResourceID]rt.Time),
 			}
 			for x, v := range nt.Vertices {
 				if v == nil {
 					return nil, nil, patchErr(i, "bad_value", "new task %d has a null vertex", nt.ID)
 				}
+				// The edit's map would silently sort and merge a profile
+				// that Finalize rejects on the task itself.
+				if err := v.Requests.orderErr(nt.ID, rt.VertexID(x)); err != nil {
+					return nil, nil, &PatchError{Op: -1, Code: "finalize", Msg: err.Error()}
+				}
 				e.wcet[x] = v.WCET
 				if len(v.Requests) > 0 {
-					e.reqs[x] = slices.Clone(v.Requests)
+					m := make(map[rt.ResourceID]int, len(v.Requests))
+					for _, r := range v.Requests {
+						m[r.Resource] = r.Count
+					}
+					e.reqs[x] = m
 				}
 			}
 			for _, ed := range nt.Edges {

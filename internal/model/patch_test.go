@@ -228,6 +228,53 @@ func TestPatchErrors(t *testing.T) {
 	}
 }
 
+// TestPatchAddTaskUnsortedRequests: an added task whose profile is out of
+// resource order or names a resource twice fails as Finalize fails on the
+// task itself, rather than being sorted and merged by the edit.
+func TestPatchAddTaskUnsortedRequests(t *testing.T) {
+	ts := patchBase(t)
+	for _, rs := range []Requests{{{1, 1}, {0, 1}}, {{0, 1}, {0, 2}}} {
+		nt := NewTask(7, 5000*rt.Microsecond, 5000*rt.Microsecond)
+		nt.Priority = 9
+		nt.AddVertex(100 * rt.Microsecond)
+		nt.Vertices[0].Requests = rs
+		_, _, err := ApplyPatch(ts, Patch{Ops: []PatchOp{{Op: OpAddTask, NewTask: nt}}})
+		perr, ok := err.(*PatchError)
+		if !ok || perr.Code != "finalize" || perr.Msg != "model: task 7 vertex 0 requests are not sorted by resource" {
+			t.Errorf("profile %v: got %v, want the finalize not-sorted error", rs, err)
+		}
+	}
+}
+
+// TestPatchLargeProfileNotQuadratic: set_request ops cost O(1) each
+// whatever order they set resources in.
+func TestPatchLargeProfileNotQuadratic(t *testing.T) {
+	const k = 100_000
+	task := NewTask(0, 1000*rt.Microsecond, 1000*rt.Microsecond)
+	task.AddVertex(1000 * rt.Microsecond)
+	ts := &Taskset{Tasks: []*Task{task}, NumResources: k, NumProcs: 2}
+	if err := ts.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	var p Patch
+	for q := k - 1; q >= 0; q-- {
+		p.Ops = append(p.Ops, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 0, Resource: rt.ResourceID(q), Count: 1})
+	}
+	var out *Taskset
+	d, ok := withinBudget(largeProfileBudget, func() {
+		var err error
+		if out, _, err = ApplyPatch(ts, p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !ok {
+		t.Fatalf("%d set_request ops in descending resource order took %v, over the %v budget", k, d, largeProfileBudget)
+	}
+	if rs := out.Tasks[0].Vertices[0].Requests; len(rs) != k || !rs.sorted() {
+		t.Fatalf("patched profile of %d entries, sorted=%v, want %d sorted", len(rs), rs.sorted(), k)
+	}
+}
+
 // TestPatchEquivalentToDirectConstruction pins the hash contract the
 // server's cache relies on: patching a base must produce the same content
 // address as building the patched taskset from scratch.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strconv"
 
@@ -30,13 +31,8 @@ type Requests []Request
 
 // Count returns the vertex's request count for q, 0 when it has none.
 func (rs Requests) Count(q rt.ResourceID) int {
-	for _, r := range rs {
-		if r.Resource >= q {
-			if r.Resource == q {
-				return r.Count
-			}
-			break
-		}
+	if i, found := slices.BinarySearchFunc(rs, q, cmpResource); found {
+		return rs[i].Count
 	}
 	return 0
 }
@@ -52,19 +48,6 @@ func (rs *Requests) add(q rt.ResourceID, n int) {
 	*rs = slices.Insert(*rs, i, Request{Resource: q, Count: n})
 }
 
-// set sets the count for q; a zero count removes q's entry.
-func (rs *Requests) set(q rt.ResourceID, n int) {
-	i, found := slices.BinarySearchFunc(*rs, q, cmpResource)
-	switch {
-	case found && n == 0:
-		*rs = slices.Delete(*rs, i, i+1)
-	case found:
-		(*rs)[i].Count = n
-	case n != 0:
-		*rs = slices.Insert(*rs, i, Request{Resource: q, Count: n})
-	}
-}
-
 func cmpResource(r Request, q rt.ResourceID) int { return cmp.Compare(r.Resource, q) }
 
 // sorted reports whether the resources strictly ascend.
@@ -75,6 +58,26 @@ func (rs Requests) sorted() bool {
 		}
 	}
 	return true
+}
+
+// orderErr is Finalize's error for vertex v of task t when the profile is
+// not sorted, nil when it is.
+func (rs Requests) orderErr(t rt.TaskID, v rt.VertexID) error {
+	if !rs.sorted() {
+		return fmt.Errorf("model: task %d vertex %d requests are not sorted by resource", t, v)
+	}
+	return nil
+}
+
+// requestsOf returns the sorted profile holding m's entries, zero counts
+// included.
+func requestsOf(m map[rt.ResourceID]int) Requests {
+	rs := make(Requests, 0, len(m))
+	for q, n := range m {
+		rs = append(rs, Request{Resource: q, Count: n})
+	}
+	slices.SortFunc(rs, func(a, b Request) int { return cmpResource(a, b.Resource) })
+	return rs
 }
 
 // MarshalJSON writes the profile as encoding/json writes the equivalent
@@ -133,11 +136,6 @@ func (rs *Requests) UnmarshalJSON(b []byte) error {
 		*rs = nil
 		return nil
 	}
-	out := make(Requests, 0, len(m))
-	for q, n := range m {
-		out = append(out, Request{Resource: q, Count: n})
-	}
-	slices.SortFunc(out, func(a, b Request) int { return cmpResource(a, b.Resource) })
-	*rs = out
+	*rs = requestsOf(m)
 	return nil
 }

@@ -361,8 +361,11 @@ func (s *Scanner) vertex(v *Vertex) {
 }
 
 // requests reads a Vertex.Requests object, whose keys are resource IDs,
-// onto the end of the staged profiles, inserting each entry in resource
-// order. The result aliases the staging buffer until vertexList moves it.
+// onto the end of the staged profiles in key order, then sorts the profile
+// by resource once, so a profile of k keys costs O(k log k) whatever their
+// order. A repeated key declines: map semantics keep its last value, which
+// the encoding/json path gives. The result aliases the staging buffer
+// until vertexList moves it.
 func (s *Scanner) requests() Requests {
 	start := len(s.reqs)
 	for first := true; s.next(first, '{', '}'); first = false {
@@ -373,15 +376,15 @@ func (s *Scanner) requests() Requests {
 			return nil
 		}
 		s.i++
-		i, dup := slices.BinarySearchFunc(s.reqs[start:], rt.ResourceID(q), cmpResource)
-		if dup {
-			s.decline()
-			return nil
-		}
-		c := s.Int()
-		s.reqs = slices.Insert(s.reqs, start+i, Request{Resource: rt.ResourceID(q), Count: c})
+		s.reqs = append(s.reqs, Request{Resource: rt.ResourceID(q), Count: s.Int()})
 	}
-	return s.reqs[start:len(s.reqs):len(s.reqs)]
+	rs := Requests(s.reqs[start:len(s.reqs):len(s.reqs)])
+	slices.SortFunc(rs, func(a, b Request) int { return cmpResource(a, b.Resource) })
+	if !rs.sorted() {
+		s.decline()
+		return nil
+	}
+	return rs
 }
 
 func (s *Scanner) edgeList() []Edge {

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // strictDecode is the scanner's oracle: encoding/json with unknown fields
@@ -73,6 +75,7 @@ var (
 		"case-folded key":   strings.Replace(scanSmall, `"wcet":100`, `"WCET":100`, 1),
 		"duplicate key":     strings.Replace(scanSmall, `"id":0,"period"`, `"id":0,"id":1,"period"`, 1),
 		"duplicate request": strings.Replace(scanSmall, `{"0":2}`, `{"0":2,"0":3}`, 1),
+		"split duplicate":   strings.Replace(scanSmall, `{"0":2}`, `{"0":2,"1":1,"-0":3}`, 1),
 		"unknown key":       strings.Replace(scanSmall, `"num_procs"`, `"bogus":1,"num_procs"`, 1),
 		"plus request key":  strings.Replace(scanSmall, `{"0":2}`, `{"+0":2}`, 1),
 		"padded request":    strings.Replace(scanSmall, `{"0":2}`, `{" 0":2}`, 1),
@@ -162,5 +165,66 @@ func TestScannerMatchesEncodingJSON(t *testing.T) {
 		if _, ok := scanTaskset([]byte(doc)); ok {
 			t.Errorf("%s: accepted %s", name, doc)
 		}
+	}
+}
+
+// profileDoc returns a one-vertex taskset whose request profile has keys
+// 0..k-1, in descending order when desc is set.
+func profileDoc(k int, desc bool) []byte {
+	b := []byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100,"requests":{`)
+	for i := range k {
+		q := i
+		if desc {
+			q = k - 1 - i
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = strconv.AppendInt(b, int64(q), 10)
+		b = append(b, `":1`...)
+	}
+	return append(b, `}}]}],"num_resources":`+strconv.Itoa(k)+`,"num_procs":2}`...)
+}
+
+// largeProfileBudget bounds one scan or patch of a 1e5-entry request
+// profile. A linear or k log k pass takes milliseconds, tens under the race
+// detector; placing each entry in resource order as it arrives makes
+// descending resources, which always land in front, cost O(k^2) moved
+// entries, over ten seconds on a current core.
+const largeProfileBudget = 4 * time.Second
+
+// withinBudget reports whether one of three runs of f finished inside
+// budget, so a single stall on a loaded machine does not fail the test.
+func withinBudget(budget time.Duration, f func()) (time.Duration, bool) {
+	var d time.Duration
+	for range 3 {
+		start := time.Now()
+		f()
+		if d = time.Since(start); d <= budget {
+			return d, true
+		}
+	}
+	return d, false
+}
+
+// TestScannerLargeProfileNotQuadratic: a request profile costs the scanner
+// O(k log k) whatever its key order.
+func TestScannerLargeProfileNotQuadratic(t *testing.T) {
+	const k = 100_000
+	doc := profileDoc(k, true)
+	var rs Requests
+	d, ok := withinBudget(largeProfileBudget, func() {
+		ts, accepted := scanTaskset(doc)
+		if !accepted {
+			t.Fatal("scanner declined a large profile")
+		}
+		rs = ts.Tasks[0].Vertices[0].Requests
+	})
+	if !ok {
+		t.Fatalf("descending profile of %d keys took %v to scan, over the %v budget", k, d, largeProfileBudget)
+	}
+	if len(rs) != k || !rs.sorted() || rs[0].Resource != 0 {
+		t.Fatalf("profile of %d entries, sorted=%v, want %d sorted from 0", len(rs), rs.sorted(), k)
 	}
 }

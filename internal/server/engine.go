@@ -274,20 +274,15 @@ func (e *engine) release(n int) { e.queued.Add(int64(-n)) }
 // cacheKey builds the content address of one (taskset, method, options)
 // result under the current analysis semantics. It keys both the in-memory
 // cache and the persistent store, so a store written by code with other
-// analysis semantics is a miss, never a stale answer.
-func cacheKey(h model.Hash, m analysis.Method, opts analysis.Options, explain bool) string {
-	return semanticsKey(analysis.SemanticsVersion, h, m, opts, explain)
-}
-
-// semanticsKey is cacheKey under analysis semantics version sv. PathCap is
+// analysis semantics is a miss, never a stale answer. PathCap is
 // normalized first so 0 and the explicit default hit the same entry.
-func semanticsKey(sv int, h model.Hash, m analysis.Method, opts analysis.Options, explain bool) string {
+func cacheKey(h model.Hash, m analysis.Method, opts analysis.Options, explain bool) string {
 	pc := opts.PathCap
 	if pc <= 0 {
 		pc = analysis.DefaultPathCap
 	}
 	key := h.String() + "|" + string(m) + "|pc=" + strconv.Itoa(pc) +
-		"|pl=" + strconv.Itoa(int(opts.Placement)) + "|sv=" + strconv.Itoa(sv)
+		"|pl=" + strconv.Itoa(int(opts.Placement)) + "|sv=" + strconv.Itoa(analysis.SemanticsVersion)
 	if explain {
 		key += "|ex=1"
 	}

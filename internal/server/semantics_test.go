@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dpcpp/internal/analysis"
@@ -22,11 +23,15 @@ func TestStoreKeyedBySemanticsVersion(t *testing.T) {
 
 	s := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	stale := &MethodResult{Schedulable: !want.Schedulable, Reason: "stale answer"}
-	unversioned := h.String() + "|" + string(m) + "|pc=" + strconv.Itoa(analysis.DefaultPathCap) + "|pl=0"
+	current := cacheKey(h, m, opts, false)
+	sv := "|sv=" + strconv.Itoa(analysis.SemanticsVersion)
+	if !strings.HasSuffix(current, sv) {
+		t.Fatalf("cache key %q does not end in %q", current, sv)
+	}
 	for _, key := range []string{
-		unversioned,
-		semanticsKey(analysis.SemanticsVersion-1, h, m, opts, false),
-		semanticsKey(analysis.SemanticsVersion+1, h, m, opts, false),
+		strings.TrimSuffix(current, sv),
+		strings.Replace(current, sv, "|sv="+strconv.Itoa(analysis.SemanticsVersion-1), 1),
+		strings.Replace(current, sv, "|sv="+strconv.Itoa(analysis.SemanticsVersion+1), 1),
 	} {
 		s.engine.storePut(key, stale)
 	}
