@@ -274,10 +274,15 @@ func BenchmarkInstrumentedAnalysis(b *testing.B) {
 	}
 }
 
+// hashSink keeps the patch-only benchmarks' Hash calls live.
+var hashSink model.Hash
+
 // BenchmarkDeltaAnalyze measures the what-if query the server's POST
 // /v1/analyze/delta answers: a one-vertex WCET bump (the canonical
 // admission-control query) applied with model.ApplyPatch, then a full EP
-// analysis of the patched taskset. Gated by cmd/benchgate.
+// analysis of the patched taskset. The patch-only sub-benchmarks time
+// ApplyPatch and the patched taskset's Hash alone, for a WCET edit and a
+// period edit. Gated by cmd/benchgate.
 func BenchmarkDeltaAnalyze(b *testing.B) {
 	scen, _ := taskgen.Fig2Scenario("2a")
 	g := taskgen.NewGenerator(scen)
@@ -312,6 +317,26 @@ func BenchmarkDeltaAnalyze(b *testing.B) {
 			}
 			analysis.TestWith(sc, analysis.DPCPpEP, patched, analysis.Options{})
 		}
+	})
+
+	patchOnly := func(b *testing.B, patch func(i int) model.Patch) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			patched, _, err := model.ApplyPatch(ts, patch(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			hashSink = patched.Hash()
+		}
+	}
+	b.Run("patch-only/set_wcet", func(b *testing.B) { patchOnly(b, bump) })
+	b.Run("patch-only/set_period", func(b *testing.B) {
+		patchOnly(b, func(i int) model.Patch {
+			return model.Patch{Ops: []model.PatchOp{{
+				Op: model.OpSetPeriod, Task: low.ID,
+				Value: low.Period + 1 + rt.Time(i%16)*rt.Microsecond,
+			}}}
+		})
 	})
 }
 

@@ -84,6 +84,12 @@ func Test(m Method, ts *model.Taskset, opts Options) partition.Result {
 // The Result is entirely scratch-independent: it may be retained while the
 // scratch moves on to the next taskset. A Scratch serves one goroutine at a
 // time.
+//
+// The DPCP-p methods partition with partition.Algorithm1, which gives
+// every task, light ones included, processors of its own. Packing several
+// light tasks onto one processor (Sec. VI) is partition.AlgorithmMixed,
+// which TestWith, and so schedtest, schedd and the audit, never runs: a
+// set with more light tasks than processors left over is rejected here.
 func TestWith(sc *Scratch, m Method, ts *model.Taskset, opts Options) partition.Result {
 	return partitionFor(m, ts, NewAnalyzer(sc, m, ts, opts), opts.Placement)
 }

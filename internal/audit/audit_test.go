@@ -4,9 +4,11 @@ import (
 	"flag"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dpcpp/internal/model"
+	"dpcpp/internal/rt"
 	"dpcpp/internal/taskgen"
 )
 
@@ -154,5 +156,84 @@ func TestShrinkMinimizes(t *testing.T) {
 	}
 	if !pred(ts2) {
 		t.Error("round-tripped fixture lost the predicate")
+	}
+}
+
+// TestShrinkBridgesVertices exercises the vertex pass. The predicate needs
+// a vertex requesting l0 that reaches, through its successors, a vertex
+// requesting l1. The seed task reaches l1 from l0 only through two middle
+// vertices on parallel branches, so dropping them bridges the chain twice
+// over the same pair; a second task and stray vertices are dropped too.
+func TestShrinkBridgesVertices(t *testing.T) {
+	chain := func(task *model.Task) bool {
+		for _, u := range task.Vertices {
+			if u.Requests.Count(0) == 0 {
+				continue
+			}
+			seen := map[rt.VertexID]bool{u.ID: true}
+			for stack := []rt.VertexID{u.ID}; len(stack) > 0; {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if task.Vertices[x].Requests.Count(1) > 0 && x != u.ID {
+					return true
+				}
+				for _, y := range task.Succ(x) {
+					if !seen[y] {
+						seen[y] = true
+						stack = append(stack, y)
+					}
+				}
+			}
+		}
+		return false
+	}
+	pred := func(c *model.Taskset) bool { return slices.ContainsFunc(c.Tasks, chain) }
+
+	ts := model.NewTaskset(2, 2)
+	a := model.NewTask(0, 1000*rt.Microsecond, 1000*rt.Microsecond)
+	a.Priority = 2
+	for range 6 {
+		a.AddVertex(100 * rt.Microsecond)
+	}
+	// 0 -> 1 -> {2, 3} -> 4 -> 5, with l0 on 1 and l1 on 4.
+	for _, e := range [][2]rt.VertexID{{0, 1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5}} {
+		a.AddEdge(e[0], e[1])
+	}
+	a.AddRequest(1, 0, 1, 3*rt.Microsecond)
+	a.AddRequest(4, 1, 1, 3*rt.Microsecond)
+	ts.Add(a)
+	b := model.NewTask(1, 2000*rt.Microsecond, 2000*rt.Microsecond)
+	b.Priority = 1
+	b.AddVertex(50 * rt.Microsecond)
+	b.AddRequest(0, 1, 2, 3*rt.Microsecond)
+	ts.Add(b)
+	if err := ts.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if !pred(ts) {
+		t.Fatal("seed taskset does not satisfy the predicate")
+	}
+
+	min := Shrink(ts, pred)
+	if !pred(min) {
+		t.Fatal("shrunken taskset no longer satisfies the predicate")
+	}
+	if len(min.Tasks) != 1 {
+		t.Fatalf("shrink left %d tasks, want 1", len(min.Tasks))
+	}
+	task := min.Tasks[0]
+	if len(task.Vertices) != 2 {
+		t.Fatalf("shrink left %d vertices, want 2", len(task.Vertices))
+	}
+	for x, v := range task.Vertices {
+		if v.ID != rt.VertexID(x) {
+			t.Errorf("vertex at index %d carries ID %d", x, v.ID)
+		}
+		if floor := max(v.WCET-task.VertexNonCrit(v.ID), 1); v.WCET != floor {
+			t.Errorf("vertex %d WCET %d, want its floor %d", x, v.WCET, floor)
+		}
+	}
+	if want := []model.Edge{{From: 0, To: 1}}; !slices.Equal(task.Edges, want) {
+		t.Errorf("edges %v, want the bridged chain %v", task.Edges, want)
 	}
 }

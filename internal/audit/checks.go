@@ -209,9 +209,17 @@ func crossChecks(cfg Config, g *genTaskset, results []methodVerdict) []Violation
 // inflateWCET returns a structure-preserving copy of the taskset with every
 // vertex WCET inflated by 5/4 (ceiled), requests and timing untouched.
 func inflateWCET(ts *model.Taskset) (*model.Taskset, error) {
-	return rebuild(ts, func(t *model.Task, v *model.Vertex) (rt.Time, bool) {
-		return v.WCET + (v.WCET+3)/4, true
-	})
+	out := model.NewTaskset(ts.NumProcs, ts.NumResources)
+	out.Tasks = clones(ts)
+	for _, t := range out.Tasks {
+		for _, v := range t.Vertices {
+			v.WCET += (v.WCET + 3) / 4
+		}
+	}
+	if err := out.Finalize(); err != nil {
+		return nil, fmt.Errorf("audit: inflated taskset failed validation: %w", err)
+	}
+	return out, nil
 }
 
 // patchChainSteps is the length of each random patch chain the patch leg
@@ -222,12 +230,12 @@ const patchChainSteps = 3
 // verdict, it drives a short deterministic random patch chain through
 // model.ApplyPatch and requires every step's patched taskset to analyze
 // bit-identically to the same taskset rebuilt from its JSON, with the same
-// canonical hash. ApplyPatch derives a WCET-only edit through a fast clone
-// rather than a full Finalize, so this pins that the clone is
-// indistinguishable from a fresh build. A divergence is a "patch-mismatch"
-// violation; because CheckTaskset runs this leg too, shrinking minimizes
-// such tasksets into fixtures exactly like soundness breaches. Returns the
-// violations plus the number of chains driven.
+// canonical hash. ApplyPatch seals each edited Task clone with Finalize
+// and shares untouched tasks with the base, so this pins that the patched
+// set is indistinguishable from one decoded afresh. A divergence is a
+// "patch-mismatch" violation; because CheckTaskset runs this leg too,
+// shrinking minimizes such tasksets into fixtures exactly like soundness
+// breaches. Returns the violations plus the number of chains driven.
 func patchChecks(cfg Config, g *genTaskset, results []methodVerdict) ([]Violation, int) {
 	var out []Violation
 	chains := 0

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -13,153 +13,55 @@ import (
 	"dpcpp/internal/rt"
 )
 
-// taskSpec is an editable, unfinalized copy of one task; model.Task cannot
-// be mutated after Finalize, so shrinking operates on specs and rebuilds.
-type taskSpec struct {
-	id       rt.TaskID
-	period   rt.Time
-	deadline rt.Time
-	priority rt.Priority
-	wcet     []rt.Time               // per vertex
-	reqs     []map[rt.ResourceID]int // per vertex
-	edges    [][2]int
-	cs       map[rt.ResourceID]rt.Time
-}
-
-func specOf(t *model.Task) *taskSpec {
-	s := &taskSpec{id: t.ID, period: t.Period, deadline: t.Deadline, priority: t.Priority,
-		cs: make(map[rt.ResourceID]rt.Time)}
-	for _, v := range t.Vertices {
-		s.wcet = append(s.wcet, v.WCET)
-		reqs := make(map[rt.ResourceID]int, len(v.Requests))
-		for _, r := range v.Requests {
-			if r.Count > 0 {
-				reqs[r.Resource] = r.Count
-				s.cs[r.Resource] = t.CS(r.Resource)
-			}
-		}
-		s.reqs = append(s.reqs, reqs)
-	}
+// dropVertex removes vertex x from the unfinalized task t, renumbering the
+// vertices after it and bridging x's predecessors to its successors so
+// every remaining chain stays intact. No edge is kept twice.
+func dropVertex(t *model.Task, x rt.VertexID) {
+	var preds, succs []rt.VertexID
+	var kept []model.Edge
 	for _, e := range t.Edges {
-		s.edges = append(s.edges, [2]int{int(e.From), int(e.To)})
-	}
-	return s
-}
-
-// csNeed returns the total critical-section length of vertex x, the lower
-// bound on its WCET.
-func (s *taskSpec) csNeed(x int) rt.Time {
-	var total rt.Time
-	for q, n := range s.reqs[x] {
-		total += rt.SatMul(int64(n), s.cs[q])
-	}
-	return total
-}
-
-// dropVertex removes vertex x, bridging its predecessors to its successors
-// so every remaining chain stays intact.
-func (s *taskSpec) dropVertex(x int) {
-	var preds, succs []int
-	var kept [][2]int
-	for _, e := range s.edges {
 		switch {
-		case e[1] == x:
-			preds = append(preds, e[0])
-		case e[0] == x:
-			succs = append(succs, e[1])
+		case e.To == x:
+			preds = append(preds, e.From)
+		case e.From == x:
+			succs = append(succs, e.To)
 		default:
 			kept = append(kept, e)
 		}
 	}
 	for _, p := range preds {
 		for _, c := range succs {
-			kept = append(kept, [2]int{p, c})
+			kept = append(kept, model.Edge{From: p, To: c})
 		}
 	}
-	seen := make(map[[2]int]bool, len(kept))
-	s.edges = s.edges[:0]
+	renumber := func(y rt.VertexID) rt.VertexID {
+		if y > x {
+			return y - 1
+		}
+		return y
+	}
+	seen := make(map[model.Edge]bool, len(kept))
+	t.Edges = t.Edges[:0]
 	for _, e := range kept {
-		if e[0] > x {
-			e[0]--
-		}
-		if e[1] > x {
-			e[1]--
-		}
+		e = model.Edge{From: renumber(e.From), To: renumber(e.To)}
 		if !seen[e] {
 			seen[e] = true
-			s.edges = append(s.edges, e)
+			t.Edges = append(t.Edges, e)
 		}
 	}
-	s.wcet = append(s.wcet[:x], s.wcet[x+1:]...)
-	s.reqs = append(s.reqs[:x], s.reqs[x+1:]...)
+	t.Vertices = slices.Delete(t.Vertices, int(x), int(x)+1)
+	for _, v := range t.Vertices[x:] {
+		v.ID--
+	}
 }
 
-func (s *taskSpec) clone() *taskSpec {
-	c := &taskSpec{id: s.id, period: s.period, deadline: s.deadline, priority: s.priority,
-		wcet: append([]rt.Time(nil), s.wcet...),
-		cs:   make(map[rt.ResourceID]rt.Time, len(s.cs))}
-	for q, l := range s.cs {
-		c.cs[q] = l
+// clones returns an editable Clone of every task of ts.
+func clones(ts *model.Taskset) []*model.Task {
+	out := make([]*model.Task, len(ts.Tasks))
+	for i, t := range ts.Tasks {
+		out[i] = t.Clone()
 	}
-	for _, reqs := range s.reqs {
-		m := make(map[rt.ResourceID]int, len(reqs))
-		for q, n := range reqs {
-			m[q] = n
-		}
-		c.reqs = append(c.reqs, m)
-	}
-	c.edges = append([][2]int(nil), s.edges...)
-	return c
-}
-
-func (s *taskSpec) build() *model.Task {
-	t := model.NewTask(s.id, s.period, s.deadline)
-	t.Priority = s.priority
-	for _, w := range s.wcet {
-		t.AddVertex(w)
-	}
-	for _, e := range s.edges {
-		t.AddEdge(rt.VertexID(e[0]), rt.VertexID(e[1]))
-	}
-	for x, reqs := range s.reqs {
-		for q, n := range reqs {
-			t.AddRequest(rt.VertexID(x), q, n, s.cs[q])
-		}
-	}
-	return t
-}
-
-// buildTaskset finalizes specs into a taskset; nil on validation failure
-// (a shrinking step that broke a model constraint is simply not taken).
-func buildTaskset(specs []*taskSpec, m, nr int) *model.Taskset {
-	ts := model.NewTaskset(m, nr)
-	for _, s := range specs {
-		ts.Add(s.build())
-	}
-	if err := ts.Finalize(); err != nil {
-		return nil
-	}
-	return ts
-}
-
-// rebuild deep-copies a finalized taskset with per-vertex WCETs supplied by
-// wcetOf (structure, requests, timing and priorities preserved).
-func rebuild(ts *model.Taskset, wcetOf func(*model.Task, *model.Vertex) (rt.Time, bool)) (*model.Taskset, error) {
-	specs := make([]*taskSpec, 0, len(ts.Tasks))
-	for _, t := range ts.Tasks {
-		s := specOf(t)
-		for x, v := range t.Vertices {
-			if w, ok := wcetOf(t, v); ok {
-				s.wcet[x] = w
-			}
-		}
-		specs = append(specs, s)
-	}
-	out := buildTaskset(specs, ts.NumProcs, ts.NumResources)
-	if out == nil {
-		return nil, fmt.Errorf("audit: rebuilt taskset failed validation")
-	}
-	return out, nil
+	return out
 }
 
 // CheckTaskset runs the full differential audit — every configured method,
@@ -224,21 +126,18 @@ const maxShrinkSteps = 300
 // always still satisfies pred (pred(ts) is assumed true on entry).
 func Shrink(ts *model.Taskset, pred func(*model.Taskset) bool) *model.Taskset {
 	cur := ts
-	specs := func() []*taskSpec {
-		out := make([]*taskSpec, 0, len(cur.Tasks))
-		for _, t := range cur.Tasks {
-			out = append(out, specOf(t))
-		}
-		return out
-	}
 	steps := 0
-	try := func(candidate []*taskSpec) bool {
+	// try seals candidate tasks into a taskset and keeps it when it still
+	// violates; a step that breaks a model constraint fails Finalize and is
+	// simply not taken.
+	try := func(cand []*model.Task) bool {
 		if steps >= maxShrinkSteps {
 			return false
 		}
 		steps++
-		built := buildTaskset(candidate, cur.NumProcs, cur.NumResources)
-		if built == nil || !pred(built) {
+		built := model.NewTaskset(cur.NumProcs, cur.NumResources)
+		built.Tasks = cand
+		if built.Finalize() != nil || !pred(built) {
 			return false
 		}
 		cur = built
@@ -248,10 +147,8 @@ func Shrink(ts *model.Taskset, pred func(*model.Taskset) bool) *model.Taskset {
 	// Pass 1: drop whole tasks.
 	for again := true; again; {
 		again = false
-		ss := specs()
-		for i := 0; i < len(ss) && len(cur.Tasks) > 1; i++ {
-			cand := append(append([]*taskSpec(nil), ss[:i]...), ss[i+1:]...)
-			if try(cand) {
+		for i := 0; i < len(cur.Tasks) && len(cur.Tasks) > 1; i++ {
+			if try(slices.Delete(clones(cur), i, i+1)) {
 				again = true
 				break
 			}
@@ -261,21 +158,14 @@ func Shrink(ts *model.Taskset, pred func(*model.Taskset) bool) *model.Taskset {
 	// Pass 2: drop individual vertices.
 	for again := true; again; {
 		again = false
-		ss := specs()
-		for ti := range ss {
-			for x := 0; x < len(ss[ti].wcet) && len(ss[ti].wcet) > 1; x++ {
-				cand := make([]*taskSpec, len(ss))
-				for j := range ss {
-					cand[j] = ss[j].clone()
-				}
-				cand[ti].dropVertex(x)
+		for ti := 0; ti < len(cur.Tasks) && !again; ti++ {
+			for x := 0; x < len(cur.Tasks[ti].Vertices) && len(cur.Tasks[ti].Vertices) > 1; x++ {
+				cand := clones(cur)
+				dropVertex(cand[ti], rt.VertexID(x))
 				if try(cand) {
 					again = true
 					break
 				}
-			}
-			if again {
-				break
 			}
 		}
 	}
@@ -283,28 +173,19 @@ func Shrink(ts *model.Taskset, pred func(*model.Taskset) bool) *model.Taskset {
 	// Pass 3: halve vertex WCETs toward their critical-section floor.
 	for round := 0; round < 8; round++ {
 		shrunk := false
-		ss := specs()
-		for ti := range ss {
-			for x := range ss[ti].wcet {
-				floor := ss[ti].csNeed(x)
-				if floor < 1 {
-					floor = 1
-				}
-				w := (ss[ti].wcet[x] + 1) / 2
-				if w < floor {
-					w = floor
-				}
-				if w >= ss[ti].wcet[x] {
+		for ti := range cur.Tasks {
+			for x := range cur.Tasks[ti].Vertices {
+				t, id := cur.Tasks[ti], rt.VertexID(x)
+				wcet := t.Vertices[x].WCET
+				floor := max(wcet-t.VertexNonCrit(id), 1) // its critical sections
+				w := max((wcet+1)/2, floor)
+				if w >= wcet {
 					continue
 				}
-				cand := make([]*taskSpec, len(ss))
-				for j := range ss {
-					cand[j] = ss[j].clone()
-				}
-				cand[ti].wcet[x] = w
+				cand := clones(cur)
+				cand[ti].Vertices[x].WCET = w
 				if try(cand) {
 					shrunk = true
-					ss = specs()
 				}
 			}
 		}
@@ -314,36 +195,28 @@ func Shrink(ts *model.Taskset, pred func(*model.Taskset) bool) *model.Taskset {
 	}
 
 	// Pass 4: halve request counts (a count reaching 0 drops the request).
+	// The shrink trajectory determines the fixture bytes; profiles are
+	// sorted by resource, so identical failures always minimize to
+	// identical fixtures.
 	for round := 0; round < 8; round++ {
 		shrunk := false
-		ss := specs()
-		for ti := range ss {
-			for x := range ss[ti].reqs {
-				// The shrink trajectory determines the fixture bytes; walk the
-				// requests in sorted resource order so identical failures
-				// always minimize to identical fixtures.
-				qs := make([]rt.ResourceID, 0, len(ss[ti].reqs[x]))
-				for q := range ss[ti].reqs[x] {
-					qs = append(qs, q)
-				}
-				sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-				for _, q := range qs {
-					n, ok := ss[ti].reqs[x][q]
-					if !ok { // dropped by an earlier successful shrink
+		for ti := range cur.Tasks {
+			for x := range cur.Tasks[ti].Vertices {
+				for _, r := range cur.Tasks[ti].Vertices[x].Requests {
+					n := cur.Tasks[ti].Vertices[x].Requests.Count(r.Resource)
+					if n == 0 { // dropped, or never requested
 						continue
 					}
-					cand := make([]*taskSpec, len(ss))
-					for j := range ss {
-						cand[j] = ss[j].clone()
-					}
+					cand := clones(cur)
+					v := cand[ti].Vertices[x]
+					j := slices.IndexFunc(v.Requests, func(c model.Request) bool { return c.Resource == r.Resource })
 					if n/2 == 0 {
-						delete(cand[ti].reqs[x], q)
+						v.Requests = slices.Delete(v.Requests, j, j+1)
 					} else {
-						cand[ti].reqs[x][q] = n / 2
+						v.Requests[j].Count = n / 2
 					}
 					if try(cand) {
 						shrunk = true
-						ss = specs()
 					}
 				}
 			}

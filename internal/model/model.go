@@ -12,6 +12,11 @@
 // global and assigns rate-monotonic priorities unless priorities were set
 // explicitly.
 //
+// A finalized Task is immutable. Its editable form is Clone, an
+// unfinalized deep copy: an edit (ApplyPatch, or the audit's shrinker)
+// writes the clone's exported fields and seals it with Finalize again, so
+// Finalize is the one validator every task, decoded or edited, passes.
+//
 // The layout is compact. Finalize stores the DAG as CSR adjacency
 // (Adjacency: offsets plus one flat array per direction), so Succ and Pred
 // return subslices, sorted ascending and free of repeats. A vertex's
@@ -25,6 +30,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"dpcpp/internal/rt"
 )
@@ -86,6 +92,46 @@ type Task struct {
 // NewTask returns an empty task with the given identity and timing.
 func NewTask(id rt.TaskID, period, deadline rt.Time) *Task {
 	return &Task{ID: id, Period: period, Deadline: deadline}
+}
+
+// Clone returns an unfinalized deep copy of the task's exported fields:
+// identity, timing, priority, name, vertices with their request profiles,
+// edges and CSLen. It is the editable form of a task. A finalized Task is
+// immutable, so an edit writes a clone and seals it with Finalize, which
+// re-validates whatever the edit may have broken. The vertices come from
+// one slab and their request entries from another.
+func (t *Task) Clone() *Task {
+	c := &Task{
+		ID:       t.ID,
+		Name:     t.Name,
+		Period:   t.Period,
+		Deadline: t.Deadline,
+		Priority: t.Priority,
+		Edges:    slices.Clone(t.Edges),
+		CSLen:    slices.Clone(t.CSLen),
+		Vertices: make([]*Vertex, len(t.Vertices)),
+	}
+	nReqs := 0
+	for _, v := range t.Vertices {
+		if v != nil {
+			nReqs += len(v.Requests)
+		}
+	}
+	verts := make([]Vertex, len(t.Vertices))
+	reqs := make(Requests, 0, nReqs)
+	for x, v := range t.Vertices {
+		if v == nil {
+			continue
+		}
+		verts[x] = Vertex{ID: v.ID, WCET: v.WCET}
+		if v.Requests != nil {
+			start := len(reqs)
+			reqs = append(reqs, v.Requests...)
+			verts[x].Requests = reqs[start:len(reqs):len(reqs)]
+		}
+		c.Vertices[x] = &verts[x]
+	}
+	return c
 }
 
 // AddVertex appends a vertex with the given WCET and returns its ID.

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dpcpp/internal/rt"
@@ -28,16 +29,20 @@ const (
 	// OpSetRequest sets the request count of vertex Vertex of task Task on
 	// Resource to Count.
 	OpSetRequest = "set_request"
-	// OpAddEdge adds the precedence edge From -> To to task Task.
+	// OpAddEdge adds the precedence edge From -> To to task Task; adding
+	// an edge the task already has changes nothing.
 	OpAddEdge = "add_edge"
-	// OpRemoveEdge removes one occurrence of the edge From -> To.
+	// OpRemoveEdge removes the edge From -> To, every copy of it when the
+	// task lists it more than once.
 	OpRemoveEdge = "remove_edge"
 	// OpSetPeriod sets task Task's period to Value.
 	OpSetPeriod = "set_period"
 	// OpSetDeadline sets task Task's deadline to Value.
 	OpSetDeadline = "set_deadline"
-	// OpAddTask adds NewTask (a complete, unfinalized task document) to the
-	// set. Its ID must be unused; its priority must be unique.
+	// OpAddTask adds a copy of NewTask (a complete, unfinalized task
+	// document, which ApplyPatch leaves untouched) to the set. Its ID must
+	// be unused; its priority must be unique; Finalize validates it as it
+	// validates a decoded task.
 	OpAddTask = "add_task"
 	// OpRemoveTask removes task Task from the set.
 	OpRemoveTask = "remove_task"
@@ -125,169 +130,89 @@ func (d *PatchDelta) ChangedIDs() []rt.TaskID {
 	return ids
 }
 
-// taskEdit is an editable deep copy of one finalized task, mirroring the
-// shrinker's spec representation: plain values only, so ops mutate freely
-// and build() reconstructs a fresh Task through the normal constructor
-// path (NewTask / AddVertex / AddEdge plus direct request-profile and CSLen
-// writes), which Finalize then re-validates. Request profiles are edited as
-// maps, so a set_request op costs O(1) however large the profile and in
-// whatever resource order a patch sets it; build sorts each profile once.
-type taskEdit struct {
-	id       rt.TaskID
-	period   rt.Time
-	deadline rt.Time
-	priority rt.Priority
-	name     string
-	wcet     []rt.Time
-	reqs     []map[rt.ResourceID]int
-	edges    [][2]rt.VertexID
-	cs       map[rt.ResourceID]rt.Time
+// patchEnt is one slot of the patched task list. task is a shared pointer
+// into the base set until an op first touches it, and from then on an
+// unfinalized Clone that the ops write directly. set_request alone writes
+// through reqs, a per-vertex overlay that seal merges into each touched
+// profile once, so k set_request ops cost O(k) however large the profile
+// and in whatever resource order they come. users counts, per resource,
+// the vertices whose request count is positive, so that a set_request
+// tells a sharer flip from a count change in O(1).
+type patchEnt struct {
+	task   *Task
+	cloned bool
+	reqs   map[rt.VertexID]map[rt.ResourceID]int
+	users  map[rt.ResourceID]int
 }
 
-func editOf(t *Task) *taskEdit {
-	e := &taskEdit{
-		id:       t.ID,
-		period:   t.Period,
-		deadline: t.Deadline,
-		priority: t.Priority,
-		name:     t.Name,
-		wcet:     make([]rt.Time, len(t.Vertices)),
-		reqs:     make([]map[rt.ResourceID]int, len(t.Vertices)),
-		cs:       make(map[rt.ResourceID]rt.Time),
+// count returns vertex x's request count on q, overlay included.
+func (e *patchEnt) count(x rt.VertexID, q rt.ResourceID) int {
+	if n, ok := e.reqs[x][q]; ok {
+		return n
 	}
-	for x, v := range t.Vertices {
-		e.wcet[x] = v.WCET
-		if len(v.Requests) > 0 {
-			m := make(map[rt.ResourceID]int, len(v.Requests))
+	return e.task.Vertices[x].Requests.Count(q)
+}
+
+// setRequest sets vertex x's request count on q to n and classifies the
+// change: a count crossing zero that makes the task start or stop using q
+// is a sharer flip.
+func (e *patchEnt) setRequest(x rt.VertexID, q rt.ResourceID, n int) Change {
+	if e.users == nil {
+		e.users = make(map[rt.ResourceID]int)
+		for _, v := range e.task.Vertices {
 			for _, r := range v.Requests {
 				if r.Count > 0 {
-					m[r.Resource] = r.Count
+					e.users[r.Resource]++
 				}
 			}
-			e.reqs[x] = m
 		}
+		e.reqs = make(map[rt.VertexID]map[rt.ResourceID]int)
 	}
-	for _, ed := range t.Edges {
-		e.edges = append(e.edges, [2]rt.VertexID{ed.From, ed.To})
+	old := e.count(x, q)
+	if n == old {
+		return 0
 	}
-	for q, l := range t.CSLen {
-		if l != 0 {
-			e.cs[rt.ResourceID(q)] = l
-		}
+	if e.reqs[x] == nil {
+		e.reqs[x] = make(map[rt.ResourceID]int)
 	}
-	return e
+	e.reqs[x][q] = n
+	usedBefore := e.users[q] > 0
+	switch {
+	case old == 0:
+		e.users[q]++
+	case n == 0:
+		e.users[q]--
+	}
+	switch {
+	case e.users[q] > 0 != usedBefore:
+		return ChangeSharers
+	case n > old:
+		return ChangeReqUp
+	default:
+		return ChangeReqDown
+	}
 }
 
-func (e *taskEdit) build() *Task {
-	t := NewTask(e.id, e.period, e.deadline)
-	t.Priority = e.priority
-	t.Name = e.name
-	for x, w := range e.wcet {
-		t.AddVertex(w)
-		if m := e.reqs[x]; len(m) > 0 {
-			t.Vertices[x].Requests = requestsOf(m)
-		}
+// seal merges the request overlay into the edited task's profiles.
+func (e *patchEnt) seal() *Task {
+	for x, over := range e.reqs {
+		v := e.task.Vertices[x]
+		v.Requests = v.Requests.with(over)
 	}
-	for _, ed := range e.edges {
-		t.AddEdge(ed[0], ed[1])
-	}
-	qs := make([]rt.ResourceID, 0, len(e.cs))
-	for q := range e.cs {
-		qs = append(qs, q)
-	}
-	sort.Slice(qs, func(a, b int) bool { return qs[a] < qs[b] })
-	for _, q := range qs {
-		t.setCSLen(q, e.cs[q])
-	}
-	return t
-}
-
-// cloneWithWCETs returns a finalized copy of t with per-vertex WCET
-// overrides applied. This is the fast path for the most common what-if
-// query — "what if this vertex ran longer/shorter?" — where the DAG,
-// request profile and critical sections are untouched: the clone shares
-// every structural derived field (topology, adjacency, request totals,
-// per-vertex request profiles) with the immutable base and
-// recomputes only the WCET sum, the canonical body and the path bounds
-// (whose lengths, L*_i among them, move with the WCETs).
-// The only validation a WCET edit can invalidate is L_{i,q}-work fitting
-// inside the vertex, which is re-checked here with Finalize's error text.
-func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
-	nt := &Task{
-		ID:       t.ID,
-		Name:     t.Name,
-		Period:   t.Period,
-		Deadline: t.Deadline,
-		Priority: t.Priority,
-		Edges:    t.Edges,
-		CSLen:    t.CSLen,
-
-		finalized: true,
-		adj:       t.adj,
-		topo:      t.topo,
-		nReq:      t.nReq,
-		nVert:     t.nVert,
-		heads:     t.heads,
-		tails:     t.tails,
-	}
-	nt.Vertices = make([]*Vertex, len(t.Vertices))
-	copy(nt.Vertices, t.Vertices)
-	// Vertex-indexed so the first reported violation is deterministic.
-	for x := range nt.Vertices {
-		w, ok := over[rt.VertexID(x)]
-		if !ok {
-			continue
-		}
-		v := t.Vertices[x]
-		var cs rt.Time
-		for _, r := range v.Requests {
-			cs += rt.SatMul(int64(r.Count), t.CSLen[r.Resource])
-		}
-		if cs > w {
-			return nil, fmt.Errorf("model: task %d vertex %d: critical sections (%d) exceed WCET (%d)",
-				t.ID, v.ID, cs, w)
-		}
-		nt.Vertices[x] = &Vertex{ID: v.ID, WCET: w, Requests: v.Requests}
-	}
-	nt.wcet = 0
-	for _, v := range nt.Vertices {
-		nt.wcet = rt.SatAdd(nt.wcet, v.WCET)
-	}
-	nt.canon = nt.appendCanonBody(make([]byte, 0, nt.canonBodyLen()))
-	nt.bounds = nt.computePathBounds()
-	return nt, nil
-}
-
-// usesResource reports whether the edited task requests q anywhere.
-func (e *taskEdit) usesResource(q rt.ResourceID) bool {
-	for _, m := range e.reqs {
-		if m[q] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// patchEnt is one slot of the patched task list: a shared pointer into the
-// base set until an op first touches the task. WCET-only edits accumulate
-// in wcetOver and resolve through the cloneWithWCETs fast path; any
-// structural op materializes a full taskEdit (folding pending overrides
-// in) and the task is rebuilt through the constructor path instead.
-type patchEnt struct {
-	base     *Task     // nil for tasks added by the patch
-	edit     *taskEdit // nil while the task needs no full rebuild
-	wcetOver map[rt.VertexID]rt.Time
+	return e.task
 }
 
 // ApplyPatch applies p to the finalized base taskset and returns a fresh,
 // finalized taskset plus the precise per-task change classification. The
-// base is never mutated. Tasks no op touches are shared by pointer with the
-// base — a finalized Task is immutable, so sharing is safe and makes patch
-// application (and hashing the result) proportional to the edit, not the
-// taskset. Touched tasks are rebuilt from plain-value copies through the
-// normal constructor path. Explicit base priorities are preserved verbatim
-// (a finalized taskset always carries them), so patching never reshuffles
-// the priority order of untouched tasks.
+// base is never mutated, and neither is the patch. Tasks no op touches are
+// shared by pointer with the base — a finalized Task is immutable, so
+// sharing is safe and makes patch application (and hashing the result)
+// proportional to the edit, not the taskset. Each touched task is a Clone
+// the ops write, and an added task a Clone of its document; Finalize
+// validates both, as it validates a decoded taskset. Explicit base
+// priorities are preserved verbatim (a finalized taskset always carries
+// them), so patching never reshuffles the priority order of untouched
+// tasks.
 //
 // Invalid patches — unknown op names or task/vertex/resource/edge targets,
 // negative values, duplicate added IDs, or edits whose result fails
@@ -298,32 +223,31 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 	ents := make([]*patchEnt, 0, len(ts.Tasks))
 	index := make(map[rt.TaskID]*patchEnt, len(ts.Tasks))
 	for _, t := range ts.Tasks {
-		e := &patchEnt{base: t}
+		e := &patchEnt{task: t}
 		ents = append(ents, e)
 		index[t.ID] = e
 	}
 	delta := &PatchDelta{Changed: make(map[rt.TaskID]Change)}
 	mark := func(id rt.TaskID, c Change) {
-		delta.Changed[id] |= c
+		if c != 0 {
+			delta.Changed[id] |= c
+		}
 	}
 
-	taskOf := func(i int, op *PatchOp) (*taskEdit, *PatchError) {
-		ent, ok := index[op.Task]
+	// taskOf returns op's task, cloned for editing on first touch.
+	taskOf := func(i int, op *PatchOp) (*patchEnt, *Task, *PatchError) {
+		e, ok := index[op.Task]
 		if !ok {
-			return nil, patchErr(i, "unknown_task", "taskset has no task %d", op.Task)
+			return nil, nil, patchErr(i, "unknown_task", "taskset has no task %d", op.Task)
 		}
-		if ent.edit == nil {
-			ent.edit = editOf(ent.base)
-			for x, w := range ent.wcetOver {
-				ent.edit.wcet[x] = w
-			}
-			ent.wcetOver = nil
+		if !e.cloned {
+			e.task, e.cloned = e.task.Clone(), true
 		}
-		return ent.edit, nil
+		return e, e.task, nil
 	}
-	vertexOf := func(i int, op *PatchOp, e *taskEdit, x rt.VertexID) *PatchError {
-		if x < 0 || int(x) >= len(e.wcet) {
-			return patchErr(i, "unknown_vertex", "task %d has no vertex %d", e.id, x)
+	vertexOf := func(i int, t *Task, x rt.VertexID) *PatchError {
+		if x < 0 || int(x) >= len(t.Vertices) {
+			return patchErr(i, "unknown_vertex", "task %d has no vertex %d", t.ID, x)
 		}
 		return nil
 	}
@@ -333,46 +257,36 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 		}
 		return nil
 	}
+	// up returns upBit when v grows past old, downBit when it shrinks.
+	up := func(v, old int64, upBit, downBit Change) Change {
+		switch {
+		case v > old:
+			return upBit
+		case v < old:
+			return downBit
+		}
+		return 0
+	}
 
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		switch op.Op {
 		case OpSetWCET:
-			ent, ok := index[op.Task]
-			if !ok {
+			if _, ok := index[op.Task]; !ok {
 				return nil, nil, patchErr(i, "unknown_task", "taskset has no task %d", op.Task)
 			}
 			if op.Value <= 0 {
 				return nil, nil, patchErr(i, "bad_value", "vertex WCET must be positive, got %d", op.Value)
 			}
-			var old rt.Time
-			switch {
-			case ent.edit != nil:
-				if perr := vertexOf(i, op, ent.edit, op.Vertex); perr != nil {
-					return nil, nil, perr
-				}
-				old = ent.edit.wcet[op.Vertex]
-				ent.edit.wcet[op.Vertex] = op.Value
-			default:
-				if op.Vertex < 0 || int(op.Vertex) >= len(ent.base.Vertices) {
-					return nil, nil, patchErr(i, "unknown_vertex", "task %d has no vertex %d", op.Task, op.Vertex)
-				}
-				var seen bool
-				if old, seen = ent.wcetOver[op.Vertex]; !seen {
-					old = ent.base.Vertices[op.Vertex].WCET
-				}
-				if ent.wcetOver == nil {
-					ent.wcetOver = make(map[rt.VertexID]rt.Time, 1)
-				}
-				ent.wcetOver[op.Vertex] = op.Value
+			_, t, _ := taskOf(i, op)
+			if perr := vertexOf(i, t, op.Vertex); perr != nil {
+				return nil, nil, perr
 			}
-			if op.Value > old {
-				mark(op.Task, ChangeWCETUp)
-			} else if op.Value < old {
-				mark(op.Task, ChangeWCETDown)
-			}
+			v := t.Vertices[op.Vertex]
+			mark(t.ID, up(op.Value, v.WCET, ChangeWCETUp, ChangeWCETDown))
+			v.WCET = op.Value
 		case OpSetCSLen:
-			e, perr := taskOf(i, op)
+			_, t, perr := taskOf(i, op)
 			if perr != nil {
 				return nil, nil, perr
 			}
@@ -382,23 +296,17 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if op.Value < 0 {
 				return nil, nil, patchErr(i, "bad_value", "CS length must be non-negative, got %d", op.Value)
 			}
-			old := e.cs[op.Resource]
-			if op.Value == 0 {
-				delete(e.cs, op.Resource)
-			} else {
-				e.cs[op.Resource] = op.Value
+			for int(op.Resource) >= len(t.CSLen) {
+				t.CSLen = append(t.CSLen, 0)
 			}
-			if op.Value > old {
-				mark(e.id, ChangeCSUp)
-			} else if op.Value < old {
-				mark(e.id, ChangeCSDown)
-			}
+			mark(t.ID, up(op.Value, t.CSLen[op.Resource], ChangeCSUp, ChangeCSDown))
+			t.CSLen[op.Resource] = op.Value
 		case OpSetRequest:
-			e, perr := taskOf(i, op)
+			e, t, perr := taskOf(i, op)
 			if perr != nil {
 				return nil, nil, perr
 			}
-			if perr := vertexOf(i, op, e, op.Vertex); perr != nil {
+			if perr := vertexOf(i, t, op.Vertex); perr != nil {
 				return nil, nil, perr
 			}
 			if perr := resourceOf(i, op); perr != nil {
@@ -407,81 +315,63 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if op.Count < 0 {
 				return nil, nil, patchErr(i, "bad_value", "request count must be non-negative, got %d", op.Count)
 			}
-			usedBefore := e.usesResource(op.Resource)
-			old := e.reqs[op.Vertex][op.Resource]
-			if op.Count == 0 {
-				delete(e.reqs[op.Vertex], op.Resource)
-			} else {
-				if e.reqs[op.Vertex] == nil {
-					e.reqs[op.Vertex] = make(map[rt.ResourceID]int)
-				}
-				e.reqs[op.Vertex][op.Resource] = op.Count
-			}
-			if op.Count != old {
-				if e.usesResource(op.Resource) != usedBefore {
-					mark(e.id, ChangeSharers)
-				} else if op.Count > old {
-					mark(e.id, ChangeReqUp)
-				} else {
-					mark(e.id, ChangeReqDown)
-				}
-			}
+			mark(t.ID, e.setRequest(op.Vertex, op.Resource, op.Count))
 		case OpAddEdge:
-			e, perr := taskOf(i, op)
+			_, t, perr := taskOf(i, op)
 			if perr != nil {
 				return nil, nil, perr
 			}
-			if perr := vertexOf(i, op, e, op.From); perr != nil {
+			if perr := vertexOf(i, t, op.From); perr != nil {
 				return nil, nil, perr
 			}
-			if perr := vertexOf(i, op, e, op.To); perr != nil {
+			if perr := vertexOf(i, t, op.To); perr != nil {
 				return nil, nil, perr
 			}
 			if op.From == op.To {
 				return nil, nil, patchErr(i, "bad_value", "edge (%d,%d) is a self-loop", op.From, op.To)
 			}
-			e.edges = append(e.edges, [2]rt.VertexID{op.From, op.To})
-			mark(e.id, ChangeEdges)
+			// A repeated edge is the same precedence constraint.
+			ed := Edge{From: op.From, To: op.To}
+			if !slices.Contains(t.Edges, ed) {
+				t.Edges = append(t.Edges, ed)
+				mark(t.ID, ChangeEdges)
+			}
 		case OpRemoveEdge:
-			e, perr := taskOf(i, op)
+			_, t, perr := taskOf(i, op)
 			if perr != nil {
 				return nil, nil, perr
 			}
-			found := false
-			for j, ed := range e.edges {
-				if ed[0] == op.From && ed[1] == op.To {
-					e.edges = append(e.edges[:j], e.edges[j+1:]...)
-					found = true
-					break
-				}
+			// Every copy goes: the constraint is one however often listed.
+			ed := Edge{From: op.From, To: op.To}
+			n := len(t.Edges)
+			t.Edges = slices.DeleteFunc(t.Edges, func(e Edge) bool { return e == ed })
+			if len(t.Edges) == n {
+				return nil, nil, patchErr(i, "unknown_edge", "task %d has no edge (%d,%d)", t.ID, op.From, op.To)
 			}
-			if !found {
-				return nil, nil, patchErr(i, "unknown_edge", "task %d has no edge (%d,%d)", e.id, op.From, op.To)
-			}
-			mark(e.id, ChangeEdges)
+			mark(t.ID, ChangeEdges)
 		case OpSetPeriod:
-			e, perr := taskOf(i, op)
+			_, t, perr := taskOf(i, op)
 			if perr != nil {
 				return nil, nil, perr
 			}
 			if op.Value <= 0 {
 				return nil, nil, patchErr(i, "bad_value", "period must be positive, got %d", op.Value)
 			}
-			if op.Value != e.period {
-				e.period = op.Value
-				mark(e.id, ChangePeriod)
+			if op.Value != t.Period {
+				t.Period = op.Value
+				mark(t.ID, ChangePeriod)
 			}
 		case OpSetDeadline:
-			e, perr := taskOf(i, op)
+			_, t, perr := taskOf(i, op)
 			if perr != nil {
 				return nil, nil, perr
 			}
 			if op.Value <= 0 {
 				return nil, nil, patchErr(i, "bad_value", "deadline must be positive, got %d", op.Value)
 			}
-			if op.Value != e.deadline {
-				e.deadline = op.Value
-				mark(e.id, ChangeDeadline)
+			if op.Value != t.Deadline {
+				t.Deadline = op.Value
+				mark(t.ID, ChangeDeadline)
 			}
 		case OpAddTask:
 			if op.NewTask == nil {
@@ -490,63 +380,20 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if _, dup := index[op.NewTask.ID]; dup {
 				return nil, nil, patchErr(i, "duplicate_task", "taskset already has task %d", op.NewTask.ID)
 			}
-			// Copy through an unfinalized shallow Task so the edit owns its
-			// structure; build()+Finalize re-validate everything about it.
-			nt := op.NewTask
-			e := &taskEdit{
-				id:       nt.ID,
-				period:   nt.Period,
-				deadline: nt.Deadline,
-				priority: nt.Priority,
-				name:     nt.Name,
-				wcet:     make([]rt.Time, len(nt.Vertices)),
-				reqs:     make([]map[rt.ResourceID]int, len(nt.Vertices)),
-				cs:       make(map[rt.ResourceID]rt.Time),
+			// Later ops write through the vertices, so none may be null.
+			if slices.Contains(op.NewTask.Vertices, nil) {
+				return nil, nil, patchErr(i, "bad_value", "new task %d has a null vertex", op.NewTask.ID)
 			}
-			for x, v := range nt.Vertices {
-				if v == nil {
-					return nil, nil, patchErr(i, "bad_value", "new task %d has a null vertex", nt.ID)
-				}
-				// The edit's map would silently sort and merge a profile
-				// that Finalize rejects on the task itself.
-				if err := v.Requests.orderErr(nt.ID, rt.VertexID(x)); err != nil {
-					return nil, nil, &PatchError{Op: -1, Code: "finalize", Msg: err.Error()}
-				}
-				e.wcet[x] = v.WCET
-				if len(v.Requests) > 0 {
-					m := make(map[rt.ResourceID]int, len(v.Requests))
-					for _, r := range v.Requests {
-						m[r.Resource] = r.Count
-					}
-					e.reqs[x] = m
-				}
-			}
-			for _, ed := range nt.Edges {
-				e.edges = append(e.edges, [2]rt.VertexID{ed.From, ed.To})
-			}
-			for q, l := range nt.CSLen {
-				if l < 0 {
-					return nil, nil, patchErr(i, "bad_value", "new task %d has negative CS length on resource %d", nt.ID, q)
-				}
-				if l != 0 {
-					e.cs[rt.ResourceID(q)] = l
-				}
-			}
-			ent := &patchEnt{edit: e}
-			ents = append(ents, ent)
-			index[e.id] = ent
-			mark(e.id, ChangeAdded)
+			e := &patchEnt{task: op.NewTask.Clone(), cloned: true}
+			ents = append(ents, e)
+			index[e.task.ID] = e
+			mark(e.task.ID, ChangeAdded)
 		case OpRemoveTask:
-			ent, ok := index[op.Task]
+			e, ok := index[op.Task]
 			if !ok {
 				return nil, nil, patchErr(i, "unknown_task", "taskset has no task %d", op.Task)
 			}
-			for j, cand := range ents {
-				if cand == ent {
-					ents = append(ents[:j], ents[j+1:]...)
-					break
-				}
-			}
+			ents = slices.DeleteFunc(ents, func(c *patchEnt) bool { return c == e })
 			delete(index, op.Task)
 			mark(op.Task, ChangeRemoved)
 		default:
@@ -555,19 +402,9 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 	}
 
 	out := NewTaskset(ts.NumProcs, ts.NumResources)
-	for _, ent := range ents {
-		switch {
-		case ent.edit != nil:
-			out.Add(ent.edit.build())
-		case ent.wcetOver != nil:
-			nt, err := ent.base.cloneWithWCETs(ent.wcetOver)
-			if err != nil {
-				return nil, nil, &PatchError{Op: -1, Code: "finalize", Msg: err.Error()}
-			}
-			out.Add(nt)
-		default:
-			out.Add(ent.base)
-		}
+	out.Tasks = make([]*Task, len(ents))
+	for k, e := range ents {
+		out.Tasks[k] = e.seal()
 	}
 	if err := out.Finalize(); err != nil {
 		return nil, nil, &PatchError{Op: -1, Code: "finalize", Msg: err.Error()}

@@ -75,39 +75,6 @@ func TestPatchSetWCET(t *testing.T) {
 	}
 }
 
-// TestPatchWCETFastPathMatchesRebuild pins the cloneWithWCETs fast path
-// against the full constructor rebuild: forcing the slow path with a no-op
-// structural edit must yield a hash-identical taskset and identical derived
-// quantities.
-func TestPatchWCETFastPathMatchesRebuild(t *testing.T) {
-	ts := patchBase(t)
-	bump := PatchOp{Op: OpSetWCET, Task: 0, Vertex: 2, Value: 300 * rt.Microsecond}
-	fast, _ := applyOne(t, ts, bump)
-	// set_period to the current period materializes a full taskEdit (slow
-	// path) without changing anything.
-	slow, _, err := ApplyPatch(ts, Patch{Ops: []PatchOp{
-		{Op: OpSetPeriod, Task: 0, Value: ts.Task(0).Period}, bump}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Hash() != slow.Hash() {
-		t.Fatalf("fast path hash %s != rebuilt hash %s", fast.Hash(), slow.Hash())
-	}
-	ft, st := fast.Task(0), slow.Task(0)
-	if ft.WCET() != st.WCET() || ft.LongestPath() != st.LongestPath() ||
-		ft.NonCritWCET() != st.NonCritWCET() {
-		t.Errorf("derived quantities diverge: fast{C=%d lp=%d} rebuilt{C=%d lp=%d}",
-			ft.WCET(), ft.LongestPath(), st.WCET(), st.LongestPath())
-	}
-	// The clone must recompute its bounds, not inherit the base's.
-	if !reflect.DeepEqual(ft.PathBounds(), st.PathBounds()) {
-		t.Errorf("path bounds diverge: fast %+v rebuilt %+v", *ft.PathBounds(), *st.PathBounds())
-	}
-	if reflect.DeepEqual(ft.PathBounds(), ts.Task(0).PathBounds()) {
-		t.Error("fast-path clone kept the base task's path bounds")
-	}
-}
-
 func TestPatchPointerSharing(t *testing.T) {
 	ts := patchBase(t)
 	out, _ := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 0, Value: 101 * rt.Microsecond})
@@ -152,6 +119,55 @@ func TestPatchEdges(t *testing.T) {
 	}
 	_, pd = applyOne(t, ts, PatchOp{Op: OpRemoveEdge, Task: 0, From: 0, To: 1})
 	wantBits(t, pd, 0, ChangeEdges)
+}
+
+// TestPatchRepeatedEdge: a base that lists an edge twice and its hash twin
+// that lists it once patch alike. remove_edge drops the precedence
+// constraint however often it is listed, and add_edge of an edge already
+// present changes nothing.
+func TestPatchRepeatedEdge(t *testing.T) {
+	build := func(edges ...Edge) *Taskset {
+		task := NewTask(0, 1000*rt.Microsecond, 1000*rt.Microsecond)
+		task.Priority = 1
+		for range 3 {
+			task.AddVertex(100 * rt.Microsecond)
+		}
+		task.Edges = edges
+		ts := NewTaskset(2, 0)
+		ts.Add(task)
+		if err := ts.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	repeated := build(Edge{0, 1}, Edge{0, 1}, Edge{1, 2})
+	once := build(Edge{0, 1}, Edge{1, 2})
+	if repeated.Hash() != once.Hash() {
+		t.Fatalf("twins hash apart: %s vs %s", repeated.Hash(), once.Hash())
+	}
+	for _, c := range []struct {
+		op   PatchOp
+		want Change
+	}{
+		{PatchOp{Op: OpRemoveEdge, Task: 0, From: 0, To: 1}, ChangeEdges},
+		{PatchOp{Op: OpAddEdge, Task: 0, From: 0, To: 1}, 0},
+	} {
+		r, rd := applyOne(t, repeated, c.op)
+		o, od := applyOne(t, once, c.op)
+		if r.Hash() != o.Hash() {
+			t.Errorf("%s: patched hashes %s and %s differ", c.op.Op, r.Hash(), o.Hash())
+		}
+		if !reflect.DeepEqual(rd.Changed, od.Changed) {
+			t.Errorf("%s: changes %v and %v differ", c.op.Op, rd.Changed, od.Changed)
+		}
+		wantBits(t, rd, 0, c.want)
+		if c.want == 0 && r.Hash() != repeated.Hash() {
+			t.Errorf("%s of a present edge changed the hash", c.op.Op)
+		}
+		if c.want != 0 && len(r.Task(0).Succ(0)) != 0 {
+			t.Errorf("%s kept the edge: Succ(0) = %v", c.op.Op, r.Task(0).Succ(0))
+		}
+	}
 }
 
 func TestPatchTiming(t *testing.T) {

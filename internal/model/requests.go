@@ -76,8 +76,40 @@ func requestsOf(m map[rt.ResourceID]int) Requests {
 	for q, n := range m {
 		rs = append(rs, Request{Resource: q, Count: n})
 	}
-	slices.SortFunc(rs, func(a, b Request) int { return cmpResource(a, b.Resource) })
+	slices.SortFunc(rs, byResource)
 	return rs
+}
+
+func byResource(a, b Request) int { return cmpResource(a, b.Resource) }
+
+// with returns the profile with over's counts written over it: sorted, and
+// with every zero count dropped. It sorts once, so it costs
+// O((k+o) log(k+o)) for k entries and o overrides. A profile that is not
+// sorted comes back as it is, for Finalize to reject rather than for with
+// to sort and merge.
+func (rs Requests) with(over map[rt.ResourceID]int) Requests {
+	if !rs.sorted() {
+		return rs
+	}
+	out := make(Requests, 0, len(rs)+len(over))
+	for _, r := range rs {
+		if n, ok := over[r.Resource]; ok {
+			r.Count = n
+		}
+		if r.Count > 0 {
+			out = append(out, r)
+		}
+	}
+	for q, n := range over {
+		if _, found := slices.BinarySearchFunc(rs, q, cmpResource); !found && n > 0 {
+			out = append(out, Request{Resource: q, Count: n})
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	slices.SortFunc(out, byResource)
+	return out
 }
 
 // MarshalJSON writes the profile as encoding/json writes the equivalent

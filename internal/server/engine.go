@@ -25,13 +25,15 @@ import (
 //
 // Cache-key semantics: a result is addressed by
 //
-//	<taskset sha256>|<method>|pc=<path cap>|pl=<placement>|ex=<explain>
+//	<taskset sha256>|<method>|pc=<path cap>|pl=<placement>|sv=<semantics version>
 //
-// — the taskset's canonical content hash (model.Taskset.Hash) plus every
-// option that can change the result. Two requests with byte-different but
-// semantically identical tasksets (reordered tasks, renamed tasks,
-// duplicate edges) therefore share cache entries and coalesce onto one
-// in-flight analysis.
+// with |ex=1 appended for an explained result (cacheKey) — the taskset's
+// canonical content hash (model.Taskset.Hash), every option that can
+// change the result, and analysis.SemanticsVersion, so results computed
+// under other analysis semantics are never served. Two requests with
+// byte-different but semantically identical tasksets (reordered tasks,
+// renamed tasks, duplicate edges) therefore share cache entries and
+// coalesce onto one in-flight analysis.
 type engine struct {
 	workers  int
 	maxQueue int64
@@ -49,8 +51,8 @@ type engine struct {
 	br     *store.Breaker
 	flight flightGroup[*MethodResult]
 	// deltaStates retains what-if bases: finalized tasksets whose analysis
-	// found them schedulable, keyed exactly like the result cache minus the
-	// explain flag: <base hash>|<method>|pc|pl. It holds no analysis state;
+	// found them schedulable, keyed like an unexplained result:
+	// <base hash>|<method>|pc=..|pl=..|sv=... It holds no analysis state;
 	// a POST /v1/analyze/delta whose base is present just needs no taskset
 	// upload. A miss with base_taskset resolves the base through analyze
 	// (result cache, flight, store) and retains it. Bounded like the result
