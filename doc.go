@@ -138,7 +138,11 @@
 // onto exactly one analysis (singleflight), and admission is bounded:
 // when the queue is transiently full a request is rejected with 429 +
 // Retry-After instead of queuing without bound (and one that could never
-// fit gets a non-retryable 400). The cache-hit path does
+// fit gets a non-retryable 400). /v1/analyze, /v1/analyze/batch and
+// /v1/analyze/delta share one answer path: it probes the result cache for
+// every (taskset, method), admits only the misses — so admission counts
+// real work and a fully cached request is never rejected — and fans the
+// misses out through the engine. The cache-hit path does
 // no analysis work at all, turning millisecond analyses into microsecond
 // lookups. cmd/schedd wraps the handler in a daemon with graceful
 // shutdown; the streamed GET /v1/grid endpoint derives every sample seed
@@ -149,31 +153,34 @@
 //
 // POST /v1/analyze/delta serves what-if queries — one patched task per
 // request — against a base taskset the server already holds, so a client
-// quotes the base's hash instead of uploading it again. model.ApplyPatch
-// turns (base, Patch) into a finalized taskset plus a precise changed-task
-// set, and the patched taskset is analyzed in full through the same engine
-// path as /v1/analyze: result cache, singleflight, store and worker slot.
-// A verdict is a pure function of the finalized taskset, so the endpoint
-// keeps no analysis state; a delta verdict is, by construction, the
-// verdict /v1/analyze gives for the same edited taskset. The audit's patch
-// leg checks that a patched taskset hashes and analyzes exactly like the
-// same taskset rebuilt from its JSON.
+// quotes the base's hash instead of uploading it again. The handler
+// resolves the base once (the taskset retained under that hash, or else
+// the request's base_taskset), applies the patch once with
+// model.ApplyPatch, hashes the result and answers it through the shared
+// answer path, exactly as /v1/analyze answers the same edited taskset:
+// result cache, singleflight, store and worker slot, for any method. A
+// verdict is a pure function of the finalized taskset, so the endpoint
+// keeps no analysis state, never analyzes the base, and a delta verdict is,
+// by construction, the verdict /v1/analyze gives. The audit's patch leg
+// checks that a patched taskset hashes and analyzes exactly like the same
+// taskset rebuilt from its JSON.
 //
 // Ownership and invalidation rules:
 //
-//   - The server's bounded LRU of retained bases holds finalized
-//     *model.Taskset values, keyed by (base hash, method, options) — the
-//     same canonical key space as the result cache. Retained tasksets are
-//     immutable: ApplyPatch never mutates its input. A schedulable patched
-//     taskset that the request itself analyzed is retained under the
-//     patched hash, so an edit chain can quote it. An unschedulable base
-//     or result is not retained.
+//   - The server's bounded LRU of retained tasksets holds finalized
+//     *model.Taskset values keyed by their bare canonical hash: a taskset
+//     depends on no method, option or analysis semantics, so one entry
+//     serves every query that quotes it. Each answered query retains its
+//     base and its patched taskset, whatever their verdicts, so an edit
+//     chain can quote any link.
+//   - Retained tasksets are immutable and shared across requests, so
+//     ApplyPatch never writes its base: untouched tasks are shared by
+//     pointer, and any task the patched set edits or assigns a priority
+//     to is a clone.
 //   - LRU eviction costs one upload, never correctness: a query whose base
 //     was evicted (counted in delta_fallbacks) re-establishes it when the
-//     request carries base_taskset, resolving the base verdict through the
-//     result cache, flight and store like any analysis, or is rejected with
-//     a structured 400 telling the client to re-send it when it carries
-//     only the hash.
+//     request carries base_taskset, or is rejected with a structured 400
+//     telling the client to re-send it when it carries only the hash.
 //
 // # Sweep jobs and the persistent store
 //

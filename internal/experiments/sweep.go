@@ -80,8 +80,10 @@ func (sw Sweep) Run(ctx context.Context,
 	}
 	var pts []sweepPoint
 	names := make([]string, len(sw.Scenarios))
+	gens := make([]*taskgen.Generator, len(sw.Scenarios))
 	for si, s := range sw.Scenarios {
 		names[si] = s.Name()
+		gens[si] = taskgen.NewGenerator(s)
 		for pi, u := range taskgen.UtilizationPoints(s.M) {
 			if sw.Points == nil || slices.Contains(sw.Points[si], pi) {
 				pts = append(pts, sweepPoint{scen: si, point: pi, util: u,
@@ -93,14 +95,11 @@ func (sw Sweep) Run(ctx context.Context,
 	var mu sync.Mutex // guards firstIdx and firstErr
 	firstIdx, firstErr := -1, error(nil)
 
-	// Worker-local state needs no locking: generators are per-scenario and
-	// stateless across samples, and the verdict slice is recycled job
-	// after job.
+	// The generators are read-only, so every worker shares its scenario's;
+	// each worker recycles its own verdict slice job after job.
 	workers := Workers(sw.Workers)
-	gens := make([]map[int]*taskgen.Generator, workers)
 	verdicts := make([][]bool, workers)
-	for w := range gens {
-		gens[w] = make(map[int]*taskgen.Generator)
+	for w := range verdicts {
 		verdicts[w] = make([]bool, len(sw.Methods))
 	}
 
@@ -108,7 +107,7 @@ func (sw Sweep) Run(ctx context.Context,
 		p, k := &pts[idx/samples], idx%samples
 		var err error
 		if ctx.Err() == nil { // a canceled ctx drains the remaining jobs without work
-			err = sw.sample(w, p, k, names[p.scen], gens[w], verdicts[w], test)
+			err = sw.sample(w, p, k, names[p.scen], gens[p.scen], verdicts[w], test)
 		}
 		if err != nil {
 			mu.Lock()
@@ -131,14 +130,9 @@ func (sw Sweep) Run(ctx context.Context,
 
 // sample draws sample k of point p, runs test on it and folds the verdicts
 // into p's tallies.
-func (sw *Sweep) sample(w int, p *sweepPoint, k int, name string, gens map[int]*taskgen.Generator,
+func (sw *Sweep) sample(w int, p *sweepPoint, k int, name string, g *taskgen.Generator,
 	verdicts []bool, test func(int, *model.Taskset, []bool) error) error {
 
-	g := gens[p.scen]
-	if g == nil {
-		g = taskgen.NewGenerator(sw.Scenarios[p.scen])
-		gens[p.scen] = g
-	}
 	ts, err := GenerateSample(g, SampleSeed(sw.Seed, name, p.point, k), p.util)
 	if err != nil {
 		p.genFail.Add(1)

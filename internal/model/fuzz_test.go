@@ -118,6 +118,10 @@ func FuzzTasksetPatch(f *testing.F) {
 	f.Add([]byte(base), []byte(`{"ops":[{"op":"remove_task","task":0},{"op":"add_task","new_task":{"id":5,"period":500,"deadline":500,"priority":9,"vertices":[{"id":0,"wcet":10}]}}]}`))
 	f.Add([]byte(base), []byte(`{"ops":[{"op":"set_wcet","task":0,"vertex":1,"value":-3}]}`))
 	f.Add([]byte(base), []byte(`{"ops":[{"op":"add_edge","task":0,"from":1,"to":0}]}`))
+	// Removing the only task with an explicit priority leaves Finalize to
+	// assign rate-monotonic ones; the base's priority-0 task must not get one.
+	f.Add([]byte(`{"tasks":[{"id":0,"period":1000,"deadline":1000,"priority":0,"vertices":[{"id":0,"wcet":100}]},{"id":1,"period":2000,"deadline":2000,"priority":5,"vertices":[{"id":0,"wcet":200}]}],"num_resources":0,"num_procs":2}`),
+		[]byte(`{"ops":[{"op":"remove_task","task":1}]}`))
 
 	f.Fuzz(func(t *testing.T, tsData, patchData []byte) {
 		ts, err := DecodeTaskset(bytes.NewReader(tsData))

@@ -110,6 +110,10 @@ const (
 	// ChangeAdded / ChangeRemoved: the task itself appeared / disappeared.
 	ChangeAdded
 	ChangeRemoved
+	// ChangePriority: no task of the patched set kept an explicit
+	// priority, so Finalize assigned rate-monotonic ones, and every task
+	// from the base got a new priority.
+	ChangePriority
 )
 
 // PatchDelta is the precise changed-task set produced by ApplyPatch.
@@ -209,10 +213,12 @@ func (e *patchEnt) seal() *Task {
 // sharing is safe and makes patch application (and hashing the result)
 // proportional to the edit, not the taskset. Each touched task is a Clone
 // the ops write, and an added task a Clone of its document; Finalize
-// validates both, as it validates a decoded taskset. Explicit base
-// priorities are preserved verbatim (a finalized taskset always carries
-// them), so patching never reshuffles the priority order of untouched
-// tasks.
+// validates both, as it validates a decoded taskset. Explicit priorities
+// are preserved verbatim, so patching never reshuffles the priority order
+// of untouched tasks. A finalized set may still hold one task of priority
+// 0 beside explicit ones; when a patch leaves only such tasks, Finalize
+// assigns rate-monotonic priorities to clones, marked ChangePriority, and
+// the base keeps its own.
 //
 // Invalid patches — unknown op names or task/vertex/resource/edge targets,
 // negative values, duplicate added IDs, or edits whose result fails
@@ -401,6 +407,21 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 		}
 	}
 
+	// With no explicit priority left, Finalize writes rate-monotonic
+	// priorities into every task, so none may still be a base task's
+	// shared pointer. A finalized base holds at most one priority-0 task,
+	// so this happens only when the patch removes every task with an
+	// explicit priority.
+	if !slices.ContainsFunc(ents, func(e *patchEnt) bool { return e.task.Priority != 0 }) {
+		for _, e := range ents {
+			if !e.cloned {
+				e.task, e.cloned = e.task.Clone(), true
+			}
+			if delta.Changed[e.task.ID]&ChangeAdded == 0 {
+				mark(e.task.ID, ChangePriority)
+			}
+		}
+	}
 	out := NewTaskset(ts.NumProcs, ts.NumResources)
 	out.Tasks = make([]*Task, len(ents))
 	for k, e := range ents {

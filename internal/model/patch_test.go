@@ -201,6 +201,36 @@ func TestPatchAddRemoveTask(t *testing.T) {
 	}
 }
 
+// TestPatchAssignsPrioritiesToClones pins that a patch leaving no explicit
+// priority never writes its base: Finalize's rate-monotonic assignment
+// lands in a clone marked ChangePriority, and the base keeps its
+// priorities and its hash.
+func TestPatchAssignsPrioritiesToClones(t *testing.T) {
+	ts := NewTaskset(2, 0)
+	for id, prio := range []rt.Priority{0, 5} {
+		task := NewTask(rt.TaskID(id), 1000*rt.Microsecond, 1000*rt.Microsecond)
+		task.Priority = prio
+		task.AddVertex(10 * rt.Microsecond)
+		ts.Add(task)
+	}
+	if err := ts.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	h := ts.Hash()
+	out, pd := applyOne(t, ts, PatchOp{Op: OpRemoveTask, Task: 1})
+	if ts.Hash() != h || ts.Task(0).Priority != 0 {
+		t.Errorf("base mutated: task 0 priority %d, hash changed %v", ts.Task(0).Priority, ts.Hash() != h)
+	}
+	if out.Task(0) == ts.Task(0) {
+		t.Error("patched set shares the task whose priority it assigned")
+	}
+	if got := out.Task(0).Priority; got != 1 {
+		t.Errorf("patched task 0 priority %d, want the rate-monotonic 1", got)
+	}
+	wantBits(t, pd, 0, ChangePriority)
+	wantBits(t, pd, 1, ChangeRemoved)
+}
+
 func TestPatchErrors(t *testing.T) {
 	ts := patchBase(t)
 	cases := []struct {

@@ -22,10 +22,10 @@ const numShards = 16
 //
 // Three instances exist per server: the engine's result cache (keyed by
 // taskset hash + method + options fingerprint, holding wire results), the
-// engine's retained what-if bases (same keys minus explain, holding
-// finalized tasksets), and the exact-body fast path (keyed by the SHA-256
-// of raw /v1/analyze bodies, holding serialized responses), so a repeat of
-// a byte-identical request skips even the JSON decode.
+// engine's retained what-if tasksets (keyed by the bare taskset hash,
+// holding finalized tasksets), and the exact-body fast path (keyed by the
+// SHA-256 of raw /v1/analyze bodies, holding serialized responses), so a
+// repeat of a byte-identical request skips even the JSON decode.
 type lru[V any] struct {
 	shards [numShards]lruShard[V]
 	size   int64 // global capacity bound

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -9,69 +8,9 @@ import (
 	"time"
 
 	"dpcpp/internal/analysis"
-	"dpcpp/internal/experiments"
 	"dpcpp/internal/model"
 	"dpcpp/internal/obs"
 )
-
-// errUnknownBase reports a delta request whose base hash names no retained
-// base and whose body carried no base_taskset to rebuild it from. The
-// handler maps it to a structured 400 telling the client to re-send with
-// base_taskset (one-time cost; subsequent patches find the base).
-var errUnknownBase = errors.New("no retained state for base taskset")
-
-// analyzeDelta answers one method of a POST /v1/analyze/delta request. A
-// verdict is a pure function of the finalized taskset, so the what-if work
-// is only finding the base and applying the patch: the base (on a
-// fallback) and the patched taskset both go through engine.analyze, and
-// so share its result cache, flight and store with /v1/analyze.
-//
-// A fallback retains a schedulable base. When the base is retained and
-// this call ran the patched analysis itself, the bool result
-// (DeltaInfo.Incremental) is true, and a schedulable patched taskset is
-// retained under its own hash so the next patch in a chain can quote it.
-func (e *engine) analyzeDelta(ctx context.Context, baseHash model.Hash, baseTS *model.Taskset,
-	p model.Patch, m analysis.Method, opts analysis.Options) (model.Hash, *MethodResult, bool, error) {
-
-	skey := cacheKey(baseHash, m, opts, false)
-	base, retained := e.deltaStates.get(skey)
-	if retained {
-		e.deltaHits.Add(1)
-	} else {
-		if baseTS == nil {
-			return model.Hash{}, nil, false, errUnknownBase
-		}
-		e.deltaFallbacks.Add(1)
-		bmr, _, err := e.analyze(ctx, baseHash, baseTS, m, opts, false)
-		if err != nil {
-			return model.Hash{}, nil, false, err
-		}
-		// An unschedulable base is not retained: its patched taskset is
-		// still answered, but nothing can chain from it.
-		if retained = bmr.Schedulable; retained {
-			e.deltaStates.add(skey, baseTS)
-		}
-		base = baseTS
-	}
-
-	patchStart := time.Now()
-	patched, _, err := model.ApplyPatch(base, p)
-	if err != nil {
-		return model.Hash{}, nil, false, err
-	}
-	ph := patched.Hash()
-	obs.TraceFromContext(ctx).AddSpan("patch", patchStart)
-
-	mr, analyzed, err := e.analyze(ctx, ph, patched, m, opts, false)
-	if err != nil {
-		return model.Hash{}, nil, false, err
-	}
-	incremental := retained && analyzed
-	if incremental && mr.Schedulable {
-		e.deltaStates.add(cacheKey(ph, m, opts, false), patched)
-	}
-	return ph, mr, incremental, nil
-}
 
 // parseHash decodes a canonical taskset hash (64 lowercase hex digits).
 func parseHash(s string) (model.Hash, error) {
@@ -84,6 +23,15 @@ func parseHash(s string) (model.Hash, error) {
 	return h, nil
 }
 
+// handleDelta serves POST /v1/analyze/delta. A verdict is a pure function
+// of the finalized taskset, so the what-if work is only finding the base
+// and applying the patch. The base is the taskset retained under the
+// quoted hash, or else the request's base_taskset. The patch is applied
+// once, and the patched taskset is answered by answer exactly as a
+// /v1/analyze of it would be, sharing the result cache, flight and store.
+// The base is retained once resolved and the patched taskset once
+// answered, both under their bare hashes and whatever their verdicts, so a
+// later query can quote either.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
 	var req DeltaRequest
@@ -97,13 +45,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	ms, opts, ok := s.validateOptions(w, methods, req.PathCap, req.Placement)
 	if !ok {
 		return
-	}
-	for _, m := range ms {
-		if m != analysis.DPCPpEP && m != analysis.DPCPpEN {
-			writeError(w, http.StatusBadRequest, "method %q has no incremental form (delta supports %s, %s)",
-				m, analysis.DPCPpEP, analysis.DPCPpEN)
-			return
-		}
 	}
 
 	var baseHash model.Hash
@@ -136,58 +77,53 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !s.admit(w, len(ms)) {
+	e := s.engine
+	baseKey := baseHash.String()
+	base, retained := e.deltaStates.get(baseKey)
+	switch {
+	case retained:
+		e.deltaHits.Add(int64(len(ms)))
+	case req.BaseTaskset != nil:
+		base = req.BaseTaskset
+		e.deltaFallbacks.Add(int64(len(ms)))
+		e.deltaStates.add(baseKey, base)
+	default:
+		writeError(w, http.StatusBadRequest,
+			"unknown base %s: no retained state; re-send with base_taskset to establish one", baseKey)
 		return
 	}
-	defer s.engine.release(len(ms))
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
 
-	type deltaOut struct {
-		hash     model.Hash
-		mr       *MethodResult
-		analyzed bool
-		err      error
-	}
-	outs := make([]deltaOut, len(ms))
-	experiments.ParallelFor(len(ms), len(ms), func(_, i int) {
-		o := &outs[i]
-		o.hash, o.mr, o.analyzed, o.err = s.engine.analyzeDelta(
-			ctx, baseHash, req.BaseTaskset, req.Patch, ms[i], opts)
-	})
-	for _, o := range outs {
-		if o.err == nil {
-			continue
-		}
+	patchStart := time.Now()
+	patched, _, err := model.ApplyPatch(base, req.Patch)
+	if err != nil {
 		var perr *model.PatchError
-		switch {
-		case errors.As(o.err, &perr):
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("invalid patch: %v", perr),
-				Code:  http.StatusBadRequest,
-				Patch: perr,
-			})
-		case errors.Is(o.err, errUnknownBase):
-			writeError(w, http.StatusBadRequest,
-				"unknown base %s: no retained state; re-send with base_taskset to establish one", baseHash)
-		default:
-			s.finishAnalysis(w, o.err)
-		}
+		errors.As(err, &perr)
+		writeJSON(w, http.StatusBadRequest, errorResponse{
+			Error: fmt.Sprintf("invalid patch: %v", err),
+			Code:  http.StatusBadRequest,
+			Patch: perr,
+		})
 		return
 	}
+	ph := patched.Hash()
+	obs.TraceFromContext(r.Context()).AddSpan("patch", patchStart)
 
+	q := []query{{hash: ph, ts: patched,
+		results: make(map[string]*MethodResult, len(ms)), analyzed: make([]bool, len(ms))}}
+	if !s.answer(w, r, req.TimeoutMS, q, ms, opts, false) {
+		return
+	}
 	resp := &DeltaResponse{
-		BaseHash: baseHash.String(),
-		Hash:     outs[0].hash.String(),
-		Results:  make(map[string]*MethodResult, len(ms)),
+		BaseHash: baseKey,
+		Hash:     ph.String(),
+		Results:  q[0].results,
 		Delta:    make(map[string]*DeltaInfo, len(ms)),
 	}
+	e.deltaStates.add(resp.Hash, patched)
 	for i, m := range ms {
-		resp.Results[string(m)] = outs[i].mr
-		info := &DeltaInfo{}
-		if outs[i].analyzed {
-			info.Incremental = true
-			info.Rounds = outs[i].mr.Rounds
+		info := &DeltaInfo{Incremental: q[0].analyzed[i]}
+		if info.Incremental {
+			info.Rounds = q[0].results[string(m)].Rounds
 		}
 		resp.Delta[string(m)] = info
 	}

@@ -42,15 +42,16 @@ func wcetBump(task rt.TaskID, vertex rt.VertexID, to rt.Time) model.Patch {
 }
 
 // TestDeltaEndToEnd drives the admission-control loop the endpoint exists
-// for: establish state once (fallback), then answer successive what-if
-// patches from retained state (hits), each verdict bit-identical to a full
-// /v1/analyze of the same edited taskset.
+// for: upload the base once (fallback), then answer successive what-if
+// patches against the retained base (hits), each verdict bit-identical to
+// a full /v1/analyze of the same edited taskset.
 func TestDeltaEndToEnd(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	base := testTaskset(t, 0)
 
-	// First query carries the base taskset: the server has no state, so it
-	// runs one full base analysis per method and retains state.
+	// First query carries the base taskset: the server retains none, so
+	// it takes the uploaded base, retains it and analyzes only the patched
+	// taskset.
 	w := post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
 		BaseTaskset: jsonRoundTrip(t, base),
 		Patch:       wcetBump(0, 1, 120*rt.Microsecond),
@@ -96,8 +97,8 @@ func TestDeltaEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Second query: base hash only, no taskset — answered from retained
-	// state, incrementally.
+	// Second query: base hash only, no taskset — the retained base is
+	// patched and this request analyzes the patched taskset itself.
 	w = post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
 		Base:  base.Hash().String(),
 		Patch: wcetBump(0, 1, 140*rt.Microsecond),
@@ -144,8 +145,8 @@ func TestDeltaEndToEnd(t *testing.T) {
 }
 
 // TestDeltaChaining pins that a delta response's hash is itself a ready
-// base: the run chains fresh state under the patched hash, so patch
-// sequences stay incremental without ever re-sending a taskset.
+// base: the patched taskset is retained under its hash, so patch sequences
+// chain without ever re-sending a taskset.
 func TestDeltaChaining(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	base := testTaskset(t, 0)
@@ -219,11 +220,6 @@ func TestDeltaErrors(t *testing.T) {
 			BaseTaskset: jsonRoundTrip(t, base),
 			Patch:       wcetBump(0, 1, 120*rt.Microsecond),
 		}, "does not match"},
-		{"non-incremental method", DeltaRequest{
-			BaseTaskset: jsonRoundTrip(t, base),
-			Patch:       wcetBump(0, 1, 120*rt.Microsecond),
-			Methods:     []string{string(analysis.SPIN)},
-		}, "no incremental form"},
 		{"unknown method", DeltaRequest{
 			BaseTaskset: jsonRoundTrip(t, base),
 			Patch:       wcetBump(0, 1, 120*rt.Microsecond),
@@ -244,6 +240,42 @@ func TestDeltaErrors(t *testing.T) {
 		if er.Code != http.StatusBadRequest || !strings.Contains(er.Error, tc.want) {
 			t.Errorf("%s: error %+v, want code 400 containing %q", tc.name, er, tc.want)
 		}
+	}
+
+	// Any method is a what-if method: a SPIN-SON query is answered as
+	// /v1/analyze answers the patched taskset.
+	p := wcetBump(0, 1, 120*rt.Microsecond)
+	w := post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		BaseTaskset: jsonRoundTrip(t, base),
+		Patch:       p,
+		Methods:     []string{string(analysis.SPIN)},
+	}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("SPIN-SON delta: status %d: %s", w.Code, w.Body.String())
+	}
+	requireDeltaMatchesAnalyze(t, s, decodeDelta(t, w.Body.Bytes()), base, p, string(analysis.SPIN))
+}
+
+// requireDeltaMatchesAnalyze requires a delta reply to carry the hash and
+// results POST /v1/analyze returns for the base patched by p.
+func requireDeltaMatchesAnalyze(t *testing.T, s *Server, resp DeltaResponse,
+	base *model.Taskset, p model.Patch, methods ...string) {
+
+	t.Helper()
+	patched, _, err := model.ApplyPatch(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := post(t, s, "/v1/analyze", analyzeBody(t, patched, methods...))
+	if full.Code != http.StatusOK {
+		t.Fatalf("full analyze: status %d: %s", full.Code, full.Body.String())
+	}
+	var fullResp AnalyzeResponse
+	if err := json.Unmarshal(full.Body.Bytes(), &fullResp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Hash != fullResp.Hash || !reflect.DeepEqual(resp.Results, fullResp.Results) {
+		t.Errorf("delta (%s, %+v) != full analyze (%s, %+v)", resp.Hash, resp.Results, fullResp.Hash, fullResp.Results)
 	}
 }
 
@@ -359,8 +391,8 @@ func TestDeltaFallbackReusesCachedBase(t *testing.T) {
 }
 
 // TestDeltaFallbacksCoalesce pins that concurrent fallbacks for the same
-// base and patch share one base analysis and one patched analysis through
-// the engine's flight, and all get the same answer.
+// base and patch share one patched analysis through the engine's flight,
+// run no base analysis, and all get the same answer.
 func TestDeltaFallbacksCoalesce(t *testing.T) {
 	const n = 8
 	s := newTestServer(t, Config{Workers: 2})
@@ -410,11 +442,11 @@ func TestDeltaFallbacksCoalesce(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delta analysis reached engine.testFn")
 	}
-	baseKey := cacheKey(base.Hash(), analysis.DPCPpEP, analysis.Options{}, false)
+	patchedKey := cacheKey(patched.Hash(), analysis.DPCPpEP, analysis.Options{}, false)
 	deadline := time.Now().Add(10 * time.Second)
-	for s.engine.flight.waiting(baseKey) < n-1 {
+	for s.engine.flight.waiting(patchedKey) < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d fallbacks coalesced onto the base analysis", s.engine.flight.waiting(baseKey), n-1)
+			t.Fatalf("%d of %d fallbacks coalesced onto the patched analysis", s.engine.flight.waiting(patchedKey), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -422,12 +454,15 @@ func TestDeltaFallbacksCoalesce(t *testing.T) {
 	wg.Wait()
 
 	mu.Lock()
-	if calls[base.Hash()] != 1 || calls[patched.Hash()] != 1 || len(calls) != 2 {
-		t.Errorf("analyses per taskset = %v, want one base and one patched", calls)
+	if calls[patched.Hash()] != 1 || len(calls) != 1 {
+		t.Errorf("analyses per taskset = %v, want one patched and no base", calls)
 	}
 	mu.Unlock()
-	if m := s.Metrics(); m.Analyses != 2 || m.DeltaFallbacks != n {
-		t.Errorf("analyses=%d delta_fallbacks=%d, want 2 and %d", m.Analyses, m.DeltaFallbacks, n)
+	// The first request to resolve the base retains it, so a later one
+	// may find it retained.
+	if m := s.Metrics(); m.Analyses != 1 || m.DeltaFallbacks < 1 || m.DeltaFallbacks+m.DeltaHits != n {
+		t.Errorf("analyses=%d delta_fallbacks=%d delta_hits=%d, want 1, >= 1 and %d in all",
+			m.Analyses, m.DeltaFallbacks, m.DeltaHits, n)
 	}
 	var first DeltaResponse
 	incremental := 0
@@ -453,13 +488,15 @@ func TestDeltaFallbacksCoalesce(t *testing.T) {
 	}
 }
 
-// TestDeltaUnschedulableBase pins the reply for a base that is not
-// schedulable: the patched taskset is still answered, exactly as
-// /v1/analyze answers it, but nothing is retained to chain from.
+// TestDeltaUnschedulableBase pins that a base's verdict does not decide
+// what is retained: an unschedulable base is retained like any other, its
+// patched taskset is answered exactly as /v1/analyze answers it, and a
+// follow-up quoting only the base hash is answered the same way.
 func TestDeltaUnschedulableBase(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	base := testTaskset(t, 10*rt.Millisecond) // a vertex longer than its deadline
 	p := wcetBump(0, 1, 120*rt.Microsecond)
+	ms := []string{string(analysis.DPCPpEP), string(analysis.DPCPpEN)}
 
 	w := post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
 		BaseTaskset: jsonRoundTrip(t, base),
@@ -469,42 +506,59 @@ func TestDeltaUnschedulableBase(t *testing.T) {
 		t.Fatalf("delta: status %d: %s", w.Code, w.Body.String())
 	}
 	resp := decodeDelta(t, w.Body.Bytes())
-	if m := s.Metrics(); m.DeltaStates != 0 {
-		t.Errorf("delta_states=%d after an unschedulable base, want 0", m.DeltaStates)
-	}
-	for meth, info := range resp.Delta {
-		if info.Incremental {
-			t.Errorf("%s: incremental answer from an unretained base: %+v", meth, info)
-		}
-	}
-
-	patched, _, err := model.ApplyPatch(base, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := post(t, s, "/v1/analyze", analyzeBody(t, patched,
-		string(analysis.DPCPpEP), string(analysis.DPCPpEN)))
-	if full.Code != http.StatusOK {
-		t.Fatalf("full analyze: status %d: %s", full.Code, full.Body.String())
-	}
-	var fullResp AnalyzeResponse
-	if err := json.Unmarshal(full.Body.Bytes(), &fullResp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Hash != fullResp.Hash || !reflect.DeepEqual(resp.Results, fullResp.Results) {
-		t.Errorf("delta (%s, %+v) != full analyze (%s, %+v)", resp.Hash, resp.Results, fullResp.Hash, fullResp.Results)
+	if m := s.Metrics(); m.DeltaStates != 2 {
+		t.Errorf("delta_states=%d after an unschedulable base, want 2 (base and patched)", m.DeltaStates)
 	}
 	for meth, mr := range resp.Results {
 		if mr.Schedulable {
 			t.Errorf("%s: patched taskset schedulable; the fixture no longer pins an unschedulable chain", meth)
 		}
 	}
+	requireDeltaMatchesAnalyze(t, s, resp, base, p, ms...)
 
 	w = post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
 		Base:  base.Hash().String(),
 		Patch: p,
 	}))
-	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "no retained state") {
-		t.Errorf("hash-only follow-up: status %d: %s, want 400 naming no retained state", w.Code, w.Body.String())
+	if w.Code != http.StatusOK {
+		t.Fatalf("hash-only follow-up: status %d: %s", w.Code, w.Body.String())
+	}
+	requireDeltaMatchesAnalyze(t, s, decodeDelta(t, w.Body.Bytes()), base, p, ms...)
+	if m := s.Metrics(); m.DeltaHits != 2 {
+		t.Errorf("hash-only follow-up: delta_hits=%d, want 2", m.DeltaHits)
+	}
+}
+
+// TestDeltaRetainsOneTasksetPerHash pins that retention is keyed by the
+// bare taskset hash: an EP+EN fallback retains the base and the patched
+// taskset once each, a chained query quoting the patched hash with other
+// options adds only its own patched taskset, and no query analyzes a base.
+func TestDeltaRetainsOneTasksetPerHash(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	base := testTaskset(t, 0)
+
+	w := post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		BaseTaskset: jsonRoundTrip(t, base),
+		Patch:       wcetBump(0, 1, 120*rt.Microsecond),
+	}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("fallback delta: status %d: %s", w.Code, w.Body.String())
+	}
+	if m := s.Metrics(); m.DeltaStates != 2 || m.Analyses != 2 {
+		t.Errorf("after the fallback: delta_states=%d analyses=%d, want 2 and 2", m.DeltaStates, m.Analyses)
+	}
+	w = post(t, s, "/v1/analyze/delta", deltaBody(t, DeltaRequest{
+		Base:      decodeDelta(t, w.Body.Bytes()).Hash,
+		Patch:     wcetBump(1, 0, 160*rt.Microsecond),
+		Methods:   []string{string(analysis.DPCPpEP), string(analysis.LPP)},
+		PathCap:   4,
+		Placement: "ffd",
+	}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("chained delta: status %d: %s", w.Code, w.Body.String())
+	}
+	if m := s.Metrics(); m.DeltaStates != 3 || m.DeltaHits != 2 || m.Analyses != 4 {
+		t.Errorf("after the chained query: delta_states=%d delta_hits=%d analyses=%d, want 3, 2 and 4",
+			m.DeltaStates, m.DeltaHits, m.Analyses)
 	}
 }

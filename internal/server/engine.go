@@ -50,13 +50,14 @@ type engine struct {
 	// permanently closed) without a store.
 	br     *store.Breaker
 	flight flightGroup[*MethodResult]
-	// deltaStates retains what-if bases: finalized tasksets whose analysis
-	// found them schedulable, keyed like an unexplained result:
-	// <base hash>|<method>|pc=..|pl=..|sv=... It holds no analysis state;
-	// a POST /v1/analyze/delta whose base is present just needs no taskset
-	// upload. A miss with base_taskset resolves the base through analyze
-	// (result cache, flight, store) and retains it. Bounded like the result
-	// cache; eviction only costs the client one re-upload.
+	// deltaStates retains what-if bases: the finalized bases and patched
+	// tasksets of POST /v1/analyze/delta, keyed by the hex form of their
+	// bare hash. A taskset depends on no method, option or analysis
+	// semantics, so one entry serves every query that quotes its hash, and
+	// a verdict never decides what is retained. It holds no analysis
+	// state: a query whose base is present just needs no taskset upload.
+	// Bounded like the result cache; eviction only costs the client one
+	// re-upload.
 	deltaStates *lru[*model.Taskset]
 	// slots bounds concurrently executing analyses to the worker count;
 	// queued counts admitted-but-unfinished jobs for backpressure.
@@ -125,9 +126,8 @@ type Metrics struct {
 	StoreState string `json:"store_state,omitempty"`
 	StoreTrips int64  `json:"store_trips"`
 	// DeltaHits counts POST /v1/analyze/delta method results whose base was
-	// retained; DeltaFallbacks those whose base was missing and was
-	// resolved from base_taskset through the result cache, flight, store
-	// or a fresh analysis; DeltaStates is the retained-base gauge.
+	// retained; DeltaFallbacks those whose base was not retained and was
+	// taken from base_taskset; DeltaStates is the retained-taskset gauge.
 	DeltaHits      int64 `json:"delta_hits"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	DeltaStates    int64 `json:"delta_states"`
@@ -178,10 +178,9 @@ func newEngine(reg *obs.Registry, workers, cacheSize int, maxQueue int64, st *st
 	e.deltaHits = reg.Counter("schedd_delta_hits_total", "delta_hits",
 		"Delta method results whose base taskset was retained.")
 	e.deltaFallbacks = reg.Counter("schedd_delta_fallbacks_total", "delta_fallbacks",
-		"Delta method results whose base was missing and was resolved from base_taskset "+
-			"through the result cache, flight, store or a fresh analysis.")
+		"Delta method results whose base was not retained and was taken from base_taskset.")
 	reg.Gauge("schedd_delta_states", "", "delta_states",
-		"Retained what-if base tasksets (bounded LRU).", e.deltaStates.entries)
+		"Retained what-if tasksets, one per hash (bounded LRU).", e.deltaStates.entries)
 	reg.Gauge("schedd_queue_depth", "", "queued_jobs",
 		"Admitted-but-unfinished analysis jobs.", e.queued.Load)
 	reg.Gauge("schedd_cache_entries", "", "cache_entries",
@@ -397,26 +396,6 @@ func (e *engine) noteAbort(err error) {
 	} else {
 		e.canceled.Add(1)
 	}
-}
-
-// cachedAll returns every requested method's result when all of them are
-// already cached (counting one hit per method), or nil on any miss without
-// touching the counters. It lets handlers serve fully-cached requests
-// without charging admission: a saturated queue must never 429 a request
-// that needs zero analysis work.
-func (e *engine) cachedAll(h model.Hash, ms []analysis.Method,
-	opts analysis.Options, explain bool) map[string]*MethodResult {
-
-	out := make(map[string]*MethodResult, len(ms))
-	for _, m := range ms {
-		v, ok := e.cache.get(cacheKey(h, m, opts, explain && m == analysis.DPCPpEP))
-		if !ok {
-			return nil
-		}
-		out[string(m)] = v
-	}
-	e.cacheHits.Add(int64(len(ms)))
-	return out
 }
 
 // storeGet fetches and decodes a persisted result (nil on miss, on a

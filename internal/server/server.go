@@ -124,16 +124,20 @@ type Config struct {
 	// MaxBody caps request bodies in bytes (<= 0 = 8 MiB); larger bodies
 	// get 413 before any decoding work.
 	MaxBody int64
-	// MaxQueue bounds admitted-but-unfinished analysis jobs. A request
-	// whose jobs cannot fit while the server is busy gets 429 +
-	// Retry-After; one that could never fit even on an idle server gets a
-	// non-retryable 400 (<= 0 = max(1024 * workers, 65536), large enough
-	// that every documented grid/batch request fits on a 1-core host).
+	// MaxQueue bounds admitted-but-unfinished analysis jobs: the uncached
+	// (taskset, method) results of an analyze, batch or delta request, and
+	// every sample of a grid stream. A request whose jobs cannot fit while
+	// the server is busy gets 429 + Retry-After; one that could never fit
+	// even on an idle server gets a non-retryable 400; a request whose
+	// results are all cached is never rejected (<= 0 = max(1024 * workers,
+	// 65536), large enough that every documented grid/batch request fits
+	// on a 1-core host).
 	MaxQueue int
-	// RequestTimeout bounds the analysis latency of one /v1/analyze or
-	// /v1/analyze/batch request; past it the request gets a structured 503
-	// timeout verdict and its queued work is abandoned. 0 disables the
-	// server-wide bound (a request's timeout_ms still applies).
+	// RequestTimeout bounds the analysis latency of one /v1/analyze,
+	// /v1/analyze/batch or /v1/analyze/delta request; past it the request
+	// gets a structured 503 timeout verdict and its queued work is
+	// abandoned. 0 disables the server-wide bound (a request's timeout_ms
+	// still applies).
 	RequestTimeout time.Duration
 	// WriteDeadline is the per-write deadline for response writes
 	// (<= 0 = 1 minute); see DefaultWriteDeadline.
@@ -208,7 +212,7 @@ func (c Config) normalized() Config {
 
 // fastResponse is one exact-body cache entry: the serialized response plus
 // how many method results it carries, so fast-path hit accounting matches
-// cachedAll (one cache hit per method, not per request).
+// answer's (one cache hit per method, not per request).
 type fastResponse struct {
 	body    []byte
 	methods int
@@ -525,8 +529,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	bodyKey := sha256.Sum256(body)
 	if resp, ok := s.fast.get(string(bodyKey[:])); ok {
-		// One hit per method result served, exactly like cachedAll: the
-		// fast path is an optimization of the cached path, not a separate
+		// One hit per method result served, exactly like answer: the fast
+		// path is an optimization of the cached path, not a separate
 		// accounting regime.
 		s.engine.cacheHits.Add(int64(resp.methods))
 		w.Header().Set("Content-Type", "application/json")
@@ -543,22 +547,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h := req.Taskset.Hash()
-	resp := &AnalyzeResponse{Hash: h.String()}
-	// A fully-cached request needs zero analysis work, so it is served
-	// even when the admission queue is saturated.
-	if resp.Results = s.engine.cachedAll(h, ms, opts, req.Explain); resp.Results == nil {
-		if !s.admit(w, len(ms)) {
-			return
-		}
-		defer s.engine.release(len(ms))
-		ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-		defer cancel()
-		var err error
-		resp, err = s.analyzeOne(ctx, h, req.Taskset, ms, opts, req.Explain)
-		if !s.finishAnalysis(w, err) {
-			return
-		}
+	qs := []query{{hash: h, ts: req.Taskset, results: make(map[string]*MethodResult, len(ms))}}
+	if !s.answer(w, r, req.TimeoutMS, qs, ms, opts, req.Explain) {
+		return
 	}
+	resp := &AnalyzeResponse{Hash: h.String(), Results: qs[0].results}
 
 	out, err := json.Marshal(resp)
 	if err != nil {
@@ -585,84 +578,111 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty tasksets")
 		return
 	}
+	qs := make([]query, len(req.Tasksets))
 	for i, ts := range req.Tasksets {
 		if !finalizeTaskset(w, ts, fmt.Sprintf(" at index %d", i)) {
 			return
 		}
+		qs[i] = query{hash: ts.Hash(), ts: ts, results: make(map[string]*MethodResult, len(ms))}
 	}
-	jobs := len(req.Tasksets) * len(ms)
-	if !s.admit(w, jobs) {
+	if !s.answer(w, r, req.TimeoutMS, qs, ms, opts, false) {
 		return
 	}
-	defer s.engine.release(jobs)
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	// Hash on the request goroutine (cheap), fan the analyses out over the
-	// shared pool primitive. Results land in per-index slots, so no
-	// locking and a deterministic response order.
-	resp := BatchResponse{Results: make([]*AnalyzeResponse, len(req.Tasksets))}
-	hashes := make([]model.Hash, len(req.Tasksets))
-	for i, ts := range req.Tasksets {
-		hashes[i] = ts.Hash()
-		resp.Results[i] = &AnalyzeResponse{
-			Hash:    hashes[i].String(),
-			Results: make(map[string]*MethodResult, len(ms)),
-		}
-	}
-	var mu sync.Mutex // guards the per-taskset result maps and firstErr
-	var firstErr error
-	experiments.ParallelFor(s.cfg.Workers, jobs, func(_, idx int) {
-		// A dead client stops admitting new analyses; already-drained jobs
-		// keep their results, the remainder drains cheaply.
-		if ctx.Err() != nil {
-			return
-		}
-		ti, mi := idx/len(ms), idx%len(ms)
-		mr, _, err := s.engine.analyze(ctx, hashes[ti], req.Tasksets[ti], ms[mi], opts, false)
-		mu.Lock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			resp.Results[ti].Results[string(ms[mi])] = mr
-		}
-		mu.Unlock()
-	})
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = ctx.Err()
-	}
-	if !s.finishAnalysis(w, firstErr) {
-		return
+	resp := BatchResponse{Results: make([]*AnalyzeResponse, len(qs))}
+	for i, q := range qs {
+		resp.Results[i] = &AnalyzeResponse{Hash: q.hash.String(), Results: q.results}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// analyzeOne runs the methods for one finalized, hashed taskset, fanning
-// out over the pool when more than one method was requested. The first
-// context error aborts the response (partial results are never served).
-func (s *Server) analyzeOne(ctx context.Context, h model.Hash, ts *model.Taskset,
-	ms []analysis.Method, opts analysis.Options, explain bool) (*AnalyzeResponse, error) {
+// query is one finalized, hashed taskset of a request. answer fills
+// results with one entry per requested method and, when analyzed is
+// non-nil (one flag per method), marks the methods whose analysis this
+// request's own flight ran.
+type query struct {
+	hash     model.Hash
+	ts       *model.Taskset
+	results  map[string]*MethodResult
+	analyzed []bool
+}
 
-	resp := &AnalyzeResponse{
-		Hash:    h.String(),
-		Results: make(map[string]*MethodResult, len(ms)),
+// answer is the one answer path of /v1/analyze, /v1/analyze/batch and
+// /v1/analyze/delta. It probes the result cache for every (query, method)
+// and admits only the misses, so a request that needs no analysis is never
+// 429'd and the queue bound counts real work. The misses fan out through
+// engine.analyze on at most Config.Workers goroutines, or on one per
+// method for a single query. answer writes the rejection or timeout
+// response itself and reports whether the handler should write a
+// successful one: the first context error aborts the request, since
+// partial results are never served.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, timeoutMS int64,
+	qs []query, ms []analysis.Method, opts analysis.Options, explain bool) bool {
+
+	// A miss copies its query's hash and taskset, so the fan-out closure
+	// never captures qs and a handler's one-query slice stays off the heap.
+	type miss struct {
+		hash     model.Hash
+		ts       *model.Taskset
+		q, m     int
+		mr       *MethodResult
+		analyzed bool
+		err      error
 	}
-	results := make([]*MethodResult, len(ms))
-	errs := make([]error, len(ms))
-	experiments.ParallelFor(len(ms), len(ms), func(_, i int) {
-		results[i], _, errs[i] = s.engine.analyze(ctx, h, ts, ms[i], opts, explain)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	var misses []miss
+	hits := 0
+	for qi := range qs {
+		q := &qs[qi]
+		for mi, m := range ms {
+			if mr, ok := s.engine.cache.get(cacheKey(q.hash, m, opts, explain && m == analysis.DPCPpEP)); ok {
+				q.results[string(m)] = mr
+				hits++
+			} else {
+				misses = append(misses, miss{hash: q.hash, ts: q.ts, q: qi, m: mi})
+			}
 		}
 	}
-	for i, m := range ms {
-		resp.Results[string(m)] = results[i]
+	if len(misses) > 0 {
+		if !s.admit(w, len(misses)) {
+			return false
+		}
+		defer s.engine.release(len(misses))
 	}
-	return resp, nil
+	// One hit per method result served; analyze counts the misses.
+	s.engine.cacheHits.Add(int64(hits))
+	if len(misses) == 0 {
+		return true
+	}
+
+	ctx, cancel := s.requestCtx(r, timeoutMS)
+	defer cancel()
+	run := func(_, k int) {
+		x := &misses[k]
+		// A dead client stops admitting new analyses; the remaining
+		// misses drain without work.
+		if x.err = ctx.Err(); x.err == nil {
+			x.mr, x.analyzed, x.err = s.engine.analyze(ctx, x.hash, x.ts, ms[x.m], opts, explain)
+		}
+	}
+	workers := s.cfg.Workers
+	if len(qs) == 1 {
+		workers = len(misses)
+	}
+	if len(misses) == 1 {
+		run(0, 0)
+	} else {
+		experiments.ParallelFor(workers, len(misses), run)
+	}
+	for _, x := range misses {
+		if !s.finishAnalysis(w, x.err) {
+			return false
+		}
+		q := &qs[x.q]
+		q.results[string(ms[x.m])] = x.mr
+		if q.analyzed != nil {
+			q.analyzed[x.m] = x.analyzed
+		}
+	}
+	return true
 }
 
 // validateOptions resolves methods, path cap and placement, writing a 400
@@ -712,14 +732,15 @@ func (s *Server) writeTimeout(w http.ResponseWriter) {
 	})
 }
 
-// admit reserves n analysis jobs, writing the appropriate rejection when
-// they do not fit: a request that could never fit (n exceeds the queue
-// bound outright) gets a non-retryable 400, while a transient full queue
-// gets the backpressure 429 + Retry-After.
+// admit reserves n analysis jobs — the uncached results of a request that
+// answer serves, or the samples of a grid stream — writing the appropriate
+// rejection when they do not fit: a request that could never fit (n
+// exceeds the queue bound outright) gets a non-retryable 400, while a
+// transient full queue gets the backpressure 429 + Retry-After.
 func (s *Server) admit(w http.ResponseWriter, n int) bool {
 	if n > s.cfg.MaxQueue {
 		writeError(w, http.StatusBadRequest,
-			"request requires %d analysis jobs, above the server's queue capacity %d; reduce n/batch size or raise -max-queue",
+			"request requires %d uncached analysis jobs, above the server's queue capacity %d; reduce n/batch size or raise -max-queue",
 			n, s.cfg.MaxQueue)
 		return false
 	}

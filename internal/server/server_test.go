@@ -413,13 +413,22 @@ func TestBackpressure(t *testing.T) {
 
 // TestCachedServedUnderSaturation: a request whose every result is
 // already cached needs zero analysis work, so a saturated admission queue
-// must not 429 it — even when the body is not byte-identical to the
-// priming request.
+// must not 429 it — on /v1/analyze, /v1/analyze/batch or
+// /v1/analyze/delta, and even when the body is not byte-identical to the
+// priming request. A request with one uncached result still gets the 429.
 func TestCachedServedUnderSaturation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MaxQueue: 1})
+	en := string(analysis.DPCPpEN)
 	primed := testTaskset(t, 0)
-	if w := post(t, s, "/v1/analyze", analyzeBody(t, primed, string(analysis.DPCPpEN))); w.Code != http.StatusOK {
-		t.Fatalf("priming request: %d", w.Code)
+	bump := wcetBump(0, 1, 120*rt.Microsecond)
+	patched, _, err := model.ApplyPatch(primed, bump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []*model.Taskset{primed, patched} {
+		if w := post(t, s, "/v1/analyze", analyzeBody(t, ts, en)); w.Code != http.StatusOK {
+			t.Fatalf("priming request: %d", w.Code)
+		}
 	}
 
 	// Saturate the queue with a blocked analysis of a different taskset.
@@ -431,7 +440,7 @@ func TestCachedServedUnderSaturation(t *testing.T) {
 	}
 	blocked := make(chan int, 1)
 	go func() {
-		blocked <- post(t, s, "/v1/analyze", analyzeBody(t, testTaskset(t, rt.Microsecond), string(analysis.DPCPpEN))).Code
+		blocked <- post(t, s, "/v1/analyze", analyzeBody(t, testTaskset(t, rt.Microsecond), en)).Code
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for s.engine.queued.Load() < 1 {
@@ -441,16 +450,39 @@ func TestCachedServedUnderSaturation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Task order reordered: different bytes (no fast path), same hash —
-	// engine-cache hit, served despite the full queue.
+	// Task order reordered: different bytes (no fast path), same hash.
 	reordered := testTaskset(t, 0)
 	reordered.Tasks[0], reordered.Tasks[1] = reordered.Tasks[1], reordered.Tasks[0]
-	if w := post(t, s, "/v1/analyze", analyzeBody(t, reordered, string(analysis.DPCPpEN))); w.Code != http.StatusOK {
-		t.Fatalf("cached request rejected under saturation: %d %s", w.Code, w.Body.String())
+	novel := testTaskset(t, 2*rt.Microsecond)
+	batch := func(tss ...*model.Taskset) []byte {
+		req := BatchRequest{Methods: []string{en}}
+		for _, ts := range tss {
+			req.Tasksets = append(req.Tasksets, jsonRoundTrip(t, ts))
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	// A novel taskset still gets backpressure.
-	if w := post(t, s, "/v1/analyze", analyzeBody(t, testTaskset(t, 2*rt.Microsecond), string(analysis.DPCPpEN))); w.Code != http.StatusTooManyRequests {
-		t.Fatalf("novel request under saturation: %d, want 429", w.Code)
+	delta := func(p model.Patch) []byte {
+		return deltaBody(t, DeltaRequest{BaseTaskset: jsonRoundTrip(t, reordered), Patch: p, Methods: []string{en}})
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		want       int
+	}{
+		{"cached analyze", "/v1/analyze", analyzeBody(t, reordered, en), http.StatusOK},
+		{"cached batch", "/v1/analyze/batch", batch(reordered, primed), http.StatusOK},
+		{"cached delta", "/v1/analyze/delta", delta(bump), http.StatusOK},
+		{"novel analyze", "/v1/analyze", analyzeBody(t, novel, en), http.StatusTooManyRequests},
+		{"batch with a novel taskset", "/v1/analyze/batch", batch(primed, novel), http.StatusTooManyRequests},
+		{"novel delta", "/v1/analyze/delta", delta(wcetBump(0, 1, 130*rt.Microsecond)), http.StatusTooManyRequests},
+	} {
+		if w := post(t, s, tc.path, tc.body); w.Code != tc.want {
+			t.Errorf("%s under saturation: %d %s, want %d", tc.name, w.Code, w.Body.String(), tc.want)
+		}
 	}
 	close(release)
 	if code := <-blocked; code != http.StatusOK {
@@ -602,8 +634,8 @@ func TestRequestCounterCountsAnalysisBearingOnly(t *testing.T) {
 }
 
 // TestFastPathHitAccounting pins the exact-body fast path's cache-hit
-// accounting to the cachedAll convention: one hit per method result
-// served, not one per request.
+// accounting to answer's convention: one hit per method result served,
+// not one per request.
 func TestFastPathHitAccounting(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	ts := testTaskset(t, 0)
@@ -624,16 +656,16 @@ func TestFastPathHitAccounting(t *testing.T) {
 			got, len(analysis.Methods()))
 	}
 
-	// Semantically identical but byte-different (reordered tasks): the
-	// cachedAll path must count the same way, so the two paths are
-	// indistinguishable in the metrics.
+	// Semantically identical but byte-different (reordered tasks): answer
+	// must count the same way, so the two paths are indistinguishable in
+	// the metrics.
 	reordered := testTaskset(t, 0)
 	reordered.Tasks[0], reordered.Tasks[1] = reordered.Tasks[1], reordered.Tasks[0]
 	if w := post(t, s, "/v1/analyze", analyzeBody(t, reordered)); w.Code != http.StatusOK {
-		t.Fatalf("cachedAll request: %d", w.Code)
+		t.Fatalf("result-cache request: %d", w.Code)
 	}
 	if got := s.Metrics().CacheHits - afterFast; got != int64(len(analysis.Methods())) {
-		t.Errorf("cachedAll repeat counted %d hits, want %d — fast path and cachedAll disagree",
+		t.Errorf("result-cache repeat counted %d hits, want %d — fast path and answer disagree",
 			got, len(analysis.Methods()))
 	}
 }

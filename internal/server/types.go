@@ -171,18 +171,18 @@ type SweepResults struct {
 }
 
 // DeltaRequest is the body of POST /v1/analyze/delta: a what-if query
-// against an already-analyzed base taskset, expressed as a patch. The
-// server applies the patch and analyzes the patched taskset through the
-// same cache, flight and store as /v1/analyze; the endpoint saves the
-// client from uploading the base again, not the server from analyzing.
-// Base names the base by its canonical hash (the hash POST /v1/analyze
-// returned), which works while the server retains the base taskset.
-// BaseTaskset re-supplies the full base so a server that has evicted (or
-// never seen) it can retain it again — its verdict comes from the result
-// cache, the store or one analysis — after which patches against the same
-// base, and against each schedulable response's patched hash, can quote
-// the hash alone. At least one of the two must be present; when both are,
-// they must agree.
+// against a base taskset, expressed as a patch. The server applies the
+// patch once and answers the patched taskset exactly as POST /v1/analyze
+// would, through the same result cache, flight and store; the endpoint
+// saves the client from uploading the base again, not the server from
+// analyzing. Base names the base by its canonical hash (the hash POST
+// /v1/analyze or an earlier delta reply returned), which works while the
+// server retains that taskset. BaseTaskset re-supplies the full base so a
+// server that has evicted (or never seen) it can retain it again. Every
+// answered query retains its base and its patched taskset under their
+// hashes, whatever their verdicts, so later patches against either can
+// quote the hash alone. At least one of Base and BaseTaskset must be
+// present; when both are, they must agree.
 type DeltaRequest struct {
 	Base        string         `json:"base,omitempty"`
 	BaseTaskset *model.Taskset `json:"base_taskset,omitempty"`
@@ -192,11 +192,11 @@ type DeltaRequest struct {
 	// offending operation (errorResponse.Patch).
 	Patch model.Patch `json:"patch"`
 	// Methods selects the analyses; empty means both DPCP-p-EP and
-	// DPCP-p-EN. Other methods are rejected.
+	// DPCP-p-EN. Any of the five methods may be listed.
 	Methods []string `json:"methods,omitempty"`
-	// PathCap and Placement must match the base analysis's options —
-	// retained bases are keyed by (hash, method, options) exactly like the
-	// result cache.
+	// PathCap and Placement are the options of the patched taskset's
+	// analyses, as on POST /v1/analyze. A retained base is found by its
+	// hash alone, whatever options or methods earlier queries used.
 	PathCap   int    `json:"path_cap,omitempty"`
 	Placement string `json:"placement,omitempty"`
 	// TimeoutMS bounds this request's analysis latency in milliseconds
@@ -207,9 +207,8 @@ type DeltaRequest struct {
 // DeltaInfo reports how one method's delta query was answered.
 type DeltaInfo struct {
 	// Incremental is true when this request's own flight analyzed the
-	// patched taskset and the base is retained; false when the verdict was
-	// served from the result cache/store or a coalesced flight, or when
-	// the base was unschedulable (and so not retained).
+	// patched taskset; false when the verdict came from the result cache,
+	// the store or another request's flight.
 	Incremental bool `json:"incremental"`
 	// Rounds counts the partitioning rounds of the analysis this request
 	// ran (set only when Incremental).

@@ -10,7 +10,9 @@ import (
 )
 
 // Generator synthesizes tasksets for one scenario. It is deterministic
-// given the *rand.Rand it is handed.
+// given the *rand.Rand it is handed. Taskset only reads the Generator, so
+// concurrent Taskset calls on one Generator are safe, each with its own
+// *rand.Rand.
 type Generator struct {
 	Scenario Scenario
 
