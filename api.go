@@ -113,7 +113,7 @@ type (
 	PatchOp = model.PatchOp
 	// PatchError reports the first structurally invalid op in a patch.
 	PatchError = model.PatchError
-	// PatchDelta is the precise changed-task set produced by ApplyPatch.
+	// PatchDelta is the empty second result of ApplyPatch.
 	PatchDelta = model.PatchDelta
 	// Delta is the base of a what-if chain: a taskset an EP/EN analysis
 	// found schedulable, with its method and options. Apply patches it and
@@ -125,7 +125,7 @@ type (
 
 // ApplyPatch applies p to a finalized taskset, returning the patched
 // finalized taskset (the receiver is never mutated). The returned
-// PatchDelta lists precisely which tasks changed and how.
+// PatchDelta is always empty.
 func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 	return model.ApplyPatch(ts, p)
 }

@@ -79,12 +79,9 @@ func TestFacadeDelta(t *testing.T) {
 		Vertex: 0,
 		Value:  ts.Tasks[0].Vertices[0].WCET + Microsecond,
 	}}}
-	patched, pd, err := ApplyPatch(ts, p)
+	patched, _, err := ApplyPatch(ts, p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(pd.ChangedIDs()) != 1 || pd.ChangedIDs()[0] != ts.Tasks[0].ID {
-		t.Fatalf("changed-task set = %v, want exactly task %d", pd.ChangedIDs(), ts.Tasks[0].ID)
 	}
 	_, got, _, err := d.Apply(sc, p)
 	if err != nil {

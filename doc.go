@@ -55,10 +55,11 @@
 //     encoding/json writes for a map[rt.ResourceID]int, keys ordered as
 //     strings, zero counts kept.
 //   - The per-resource totals N_{i,q} and vertex counts V_{i,q}, the
-//     topological order, the path bounds and the canonical hash body are
-//     computed once. Finalize makes the same few allocations for any
-//     task size, and taskgen builds each task's vertices and request
-//     entries from one slab apiece.
+//     topological order and the path bounds are computed once. Finalize
+//     makes the same few allocations for any task size, and taskgen
+//     builds each task's vertices and request entries from one slab
+//     apiece. The canonical hash body is not kept: Taskset.Hash builds
+//     it when asked, into one exactly sized buffer.
 //
 // # The path-view engine
 //

@@ -11,6 +11,8 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"dpcpp/internal/model"
 	"dpcpp/internal/partition"
@@ -36,6 +38,27 @@ const (
 
 // Methods lists every implemented method in the paper's comparison order.
 func Methods() []Method { return []Method{DPCPpEP, DPCPpEN, SPIN, LPP, FEDFP} }
+
+// ParseMethods resolves a list of method names; an empty list means all of
+// Methods(). Each name is trimmed of surrounding space and must name a
+// method. A repeated method is kept once, at its first occurrence, so a
+// method is never analyzed or reported twice for one request.
+func ParseMethods(names []string) ([]Method, error) {
+	if len(names) == 0 {
+		return Methods(), nil
+	}
+	out := make([]Method, 0, len(names))
+	for _, name := range names {
+		m := Method(strings.TrimSpace(name))
+		if !slices.Contains(Methods(), m) {
+			return nil, fmt.Errorf("unknown method %q (known: %v)", m, Methods())
+		}
+		if !slices.Contains(out, m) {
+			out = append(out, m)
+		}
+	}
+	return out, nil
+}
 
 // Options tunes an analysis run.
 type Options struct {

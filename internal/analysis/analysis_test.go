@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dpcpp/internal/model"
@@ -315,6 +316,21 @@ func TestMethodsList(t *testing.T) {
 	}
 	if ms[0] != DPCPpEP || ms[4] != FEDFP {
 		t.Errorf("unexpected order: %v", ms)
+	}
+}
+
+// TestParseMethods: names are trimmed, a repeat is kept once at its first
+// occurrence, an unknown name is an error and no names mean all five.
+func TestParseMethods(t *testing.T) {
+	got, err := ParseMethods([]string{" LPP", "DPCP-p-EP", "LPP ", "DPCP-p-EP"})
+	if err != nil || !slices.Equal(got, []Method{LPP, DPCPpEP}) {
+		t.Errorf("ParseMethods = %v, %v; want [LPP DPCP-p-EP]", got, err)
+	}
+	if got, err := ParseMethods(nil); err != nil || !slices.Equal(got, Methods()) {
+		t.Errorf("ParseMethods(nil) = %v, %v; want all methods", got, err)
+	}
+	if _, err := ParseMethods([]string{"LPP", "DPCP-q"}); err == nil {
+		t.Error("unknown method accepted")
 	}
 }
 

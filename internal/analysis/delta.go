@@ -58,8 +58,8 @@ func (d *Delta) Apply(sc *Scratch, p model.Patch) (model.Hash, partition.Result,
 // options. The returned state (nil unless the patched set is schedulable)
 // serves the patched taskset as the next base.
 //
-// The PatchDelta argument and the DeltaStats result are unused; they stay
-// because perfbench compiles against this signature.
+// The PatchDelta argument, always empty, and the DeltaStats result are
+// unused; they stay because perfbench compiles against this signature.
 func (d *Delta) ApplyTo(sc *Scratch, patched *model.Taskset, _ *model.PatchDelta) (partition.Result, DeltaStats, *Delta) {
 	res := TestWith(sc, d.m, patched, d.opts)
 	if !res.Schedulable {

@@ -22,10 +22,15 @@ func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 // finalized: canonicalization depends on assigned priorities and the
 // derived request profile.
 //
+// Hash builds the canonical serialization afresh on every call, into one
+// buffer of exactly its length, so no task keeps a copy of it. Hashing a
+// patched taskset therefore costs time proportional to the whole set, not
+// to the edit.
+//
 // The invariant the fuzzer pins (FuzzTasksetJSON): for any valid taskset,
 // DecodeTaskset(EncodeTaskset(ts)).Hash() == ts.Hash().
 func (ts *Taskset) Hash() Hash {
-	return sha256.Sum256(ts.AppendCanonical(nil))
+	return sha256.Sum256(ts.AppendCanonical(make([]byte, 0, ts.canonicalLen())))
 }
 
 // AppendCanonical appends the canonical serialization of the taskset to b
@@ -71,20 +76,13 @@ func (t *Task) appendCanonical(b []byte) []byte {
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(t.Priority), 10)
 	b = append(b, '\n')
-	if t.canon != nil {
-		// Finalize froze the structural body; reusing it makes hashing a
-		// patched taskset proportional to the number of *rebuilt* tasks,
-		// since ApplyPatch shares untouched Task pointers with the base.
-		return append(b, t.canon...)
-	}
 	return t.appendCanonBody(b)
 }
 
 // appendCanonBody appends the structural part of the canonical form: the
-// vertex, edge and critical-section lines. It is priority-independent, so
-// Task.Finalize can cache it before the owning taskset assigns priorities.
-// The request profiles are sorted and the adjacency lists them sorted and
-// repeat-free, so the body is one walk over each.
+// vertex, edge and critical-section lines. The request profiles are sorted
+// and the adjacency lists them sorted and repeat-free, so the body is one
+// walk over each.
 func (t *Task) appendCanonBody(b []byte) []byte {
 	for _, v := range t.Vertices {
 		b = append(b, 'v')
@@ -124,8 +122,18 @@ func (t *Task) appendCanonBody(b []byte) []byte {
 	return b
 }
 
-// canonBodyLen returns the length of appendCanonBody's output, so the body
-// is built in one exactly sized allocation.
+// canonicalLen returns the length of AppendCanonical's output, so Hash
+// builds it in one exactly sized allocation.
+func (ts *Taskset) canonicalLen() int {
+	n := len("ts/v1|m=|nr=\n") + decLen(int64(ts.NumProcs)) + decLen(int64(ts.NumResources))
+	for _, t := range ts.Tasks {
+		n += len("task||||\n") + decLen(int64(t.ID)) + decLen(t.Period) + decLen(t.Deadline) +
+			decLen(int64(t.Priority)) + t.canonBodyLen()
+	}
+	return n
+}
+
+// canonBodyLen returns the length of appendCanonBody's output.
 func (t *Task) canonBodyLen() int {
 	n := 0
 	for _, v := range t.Vertices {

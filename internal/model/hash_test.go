@@ -119,6 +119,18 @@ func TestHashJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHashSizesBufferExactly: canonicalLen equals the canonical form's
+// length, so Hash builds it in one allocation.
+func TestHashSizesBufferExactly(t *testing.T) {
+	ts := hashTaskSet(t, nil)
+	if got, want := ts.canonicalLen(), len(ts.AppendCanonical(nil)); got != want {
+		t.Fatalf("canonicalLen %d, canonical form is %d bytes", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = ts.Hash() }); allocs != 1 {
+		t.Fatalf("Hash made %v allocations, want 1", allocs)
+	}
+}
+
 func TestHashRequiresFinalize(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -85,7 +85,6 @@ type Task struct {
 	tails     []rt.VertexID
 	nReq      []int64    // N_{i,q} per resource
 	nVert     []int64    // V_{i,q} per resource: vertices requesting q
-	canon     []byte     // canonical body (vertices/edges/CS), see hash.go
 	bounds    PathBounds // path extremes, L*_i among them
 }
 
@@ -168,11 +167,12 @@ func (t *Task) setCSLen(q rt.ResourceID, csLen rt.Time) {
 }
 
 // Finalize validates the task and computes its derived quantities: total
-// WCET, request totals, adjacency, topological order, heads and tails, the
-// canonical hash body and the path bounds (PathBounds, which include the
-// longest path L*_i). numResources is the number of resources in the
-// enclosing taskset; it sizes the per-resource vectors. However large the
-// task, Finalize makes the same number of allocations.
+// WCET, request totals, adjacency, topological order, heads and tails, and
+// the path bounds (PathBounds, which include the longest path L*_i). It
+// does not build the canonical hash body; Taskset.Hash does, when asked.
+// numResources is the number of resources in the enclosing taskset; it
+// sizes the per-resource vectors. However large the task, Finalize makes
+// the same number of allocations.
 func (t *Task) Finalize(numResources int) error {
 	if t.finalized {
 		return nil
@@ -259,12 +259,6 @@ func (t *Task) Finalize(numResources int) error {
 		}
 	}
 
-	// Freeze the structural part of the canonical serialization now: the
-	// vertex/edge/CS body never changes after Finalize, so Taskset.Hash can
-	// reuse it instead of rebuilding it on every call. (Priority may still
-	// be assigned by the owning taskset's Finalize, so the header line is
-	// not cached.)
-	t.canon = t.appendCanonBody(make([]byte, 0, t.canonBodyLen()))
 	t.bounds = t.computePathBounds() // includes L*_i
 
 	t.finalized = true

@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"dpcpp/internal/rt"
 )
@@ -82,71 +81,21 @@ func patchErr(op int, code, format string, args ...any) *PatchError {
 	return &PatchError{Op: op, Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Change is a bitmask classifying how a patch touched one task. The bits
-// are precise in the sense that an op writing a value equal to the old one
-// sets no bit.
-type Change uint16
-
-const (
-	// ChangeWCETUp / ChangeWCETDown: some vertex WCET grew / shrank.
-	ChangeWCETUp Change = 1 << iota
-	ChangeWCETDown
-	// ChangeEdges: the precedence graph changed.
-	ChangeEdges
-	// ChangeCSUp / ChangeCSDown: some critical-section length grew / shrank.
-	ChangeCSUp
-	ChangeCSDown
-	// ChangeReqUp / ChangeReqDown: some request count grew / shrank while
-	// staying positive on both sides.
-	ChangeReqUp
-	ChangeReqDown
-	// ChangeSharers: a request count crossed zero (0 -> n or n -> 0), so the
-	// task entered or left some resource's sharer set — the taskset-level
-	// local/global classification and priority ceilings may have changed.
-	ChangeSharers
-	// ChangePeriod / ChangeDeadline: timing parameters changed.
-	ChangePeriod
-	ChangeDeadline
-	// ChangeAdded / ChangeRemoved: the task itself appeared / disappeared.
-	ChangeAdded
-	ChangeRemoved
-	// ChangePriority: no task of the patched set kept an explicit
-	// priority, so Finalize assigned rate-monotonic ones, and every task
-	// from the base got a new priority.
-	ChangePriority
-)
-
-// PatchDelta is the precise changed-task set produced by ApplyPatch.
-type PatchDelta struct {
-	// Changed maps each touched task to its change bits. Tasks absent from
-	// the map are bit-for-bit identical (including priority) in the base and
-	// patched tasksets.
-	Changed map[rt.TaskID]Change
-}
-
-// ChangedIDs returns the touched task IDs in ascending order.
-func (d *PatchDelta) ChangedIDs() []rt.TaskID {
-	ids := make([]rt.TaskID, 0, len(d.Changed))
-	for id := range d.Changed {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
+// PatchDelta is empty: nothing reads which tasks a patch changed, since a
+// patched taskset is analyzed in full. It stays because perfbench compiles
+// against ApplyPatch's three results and Delta.ApplyTo's parameter.
+type PatchDelta struct{}
 
 // patchEnt is one slot of the patched task list. task is a shared pointer
 // into the base set until an op first touches it, and from then on an
 // unfinalized Clone that the ops write directly. set_request alone writes
 // through reqs, a per-vertex overlay that seal merges into each touched
 // profile once, so k set_request ops cost O(k) however large the profile
-// and in whatever resource order they come. users counts, per resource,
-// the vertices whose request count is positive, so that a set_request
-// tells a sharer flip from a count change in O(1).
+// and in whatever resource order they come.
 type patchEnt struct {
 	task   *Task
 	cloned bool
 	reqs   map[rt.VertexID]map[rt.ResourceID]int
-	users  map[rt.ResourceID]int
 }
 
 // count returns vertex x's request count on q, overlay included.
@@ -157,44 +106,20 @@ func (e *patchEnt) count(x rt.VertexID, q rt.ResourceID) int {
 	return e.task.Vertices[x].Requests.Count(q)
 }
 
-// setRequest sets vertex x's request count on q to n and classifies the
-// change: a count crossing zero that makes the task start or stop using q
-// is a sharer flip.
-func (e *patchEnt) setRequest(x rt.VertexID, q rt.ResourceID, n int) Change {
-	if e.users == nil {
-		e.users = make(map[rt.ResourceID]int)
-		for _, v := range e.task.Vertices {
-			for _, r := range v.Requests {
-				if r.Count > 0 {
-					e.users[r.Resource]++
-				}
-			}
-		}
-		e.reqs = make(map[rt.VertexID]map[rt.ResourceID]int)
+// setRequest sets vertex x's request count on q to n. Setting the count
+// the vertex already has writes nothing, so the vertex keeps its profile
+// as it is, zero-count entries included, and its JSON bytes with it.
+func (e *patchEnt) setRequest(x rt.VertexID, q rt.ResourceID, n int) {
+	if n == e.count(x, q) {
+		return
 	}
-	old := e.count(x, q)
-	if n == old {
-		return 0
+	if e.reqs == nil {
+		e.reqs = make(map[rt.VertexID]map[rt.ResourceID]int)
 	}
 	if e.reqs[x] == nil {
 		e.reqs[x] = make(map[rt.ResourceID]int)
 	}
 	e.reqs[x][q] = n
-	usedBefore := e.users[q] > 0
-	switch {
-	case old == 0:
-		e.users[q]++
-	case n == 0:
-		e.users[q]--
-	}
-	switch {
-	case e.users[q] > 0 != usedBefore:
-		return ChangeSharers
-	case n > old:
-		return ChangeReqUp
-	default:
-		return ChangeReqDown
-	}
 }
 
 // seal merges the request overlay into the edited task's profiles.
@@ -207,18 +132,16 @@ func (e *patchEnt) seal() *Task {
 }
 
 // ApplyPatch applies p to the finalized base taskset and returns a fresh,
-// finalized taskset plus the precise per-task change classification. The
-// base is never mutated, and neither is the patch. Tasks no op touches are
-// shared by pointer with the base — a finalized Task is immutable, so
-// sharing is safe and makes patch application (and hashing the result)
-// proportional to the edit, not the taskset. Each touched task is a Clone
-// the ops write, and an added task a Clone of its document; Finalize
-// validates both, as it validates a decoded taskset. Explicit priorities
-// are preserved verbatim, so patching never reshuffles the priority order
-// of untouched tasks. A finalized set may still hold one task of priority
-// 0 beside explicit ones; when a patch leaves only such tasks, Finalize
-// assigns rate-monotonic priorities to clones, marked ChangePriority, and
-// the base keeps its own.
+// finalized taskset. The base is never mutated, and neither is the patch.
+// Tasks no op touches are shared by pointer with the base: a finalized
+// Task is immutable, so sharing is safe and spares copying them. Each
+// touched task is a Clone the ops write, and an added task a Clone of its
+// document; Finalize validates both, as it validates a decoded taskset.
+// Explicit priorities are preserved verbatim, so patching never reshuffles
+// the priority order of untouched tasks. A finalized set may still hold
+// one task of priority 0 beside explicit ones; when a patch leaves only
+// such tasks, Finalize assigns rate-monotonic priorities to clones, and
+// the base keeps its own. The PatchDelta result is always empty.
 //
 // Invalid patches — unknown op names or task/vertex/resource/edge targets,
 // negative values, duplicate added IDs, or edits whose result fails
@@ -232,12 +155,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 		e := &patchEnt{task: t}
 		ents = append(ents, e)
 		index[t.ID] = e
-	}
-	delta := &PatchDelta{Changed: make(map[rt.TaskID]Change)}
-	mark := func(id rt.TaskID, c Change) {
-		if c != 0 {
-			delta.Changed[id] |= c
-		}
 	}
 
 	// taskOf returns op's task, cloned for editing on first touch.
@@ -263,16 +180,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 		}
 		return nil
 	}
-	// up returns upBit when v grows past old, downBit when it shrinks.
-	up := func(v, old int64, upBit, downBit Change) Change {
-		switch {
-		case v > old:
-			return upBit
-		case v < old:
-			return downBit
-		}
-		return 0
-	}
 
 	for i := range p.Ops {
 		op := &p.Ops[i]
@@ -288,9 +195,7 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if perr := vertexOf(i, t, op.Vertex); perr != nil {
 				return nil, nil, perr
 			}
-			v := t.Vertices[op.Vertex]
-			mark(t.ID, up(op.Value, v.WCET, ChangeWCETUp, ChangeWCETDown))
-			v.WCET = op.Value
+			t.Vertices[op.Vertex].WCET = op.Value
 		case OpSetCSLen:
 			_, t, perr := taskOf(i, op)
 			if perr != nil {
@@ -305,7 +210,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			for int(op.Resource) >= len(t.CSLen) {
 				t.CSLen = append(t.CSLen, 0)
 			}
-			mark(t.ID, up(op.Value, t.CSLen[op.Resource], ChangeCSUp, ChangeCSDown))
 			t.CSLen[op.Resource] = op.Value
 		case OpSetRequest:
 			e, t, perr := taskOf(i, op)
@@ -321,7 +225,7 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if op.Count < 0 {
 				return nil, nil, patchErr(i, "bad_value", "request count must be non-negative, got %d", op.Count)
 			}
-			mark(t.ID, e.setRequest(op.Vertex, op.Resource, op.Count))
+			e.setRequest(op.Vertex, op.Resource, op.Count)
 		case OpAddEdge:
 			_, t, perr := taskOf(i, op)
 			if perr != nil {
@@ -340,7 +244,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			ed := Edge{From: op.From, To: op.To}
 			if !slices.Contains(t.Edges, ed) {
 				t.Edges = append(t.Edges, ed)
-				mark(t.ID, ChangeEdges)
 			}
 		case OpRemoveEdge:
 			_, t, perr := taskOf(i, op)
@@ -354,7 +257,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if len(t.Edges) == n {
 				return nil, nil, patchErr(i, "unknown_edge", "task %d has no edge (%d,%d)", t.ID, op.From, op.To)
 			}
-			mark(t.ID, ChangeEdges)
 		case OpSetPeriod:
 			_, t, perr := taskOf(i, op)
 			if perr != nil {
@@ -363,10 +265,7 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if op.Value <= 0 {
 				return nil, nil, patchErr(i, "bad_value", "period must be positive, got %d", op.Value)
 			}
-			if op.Value != t.Period {
-				t.Period = op.Value
-				mark(t.ID, ChangePeriod)
-			}
+			t.Period = op.Value
 		case OpSetDeadline:
 			_, t, perr := taskOf(i, op)
 			if perr != nil {
@@ -375,10 +274,7 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if op.Value <= 0 {
 				return nil, nil, patchErr(i, "bad_value", "deadline must be positive, got %d", op.Value)
 			}
-			if op.Value != t.Deadline {
-				t.Deadline = op.Value
-				mark(t.ID, ChangeDeadline)
-			}
+			t.Deadline = op.Value
 		case OpAddTask:
 			if op.NewTask == nil {
 				return nil, nil, patchErr(i, "bad_value", "add_task needs a new_task document")
@@ -393,7 +289,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			e := &patchEnt{task: op.NewTask.Clone(), cloned: true}
 			ents = append(ents, e)
 			index[e.task.ID] = e
-			mark(e.task.ID, ChangeAdded)
 		case OpRemoveTask:
 			e, ok := index[op.Task]
 			if !ok {
@@ -401,7 +296,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			}
 			ents = slices.DeleteFunc(ents, func(c *patchEnt) bool { return c == e })
 			delete(index, op.Task)
-			mark(op.Task, ChangeRemoved)
 		default:
 			return nil, nil, patchErr(i, "unknown_op", "unknown op %q", op.Op)
 		}
@@ -417,9 +311,6 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 			if !e.cloned {
 				e.task, e.cloned = e.task.Clone(), true
 			}
-			if delta.Changed[e.task.ID]&ChangeAdded == 0 {
-				mark(e.task.ID, ChangePriority)
-			}
 		}
 	}
 	out := NewTaskset(ts.NumProcs, ts.NumResources)
@@ -430,5 +321,5 @@ func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
 	if err := out.Finalize(); err != nil {
 		return nil, nil, &PatchError{Op: -1, Code: "finalize", Msg: err.Error()}
 	}
-	return out, delta, nil
+	return out, &PatchDelta{}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -53,15 +52,6 @@ func oracleEditOf(t *model.Task) *oracleEdit {
 	return e
 }
 
-func (e *oracleEdit) uses(q rt.ResourceID) bool {
-	for _, m := range e.reqs {
-		if m[q] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (e *oracleEdit) build() *model.Task {
 	t := model.NewTask(e.id, e.period, e.deadline)
 	t.Priority, t.Name = e.priority, e.name
@@ -90,7 +80,7 @@ func (e *oracleEdit) build() *model.Task {
 // the first changes nothing, the second removes every copy. The documents
 // randomOp adds are well-formed copies of generated tasks, so the oracle
 // leaves their validation to Finalize alone.
-func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.PatchDelta, error) {
+func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, error) {
 	type ent struct {
 		base *model.Task
 		edit *oracleEdit
@@ -102,10 +92,8 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 		ents = append(ents, e)
 		index[t.ID] = e
 	}
-	delta := &model.PatchDelta{Changed: make(map[rt.TaskID]model.Change)}
-	mark := func(id rt.TaskID, c model.Change) { delta.Changed[id] |= c }
-	fail := func(i int, code string) (*model.Taskset, *model.PatchDelta, error) {
-		return nil, nil, &model.PatchError{Op: i, Code: code}
+	fail := func(i int, code string) (*model.Taskset, error) {
+		return nil, &model.PatchError{Op: i, Code: code}
 	}
 	for i, op := range p.Ops {
 		var e *oracleEdit
@@ -131,11 +119,6 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 			if badVertex(op.Vertex) {
 				return fail(i, "unknown_vertex")
 			}
-			if old := e.wcet[op.Vertex]; op.Value > old {
-				mark(e.id, model.ChangeWCETUp)
-			} else if op.Value < old {
-				mark(e.id, model.ChangeWCETDown)
-			}
 			e.wcet[op.Vertex] = op.Value
 		case model.OpSetCSLen:
 			if badResource {
@@ -143,11 +126,6 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 			}
 			if op.Value < 0 {
 				return fail(i, "bad_value")
-			}
-			if old := e.cs[op.Resource]; op.Value > old {
-				mark(e.id, model.ChangeCSUp)
-			} else if op.Value < old {
-				mark(e.id, model.ChangeCSDown)
 			}
 			e.cs[op.Resource] = op.Value
 		case model.OpSetRequest:
@@ -160,17 +138,7 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 			if op.Count < 0 {
 				return fail(i, "bad_value")
 			}
-			before, old := e.uses(op.Resource), e.reqs[op.Vertex][op.Resource]
 			e.reqs[op.Vertex][op.Resource] = op.Count
-			switch {
-			case op.Count == old:
-			case e.uses(op.Resource) != before:
-				mark(e.id, model.ChangeSharers)
-			case op.Count > old:
-				mark(e.id, model.ChangeReqUp)
-			default:
-				mark(e.id, model.ChangeReqDown)
-			}
 		case model.OpAddEdge:
 			if badVertex(op.From) || badVertex(op.To) {
 				return fail(i, "unknown_vertex")
@@ -180,7 +148,6 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 			}
 			if ed := (model.Edge{From: op.From, To: op.To}); !slices.Contains(e.edges, ed) {
 				e.edges = append(e.edges, ed)
-				mark(e.id, model.ChangeEdges)
 			}
 		case model.OpRemoveEdge:
 			n := len(e.edges)
@@ -188,18 +155,14 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 			if len(e.edges) == n {
 				return fail(i, "unknown_edge")
 			}
-			mark(e.id, model.ChangeEdges)
 		case model.OpSetPeriod, model.OpSetDeadline:
 			if op.Value <= 0 {
 				return fail(i, "bad_value")
 			}
-			field, bit := &e.period, model.ChangePeriod
-			if op.Op == model.OpSetDeadline {
-				field, bit = &e.deadline, model.ChangeDeadline
-			}
-			if *field != op.Value {
-				*field = op.Value
-				mark(e.id, bit)
+			if op.Op == model.OpSetPeriod {
+				e.period = op.Value
+			} else {
+				e.deadline = op.Value
 			}
 		case model.OpAddTask:
 			if op.NewTask == nil {
@@ -211,7 +174,6 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 			en := &ent{edit: oracleEditOf(op.NewTask)}
 			ents = append(ents, en)
 			index[en.edit.id] = en
-			mark(en.edit.id, model.ChangeAdded)
 		case model.OpRemoveTask:
 			en, ok := index[op.Task]
 			if !ok {
@@ -219,7 +181,6 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 			}
 			ents = slices.DeleteFunc(ents, func(c *ent) bool { return c == en })
 			delete(index, op.Task)
-			mark(op.Task, model.ChangeRemoved)
 		default:
 			return fail(i, "unknown_op")
 		}
@@ -235,7 +196,7 @@ func oracleApply(ts *model.Taskset, p model.Patch) (*model.Taskset, *model.Patch
 	if out.Finalize() != nil {
 		return fail(-1, "finalize")
 	}
-	return out, delta, nil
+	return out, nil
 }
 
 // randomOp draws one patch op against ts: mostly valid edits of every
@@ -325,8 +286,7 @@ func equivalenceBases(t *testing.T) map[string]*model.Taskset {
 // TestApplyPatchMatchesOracle drives random patch chains over generated
 // bases through ApplyPatch and through the map-based oracle. Both must
 // accept or reject each patch alike, with the same PatchError op and
-// code, and an accepted patch must give the same canonical hash and the
-// same change bits.
+// code, and an accepted patch must give the same canonical hash.
 func TestApplyPatchMatchesOracle(t *testing.T) {
 	const chains, steps = 100, 6
 	accepted, rejected := make(map[string]int), make(map[string]int)
@@ -340,8 +300,8 @@ func TestApplyPatchMatchesOracle(t *testing.T) {
 					p.Ops = append(p.Ops, randomOp(r, ts))
 				}
 				where := fmt.Sprintf("%s chain %d step %d: %+v", name, c, s, p.Ops)
-				got, gotDelta, gotErr := model.ApplyPatch(ts, p)
-				want, wantDelta, wantErr := oracleApply(ts, p)
+				got, _, gotErr := model.ApplyPatch(ts, p)
+				want, wantErr := oracleApply(ts, p)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("%s: ApplyPatch error %v, oracle error %v", where, gotErr, wantErr)
 				}
@@ -358,9 +318,6 @@ func TestApplyPatchMatchesOracle(t *testing.T) {
 				}
 				if got.Hash() != want.Hash() {
 					t.Fatalf("%s: hash %s, oracle %s", where, got.Hash(), want.Hash())
-				}
-				if !reflect.DeepEqual(gotDelta.Changed, wantDelta.Changed) {
-					t.Fatalf("%s: changes %v, oracle %v", where, gotDelta.Changed, wantDelta.Changed)
 				}
 				if len(got.Tasks) > 0 {
 					ts = got

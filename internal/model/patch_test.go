@@ -1,7 +1,7 @@
 package model
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
 	"dpcpp/internal/rt"
@@ -37,26 +37,18 @@ func patchBase(t *testing.T) *Taskset {
 	return ts
 }
 
-func applyOne(t *testing.T, ts *Taskset, op PatchOp) (*Taskset, *PatchDelta) {
+func applyOne(t *testing.T, ts *Taskset, op PatchOp) *Taskset {
 	t.Helper()
-	out, pd, err := ApplyPatch(ts, Patch{Ops: []PatchOp{op}})
+	out, _, err := ApplyPatch(ts, Patch{Ops: []PatchOp{op}})
 	if err != nil {
 		t.Fatalf("ApplyPatch(%+v): %v", op, err)
 	}
-	return out, pd
-}
-
-func wantBits(t *testing.T, pd *PatchDelta, id rt.TaskID, want Change) {
-	t.Helper()
-	if got := pd.Changed[id]; got != want {
-		t.Errorf("task %d change bits = %b, want %b", id, got, want)
-	}
+	return out
 }
 
 func TestPatchSetWCET(t *testing.T) {
 	ts := patchBase(t)
-	out, pd := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 1, Value: 60 * rt.Microsecond})
-	wantBits(t, pd, 0, ChangeWCETUp)
+	out := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 1, Value: 60 * rt.Microsecond})
 	if got := out.Task(0).Vertices[1].WCET; got != 60*rt.Microsecond {
 		t.Errorf("patched WCET = %d", got)
 	}
@@ -64,20 +56,21 @@ func TestPatchSetWCET(t *testing.T) {
 		t.Errorf("base mutated: WCET = %d", got)
 	}
 
-	_, pd = applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 1, Value: 20 * rt.Microsecond})
-	wantBits(t, pd, 0, ChangeWCETDown)
+	out = applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 1, Value: 20 * rt.Microsecond})
+	if got := out.Task(0).WCET(); got != 200*rt.Microsecond {
+		t.Errorf("patched task WCET = %d, want 200us", got)
+	}
 
 	// Writing the old value back is not a change.
-	_, pd = applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 1, Value: 50 * rt.Microsecond})
-	wantBits(t, pd, 0, 0)
-	if len(pd.Changed) != 0 {
-		t.Errorf("no-op patch marked tasks: %v", pd.Changed)
+	out = applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 1, Value: 50 * rt.Microsecond})
+	if out.Hash() != ts.Hash() {
+		t.Errorf("no-op patch changed the hash")
 	}
 }
 
 func TestPatchPointerSharing(t *testing.T) {
 	ts := patchBase(t)
-	out, _ := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 0, Value: 101 * rt.Microsecond})
+	out := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 0, Value: 101 * rt.Microsecond})
 	if out.Task(1) != ts.Task(1) {
 		t.Error("untouched task not shared by pointer")
 	}
@@ -88,37 +81,68 @@ func TestPatchPointerSharing(t *testing.T) {
 
 func TestPatchSetCSLen(t *testing.T) {
 	ts := patchBase(t)
-	out, pd := applyOne(t, ts, PatchOp{Op: OpSetCSLen, Task: 1, Resource: 0, Value: 20 * rt.Microsecond})
-	wantBits(t, pd, 1, ChangeCSUp)
+	out := applyOne(t, ts, PatchOp{Op: OpSetCSLen, Task: 1, Resource: 0, Value: 20 * rt.Microsecond})
 	if got := out.Task(1).CS(0); got != 20*rt.Microsecond {
 		t.Errorf("patched CS = %d", got)
 	}
-	_, pd = applyOne(t, ts, PatchOp{Op: OpSetCSLen, Task: 1, Resource: 0, Value: 3 * rt.Microsecond})
-	wantBits(t, pd, 1, ChangeCSDown)
+	out = applyOne(t, ts, PatchOp{Op: OpSetCSLen, Task: 1, Resource: 0, Value: 3 * rt.Microsecond})
+	if got := out.Task(1).CS(0); got != 3*rt.Microsecond {
+		t.Errorf("patched CS = %d", got)
+	}
 }
 
 func TestPatchSetRequest(t *testing.T) {
 	ts := patchBase(t)
-	_, pd := applyOne(t, ts, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 1, Resource: 0, Count: 3})
-	wantBits(t, pd, 0, ChangeReqUp)
-	_, pd = applyOne(t, ts, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 1, Resource: 0, Count: 1})
-	wantBits(t, pd, 0, ChangeReqDown)
-	// Crossing zero in either direction is a sharer flip, not Req{Up,Down}.
-	_, pd = applyOne(t, ts, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 1, Resource: 0, Count: 0})
-	wantBits(t, pd, 0, ChangeSharers)
-	_, pd = applyOne(t, ts, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 0, Resource: 1, Count: 1})
-	wantBits(t, pd, 0, ChangeSharers)
+	for _, n := range []int{3, 1} {
+		out := applyOne(t, ts, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 1, Resource: 0, Count: n})
+		if got := out.Task(0).NumRequests(0); got != int64(n) {
+			t.Errorf("set_request %d: N_{0,0} = %d", n, got)
+		}
+	}
+	// Crossing zero in either direction moves the task out of or into the
+	// resource's sharers.
+	out := applyOne(t, ts, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 1, Resource: 0, Count: 0})
+	if out.Task(0).UsesResource(0) {
+		t.Error("task 0 still uses resource 0 after its last request went")
+	}
+	out = applyOne(t, ts, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 0, Resource: 1, Count: 1})
+	if !out.Task(0).UsesResource(1) {
+		t.Error("task 0 does not use resource 1 after requesting it")
+	}
+
+	// Setting the count a vertex already has leaves its profile as it is,
+	// zero-count entry and JSON bytes included.
+	zero := ts.Task(0).Clone()
+	zero.AddRequest(0, 1, 0, 0)
+	base := NewTaskset(ts.NumProcs, ts.NumResources)
+	base.Add(zero)
+	base.Add(ts.Task(1))
+	if err := base.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	out = applyOne(t, base, PatchOp{Op: OpSetRequest, Task: 0, Vertex: 0, Resource: 1, Count: 0})
+	var want, got bytes.Buffer
+	if err := EncodeTaskset(&want, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeTaskset(&got, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("no-op set_request changed the JSON:\n%s\nwant\n%s", got.Bytes(), want.Bytes())
+	}
 }
 
 func TestPatchEdges(t *testing.T) {
 	ts := patchBase(t)
-	out, pd := applyOne(t, ts, PatchOp{Op: OpAddEdge, Task: 1, From: 0, To: 1})
-	wantBits(t, pd, 1, ChangeEdges)
+	out := applyOne(t, ts, PatchOp{Op: OpAddEdge, Task: 1, From: 0, To: 1})
 	if got := out.Task(1).LongestPath(); got != 350*rt.Microsecond {
 		t.Errorf("serialized longest path = %d, want 350us", got)
 	}
-	_, pd = applyOne(t, ts, PatchOp{Op: OpRemoveEdge, Task: 0, From: 0, To: 1})
-	wantBits(t, pd, 0, ChangeEdges)
+	out = applyOne(t, ts, PatchOp{Op: OpRemoveEdge, Task: 0, From: 0, To: 1})
+	if got := out.Task(0).Succ(0); len(got) != 0 {
+		t.Errorf("removed edge kept: Succ(0) = %v", got)
+	}
 }
 
 // TestPatchRepeatedEdge: a base that lists an edge twice and its hash twin
@@ -146,25 +170,21 @@ func TestPatchRepeatedEdge(t *testing.T) {
 		t.Fatalf("twins hash apart: %s vs %s", repeated.Hash(), once.Hash())
 	}
 	for _, c := range []struct {
-		op   PatchOp
-		want Change
+		op      PatchOp
+		changes bool
 	}{
-		{PatchOp{Op: OpRemoveEdge, Task: 0, From: 0, To: 1}, ChangeEdges},
-		{PatchOp{Op: OpAddEdge, Task: 0, From: 0, To: 1}, 0},
+		{PatchOp{Op: OpRemoveEdge, Task: 0, From: 0, To: 1}, true},
+		{PatchOp{Op: OpAddEdge, Task: 0, From: 0, To: 1}, false},
 	} {
-		r, rd := applyOne(t, repeated, c.op)
-		o, od := applyOne(t, once, c.op)
+		r := applyOne(t, repeated, c.op)
+		o := applyOne(t, once, c.op)
 		if r.Hash() != o.Hash() {
 			t.Errorf("%s: patched hashes %s and %s differ", c.op.Op, r.Hash(), o.Hash())
 		}
-		if !reflect.DeepEqual(rd.Changed, od.Changed) {
-			t.Errorf("%s: changes %v and %v differ", c.op.Op, rd.Changed, od.Changed)
-		}
-		wantBits(t, rd, 0, c.want)
-		if c.want == 0 && r.Hash() != repeated.Hash() {
+		if !c.changes && r.Hash() != repeated.Hash() {
 			t.Errorf("%s of a present edge changed the hash", c.op.Op)
 		}
-		if c.want != 0 && len(r.Task(0).Succ(0)) != 0 {
+		if c.changes && len(r.Task(0).Succ(0)) != 0 {
 			t.Errorf("%s kept the edge: Succ(0) = %v", c.op.Op, r.Task(0).Succ(0))
 		}
 	}
@@ -172,10 +192,14 @@ func TestPatchRepeatedEdge(t *testing.T) {
 
 func TestPatchTiming(t *testing.T) {
 	ts := patchBase(t)
-	_, pd := applyOne(t, ts, PatchOp{Op: OpSetPeriod, Task: 0, Value: 1500 * rt.Microsecond})
-	wantBits(t, pd, 0, ChangePeriod)
-	_, pd = applyOne(t, ts, PatchOp{Op: OpSetDeadline, Task: 0, Value: 800 * rt.Microsecond})
-	wantBits(t, pd, 0, ChangeDeadline)
+	out := applyOne(t, ts, PatchOp{Op: OpSetPeriod, Task: 0, Value: 1500 * rt.Microsecond})
+	if got := out.Task(0).Period; got != 1500*rt.Microsecond {
+		t.Errorf("patched period = %d", got)
+	}
+	out = applyOne(t, ts, PatchOp{Op: OpSetDeadline, Task: 0, Value: 800 * rt.Microsecond})
+	if got := out.Task(0).Deadline; got != 800*rt.Microsecond {
+		t.Errorf("patched deadline = %d", got)
+	}
 }
 
 func TestPatchAddRemoveTask(t *testing.T) {
@@ -183,8 +207,7 @@ func TestPatchAddRemoveTask(t *testing.T) {
 	nt := NewTask(7, 5000*rt.Microsecond, 5000*rt.Microsecond)
 	nt.Priority = 9
 	nt.AddVertex(100 * rt.Microsecond)
-	out, pd := applyOne(t, ts, PatchOp{Op: OpAddTask, NewTask: nt})
-	wantBits(t, pd, 7, ChangeAdded)
+	out := applyOne(t, ts, PatchOp{Op: OpAddTask, NewTask: nt})
 	if len(out.Tasks) != 3 {
 		t.Fatalf("task count = %d, want 3", len(out.Tasks))
 	}
@@ -194,8 +217,7 @@ func TestPatchAddRemoveTask(t *testing.T) {
 			out.Task(0).Priority, out.Task(1).Priority, out.Task(7).Priority)
 	}
 
-	out2, pd := applyOne(t, ts, PatchOp{Op: OpRemoveTask, Task: 0})
-	wantBits(t, pd, 0, ChangeRemoved)
+	out2 := applyOne(t, ts, PatchOp{Op: OpRemoveTask, Task: 0})
 	if len(out2.Tasks) != 1 || out2.Tasks[0].ID != 1 {
 		t.Fatalf("remove_task left %v", out2.Tasks)
 	}
@@ -203,8 +225,7 @@ func TestPatchAddRemoveTask(t *testing.T) {
 
 // TestPatchAssignsPrioritiesToClones pins that a patch leaving no explicit
 // priority never writes its base: Finalize's rate-monotonic assignment
-// lands in a clone marked ChangePriority, and the base keeps its
-// priorities and its hash.
+// lands in a clone, and the base keeps its priorities and its hash.
 func TestPatchAssignsPrioritiesToClones(t *testing.T) {
 	ts := NewTaskset(2, 0)
 	for id, prio := range []rt.Priority{0, 5} {
@@ -217,7 +238,7 @@ func TestPatchAssignsPrioritiesToClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := ts.Hash()
-	out, pd := applyOne(t, ts, PatchOp{Op: OpRemoveTask, Task: 1})
+	out := applyOne(t, ts, PatchOp{Op: OpRemoveTask, Task: 1})
 	if ts.Hash() != h || ts.Task(0).Priority != 0 {
 		t.Errorf("base mutated: task 0 priority %d, hash changed %v", ts.Task(0).Priority, ts.Hash() != h)
 	}
@@ -227,8 +248,6 @@ func TestPatchAssignsPrioritiesToClones(t *testing.T) {
 	if got := out.Task(0).Priority; got != 1 {
 		t.Errorf("patched task 0 priority %d, want the rate-monotonic 1", got)
 	}
-	wantBits(t, pd, 0, ChangePriority)
-	wantBits(t, pd, 1, ChangeRemoved)
 }
 
 func TestPatchErrors(t *testing.T) {
@@ -326,7 +345,7 @@ func TestPatchLargeProfileNotQuadratic(t *testing.T) {
 // address as building the patched taskset from scratch.
 func TestPatchEquivalentToDirectConstruction(t *testing.T) {
 	ts := patchBase(t)
-	out, _ := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 1, Vertex: 1, Value: 175 * rt.Microsecond})
+	out := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 1, Vertex: 1, Value: 175 * rt.Microsecond})
 
 	direct := NewTaskset(4, 2)
 	a := NewTask(0, 1000*rt.Microsecond, 900*rt.Microsecond)

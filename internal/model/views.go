@@ -234,13 +234,6 @@ func (s *ViewScratch) fold(m *sigMerger, x rt.VertexID, na int, base []int64, nc
 	m.add(sig, nc, paths)
 }
 
-// CountViews returns the number of distinct request-vector signatures over
-// complete paths, i.e. len(EnumerateViews) without the cap check.
-func (t *Task) CountViews() int {
-	views, _ := t.EnumerateViews(0, nil)
-	return len(views)
-}
-
 // sigMerger folds (signature, nonCrit, paths) triples into collapsed
 // equivalence classes. Small batches merge by direct signature comparison;
 // once the class count passes a threshold it switches to an open-addressed

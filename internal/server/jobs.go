@@ -147,12 +147,12 @@ func (j *sweepJob) resolve() error {
 	if spec.PathCap < 0 {
 		return fmt.Errorf("negative path_cap %d", spec.PathCap)
 	}
-	ms, err := parseMethods(spec.Methods)
+	ms, err := analysis.ParseMethods(spec.Methods)
 	if err != nil {
 		return err
 	}
 	// Canonicalize the method names so checkpoints are self-contained and
-	// insensitive to client whitespace.
+	// insensitive to client whitespace and repeats.
 	spec.Methods = spec.Methods[:0]
 	for _, m := range ms {
 		spec.Methods = append(spec.Methods, string(m))

@@ -470,12 +470,12 @@ func TestSweepOversizedJob(t *testing.T) {
 }
 
 // TestSweepCheckpointIsAtomicJSON: the on-disk checkpoint parses and
-// carries the normalized spec, so operators can inspect jobs with jq and
-// other binaries can resume them.
+// carries the normalized spec (method names trimmed, a repeat dropped), so
+// operators can inspect jobs with jq and other binaries can resume them.
 func TestSweepCheckpointIsAtomicJSON(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{Workers: 2, StoreDir: dir})
-	id := submitSweep(t, s, `{"scenarios":["2a"],"n":1,"methods":[" DPCP-p-EN "]}`)
+	id := submitSweep(t, s, `{"scenarios":["2a"],"n":1,"methods":[" DPCP-p-EN ","DPCP-p-EN"]}`)
 	waitSweepState(t, s, id, sweepDone)
 
 	raw, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))

@@ -690,7 +690,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, timeoutMS int64,
 func (s *Server) validateOptions(w http.ResponseWriter, methods []string,
 	pathCap int, placement string) ([]analysis.Method, analysis.Options, bool) {
 
-	ms, err := parseMethods(methods)
+	ms, err := analysis.ParseMethods(methods)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, analysis.Options{}, false

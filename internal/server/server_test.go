@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -497,10 +498,19 @@ const (
 	negResource = `{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":0,"wcet":100,"requests":{"-1":1}}]}],"num_resources":1,"num_procs":2}`
 )
 
+// unusedCS is a valid taskset whose one task lists a CS length for a
+// resource no vertex requests. The canonical form drops that length, so
+// any value there gives the same hash.
+const unusedCS = `{"tasks":[{"id":0,"period":1000,"deadline":1000,"priority":1,"vertices":[{"id":0,"wcet":10}],"cslen":[%d]}],"num_resources":1,"num_procs":2}`
+
 // TestHostileRequests: every malformed body must produce a structured 4xx,
-// never a panic or a 500 (the PR-2 model.Finalize hardening surfaces here).
+// never a panic or a 500 (the model.Finalize hardening surfaces here). A
+// cache never bypasses validation: each row gets the same status and body
+// from a cold server and from one whose exact-body and result caches hold
+// the valid taskset and every row's valid hash twin.
 func TestHostileRequests(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxBody: 2048})
+	cold := newTestServer(t, Config{Workers: 1, MaxBody: 2048})
+	warm := newTestServer(t, Config{Workers: 1, MaxBody: 2048})
 	valid := string(tasksetJSON(t, testTaskset(t, 0)))
 	cases := []struct {
 		name string
@@ -522,6 +532,7 @@ func TestHostileRequests(t *testing.T) {
 		{"negative cslen", "/v1/analyze",
 			`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"priority":1,"vertices":[{"id":0,"wcet":10,"requests":{"0":1}}],"cslen":[-5]}],"num_resources":1,"num_procs":2}}`,
 			http.StatusBadRequest},
+		{"negative unused cslen", "/v1/analyze", `{"taskset":` + fmt.Sprintf(unusedCS, -5) + `}`, http.StatusBadRequest},
 		{"oversized body", "/v1/analyze", `{"taskset":` + strings.Repeat(" ", 4096) + valid + `}`,
 			http.StatusRequestEntityTooLarge},
 		{"empty batch", "/v1/analyze/batch", `{"tasksets":[]}`, http.StatusBadRequest},
@@ -539,15 +550,25 @@ func TestHostileRequests(t *testing.T) {
 		{"trailing }x", "/v1/analyze", `{"taskset":` + valid + `}}x`, http.StatusBadRequest},
 		{"batch trailing ]", "/v1/analyze/batch", `{"tasksets":[` + valid + `]}]`, http.StatusBadRequest},
 	}
+	for _, body := range []string{valid, fmt.Sprintf(unusedCS, 0)} {
+		if w := post(t, warm, "/v1/analyze", []byte(`{"taskset":`+body+`}`)); w.Code != http.StatusOK {
+			t.Fatalf("warming: status %d: %s", w.Code, w.Body.String())
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := post(t, s, tc.path, []byte(tc.body))
+			w := post(t, cold, tc.path, []byte(tc.body))
 			if w.Code != tc.want {
 				t.Fatalf("status %d, want %d; body: %s", w.Code, tc.want, w.Body.String())
 			}
 			var er errorResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" || er.Code != tc.want {
 				t.Errorf("error body not structured: %s", w.Body.String())
+			}
+			ww := post(t, warm, tc.path, []byte(tc.body))
+			if ww.Code != w.Code || !bytes.Equal(ww.Body.Bytes(), w.Body.Bytes()) {
+				t.Errorf("warm cache: status %d, body %s; cold: status %d, body %s",
+					ww.Code, ww.Body.String(), w.Code, w.Body.String())
 			}
 		})
 	}
@@ -667,6 +688,32 @@ func TestFastPathHitAccounting(t *testing.T) {
 	if got := s.Metrics().CacheHits - afterFast; got != int64(len(analysis.Methods())) {
 		t.Errorf("result-cache repeat counted %d hits, want %d — fast path and answer disagree",
 			got, len(analysis.Methods()))
+	}
+}
+
+// TestRepeatedMethodsAnalyzedOnce: a method listed more than once is
+// analyzed, counted and reported once.
+func TestRepeatedMethodsAnalyzedOnce(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	ep := string(analysis.DPCPpEP)
+	body := analyzeBody(t, testTaskset(t, 0), ep, ep, ep)
+	for pass, hits := range []int64{0, 1} {
+		w := post(t, s, "/v1/analyze", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("pass %d: status %d: %s", pass, w.Code, w.Body.String())
+		}
+		var resp AnalyzeResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != 1 || resp.Results[ep] == nil {
+			t.Errorf("pass %d: results %v, want one for %s", pass, resp.Results, ep)
+		}
+		m := s.Metrics()
+		if m.Analyses != 1 || m.CacheMisses != 1 || m.Coalesced != 0 || m.CacheHits != hits {
+			t.Errorf("pass %d: analyses=%d misses=%d coalesced=%d hits=%d, want 1/1/0/%d",
+				pass, m.Analyses, m.CacheMisses, m.Coalesced, m.CacheHits, hits)
+		}
 	}
 }
 

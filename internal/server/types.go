@@ -15,7 +15,8 @@ import (
 // cmd/taskgen output and audit fixtures (model.Taskset).
 type AnalyzeRequest struct {
 	Taskset *model.Taskset `json:"taskset"`
-	// Methods selects the analyses; empty means all five.
+	// Methods selects the analyses; empty means all five. A repeated name
+	// counts once.
 	Methods []string `json:"methods,omitempty"`
 	// PathCap bounds EP path enumeration (0 = the analysis default).
 	PathCap int `json:"path_cap,omitempty"`
@@ -110,7 +111,8 @@ type SweepRequest struct {
 	// Seed is the base seed (absent = 2020), derived per sample exactly
 	// like GET /v1/grid and the CLI sweeps.
 	Seed *int64 `json:"seed,omitempty"`
-	// Methods selects the analyses; empty means all five.
+	// Methods selects the analyses; empty means all five. A repeated name
+	// counts once.
 	Methods []string `json:"methods,omitempty"`
 	// PathCap bounds EP path enumeration (0 = the analysis default).
 	PathCap int `json:"path_cap,omitempty"`
@@ -192,7 +194,8 @@ type DeltaRequest struct {
 	// offending operation (errorResponse.Patch).
 	Patch model.Patch `json:"patch"`
 	// Methods selects the analyses; empty means both DPCP-p-EP and
-	// DPCP-p-EN. Any of the five methods may be listed.
+	// DPCP-p-EN. Any of the five methods may be listed; a repeated name
+	// counts once.
 	Methods []string `json:"methods,omitempty"`
 	// PathCap and Placement are the options of the patched taskset's
 	// analyses, as on POST /v1/analyze. A retained base is found by its
@@ -242,29 +245,6 @@ type errorResponse struct {
 	Code    int               `json:"code"`
 	Timeout bool              `json:"timeout,omitempty"`
 	Patch   *model.PatchError `json:"patch,omitempty"`
-}
-
-// parseMethods validates and resolves a method-name list ([] = all five).
-func parseMethods(names []string) ([]analysis.Method, error) {
-	if len(names) == 0 {
-		return analysis.Methods(), nil
-	}
-	out := make([]analysis.Method, 0, len(names))
-	for _, name := range names {
-		m := analysis.Method(strings.TrimSpace(name))
-		known := false
-		for _, k := range analysis.Methods() {
-			if m == k {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown method %q (known: %v)", name, analysis.Methods())
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // parsePlacement resolves the placement-heuristic name.

@@ -9,9 +9,8 @@ import (
 
 // finalizeAllocs is what Task.Finalize allocates for a task with edges and
 // resources: two for the adjacency, two for the topological sort, one for
-// the per-resource counts, one for the canonical body and two for the path
-// bounds.
-const finalizeAllocs = 8
+// the per-resource counts and two for the path bounds.
+const finalizeAllocs = 7
 
 // TestFinalizeAllocsConstant: Task.Finalize makes the same number of
 // allocations on every generated Fig. 2(a) and 2(b) task, however many
