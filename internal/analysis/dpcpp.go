@@ -391,12 +391,16 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	return ctx
 }
 
-// taskWCRT evaluates Theorem 1 over every candidate path view of one task:
-// prepareViews computes the r-independent terms, the response-time fixed
-// points of all views then iterate in lockstep via rta.FixPointBatch over
-// theorem1 (streaming the shared eta tables once per wave instead of once
-// per view), and the bound is the largest view's. The epequiv suite pins
-// the result against the per-path reference and the memo-free directRef.
+// taskWCRT bounds one task's response time by the largest Theorem 1 fixed
+// point over its candidate path views. prepareViews computes every view's
+// r-independent terms, then rta.MaxFixPoint admits the views over
+// theorem1: it iterates the view with the largest start value to its
+// least fixed point R, and a view whose right-hand side at R is at most R
+// (the verdict certificate, TestWCRTsAreCertified) is admitted with that
+// one evaluation, since it can neither raise the maximum nor diverge. Only
+// the remaining views iterate, each from its own start value. One
+// diverged view makes the bound rt.Infinity. The epequiv suite pins the
+// result against the per-path reference and the memo-free directRef.
 //
 //schedlint:hotpath
 func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
@@ -407,23 +411,15 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	terms, eps, xs := a.prepareViews(ctx, views)
 	np := len(ctx.procs)
 	s := a.sc
-	done := s.bools.alloc(len(views))
 
 	fixStart := s.stageStart()
-	//schedlint:ignore hotpath closure captures only locals that never escape FixPointBatch; the alloc-gate benchmarks hold it to 0 allocs/op
-	ok := rta.FixPointBatch(xs, t.Deadline, done, func(vi int, r rt.Time) rt.Time {
+	//schedlint:ignore hotpath closure captures only locals that never escape MaxFixPoint; the alloc-gate benchmarks hold it to 0 allocs/op
+	worst, ok := rta.MaxFixPoint(xs, t.Deadline, func(vi int, r rt.Time) rt.Time {
 		return ctx.theorem1(&views[vi], &terms[vi], eps[vi*np:(vi+1)*np], r).total
 	})
 	s.stageEnd(StageFixPoint, fixStart)
 	if !ok {
-		// One diverged view dooms the task: no per-view result is needed.
 		return rt.Infinity
-	}
-	var worst rt.Time
-	for _, r := range xs {
-		if r > worst {
-			worst = r
-		}
 	}
 	return worst
 }

@@ -158,7 +158,8 @@ func TestCollapsedEPMatchesNaiveReference(t *testing.T) {
 // (processor, base) — no memo table — and every eta from its term's own
 // (T, R) via etaSum, not from per-task eta counts. Production shares only
 // buildCtx, the views and intraBlocking with it, so agreement pins the
-// epsilon table, the eta-count hoisting and the batched iteration.
+// epsilon table, the eta-count hoisting and the view admission of
+// rta.MaxFixPoint.
 type directRef struct {
 	a *DPCPp
 }
@@ -241,7 +242,7 @@ func directEpsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 }
 
 // TestMatchesMemoFreeReference pins the production kernel (epsilon table,
-// per-task eta counts, batched fixed points) against directRef for EP and
+// per-task eta counts, view admission) against directRef for EP and
 // EN over both corpus configurations and the light-task set: the full
 // pipeline must agree on verdicts, rounds and WCRTs, and so must the raw
 // WCRTs on the final partition.
@@ -275,6 +276,39 @@ func TestMatchesMemoFreeReference(t *testing.T) {
 				en, fast.Schedulable, fast.WCRT, slow.Schedulable, slow.WCRT)
 		}
 	}
+}
+
+// FuzzWCRTMatchesReference draws an adversarial taskset from the seed and
+// requires TestWith to give the same verdict, WCRTs and rounds as the
+// same pipeline over directRef, for DPCP-p-EP at path caps 1, 2 and 8
+// (where EN fallbacks are common) and for DPCP-p-EN. One Scratch serves
+// every production run, so arena reuse across analyses is covered too.
+func FuzzWCRTMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	gen := taskgen.NewAdversarial()
+	sc := NewScratch()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		ts, shape, err := gen.Taskset(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return
+		}
+		for _, c := range []struct {
+			m  Method
+			pc int
+		}{{DPCPpEP, 1}, {DPCPpEP, 2}, {DPCPpEP, 8}, {DPCPpEN, DefaultPathCap}} {
+			opts := Options{PathCap: c.pc}
+			got := TestWith(sc, c.m, ts, opts)
+			ref := partitionFor(c.m, ts, &directRef{NewDPCPp(ts, c.pc, c.m == DPCPpEN)}, opts.Placement)
+			if got.Schedulable != ref.Schedulable || got.Rounds != ref.Rounds ||
+				!reflect.DeepEqual(got.WCRT, ref.WCRT) {
+				t.Fatalf("seed %d (%s) %s cap %d: production (%v, %d rounds, %v) != reference (%v, %d rounds, %v)",
+					seed, shape, c.m, c.pc, got.Schedulable, got.Rounds, got.WCRT,
+					ref.Schedulable, ref.Rounds, ref.WCRT)
+			}
+		}
+	})
 }
 
 // TestCollapsedEPMatchesNaiveOnLightSets covers the Sec. VI shared-task

@@ -16,8 +16,8 @@ const (
 	// or the single EN view built from the task's stored path bounds,
 	// timed only on view-cache misses.
 	StageViews Stage = iota
-	// StageFixPoint is the batched response-time fixed-point iteration of
-	// one task's view set (rta.FixPointBatch inside taskWCRT).
+	// StageFixPoint is the response-time fixed-point step of one task's
+	// view set: the view admission of rta.MaxFixPoint inside taskWCRT.
 	StageFixPoint
 	// StageRound is one full WCRTs pass over the taskset — one round of
 	// the partitioning loop.
@@ -100,10 +100,10 @@ func (a *arena[T]) allocZero(n int) []T {
 // Scratch, recycled across TestWith calls, drives the steady-state
 // allocations of an EN or EP analysis round to zero: path views, their
 // request vectors, per-task interference tables (eta terms, the per-task
-// eta source lists and counts), fixed-point work arrays, the Lemma 2
-// epsilon table and the response-time map all live in scratch-owned
-// arenas, tables and maps that are reset — never reallocated — between
-// uses.
+// eta source lists and counts), each view's r-independent Theorem 1 terms
+// and fixed-point start value, the Lemma 2 epsilon table and the
+// response-time map all live in scratch-owned arenas, tables and maps that
+// are reset — never reallocated — between uses.
 //
 // Ownership rules:
 //
@@ -143,7 +143,6 @@ type Scratch struct {
 	times      arena[rt.Time]
 	resIDs     arena[rt.ResourceID]
 	i64s       arena[int64]
-	bools      arena[bool]
 	vterms     arena[viewTerms]
 	eps        epsTable
 	sharedView [1]pathView
@@ -210,7 +209,6 @@ func (s *Scratch) taskReset() {
 	s.times.reset()
 	s.resIDs.reset()
 	s.i64s.reset()
-	s.bools.reset()
 	s.vterms.reset()
 	s.eps.reset()
 }

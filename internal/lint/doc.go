@@ -55,7 +55,7 @@
 // Function-level, in the function's doc comment. Seeds the hotpath
 // analyzer's call-graph closure: the function and everything statically
 // reachable from it must not allocate. Annotate the zero-alloc entry
-// points (EnumerateViews, FixPointBatch, taskWCRT, the scratch methods),
+// points (EnumerateViews, MaxFixPoint, taskWCRT, the scratch methods),
 // not every function they call.
 //
 //	//schedlint:ignore <analyzer> <reason>

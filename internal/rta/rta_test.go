@@ -1,6 +1,7 @@
 package rta
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -134,5 +135,139 @@ func TestEtaCountsJobs(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// recurrences builds a family of monotone recurrences from a seeded
+// source: classic-RTA-shaped ones, x -> c + sum_j ceil(x/T_j)*C_j, and
+// staircases x -> max(c, s*ceil(x/s)), which have a fixed point at every
+// multiple of s at or above c, so a start above the least one settles on a
+// larger one.
+func recurrences(rng *rand.Rand, n int) ([]rt.Time, []func(rt.Time) rt.Time) {
+	x0s := make([]rt.Time, n)
+	fns := make([]func(rt.Time) rt.Time, n)
+	for i := range fns {
+		c := rt.Time(1 + rng.Intn(40))
+		x0s[i] = c
+		if rng.Intn(3) == 0 {
+			s := rt.Time(2 + rng.Intn(15))
+			fns[i] = func(x rt.Time) rt.Time { return max(c, s*rt.CeilDiv(x, s)) }
+			continue
+		}
+		type hp struct{ T, C rt.Time }
+		terms := make([]hp, rng.Intn(4))
+		for j := range terms {
+			terms[j] = hp{T: rt.Time(2 + rng.Intn(30)), C: rt.Time(1 + rng.Intn(5))}
+		}
+		fns[i] = func(x rt.Time) rt.Time {
+			total := c
+			for _, h := range terms {
+				total = rt.SatAdd(total, rt.SatMul(rt.CeilDiv(x, h.T), h.C))
+			}
+			return total
+		}
+	}
+	return x0s, fns
+}
+
+// TestMaxFixPointMatchesFixPoint pins MaxFixPoint to its definition: for
+// any family it returns the largest of the per-recurrence FixPoint values,
+// and it fails exactly when some recurrence's FixPoint fails.
+func TestMaxFixPointMatchesFixPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(8)
+		limit := rt.Time(1 + rng.Intn(400))
+		x0s, fns := recurrences(rng, n)
+		wantOK := true
+		var want rt.Time
+		for i, f := range fns {
+			x, ok := FixPoint(x0s[i], limit, f)
+			wantOK = wantOK && ok
+			want = max(want, x)
+		}
+		got, gotOK := MaxFixPoint(x0s, limit, func(i int, x rt.Time) rt.Time { return fns[i](x) })
+		if gotOK != wantOK {
+			t.Fatalf("trial %d: MaxFixPoint ok=%v, per-recurrence ok=%v", trial, gotOK, wantOK)
+		}
+		if gotOK && got != want {
+			t.Fatalf("trial %d: MaxFixPoint = %d, max FixPoint = %d", trial, got, want)
+		}
+	}
+}
+
+// TestMaxFixPointIsLeast: a recurrence that the running maximum does not
+// certify iterates from its own start value. From 1 the staircase below
+// settles on 10, under the maximum 15; started from 15 it would settle on
+// 20.
+func TestMaxFixPointIsLeast(t *testing.T) {
+	steps := []func(rt.Time) rt.Time{
+		func(rt.Time) rt.Time { return 15 },
+		func(x rt.Time) rt.Time { return 10 * rt.CeilDiv(max(x, 1), 10) },
+	}
+	got, ok := MaxFixPoint([]rt.Time{15, 1}, 100, func(i int, x rt.Time) rt.Time { return steps[i](x) })
+	if !ok || got != 15 {
+		t.Fatalf("MaxFixPoint = %d, %v; want 15, true", got, ok)
+	}
+}
+
+// TestMaxFixPointAdmitsWithOneStep: a recurrence whose step at the running
+// maximum stays at or below it costs one evaluation, and the maximum comes
+// from the recurrence with the largest start value.
+func TestMaxFixPointAdmitsWithOneStep(t *testing.T) {
+	calls := make([]int, 3)
+	steps := []func(rt.Time) rt.Time{
+		func(x rt.Time) rt.Time { return 4 + rt.CeilDiv(x, 10) }, // lfp 5
+		func(x rt.Time) rt.Time { return 20 + rt.CeilDiv(x, 4) }, // lfp 27
+		func(x rt.Time) rt.Time { return 12 },                    // lfp 12
+	}
+	got, ok := MaxFixPoint([]rt.Time{4, 20, 12}, 100, func(i int, x rt.Time) rt.Time {
+		calls[i]++
+		return steps[i](x)
+	})
+	if !ok || got != 27 {
+		t.Fatalf("MaxFixPoint = %d, %v; want 27, true", got, ok)
+	}
+	if calls[0] != 1 || calls[2] != 1 {
+		t.Fatalf("dominated recurrences took %d and %d steps, want 1 each", calls[0], calls[2])
+	}
+}
+
+func TestMaxFixPointEmpty(t *testing.T) {
+	got, ok := MaxFixPoint(nil, 100, func(int, rt.Time) rt.Time { panic("no recurrences") })
+	if !ok || got != 0 {
+		t.Fatalf("empty family = %d, %v; want 0, true", got, ok)
+	}
+}
+
+// TestMaxFixPointFails: a recurrence that exceeds the limit or steps down
+// fails the family, whether it starts highest or is iterated later.
+func TestMaxFixPointFails(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		xs    []rt.Time
+		steps []func(rt.Time) rt.Time
+	}{
+		{"first diverges", []rt.Time{1, 5}, []func(rt.Time) rt.Time{
+			func(rt.Time) rt.Time { return 3 },
+			func(x rt.Time) rt.Time { return x + 7 },
+		}},
+		{"later diverges", []rt.Time{5, 1}, []func(rt.Time) rt.Time{
+			func(rt.Time) rt.Time { return 6 },
+			func(x rt.Time) rt.Time { return x + 7 },
+		}},
+		{"later steps down", []rt.Time{5, 4}, []func(rt.Time) rt.Time{
+			func(rt.Time) rt.Time { return 6 },
+			func(x rt.Time) rt.Time {
+				if x <= 6 {
+					return 9
+				}
+				return x - 1
+			},
+		}},
+	} {
+		if got, ok := MaxFixPoint(c.xs, 50, func(i int, x rt.Time) rt.Time { return c.steps[i](x) }); ok {
+			t.Errorf("%s: MaxFixPoint = %d, converged", c.name, got)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func parseHash(s string) (model.Hash, error) {
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
 	var req DeltaRequest
-	if decodeBody(w, r, &req) != nil {
+	if s.decodeBody(w, r, &req) != nil {
 		return
 	}
 	methods := req.Methods

@@ -726,7 +726,7 @@ func isSweepID(s string) bool {
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
 	var req SweepRequest
-	if decodeBody(w, r, &req) != nil {
+	if s.decodeBody(w, r, &req) != nil {
 		return
 	}
 	spec := sweepSpec{

@@ -412,9 +412,16 @@ func (s *Server) finishAnalysis(w http.ResponseWriter, err error) bool {
 }
 
 // readBody reads the whole request body, mapping a MaxBytesReader overrun
-// to a 413 and any other read failure to a 400.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(r.Body)
+// to a 413 and any other read failure to a 400. A body of known length is
+// read into one buffer of that length, capped at the body limit, plus one
+// spare byte so that the read that finds EOF does not grow it. A body of
+// unknown length (chunked) starts at 512 bytes, as io.ReadAll does.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(512)
+	if n := r.ContentLength; n >= 0 {
+		size = min(n, s.cfg.MaxBody) + 1
+	}
+	body, err := readSized(r.Body, size)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -427,9 +434,27 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, err
 }
 
+// readSized is io.ReadAll starting from a buffer of the given capacity.
+func readSized(r io.Reader, size int64) ([]byte, error) {
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
 // decodeBody reads the request body and decodes it with decodeBytes.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	body, err := readBody(w, r)
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
+	body, err := s.readBody(w, r)
 	if err != nil {
 		return err
 	}
@@ -523,7 +548,7 @@ func finalizeTaskset(w http.ResponseWriter, ts *model.Taskset, pos string) bool 
 // finalized, hashed and answered from the result cache or an analysis.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
-	body, err := readBody(w, r)
+	body, err := s.readBody(w, r)
 	if err != nil {
 		return
 	}
@@ -567,7 +592,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
 	var req BatchRequest
-	if decodeBody(w, r, &req) != nil {
+	if s.decodeBody(w, r, &req) != nil {
 		return
 	}
 	ms, opts, ok := s.validateOptions(w, req.Methods, req.PathCap, req.Placement)

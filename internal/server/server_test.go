@@ -574,6 +574,65 @@ func TestHostileRequests(t *testing.T) {
 	}
 }
 
+// TestReadBodyLengths: a body is read whole whether or not its length is
+// declared, and one over the limit gets its 413 either way. A chunked
+// request declares no length (ContentLength -1).
+func TestReadBodyLengths(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, MaxBody: 2048})
+	valid := analyzeBody(t, testTaskset(t, 0), string(analysis.DPCPpEP))
+	oversized := append(bytes.Repeat([]byte(" "), 4096), valid...)
+	var want []byte
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		chunked bool
+		code    int
+	}{
+		{"sized", valid, false, http.StatusOK},
+		{"chunked", valid, true, http.StatusOK},
+		{"sized oversized", oversized, false, http.StatusRequestEntityTooLarge},
+		{"chunked oversized", oversized, true, http.StatusRequestEntityTooLarge},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(tc.body))
+		if tc.chunked {
+			req.ContentLength = -1
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != tc.code {
+			t.Fatalf("%s: status %d, want %d; body: %s", tc.name, w.Code, tc.code, w.Body.String())
+		}
+		if tc.code != http.StatusOK {
+			continue
+		}
+		if want == nil {
+			want = w.Body.Bytes()
+		} else if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Errorf("%s: body %s, want %s", tc.name, w.Body.String(), want)
+		}
+	}
+}
+
+// TestReadBodyOneAllocation: a body of declared length is read into one
+// buffer; its spare byte keeps the read that finds EOF from growing it.
+func TestReadBodyOneAllocation(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	body := bytes.Repeat([]byte("x"), 5000)
+	r := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/analyze", r)
+	w := httptest.NewRecorder()
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(body)
+		got, err := s.readBody(w, req)
+		if err != nil || len(got) != len(body) {
+			t.Fatalf("readBody: %d bytes, %v", len(got), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("readBody allocates %v times per body, want 1", allocs)
+	}
+}
+
 // TestNegativeRequestKeyMessage: a negative resource key gets Finalize's
 // error in its 400, whether the scanner or encoding/json decoded the body.
 func TestNegativeRequestKeyMessage(t *testing.T) {
