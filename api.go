@@ -206,10 +206,7 @@ type Breakdown = analysis.Breakdown
 // Explain returns per-task breakdowns of the DPCP-p-EP bound under the
 // partition, in descending priority order.
 func Explain(ts *Taskset, p *Partition, pathCap int) []Breakdown {
-	if pathCap <= 0 {
-		pathCap = analysis.DefaultPathCap
-	}
-	return analysis.NewDPCPp(ts, pathCap, false).Explain(p)
+	return analysis.NewDPCPp(ts, analysis.Options{PathCap: pathCap}.EffectivePathCap(), false).Explain(p)
 }
 
 // NewSim builds a simulator for the taskset under the partition.

@@ -86,7 +86,9 @@ const semanticsFingerprint = "920b2e86e455d27d67b0d56590d343faa06484e880e6a4e44f
 // DefaultPathCap bounds path enumeration when Options.PathCap is unset.
 const DefaultPathCap = 4096
 
-func (o Options) pathCap() int {
+// EffectivePathCap is the path cap the DPCP-p analyses use: PathCap, or
+// DefaultPathCap when PathCap is unset (zero or negative).
+func (o Options) EffectivePathCap() int {
 	if o.PathCap > 0 {
 		return o.PathCap
 	}
@@ -126,7 +128,7 @@ func NewAnalyzer(sc *Scratch, m Method, ts *model.Taskset, opts Options) partiti
 		if sc == nil {
 			sc = NewScratch()
 		}
-		return newDPCPp(sc, ts, opts.pathCap(), m == DPCPpEN)
+		return newDPCPp(sc, ts, opts.EffectivePathCap(), m == DPCPpEN)
 	case SPIN:
 		return NewSpin(ts)
 	case LPP:

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"dpcpp/internal/model"
 	"dpcpp/internal/partition"
 	"dpcpp/internal/rt"
@@ -153,13 +155,18 @@ func (a *DPCPp) enView(t *model.Task) []pathView {
 }
 
 // procCtx carries the per-processor precomputations for one analyzed task:
-// the beta and gamma terms of Lemma 2 and the zeta term of Lemma 3.
+// the beta and gamma terms of Lemma 2 and the zeta term of Lemma 3. From
+// res and resCS, prepareViews forms each view's off-path CS work here once;
+// Lemma 2 (the W base), Lemma 4 (Eq. 7) and, if own, Lemma 6 read it.
 type procCtx struct {
 	proc rt.ProcID
 	res  []rt.ResourceID // global resources placed here
 	// resCS[j] = L_{i,res[j]}, the analyzed task's CS length per resource,
 	// hoisted out of the per-view loops.
 	resCS []rt.Time
+	// own marks a processor of the task's own cluster, whose resources
+	// are the paper's Phi^p(tau_i) of Lemma 6.
+	own bool
 
 	beta rt.Time // max lower-priority CS with ceiling >= pi_i (Lemma 2)
 
@@ -204,14 +211,14 @@ func etaWork(terms []etaTerm, etas []int64) rt.Time {
 
 // taskCtx bundles everything Theorem 1 needs for one task. It lives inside
 // the analyzer's Scratch and every slice below is arena-backed: a taskCtx
-// is valid only until the next buildCtx call on the same analyzer.
+// is valid only until the next buildCtx call on the same analyzer. Lemmas
+// 2, 4 and 6 share the off-path sums over procs (see procCtx); Lemmas 4
+// (Eq. 6) and 5 share those over localRes.
 type taskCtx struct {
 	task    *model.Task
 	mi      int64
 	procs   []procCtx // processors hosting at least one global resource
 	cluster []etaTerm // Lemma 6: other tasks' CS work on this task's cluster
-	// clusterRes are the global resources on this task's own cluster.
-	clusterRes []rt.ResourceID
 	// localRes are the local resources the task uses.
 	localRes []rt.ResourceID
 	// hpShared: for light tasks sharing a processor (Sec. VI), the
@@ -220,10 +227,9 @@ type taskCtx struct {
 	hpShared []etaTerm
 	shared   bool
 
-	// localCS / clusterCS cache the task's CS length per localRes /
-	// clusterRes entry, hoisted out of the per-view loops.
-	localCS   []rt.Time
-	clusterCS []rt.Time
+	// localCS caches the task's CS length per localRes entry, hoisted out
+	// of the per-view loops.
+	localCS []rt.Time
 
 	// srcPeriod / srcResp hold (T_j, R_j) of every task with a term in
 	// the Theorem 1 recurrence (procs[].other, cluster, hpShared); each
@@ -278,9 +284,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 		ctx.mi = 1
 	}
 	ctx.procs = ctx.procs[:0]
-	ctx.cluster = nil
-	ctx.clusterRes = nil
-	ctx.clusterCS = nil
 	ctx.hpShared = nil
 	ctx.shared = false
 
@@ -303,13 +306,18 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	}
 	ctx.localRes, ctx.localCS = localRes, localCS
 
+	// clusterWork[src] sums eta source src's CS work on the task's own
+	// cluster; any task with such work is a source from that processor on.
+	clusterProcs := p.Procs(t.ID)
+	clusterWork := s.times.allocZero(nOther)
 	for k := 0; k < ts.NumProcs; k++ {
 		proc := rt.ProcID(k)
 		res := p.ResourcesOn(proc)
 		if len(res) == 0 {
 			continue
 		}
-		pc := procCtx{proc: proc, res: res, resCS: s.times.alloc(len(res))}
+		pc := procCtx{proc: proc, res: res, resCS: s.times.alloc(len(res)),
+			own: slices.Contains(clusterProcs, proc)}
 		for j, u := range res {
 			pc.resCS[j] = t.CS(u)
 		}
@@ -328,6 +336,9 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 			}
 			term := ctx.term(pos, other, wcrts, work)
 			pc.other = append(pc.other, term)
+			if pc.own {
+				clusterWork[term.src] = rt.SatAdd(clusterWork[term.src], work)
+			}
 			if other.Priority.Higher(t.Priority) {
 				pc.hp = append(pc.hp, term)
 			} else {
@@ -344,6 +355,14 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 		}
 		ctx.procs = append(ctx.procs, pc)
 	}
+	cluster := s.terms.alloc(len(ctx.srcPeriod))[:0]
+	for src, work := range clusterWork[:len(ctx.srcPeriod)] {
+		if work > 0 {
+			cluster = append(cluster, etaTerm{period: ctx.srcPeriod[src],
+				resp: ctx.srcResp[src], work: work, src: src})
+		}
+	}
+	ctx.cluster = cluster
 
 	if p.IsShared(t.ID) {
 		ctx.shared = true
@@ -365,28 +384,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	}
 
 	ctx.eps = &s.eps
-
-	ctx.clusterRes = p.AppendClusterResources(s.resIDs.alloc(nr)[:0], t.ID)
-	if len(ctx.clusterRes) > 0 {
-		ctx.clusterCS = s.times.alloc(len(ctx.clusterRes))
-		for j, u := range ctx.clusterRes {
-			ctx.clusterCS[j] = t.CS(u)
-		}
-		cluster := s.terms.alloc(nOther)[:0]
-		for pos, other := range ts.Tasks {
-			if other.ID == t.ID {
-				continue
-			}
-			var work rt.Time
-			for _, u := range ctx.clusterRes {
-				work = rt.SatAdd(work, other.CSWork(u))
-			}
-			if work > 0 {
-				cluster = append(cluster, ctx.term(pos, other, wcrts, work))
-			}
-		}
-		ctx.cluster = cluster
-	}
 	ctx.etas = s.i64s.alloc(len(ctx.srcPeriod))
 	return ctx
 }
@@ -457,9 +454,15 @@ type viewTerms struct {
 // into per-task arena slices: terms[vi]; the Lemma 3 epsilons (computed
 // via Lemma 2's W), with eps[vi*len(ctx.procs)+k] the value of view vi on
 // ctx.procs[k]; and each fixed point's start value
-// xs[vi] = L + b_i + ceil(I^intra_i / m_i). The epsilons are filled
-// processor-major, so one processor's beta/gamma tables and its (proc,
-// base) rows in the epsilon table stay hot across the whole view batch.
+// xs[vi] = L + b_i + ceil(I^intra_i / m_i).
+//
+// Each off-path CS sum is formed once. A local resource's product goes to
+// I^intra (Lemma 5) and, if the path requests it, to b_i (Eq. 6). Each
+// (processor, view) off-path sum goes to b_i and the Lemma 2 W bases when
+// the path requests from the processor (Eq. 7, Eq. 3), and to the static
+// agent term on the own cluster (Lemma 6). That pass is processor-major,
+// so one processor's beta/gamma tables and its (proc, base) rows in the
+// epsilon table stay hot across the whole view batch.
 func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) (terms []viewTerms, eps, xs []rt.Time) {
 	s := a.sc
 	np := len(ctx.procs)
@@ -468,21 +471,40 @@ func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) (terms []viewTerms,
 	xs = s.times.alloc(len(views))
 	for vi := range views {
 		v := &views[vi]
-		vt := viewTerms{b: a.intraBlocking(ctx, v), iIntra: v.offNonCrit}
+		vt := viewTerms{iIntra: v.offNonCrit}
 		for j, q := range ctx.localRes {
-			vt.iIntra = rt.SatAdd(vt.iIntra, rt.SatMul(v.offPath[q], ctx.localCS[j]))
-		}
-		for j, q := range ctx.clusterRes {
-			vt.iaStatic = rt.SatAdd(vt.iaStatic, rt.SatMul(v.offPath[q], ctx.clusterCS[j]))
+			off := rt.SatMul(v.offPath[q], ctx.localCS[j])
+			vt.iIntra = rt.SatAdd(vt.iIntra, off)
+			if v.onPath[q] > 0 {
+				vt.b = rt.SatAdd(vt.b, off)
+			}
 		}
 		terms[vi] = vt
-		xs[vi] = rt.SatAdd(v.length, rt.SatAdd(vt.b, rt.CeilDiv(vt.iIntra, ctx.mi)))
 	}
 	for pi := range ctx.procs {
 		pc := &ctx.procs[pi]
 		for vi := range views {
-			eps[vi*np+pi] = a.epsilon(ctx, pc, &views[vi])
+			v, vt := &views[vi], &terms[vi]
+			var off rt.Time
+			requested := false
+			for j, u := range pc.res {
+				off = rt.SatAdd(off, rt.SatMul(v.offPath[u], pc.resCS[j]))
+				requested = requested || v.onPath[u] > 0
+			}
+			if pc.own {
+				vt.iaStatic = rt.SatAdd(vt.iaStatic, off)
+			}
+			if !requested {
+				eps[vi*np+pi] = 0
+				continue
+			}
+			vt.b = rt.SatAdd(vt.b, off)
+			eps[vi*np+pi] = a.epsilon(ctx, pc, v, off)
 		}
+	}
+	for vi := range views {
+		vt := &terms[vi]
+		xs[vi] = rt.SatAdd(views[vi].length, rt.SatAdd(vt.b, rt.CeilDiv(vt.iIntra, ctx.mi)))
 	}
 	return terms, eps, xs
 }
@@ -527,62 +549,27 @@ func (ctx *taskCtx) theorem1(v *pathView, terms *viewTerms, eps []rt.Time, r rt.
 	return f
 }
 
-// intraBlocking evaluates Lemma 4.
-func (a *DPCPp) intraBlocking(ctx *taskCtx, v *pathView) rt.Time {
-	var b rt.Time
-	// Eq. (6): local resources the path itself requests.
-	for j, q := range ctx.localRes {
-		if v.onPath[q] > 0 {
-			b = rt.SatAdd(b, rt.SatMul(v.offPath[q], ctx.localCS[j]))
-		}
-	}
-	// Eq. (7): global resources on processors the path requests from.
-	for i := range ctx.procs {
-		pc := &ctx.procs[i]
-		sigma := false
-		for _, u := range pc.res {
-			if v.onPath[u] > 0 {
-				sigma = true
-				break
-			}
-		}
-		if !sigma {
-			continue
-		}
-		for j, u := range pc.res {
-			b = rt.SatAdd(b, rt.SatMul(v.offPath[u], pc.resCS[j]))
-		}
-	}
-	return b
-}
-
-// epsilon evaluates Eq. (4) for one processor: the per-request blocking
-// bound (beta + gamma(W)) scaled by the number of requests the path issues
-// to each resource on the processor. W is the Lemma 2 request response
-// time. When a W recurrence diverges beyond the deadline, epsilon becomes
-// Infinity and Lemma 3's min() falls back to the zeta bound, which remains
-// sound.
+// epsilon evaluates Eq. (4) for one processor the path requests from: the
+// per-request blocking bound (beta + gamma(W)) scaled by the number of
+// requests the path issues to each resource on the processor. W is the
+// Lemma 2 request response time; offWork, the middle term of its base
+// (Eq. 3), is the processor's off-path sum that prepareViews shares with
+// Lemmas 4 and 6. When a W recurrence diverges beyond the deadline,
+// epsilon becomes Infinity and Lemma 3's min() falls back to the zeta
+// bound, which remains sound.
 //
 // The W fixed point depends on the view only through its base value, so
 // results are memoized in ctx.eps keyed by (processor, base) and shared
 // across the per-view loop; rt.Infinity records divergence.
-func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
+func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView, offWork rt.Time) rt.Time {
 	t := ctx.task
-
-	// Off-path intra-task CS work on this processor's resources (the
-	// middle term of Eq. 3), shared by every W on this processor.
-	var offCoWork rt.Time
-	for j, u := range pc.res {
-		offCoWork = rt.SatAdd(offCoWork, rt.SatMul(v.offPath[u], pc.resCS[j]))
-	}
-
 	var eps rt.Time
 	for j, q := range pc.res {
 		n := v.onPath[q]
 		if n == 0 {
 			continue
 		}
-		base := rt.SatAdd(pc.resCS[j], rt.SatAdd(offCoWork, pc.beta))
+		base := rt.SatAdd(pc.resCS[j], rt.SatAdd(offWork, pc.beta))
 		key := epsKey{proc: pc.proc, base: base}
 		perReq, hit := ctx.eps.get(key)
 		if !hit {

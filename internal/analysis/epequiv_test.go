@@ -3,6 +3,7 @@ package analysis
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dpcpp/internal/model"
@@ -28,9 +29,10 @@ func (n *naiveEP) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time {
 		ctx := n.a.buildCtx(p, t, wcrts)
 		views := n.viewsFor(ctx)
 		ref := directRef{n.a}
+		cluster := ref.clusterTerms(p, t, wcrts)
 		var worst rt.Time
 		for i := range views {
-			r := ref.viewWCRT(ctx, &views[i])
+			r := ref.viewWCRT(p, ctx, cluster, &views[i])
 			if r > worst {
 				worst = r
 			}
@@ -153,11 +155,14 @@ func TestCollapsedEPMatchesNaiveReference(t *testing.T) {
 }
 
 // directRef is the memo-free reference: it evaluates Theorem 1 view by
-// view over the analyzer's own path views (so it covers EN as well as EP),
-// computing every Lemma 2 epsilon with a direct rta.FixPoint per
-// (processor, base) — no memo table — and every eta from its term's own
-// (T, R) via etaSum, not from per-task eta counts. Production shares only
-// buildCtx, the views and intraBlocking with it, so agreement pins the
+// view over the analyzer's own path views (so it covers EN as well as EP).
+// It writes Lemma 4, Lemma 5 and Lemma 6 from the paper over the partition
+// (p.Procs, p.ResourcesOn, t.CS), computes every Lemma 2 epsilon with a
+// direct rta.FixPoint per (processor, base) — no memo table — and every
+// eta from its term's own (T, R) via etaSum, not from per-task eta counts.
+// Production shares only the views and buildCtx's Lemma 2 and 3 terms
+// (beta, gamma, zeta) and Sec. VI shared term with it, so agreement pins
+// prepareViews' shared off-path sums, the Lemma 6 cluster terms, the
 // epsilon table, the eta-count hoisting and the view admission of
 // rta.MaxFixPoint.
 type directRef struct {
@@ -168,9 +173,10 @@ func (d *directRef) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time 
 	wcrts := make(map[rt.TaskID]rt.Time, len(d.a.ts.Tasks))
 	for _, t := range d.a.ts.ByPriorityDesc() {
 		ctx := d.a.buildCtx(p, t, wcrts)
+		cluster := d.clusterTerms(p, t, wcrts)
 		var worst rt.Time
 		for _, v := range d.a.viewsFor(ctx) {
-			worst = max(worst, d.viewWCRT(ctx, &v))
+			worst = max(worst, d.viewWCRT(p, ctx, cluster, &v))
 			if worst >= rt.Infinity {
 				break
 			}
@@ -180,17 +186,69 @@ func (d *directRef) WCRTs(p *partition.Partition, _ bool) map[rt.TaskID]rt.Time 
 	return wcrts
 }
 
-// viewWCRT is the least fixed point of Theorem 1 for one view.
-func (d *directRef) viewWCRT(ctx *taskCtx, v *pathView) rt.Time {
-	b := d.a.intraBlocking(ctx, v)
-	iIntra := v.offNonCrit
-	for j, q := range ctx.localRes {
-		iIntra = rt.SatAdd(iIntra, rt.SatMul(v.offPath[q], ctx.localCS[j]))
+// clusterTerms are Lemma 6's eta terms: every other task's CS work on the
+// global resources of t's cluster, Phi^p(tau_i).
+func (d *directRef) clusterTerms(p *partition.Partition, t *model.Task, wcrts map[rt.TaskID]rt.Time) []etaTerm {
+	var terms []etaTerm
+	for _, other := range d.a.ts.Tasks {
+		if other.ID == t.ID {
+			continue
+		}
+		var work rt.Time
+		for _, k := range p.Procs(t.ID) {
+			for _, u := range p.ResourcesOn(k) {
+				work = rt.SatAdd(work, other.CSWork(u))
+			}
+		}
+		if work > 0 {
+			terms = append(terms, etaTerm{period: other.Period, resp: knownOrDeadline(wcrts, other), work: work})
+		}
 	}
-	var iaStatic rt.Time
-	for j, q := range ctx.clusterRes {
-		iaStatic = rt.SatAdd(iaStatic, rt.SatMul(v.offPath[q], ctx.clusterCS[j]))
+	return terms
+}
+
+// staticTerms are one view's r-independent Theorem 1 terms: b_i
+// (Lemma 4), I^intra_i (Lemma 5) and the off-path agent work on the own
+// cluster (Lemma 6).
+func (d *directRef) staticTerms(p *partition.Partition, t *model.Task, v *pathView) (b, iIntra, iaStatic rt.Time) {
+	ts := d.a.ts
+	offCS := func(q rt.ResourceID) rt.Time { return rt.SatMul(v.offPath[q], t.CS(q)) }
+	// Lemma 5 and Eq. (6): off-path work on local resources; b_i counts
+	// only those the path itself requests.
+	iIntra = v.offNonCrit
+	for q := 0; q < ts.NumResources; q++ {
+		rid := rt.ResourceID(q)
+		if !ts.IsLocal(rid) {
+			continue
+		}
+		iIntra = rt.SatAdd(iIntra, offCS(rid))
+		if v.onPath[q] > 0 {
+			b = rt.SatAdd(b, offCS(rid))
+		}
 	}
+	// Eq. (7): off-path work on every processor the path requests from.
+	for k := 0; k < ts.NumProcs; k++ {
+		res := p.ResourcesOn(rt.ProcID(k))
+		if !slices.ContainsFunc(res, func(u rt.ResourceID) bool { return v.onPath[u] > 0 }) {
+			continue
+		}
+		for _, u := range res {
+			b = rt.SatAdd(b, offCS(u))
+		}
+	}
+	// Lemma 6: off-path work on the resources of the task's own cluster.
+	for _, k := range p.Procs(t.ID) {
+		for _, u := range p.ResourcesOn(k) {
+			iaStatic = rt.SatAdd(iaStatic, offCS(u))
+		}
+	}
+	return b, iIntra, iaStatic
+}
+
+// viewWCRT is the least fixed point of Theorem 1 for one view, with
+// cluster the task's clusterTerms.
+func (d *directRef) viewWCRT(p *partition.Partition, ctx *taskCtx, cluster []etaTerm, v *pathView) rt.Time {
+	b, iIntra, iaStatic := d.staticTerms(p, ctx.task, v)
 	eps := make([]rt.Time, len(ctx.procs))
 	for i := range ctx.procs {
 		eps[i] = directEpsilon(ctx, &ctx.procs[i], v)
@@ -201,7 +259,7 @@ func (d *directRef) viewWCRT(ctx *taskCtx, v *pathView) rt.Time {
 		for i := range ctx.procs {
 			blocking = rt.SatAdd(blocking, min(eps[i], etaSum(ctx.procs[i].other, r)))
 		}
-		ia := rt.SatAdd(etaSum(ctx.cluster, r), iaStatic)
+		ia := rt.SatAdd(etaSum(cluster, r), iaStatic)
 		sum := rt.SatAdd(rt.SatAdd(v.length, blocking), b)
 		sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntra, ia), ctx.mi))
 		return rt.SatAdd(sum, etaSum(ctx.hpShared, r))

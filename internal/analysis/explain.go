@@ -52,20 +52,13 @@ func (b Breakdown) String() string {
 	fmt.Fprintf(&sb, "  L(lambda)         %12s\n", rt.FormatTime(b.PathLength))
 	fmt.Fprintf(&sb, "  inter-task B      %12s\n", rt.FormatTime(b.InterTaskBlocking))
 	fmt.Fprintf(&sb, "  intra-task b      %12s\n", rt.FormatTime(b.IntraTaskBlocking))
-	fmt.Fprintf(&sb, "  I_intra / m_i     %12s\n", rt.FormatTime(rt.CeilDiv(b.IntraInterference, maxI64(b.Procs, 1))))
-	fmt.Fprintf(&sb, "  I_agent / m_i     %12s\n", rt.FormatTime(rt.CeilDiv(b.AgentInterference, maxI64(b.Procs, 1))))
+	fmt.Fprintf(&sb, "  I_intra / m_i     %12s\n", rt.FormatTime(rt.CeilDiv(b.IntraInterference, max(b.Procs, 1))))
+	fmt.Fprintf(&sb, "  I_agent / m_i     %12s\n", rt.FormatTime(rt.CeilDiv(b.AgentInterference, max(b.Procs, 1))))
 	if b.SharedPreemption > 0 {
 		fmt.Fprintf(&sb, "  hp-shared preempt %12s\n", rt.FormatTime(b.SharedPreemption))
 	}
 	fmt.Fprintf(&sb, "  total R           %12s\n", rt.FormatTime(b.Total))
 	return sb.String()
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Explain analyzes every task under the partition and returns per-task

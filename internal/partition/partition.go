@@ -191,18 +191,11 @@ func (p *Partition) CoLocated(q rt.ResourceID) []rt.ResourceID {
 // ClusterResources returns the global resources placed on the cluster of
 // the task (the paper's Phi^p(tau_i)).
 func (p *Partition) ClusterResources(id rt.TaskID) []rt.ResourceID {
-	return p.AppendClusterResources(nil, id)
-}
-
-// AppendClusterResources appends the cluster's global resources to dst and
-// returns the extended slice; analysis hot paths pass a reused buffer to
-// stay allocation-free. Every resource lives on at most one processor, so
-// the result never exceeds the taskset's resource count.
-func (p *Partition) AppendClusterResources(dst []rt.ResourceID, id rt.TaskID) []rt.ResourceID {
+	var res []rt.ResourceID
 	for _, k := range p.procs[id] {
-		dst = append(dst, p.resOn[k]...)
+		res = append(res, p.resOn[k]...)
 	}
-	return dst
+	return res
 }
 
 // CloneFor returns a deep copy of the partition bound to another taskset,

@@ -278,11 +278,7 @@ func (e *engine) release(n int) { e.queued.Add(int64(-n)) }
 // analysis semantics is a miss, never a stale answer. PathCap is
 // normalized first so 0 and the explicit default hit the same entry.
 func cacheKey(h model.Hash, m analysis.Method, opts analysis.Options, explain bool) string {
-	pc := opts.PathCap
-	if pc <= 0 {
-		pc = analysis.DefaultPathCap
-	}
-	key := h.String() + "|" + string(m) + "|pc=" + strconv.Itoa(pc) +
+	key := h.String() + "|" + string(m) + "|pc=" + strconv.Itoa(opts.EffectivePathCap()) +
 		"|pl=" + strconv.Itoa(int(opts.Placement)) + "|sv=" + strconv.Itoa(analysis.SemanticsVersion)
 	if explain {
 		key += "|ex=1"
@@ -366,11 +362,7 @@ func (e *engine) analyze(ctx context.Context, h model.Hash, ts *model.Taskset,
 			Reason:      res.Reason,
 		}
 		if explain && res.Partition != nil {
-			pc := opts.PathCap
-			if pc <= 0 {
-				pc = analysis.DefaultPathCap
-			}
-			mr.Explain = analysis.NewDPCPp(ts, pc, false).Explain(res.Partition)
+			mr.Explain = analysis.NewDPCPp(ts, opts.EffectivePathCap(), false).Explain(res.Partition)
 		}
 		e.cache.add(key, mr)
 		e.storePut(key, mr)
