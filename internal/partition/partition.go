@@ -160,9 +160,12 @@ func (p *Partition) removeResOn(k rt.ProcID, q rt.ResourceID) {
 }
 
 // ClearResources removes every resource placement (Algorithm 1's rollback).
+// It empties the maps in place: no clone or Result shares them, and the
+// next placement appends to fresh per-processor lists, so a list returned
+// before the rollback is never written again.
 func (p *Partition) ClearResources() {
-	p.resProc = make(map[rt.ResourceID]rt.ProcID)
-	p.resOn = make(map[rt.ProcID][]rt.ResourceID)
+	clear(p.resProc)
+	clear(p.resOn)
 }
 
 // ResourceProc returns the processor serving global resource q, or NoProc
@@ -381,6 +384,10 @@ func augment(ts *model.Taskset, a Analyzer, place bool, heuristic PlacementHeuri
 		}
 	}
 
+	var pl *placer
+	if place {
+		pl = newPlacer(ts)
+	}
 	byPrio := ts.ByPriorityDesc()
 	rounds := 0
 	for {
@@ -392,7 +399,7 @@ func augment(ts *model.Taskset, a Analyzer, place bool, heuristic PlacementHeuri
 		}
 		if place {
 			p.ClearResources()
-			if !placeResources(p, heuristic) {
+			if !pl.placeResources(p, heuristic) {
 				return Result{Partition: p, Rounds: rounds,
 					Reason: "infeasible global resource allocation"}
 			}
@@ -473,40 +480,70 @@ func packLightTasks(p *Partition, lights []*model.Task) string {
 	return ""
 }
 
+// placer holds Algorithm 2's state for one augment call: the global
+// resources in placement order, which depends only on the taskset, and
+// cluster bookkeeping that every round rebuilds in place.
+type placer struct {
+	order    []rankedResource
+	clusters []cluster
+	procUtil []float64 // per-processor resource utilization, cluster by cluster
+}
+
+// rankedResource is a global resource and its utilization u^Phi_q.
+type rankedResource struct {
+	q rt.ResourceID
+	u float64
+}
+
+// cluster is one placement target: a task's processors, its capacity and
+// its utilization including the resources placed so far. The resource
+// utilization of procs[i] is placer.procUtil[at+i].
+type cluster struct {
+	procs          []rt.ProcID
+	capacity, util float64
+	at             int
+}
+
+// newPlacer orders the global resources by decreasing utilization, ties by
+// ID (Algorithm 2 line 1).
+func newPlacer(ts *model.Taskset) *placer {
+	globals := ts.GlobalResources()
+	order := make([]rankedResource, len(globals))
+	for i, q := range globals {
+		order[i] = rankedResource{q: q, u: ts.ResourceUtilization(q)}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if order[a].u != order[b].u {
+			return order[a].u > order[b].u
+		}
+		return order[a].q < order[b].q
+	})
+	return &placer{order: order}
+}
+
+// addCluster appends a cluster over procs with the given capacity and
+// utilization, its processors holding no resources yet.
+func (pl *placer) addCluster(procs []rt.ProcID, capacity, util float64) {
+	pl.clusters = append(pl.clusters, cluster{procs: procs, capacity: capacity, util: util, at: len(pl.procUtil)})
+	for range procs {
+		pl.procUtil = append(pl.procUtil, 0)
+	}
+}
+
 // placeResources runs Algorithm 2 (WFD) or the FFD ablation. It returns
 // false when some resource cannot fit in any cluster without exceeding its
 // capacity.
-func placeResources(p *Partition, heuristic PlacementHeuristic) bool {
+func (pl *placer) placeResources(p *Partition, heuristic PlacementHeuristic) bool {
 	ts := p.TS
-	globals := ts.GlobalResources()
-	sort.SliceStable(globals, func(a, b int) bool {
-		ua, ub := ts.ResourceUtilization(globals[a]), ts.ResourceUtilization(globals[b])
-		if ua != ub {
-			return ua > ub
-		}
-		return globals[a] < globals[b]
-	})
-
-	type cluster struct {
-		task     *model.Task
-		capacity float64
-		util     float64
-		procUtil map[rt.ProcID]float64
-	}
-	var clusters []*cluster
+	pl.clusters, pl.procUtil = pl.clusters[:0], pl.procUtil[:0]
 	for _, t := range ts.Tasks {
 		procs := p.Procs(t.ID)
 		if len(procs) == 0 || p.IsShared(t.ID) {
 			continue
 		}
-		c := &cluster{task: t, capacity: float64(len(procs)), util: t.Utilization(),
-			procUtil: make(map[rt.ProcID]float64, len(procs))}
-		for _, k := range procs {
-			c.procUtil[k] = 0
-		}
-		clusters = append(clusters, c)
+		pl.addCluster(procs, float64(len(procs)), t.Utilization())
 	}
-	if len(clusters) == 0 {
+	if len(pl.clusters) == 0 {
 		// All-light systems: fall back to per-processor pseudo-clusters so
 		// the original DPCP placement still has somewhere to put agents.
 		for k := 0; k < ts.NumProcs; k++ {
@@ -518,50 +555,49 @@ func placeResources(p *Partition, heuristic PlacementHeuristic) bool {
 			for _, id := range ids {
 				util += ts.Task(id).Utilization()
 			}
-			c := &cluster{task: ts.Task(ids[0]), capacity: 1, util: util,
-				procUtil: map[rt.ProcID]float64{rt.ProcID(k): 0}}
-			clusters = append(clusters, c)
+			pl.addCluster(p.Procs(ids[0]), 1, util)
 		}
 	}
-	if len(clusters) == 0 {
-		return len(globals) == 0
+	if len(pl.clusters) == 0 {
+		return len(pl.order) == 0
 	}
 
-	for _, q := range globals {
-		uq := ts.ResourceUtilization(q)
+	for _, r := range pl.order {
 		var chosen *cluster
 		switch heuristic {
 		case WFD:
-			for _, c := range clusters {
+			for i := range pl.clusters {
+				c := &pl.clusters[i]
 				if chosen == nil || c.capacity-c.util > chosen.capacity-chosen.util {
 					chosen = c
 				}
 			}
 		case FFD:
-			for _, c := range clusters {
-				if c.util+uq <= c.capacity {
+			for i := range pl.clusters {
+				if c := &pl.clusters[i]; c.util+r.u <= c.capacity {
 					chosen = c
 					break
 				}
 			}
 			if chosen == nil {
-				chosen = clusters[0]
+				chosen = &pl.clusters[0]
 			}
 		}
-		if chosen.util+uq > chosen.capacity {
+		if chosen.util+r.u > chosen.capacity {
 			return false
 		}
 		// Min resource-utilization processor within the cluster
 		// (Algorithm 2 line 9), ties by processor ID for determinism.
-		var bestProc rt.ProcID = rt.NoProc
-		for _, k := range p.Procs(chosen.task.ID) {
-			if bestProc == rt.NoProc || c2less(chosen.procUtil[k], k, chosen.procUtil[bestProc], bestProc) {
-				bestProc = k
+		util := pl.procUtil[chosen.at : chosen.at+len(chosen.procs)]
+		best := 0
+		for i, k := range chosen.procs {
+			if c2less(util[i], k, util[best], chosen.procs[best]) {
+				best = i
 			}
 		}
-		p.PlaceResource(q, bestProc)
-		chosen.procUtil[bestProc] += uq
-		chosen.util += uq
+		p.PlaceResource(r.q, chosen.procs[best])
+		util[best] += r.u
+		chosen.util += r.u
 	}
 	return true
 }

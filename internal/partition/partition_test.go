@@ -148,6 +148,32 @@ func TestPlaceAndClearResources(t *testing.T) {
 	}
 }
 
+// TestClearResourcesKeepsEarlierViews: ClearResources empties the maps in
+// place, so a clone taken before the rollback and a resource list read
+// before it must not see the next round's placement.
+func TestClearResourcesKeepsEarlierViews(t *testing.T) {
+	ts := partitionSet(t, 8)
+	p := New(ts)
+	p.Assign(0, 2) // procs 0,1
+	p.PlaceResource(0, 0)
+	p.PlaceResource(1, 1)
+	clone := p.Clone()
+	on0 := p.ResourcesOn(0)
+	p.ClearResources()
+	p.PlaceResource(1, 0)
+	p.PlaceResource(0, 1)
+	if len(on0) != 1 || on0[0] != 0 {
+		t.Errorf("ResourcesOn(0) read before the rollback is now %v, want [0]", on0)
+	}
+	if clone.ResourceProc(0) != 0 || clone.ResourceProc(1) != 1 {
+		t.Errorf("clone places l0 on %d and l1 on %d, want 0 and 1",
+			clone.ResourceProc(0), clone.ResourceProc(1))
+	}
+	if got := p.ResourcesOn(0); len(got) != 1 || got[0] != 1 {
+		t.Errorf("ResourcesOn(0) after re-placement = %v, want [1]", got)
+	}
+}
+
 func TestCoLocatedAndClusterResources(t *testing.T) {
 	ts := partitionSet(t, 8)
 	p := New(ts)

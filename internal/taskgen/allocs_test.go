@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpcpp/internal/model"
+	"dpcpp/internal/rt"
 )
 
 // finalizeAllocs is what Task.Finalize allocates for a task with edges and
@@ -61,4 +62,43 @@ func TestFinalizeAllocsConstant(t *testing.T) {
 		t.Fatalf("tasks too alike to show independence: |V| in [%d, %d], |E| in [%d, %d]", minV, maxV, minE, maxE)
 	}
 	t.Logf("|V| in [%d, %d], |E| in [%d, %d]", minV, maxV, minE, maxE)
+}
+
+// TestAssembleTaskAllocsConstant: assembleTask makes the same number of
+// allocations for one request unit per resource as for hundreds, on one
+// DAG: placing a unit allocates nothing.
+func TestAssembleTaskAllocsConstant(t *testing.T) {
+	const nVerts, nr = 40, 4
+	period := rt.Time(10 * rt.Millisecond)
+	r := rand.New(rand.NewSource(1))
+	var edges []model.Edge
+	for i := 0; i < nVerts; i++ {
+		for j := i + 1; j < nVerts; j++ {
+			if r.Float64() < 0.1 {
+				edges = append(edges, edge(i, j))
+			}
+		}
+	}
+	_, capSum := vertexCaps(nVerts, edges, period)
+	wcet := capSum / 2
+	allocs := func(units int64) float64 {
+		draws := make([]resourceDraw, nr)
+		for q := range draws {
+			draws[q] = resourceDraw{q: rt.ResourceID(q), n: units, cs: 5 * rt.Microsecond}
+		}
+		if rt.SatMul(nr*units, 5*rt.Microsecond) > wcet/2 {
+			t.Fatalf("%d units per resource leave too little non-critical work", units)
+		}
+		return testing.AllocsPerRun(50, func() {
+			// The task only reads edges, so every run can share them.
+			if _, err := assembleTask(r, 0, period, period, wcet, nVerts, edges, draws, nr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(1), allocs(300)
+	if few != many {
+		t.Errorf("assembleTask made %v allocations with 1 unit per resource, %v with 300", few, many)
+	}
+	t.Logf("%v allocations per task (|V|=%d, |E|=%d)", few, nVerts, len(edges))
 }

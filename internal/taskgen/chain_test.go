@@ -6,10 +6,35 @@ import (
 	"testing"
 
 	"dpcpp/internal/model"
+	"dpcpp/internal/rt"
 )
 
+// adjacencyChainHeights is chainHeights as it was before the counting-sort
+// sweeps: the dynamic program over a model.Adjacency's predecessor and
+// successor lists.
+func adjacencyChainHeights(nVerts int, edges []model.Edge) []int {
+	adj := model.NewAdjacency(nVerts, edges)
+	fwd := make([]int, nVerts)
+	bwd := make([]int, nVerts)
+	h := make([]int, nVerts)
+	for x := range fwd {
+		fwd[x] = 1
+		for _, p := range adj.Pred(rt.VertexID(x)) {
+			fwd[x] = max(fwd[x], fwd[p]+1)
+		}
+	}
+	for x := nVerts - 1; x >= 0; x-- {
+		bwd[x] = 1
+		for _, s := range adj.Succ(rt.VertexID(x)) {
+			bwd[x] = max(bwd[x], bwd[s]+1)
+		}
+		h[x] = fwd[x] + bwd[x] - 1
+	}
+	return h
+}
+
 // perVertexChainHeights is chainHeights as it was before the adjacency
-// helper: per-vertex successor and predecessor slices built by append,
+// helper existed: per-vertex successor and predecessor slices built by append,
 // repeats and edge order kept.
 func perVertexChainHeights(nVerts int, edges []model.Edge) []int {
 	succ := make([][]int, nVerts)
@@ -41,16 +66,21 @@ func perVertexChainHeights(nVerts int, edges []model.Edge) []int {
 	return h
 }
 
-// TestChainHeightsMatchesPerVertexSlices: the adjacency-based chainHeights
-// equals the per-vertex-slice version on Erdős–Rényi graphs and on every
-// adversarial shape, whose fork-joins and layers emit edges out of order
-// and layered DAGs repeat some.
+// TestChainHeightsMatchesPerVertexSlices: chainHeights equals both earlier
+// versions, the per-vertex-slice one and the adjacency-based one, on
+// Erdős–Rényi graphs, on the same graphs with repeated and shuffled edges,
+// and on every adversarial shape, whose fork-joins and layers emit edges
+// out of source order and whose layered DAGs repeat some.
 func TestChainHeightsMatchesPerVertexSlices(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	check := func(what string, n int, edges []model.Edge) {
 		t.Helper()
-		if got, want := chainHeights(n, edges), perVertexChainHeights(n, edges); !slices.Equal(got, want) {
-			t.Fatalf("%s, %d vertices, edges %v: chainHeights %v, want %v", what, n, edges, got, want)
+		got := chainHeights(n, edges)
+		if want := perVertexChainHeights(n, edges); !slices.Equal(got, want) {
+			t.Fatalf("%s, %d vertices, edges %v: chainHeights %v, per-vertex slices %v", what, n, edges, got, want)
+		}
+		if want := adjacencyChainHeights(n, edges); !slices.Equal(got, want) {
+			t.Fatalf("%s, %d vertices, edges %v: chainHeights %v, adjacency %v", what, n, edges, got, want)
 		}
 	}
 	for trial := 0; trial < 300; trial++ {
@@ -65,6 +95,14 @@ func TestChainHeightsMatchesPerVertexSlices(t *testing.T) {
 			}
 		}
 		check("Erdős–Rényi", n, edges)
+		if len(edges) == 0 {
+			continue
+		}
+		for k := r.Intn(len(edges)) + 1; k > 0; k-- {
+			edges = append(edges, edges[r.Intn(len(edges))])
+		}
+		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		check("Erdős–Rényi, repeated and shuffled", n, edges)
 	}
 	a := NewAdversarial()
 	for _, shape := range Shapes() {

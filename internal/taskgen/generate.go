@@ -3,6 +3,7 @@ package taskgen
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"dpcpp/internal/model"
@@ -178,41 +179,79 @@ func edge(from, to int) model.Edge {
 }
 
 // buildDAG builds the Erdős–Rényi structure and hands it to assembleTask.
+// The pairs (i, j), i < j, are drawn in order into a bitset first, so the
+// edge list is allocated once at its exact size. It comes out sorted by
+// source, then by target.
 func (g *Generator) buildDAG(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 	nVerts int, edgeProb float64, draws []resourceDraw, nr int) (*model.Task, error) {
 
+	pairs := nVerts * (nVerts - 1) / 2
+	drawn := make([]uint64, (pairs+63)/64)
+	nEdges := 0
+	for k := 0; k < pairs; k++ {
+		if r.Float64() < edgeProb {
+			drawn[k/64] |= 1 << (k % 64)
+			nEdges++
+		}
+	}
 	var edges []model.Edge
-	for i := 0; i < nVerts; i++ {
-		for j := i + 1; j < nVerts; j++ {
-			if r.Float64() < edgeProb {
-				edges = append(edges, edge(i, j))
+	if nEdges > 0 {
+		edges = make([]model.Edge, 0, nEdges)
+	}
+	// Row i holds the pairs (i, i+1..nVerts-1) and ends before rowEnd, so
+	// pair k of row i is (i, k-rowEnd+nVerts).
+	i, rowEnd := 0, nVerts-1
+	for w, word := range drawn {
+		for ; word != 0; word &= word - 1 {
+			k := w*64 + bits.TrailingZeros64(word)
+			for k >= rowEnd {
+				i++
+				rowEnd += nVerts - 1 - i
 			}
+			edges = append(edges, edge(i, k-rowEnd+nVerts))
 		}
 	}
 	return assembleTask(r, id, period, deadline, wcet, nVerts, edges, draws, nr)
 }
 
 // chainHeights returns h[x] = the maximum number of vertices on any chain
-// through x, for a DAG whose edges go from lower to higher vertex index.
-// Every predecessor of x then has a smaller index and every successor a
-// larger one, so one ascending sweep over the predecessor lists and one
-// descending sweep over the successor lists find the longest chains ending
-// and starting at each vertex.
+// through x. Every edge must go from a lower to a higher vertex index; the
+// edges may come in any order and may repeat. One counting sort groups the
+// edge targets by source. Every successor of x then has a larger index, so
+// an ascending sweep pushes the longest chain ending at x to x's successors
+// after all of x's predecessors have pushed theirs to x, and a descending
+// sweep takes the longest chain starting at x from successors that are
+// already final. A repeated edge changes neither maximum.
 func chainHeights(nVerts int, edges []model.Edge) []int {
-	adj := model.NewAdjacency(nVerts, edges)
-	slab := make([]int, 3*nVerts)
-	fwd := slab[:nVerts]           // longest hop chain ending at x (inclusive)
-	bwd := slab[nVerts : 2*nVerts] // longest hop chain starting at x (inclusive)
-	h := slab[2*nVerts:]
+	slab := make([]int, 4*nVerts+1+len(edges))
+	fwd := slab[:nVerts]               // longest chain ending at x (inclusive)
+	bwd := slab[nVerts : 2*nVerts]     // longest chain starting at x (inclusive)
+	h := slab[2*nVerts : 3*nVerts]     // the result
+	off := slab[3*nVerts : 4*nVerts+1] // x's targets are succ[off[x]:off[x+1]]
+	succ := slab[4*nVerts+1:]
+	for _, e := range edges {
+		off[e.From]++
+	}
+	for x := 1; x <= nVerts; x++ {
+		off[x] += off[x-1]
+	}
+	// off[x] now ends x's bucket; filling each bucket from its end leaves
+	// off[x] at its start.
+	for _, e := range edges {
+		off[e.From]--
+		succ[off[e.From]] = int(e.To)
+	}
 	for x := range fwd {
 		fwd[x] = 1
-		for _, p := range adj.Pred(rt.VertexID(x)) {
-			fwd[x] = max(fwd[x], fwd[p]+1)
+	}
+	for x := 0; x < nVerts; x++ {
+		for _, s := range succ[off[x]:off[x+1]] {
+			fwd[s] = max(fwd[s], fwd[x]+1)
 		}
 	}
 	for x := nVerts - 1; x >= 0; x-- {
 		bwd[x] = 1
-		for _, s := range adj.Succ(rt.VertexID(x)) {
+		for _, s := range succ[off[x]:off[x+1]] {
 			bwd[x] = max(bwd[x], bwd[s]+1)
 		}
 		h[x] = fwd[x] + bwd[x] - 1
@@ -248,8 +287,10 @@ func vertexCaps(nVerts int, edges []model.Edge, deadline rt.Time) (caps []rt.Tim
 //   - Request units are only placed on vertices whose remaining cap can
 //     absorb the critical section, so C_{i,x} >= sum_q N_{i,x,q} L_{i,q}.
 //
-// Edges must go from lower to higher vertex index, and the draws must name
-// distinct resources in ascending order. The task takes ownership of edges.
+// Every edge must go from a lower to a higher vertex index; the edges may
+// come in any order and may repeat (chainHeights groups them by source).
+// The draws must name distinct resources in ascending order. The task takes
+// ownership of edges.
 // Both the paper-grid Generator and the adversarial generators build on
 // this assembly.
 func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
@@ -267,16 +308,7 @@ func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 	// placed[x*len(draws)+i] counts the units of draws[i] on vertex x.
 	csNeed := make([]rt.Time, nVerts)
 	placed := make([]int, nVerts*len(draws))
-	for i, d := range draws {
-		for unit := int64(0); unit < d.n; unit++ {
-			x, ok := pickWithRoom(r, caps, csNeed, d.cs)
-			if !ok {
-				break // drop remaining units of this resource
-			}
-			csNeed[x] += d.cs
-			placed[x*len(draws)+i]++
-		}
-	}
+	placeRequests(r, caps, csNeed, draws, placed)
 	var totalCS rt.Time
 	for _, c := range csNeed {
 		totalCS += c
@@ -334,29 +366,36 @@ func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 	return task, nil
 }
 
-// pickWithRoom picks a uniformly random vertex whose cap can absorb one more
-// critical section of length cs: it counts the n candidates, draws
-// k = r.Intn(n) and walks to the k-th, so it allocates nothing.
-func pickWithRoom(r *rand.Rand, caps, csNeed []rt.Time, cs rt.Time) (int, bool) {
-	n := 0
-	for x := range caps {
-		if csNeed[x]+cs <= caps[x] {
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	k := r.Intn(n)
-	for x := range caps {
-		if csNeed[x]+cs <= caps[x] {
-			if k == 0 {
-				return x, true
+// placeRequests places the request units of each draw in turn, adding their
+// critical sections to csNeed and counting them in placed[x*len(draws)+i].
+// Each unit goes to a uniformly random vertex whose cap can absorb one more
+// critical section of the draw; once none can, the draw's remaining units
+// are dropped.
+//
+// A draw's candidate vertices are listed once, ascending, and a unit takes
+// the k-th with k = r.Intn(len(cand)). Placing it changes only that
+// vertex's room, so only that vertex is re-checked, and it leaves the list
+// when full. Every unit thus lands on the same vertex, from the same draws
+// of r, as a scan of all vertices per unit would pick.
+func placeRequests(r *rand.Rand, caps, csNeed []rt.Time, draws []resourceDraw, placed []int) {
+	cand := make([]int, 0, len(caps))
+	for i, d := range draws {
+		cand = cand[:0]
+		for x := range caps {
+			if csNeed[x]+d.cs <= caps[x] {
+				cand = append(cand, x)
 			}
-			k--
+		}
+		for unit := int64(0); unit < d.n && len(cand) > 0; unit++ {
+			k := r.Intn(len(cand))
+			x := cand[k]
+			csNeed[x] += d.cs
+			placed[x*len(draws)+i]++
+			if csNeed[x]+d.cs > caps[x] {
+				cand = append(cand[:k], cand[k+1:]...)
+			}
 		}
 	}
-	panic("unreachable")
 }
 
 // waterfill distributes budget across vertices with random proportions,

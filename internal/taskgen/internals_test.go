@@ -43,6 +43,8 @@ func TestWaterfillRejectsInfeasible(t *testing.T) {
 	}
 }
 
+// TestPickWithRoom checks the per-unit scan that TestPlaceRequestsMatchesScan
+// holds placeRequests to.
 func TestPickWithRoom(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	caps := []rt.Time{10, 3, 20}
