@@ -85,39 +85,44 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 }
 
 // TestAnalyzeResponseGolden pins the served bytes for the checked-in
-// fig2a fixture. The same pair drives the CI smoke job with curl + diff,
-// so this test is the in-repo guarantee the smoke job's golden stays
-// reachable.
+// request fixtures: the fig2a taskset, and the Sec. VI light-task set
+// that DPCP-p schedules by packing its three light tasks onto two
+// processors. The same pairs drive the CI smoke job with curl, so this
+// test is the in-repo guarantee the smoke job's goldens stay reachable.
 func TestAnalyzeResponseGolden(t *testing.T) {
-	body, err := os.ReadFile(filepath.Join("testdata", "fig2a_request.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := server.New(server.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body))
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
+	for _, name := range []string{"fig2a", "light"} {
+		t.Run(name, func(t *testing.T) {
+			body, err := os.ReadFile(filepath.Join("testdata", name+"_request.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := server.New(server.Config{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body))
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body.String())
+			}
 
-	golden := filepath.Join("testdata", "fig2a_response.golden")
-	if *update {
-		if err := os.WriteFile(golden, w.Body.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(w.Body.Bytes(), want) {
-		t.Errorf("served response changed; run with -update if intended.\ngot:\n%s\nwant:\n%s",
-			w.Body.String(), string(want))
+			golden := filepath.Join("testdata", name+"_response.golden")
+			if *update {
+				if err := os.WriteFile(golden, w.Body.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if !bytes.Equal(w.Body.Bytes(), want) {
+				t.Errorf("served response changed; run with -update if intended.\ngot:\n%s\nwant:\n%s",
+					w.Body.String(), string(want))
+			}
+		})
 	}
 }
 

@@ -83,10 +83,12 @@
 // (experiments.RunGrid) with scheduling-independent deterministic seeding.
 // One augmentation loop (package internal/partition) partitions for every
 // method: with resource placement for DPCP-p, without it for the
-// baselines, and with Sec. VI light-task packing in AlgorithmMixed. A round
-// stops at the first task that misses its deadline (partition.Analyzer's
-// untilMiss) exactly when processors remain unassigned and no light task
-// is packed, since only then does the miss just grow a cluster. A task's
+// baselines. When the federated assignment does not fit, DPCP-p packs the
+// light tasks onto the processors the heavy clusters leave (Sec. VI). A
+// round stops at the first task that misses its deadline
+// (partition.Analyzer's untilMiss) exactly when processors remain
+// unassigned, which a packed partition never has, since only then does
+// the miss just grow a cluster. A task's
 // bound reads only the bounds above it and the round's map is discarded,
 // so results stay bit-identical. Stopping early took the fig2-sweep
 // benchmark from a median 167 to 257 tasksets/s (10 alternating 40 s pairs

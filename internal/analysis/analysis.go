@@ -76,12 +76,12 @@ type Options struct {
 // served as this code's answer. Bump it with any change to those answers;
 // TestSemanticsFingerprint pins them by semanticsFingerprint and fails
 // until both are updated together.
-const SemanticsVersion = 1
+const SemanticsVersion = 2
 
 // semanticsFingerprint is the SHA-256, in hex, of the verdicts, WCRTs and
 // reasons of every method over the equivalence corpus of the analysis
-// tests, as computed by SemanticsVersion's code.
-const semanticsFingerprint = "920b2e86e455d27d67b0d56590d343faa06484e880e6a4e44ff6c532113d14dd"
+// tests and the light-task set, as computed by SemanticsVersion's code.
+const semanticsFingerprint = "6ea97f6217f4640b010ef4dc768cb5b5fc9199082eeb49f0194d1d3daeb10dff"
 
 // DefaultPathCap bounds path enumeration when Options.PathCap is unset.
 const DefaultPathCap = 4096
@@ -110,11 +110,10 @@ func Test(m Method, ts *model.Taskset, opts Options) partition.Result {
 // scratch moves on to the next taskset. A Scratch serves one goroutine at a
 // time.
 //
-// The DPCP-p methods partition with partition.Algorithm1, which gives
-// every task, light ones included, processors of its own. Packing several
-// light tasks onto one processor (Sec. VI) is partition.AlgorithmMixed,
-// which TestWith, and so schedtest, schedd and the audit, never runs: a
-// set with more light tasks than processors left over is rejected here.
+// The DPCP-p methods partition with partition.Algorithm1, which packs
+// light tasks onto shared processors (Sec. VI) when the federated
+// assignment does not fit. The baselines never pack: a set with more light
+// tasks than processors left over gets "not enough processors" from them.
 func TestWith(sc *Scratch, m Method, ts *model.Taskset, opts Options) partition.Result {
 	return partitionFor(m, ts, NewAnalyzer(sc, m, ts, opts), opts.Placement)
 }
@@ -141,8 +140,8 @@ func NewAnalyzer(sc *Scratch, m Method, ts *model.Taskset, opts Options) partiti
 }
 
 // partitionFor runs m's partitioning loop over a: Algorithm 1 with
-// resource placement for DPCP-p, without it for the baselines, whose
-// requests execute locally.
+// resource placement and the Sec. VI fallback for DPCP-p, without either
+// for the baselines, whose requests execute locally.
 func partitionFor(m Method, ts *model.Taskset, a partition.Analyzer, h partition.PlacementHeuristic) partition.Result {
 	if m == DPCPpEP || m == DPCPpEN {
 		return partition.Algorithm1(ts, a, h)

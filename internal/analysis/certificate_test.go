@@ -48,8 +48,7 @@ func certify(a *DPCPp, p *partition.Partition, claimed map[rt.TaskID]rt.Time) (i
 // pass certify, the one-evaluation check that taskWCRT also runs to admit a
 // view. It covers EP at the default path cap and at cap 2 (where EN
 // fallbacks are common) and EN, over the equivalence corpus and the light
-// set, partitioned by AlgorithmMixed so the Sec. VI shared view is checked
-// too.
+// set, which Algorithm1 packs, so the Sec. VI shared view is checked too.
 func TestWCRTsAreCertified(t *testing.T) {
 	corpus := append(equivalenceCorpus(t), lightSet(t))
 	for _, cfg := range []struct {
@@ -58,7 +57,7 @@ func TestWCRTsAreCertified(t *testing.T) {
 	}{{DefaultPathCap, false}, {2, false}, {DefaultPathCap, true}} {
 		certified := 0
 		for ci, ts := range corpus {
-			res := partition.AlgorithmMixed(ts, NewDPCPp(ts, cfg.pathCap, cfg.en), partition.WFD)
+			res := partition.Algorithm1(ts, NewDPCPp(ts, cfg.pathCap, cfg.en), partition.WFD)
 			if res.Partition == nil {
 				continue
 			}

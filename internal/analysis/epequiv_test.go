@@ -327,8 +327,8 @@ func TestMatchesMemoFreeReference(t *testing.T) {
 		}
 		// Light tasks sharing processors add the Sec. VI hpShared term.
 		ts := lightSet(t)
-		fast := partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, en), partition.WFD)
-		slow := partition.AlgorithmMixed(ts, &directRef{NewDPCPp(ts, DefaultPathCap, en)}, partition.WFD)
+		fast := partition.Algorithm1(ts, NewDPCPp(ts, DefaultPathCap, en), partition.WFD)
+		slow := partition.Algorithm1(ts, &directRef{NewDPCPp(ts, DefaultPathCap, en)}, partition.WFD)
 		if fast.Schedulable != slow.Schedulable || !reflect.DeepEqual(fast.WCRT, slow.WCRT) {
 			t.Errorf("en=%v light set: production %v %v != reference %v %v",
 				en, fast.Schedulable, fast.WCRT, slow.Schedulable, slow.WCRT)
@@ -370,11 +370,11 @@ func FuzzWCRTMatchesReference(f *testing.F) {
 }
 
 // TestCollapsedEPMatchesNaiveOnLightSets covers the Sec. VI shared-task
-// special view and the mixed partitioning path.
+// special view and Algorithm1's light-task packing.
 func TestCollapsedEPMatchesNaiveOnLightSets(t *testing.T) {
 	ts := lightSet(t)
-	fast := partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD)
-	slow := partition.AlgorithmMixed(ts, &naiveEP{NewDPCPp(ts, DefaultPathCap, false)}, partition.WFD)
+	fast := partition.Algorithm1(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD)
+	slow := partition.Algorithm1(ts, &naiveEP{NewDPCPp(ts, DefaultPathCap, false)}, partition.WFD)
 	if fast.Schedulable != slow.Schedulable || !reflect.DeepEqual(fast.WCRT, slow.WCRT) {
 		t.Errorf("light sets diverge: fast=%v %v ref=%v %v",
 			fast.Schedulable, fast.WCRT, slow.Schedulable, slow.WCRT)

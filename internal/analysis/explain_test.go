@@ -26,7 +26,7 @@ type explainCase struct {
 
 // explainCases runs DPCP-p-EP over the equivalence corpus at the default
 // path cap and at cap 2 (where most fork-join tasks fall back to EN), plus
-// the light-task set under AlgorithmMixed for the Sec. VI shared term.
+// the light-task set, which Algorithm1 packs, for the Sec. VI shared term.
 func explainCases(t *testing.T) []explainCase {
 	t.Helper()
 	var cases []explainCase
@@ -43,7 +43,7 @@ func explainCases(t *testing.T) []explainCase {
 	ts := lightSet(t)
 	cases = append(cases, explainCase{
 		name: "light", ts: ts, cap: DefaultPathCap,
-		res: partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD),
+		res: Test(DPCPpEP, ts, Options{}),
 	})
 	return cases
 }
@@ -161,7 +161,7 @@ func TestExplainStringRendering(t *testing.T) {
 
 func TestExplainSharedTask(t *testing.T) {
 	ts := lightSet(t)
-	res := partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD)
+	res := Test(DPCPpEP, ts, Options{})
 	if !res.Schedulable {
 		t.Fatalf("unschedulable: %s", res.Reason)
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // TestSemanticsFingerprint pins what the analyses answer over the
-// equivalence corpus: every method's verdict, WCRTs and reason. Caches and
+// equivalence corpus and the light-task set of Sec. VI: every method's
+// verdict, WCRTs and reason. Caches and
 // stores key results on SemanticsVersion, so a change to any answer must
 // bump it; this test fails until SemanticsVersion is bumped and
 // semanticsFingerprint re-pinned together.
@@ -24,7 +25,7 @@ func TestSemanticsFingerprint(t *testing.T) {
 // and reason, then the WCRT of every task that has one, in task-ID order.
 func answersFingerprint(t *testing.T) string {
 	h := sha256.New()
-	for i, ts := range equivalenceCorpus(t) {
+	for i, ts := range append(equivalenceCorpus(t), lightSet(t)) {
 		for _, m := range Methods() {
 			res := Test(m, ts, Options{})
 			fmt.Fprintf(h, "%d|%s|%t|%q", i, m, res.Schedulable, res.Reason)

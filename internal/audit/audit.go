@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,7 @@ import (
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
 	"dpcpp/internal/model"
+	"dpcpp/internal/partition"
 	"dpcpp/internal/taskgen"
 )
 
@@ -135,6 +137,7 @@ type Report struct {
 	Skipped     int            `json:"skipped"`      // tasksets skipped by the time budget
 	ByShape     map[string]int `json:"by_shape"`
 	Schedulable map[string]int `json:"schedulable"` // certified verdicts per method
+	Packed      map[string]int `json:"packed"`      // certified verdicts whose partition packs light tasks (Sec. VI)
 	SimRuns     int64          `json:"sim_runs"`
 	CrossChecks int            `json:"cross_checks"` // tasksets with EP/EN + monotonicity checks
 	DeltaChecks int            `json:"delta_checks"` // patch chains driven through the patch leg
@@ -178,6 +181,7 @@ func Run(cfg Config) (*Report, error) {
 		Count:       cfg.Count,
 		ByShape:     make(map[string]int),
 		Schedulable: make(map[string]int),
+		Packed:      make(map[string]int),
 	}
 	cells := make([]cell, cfg.Count)
 	for i := range cells {
@@ -237,6 +241,9 @@ func Run(cfg Config) (*Report, error) {
 			for mi2, r := range c.results {
 				if c.ran[mi2] && r.res.Schedulable {
 					rep.Schedulable[string(cfg.Methods[mi2])]++
+					if packs(r.res.Partition) {
+						rep.Packed[string(cfg.Methods[mi2])]++
+					}
 				}
 			}
 			if crossed {
@@ -257,6 +264,12 @@ func Run(cfg Config) (*Report, error) {
 	rep.ElapsedSec = time.Since(start).Seconds()
 	rep.TimedOut = rep.Skipped > 0
 	return rep, nil
+}
+
+// packs reports whether the partition runs some light task on a shared
+// processor (Sec. VI).
+func packs(p *partition.Partition) bool {
+	return slices.ContainsFunc(p.TS.Tasks, func(t *model.Task) bool { return p.IsShared(t.ID) })
 }
 
 func allRan(ran []bool) bool {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
 	"dpcpp/internal/rt"
 	"dpcpp/internal/taskgen"
@@ -47,11 +48,14 @@ func TestAuditSmoke(t *testing.T) {
 	if rep.DeltaChecks == 0 {
 		t.Error("patch leg drove no patch chains; ApplyPatch unchecked")
 	}
+	if rep.Packed[string(analysis.DPCPpEP)]+rep.Packed[string(analysis.DPCPpEN)] == 0 {
+		t.Error("no DPCP-p verdict packed a light task; the simulator never checked the Sec. VI shared-task analysis")
+	}
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s (fixture: %s)", v, v.Fixture)
 	}
-	t.Logf("audit: %d generated (%d gen failures), %d certified verdicts, %d sim runs, %d cross-checked, %d patch chains, shapes %v",
-		rep.Generated, rep.GenFailures, certs, rep.SimRuns, rep.CrossChecks, rep.DeltaChecks, rep.ByShape)
+	t.Logf("audit: %d generated (%d gen failures), %d certified verdicts (packed %v), %d sim runs, %d cross-checked, %d patch chains, shapes %v",
+		rep.Generated, rep.GenFailures, certs, rep.Packed, rep.SimRuns, rep.CrossChecks, rep.DeltaChecks, rep.ByShape)
 }
 
 // TestAuditDeterministic: identical configs yield identical reports.

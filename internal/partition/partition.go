@@ -6,16 +6,18 @@
 //
 // One augmentation loop serves every method. Algorithm1 runs it with
 // resource placement (DPCP-p), IterativeFederated without (the SPIN-SON,
-// LPP and FED-FP baselines), and AlgorithmMixed with placement and the
-// Sec. VI light-task packing. Each round analyzes the partition and grows
+// LPP and FED-FP baselines). Each round analyzes the partition and grows
 // the cluster of the highest-priority task that misses its deadline by
-// one processor, until no task misses or the miss is terminal.
+// one processor, until no task misses or the miss is terminal. When the
+// federated clusters do not fit, Algorithm1 packs the light tasks onto the
+// processors the heavy clusters leave, to run sequentially (Sec. VI).
 //
 //schedlint:deterministic
 package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -53,33 +55,17 @@ func New(ts *model.Taskset) *Partition {
 }
 
 // Assign grants count additional processors to the task, taking the lowest
-// unassigned processor IDs. It returns false when not enough processors
-// remain.
+// unassigned processor IDs. It returns false, assigning none, when not
+// enough processors remain.
 func (p *Partition) Assign(id rt.TaskID, count int) bool {
-	if count <= 0 {
-		return true
-	}
-	n := 0
-	for k, o := range p.owner {
-		if o < 0 && len(p.shared[rt.ProcID(k)]) == 0 {
-			n++
-			if n == count {
-				break
-			}
-		}
-	}
-	if n < count {
+	if p.Unassigned() < count {
 		return false
 	}
-	n = 0
 	for k, o := range p.owner {
-		if o < 0 && len(p.shared[rt.ProcID(k)]) == 0 {
+		if count > 0 && o < 0 && len(p.shared[rt.ProcID(k)]) == 0 {
 			p.owner[k] = id
 			p.procs[id] = append(p.procs[id], rt.ProcID(k))
-			n++
-			if n == count {
-				return true
-			}
+			count--
 		}
 	}
 	return true
@@ -278,8 +264,8 @@ type Analyzer interface {
 	// full pass computes. A pass with no miss is complete either way.
 	//
 	// The partitioning loop sets untilMiss exactly when processors remain
-	// unassigned and no light task is packed. Any miss then only selects
-	// the cluster to grow, and the map is discarded.
+	// unassigned, which a partition that packs light tasks never has. Any
+	// miss then only selects the cluster to grow, and the map is discarded.
 	//
 	// The returned map may be analyzer-owned scratch, valid only until the
 	// next WCRTs call on the same analyzer. The partitioning loop respects
@@ -323,65 +309,35 @@ const (
 
 // Algorithm1 runs the paper's task-and-resource partitioning: initial
 // federated assignment, worst-fit-decreasing resource placement, and
-// schedulability-test-driven processor augmentation with rollback.
+// schedulability-test-driven processor augmentation with rollback, with
+// the Sec. VI light-task packing when the federated clusters do not fit.
 func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
-	return augment(ts, a, true, heuristic, false)
+	return augment(ts, a, true, heuristic)
 }
 
-// IterativeFederated is Algorithm1 without resource placement; it drives
-// the SPIN, LPP and FED-FP baselines, whose requests execute locally.
+// IterativeFederated is Algorithm1 without resource placement or packing;
+// it drives the SPIN, LPP and FED-FP baselines, whose requests execute
+// locally and whose analyses have no shared-task term.
 func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
-	return augment(ts, a, false, WFD, false)
+	return augment(ts, a, false, WFD)
 }
 
-// AlgorithmMixed extends Algorithm 1 to sets containing light tasks
-// (Sec. VI): heavy tasks receive federated clusters exactly as in
-// Algorithm 1, light tasks are packed worst-fit-decreasing by utilization
-// onto the remaining processors (several lights may share one processor),
-// and global resources are placed on the heavy clusters by Algorithm 2. A
-// failing light task is terminal: the paper leaves optimal light handling
-// open, and this implementation does not re-pack lights. On a set without
-// light tasks it is Algorithm1.
-func AlgorithmMixed(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
-	return augment(ts, a, true, heuristic, true)
-}
-
-// augment is the one augmentation loop behind Algorithm1,
-// IterativeFederated and AlgorithmMixed. Every task gets InitialProcs
-// processors, except that with packLights the light tasks are set aside
-// and packed onto the processors left over (Sec. VI). Each round then
-// clears and re-places the global resources when place is set (DPCP-p),
-// runs the analyzer, and scans the WCRTs in priority order for the first
-// miss. A miss is terminal when the task is shared or no processors
-// remain; otherwise that task's cluster grows by one processor and the
-// next round rolls the resources back (paper lines 13-14).
+// augment is the one augmentation loop behind Algorithm1 and
+// IterativeFederated. Every task gets InitialProcs processors (see
+// assignInitial). Each round then clears and re-places the global
+// resources when place is set (DPCP-p), runs the analyzer, and scans the
+// WCRTs in priority order for the first miss. While processors remain, a
+// miss grows that task's cluster by one processor and the next round rolls
+// the resources back (paper lines 13-14); otherwise the miss is terminal.
 //
 // A round asks the analyzer to stop at the first miss (untilMiss) exactly
-// when processors remain and no light task is packed: only then is every
-// miss an augmentation, whose map is discarded. A terminal round and a
-// round without a miss see a complete map, so every Result is the same as
-// with full passes.
-func augment(ts *model.Taskset, a Analyzer, place bool, heuristic PlacementHeuristic, packLights bool) Result {
-	p := New(ts)
-	var lights []*model.Task
-	for _, t := range ts.Tasks {
-		if packLights && !t.Heavy() {
-			lights = append(lights, t)
-			continue
-		}
-		mi, err := InitialProcs(t)
-		if err != nil {
-			return Result{Partition: p, Reason: err.Error()}
-		}
-		if !p.Assign(t.ID, mi) {
-			return Result{Partition: p, Reason: fmt.Sprintf(
-				"not enough processors for initial assignment of task %d", t.ID)}
-		}
-	}
-	if len(lights) > 0 {
-		if reason := packLightTasks(p, lights); reason != "" {
-			return Result{Partition: p, Reason: reason}
-		}
+// when processors remain: only then is every miss an augmentation, whose
+// map is discarded. A terminal round and a round without a miss see a
+// complete map, so every Result is the same as with full passes.
+func augment(ts *model.Taskset, a Analyzer, place bool, heuristic PlacementHeuristic) Result {
+	p, reason := assignInitial(ts, place, false)
+	if reason != "" {
+		return Result{Partition: p, Reason: reason}
 	}
 
 	var pl *placer
@@ -405,7 +361,7 @@ func augment(ts *model.Taskset, a Analyzer, place bool, heuristic PlacementHeuri
 			}
 		}
 		free := p.Unassigned() > 0
-		wcrts := a.WCRTs(p, free && len(lights) == 0)
+		wcrts := a.WCRTs(p, free)
 		var miss *model.Task
 		for _, t := range byPrio {
 			if wcrts[t.ID] > t.Deadline {
@@ -416,28 +372,57 @@ func augment(ts *model.Taskset, a Analyzer, place bool, heuristic PlacementHeuri
 		if miss == nil {
 			return Result{Schedulable: true, Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds}
 		}
-		if free && !p.IsShared(miss.ID) {
+		if free {
 			p.Assign(miss.ID, 1)
 			continue
 		}
 		return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
-			Reason: missReason(miss, wcrts[miss.ID], free)}
+			Reason: missReason(miss, wcrts[miss.ID])}
 	}
 }
 
+// assignInitial gives every task its InitialProcs processors and returns
+// why it could not, or "". With pack, the light tasks are set aside and
+// packLightTasks packs them onto the processors the heavy tasks leave
+// (Sec. VI). DPCP-p (place) starts over with pack when the processors run
+// out and the set has a light task. Federated, each light task needs one
+// processor, so the lights then outnumber the processors left over and
+// worst-fit puts one on each: a packed partition leaves no processor
+// unassigned, and no packed task is ever augmented.
+func assignInitial(ts *model.Taskset, place, pack bool) (*Partition, string) {
+	p := New(ts)
+	var lights []*model.Task
+	for _, t := range ts.Tasks {
+		if pack && !t.Heavy() {
+			lights = append(lights, t)
+			continue
+		}
+		mi, err := InitialProcs(t)
+		if err != nil {
+			return p, err.Error()
+		}
+		if !p.Assign(t.ID, mi) {
+			if place && !pack && slices.ContainsFunc(ts.Tasks, func(u *model.Task) bool { return !u.Heavy() }) {
+				return assignInitial(ts, place, true)
+			}
+			return p, fmt.Sprintf("not enough processors for initial assignment of task %d", t.ID)
+		}
+	}
+	if !pack {
+		return p, ""
+	}
+	return p, packLightTasks(p, lights)
+}
+
 // missReason words a terminal deadline miss, "task %d misses deadline
-// (R=%s > D=%s)" plus " and no processors remain" when none do, in one
-// allocation: unschedulable verdicts are common in a sweep.
-func missReason(t *model.Task, r rt.Time, free bool) string {
+// (R=%s > D=%s) and no processors remain", in one allocation:
+// unschedulable verdicts are common in a sweep.
+func missReason(t *model.Task, r rt.Time) string {
 	var buf [128]byte
 	b := strconv.AppendInt(append(buf[:0], "task "...), int64(t.ID), 10)
 	b = rt.AppendTime(append(b, " misses deadline (R="...), r)
 	b = rt.AppendTime(append(b, " > D="...), t.Deadline)
-	b = append(b, ')')
-	if !free {
-		b = append(b, " and no processors remain"...)
-	}
-	return string(b)
+	return string(append(b, ") and no processors remain"...))
 }
 
 // packLightTasks places light tasks worst-fit decreasing by utilization on

@@ -61,10 +61,11 @@ func partitionSet(t *testing.T, m int, extra ...*model.Task) *model.Taskset {
 	return ts
 }
 
-// lightTask is task 2 with U = 0.25, which AlgorithmMixed packs onto a
-// shared processor.
-func lightTask() *model.Task {
-	light := model.NewTask(2, 4000*rt.Microsecond, 4000*rt.Microsecond)
+// lightTask is a light task with U = 0.25. partitionSet's heavy tasks need
+// 3 + 4 processors federated, so on m = 8 two lights overflow the
+// assignment and Algorithm1 packs both onto the one processor left.
+func lightTask(id rt.TaskID) *model.Task {
+	light := model.NewTask(id, 4000*rt.Microsecond, 4000*rt.Microsecond)
 	light.AddVertex(1000 * rt.Microsecond)
 	return light
 }
@@ -245,9 +246,9 @@ func TestAlgorithm1ExhaustsProcessors(t *testing.T) {
 	}
 }
 
-// TestMissReasonWording pins the one wording every loop gives a terminal
-// deadline miss, and that a packed light task's miss is terminal while
-// processors remain, without the "no processors remain" suffix.
+// TestMissReasonWording pins the one wording both loops give a terminal
+// deadline miss, and that a packed light task's miss is terminal: packing
+// leaves no processor unassigned.
 func TestMissReasonWording(t *testing.T) {
 	exhaust := stubAnalyzer{need: map[rt.TaskID]int{0: 7}}
 	const want = "task 0 misses deadline (R=inf > D=1ms) and no processors remain"
@@ -257,20 +258,23 @@ func TestMissReasonWording(t *testing.T) {
 	}{
 		{"Algorithm1", Algorithm1(partitionSet(t, 8), exhaust, WFD)},
 		{"IterativeFederated", IterativeFederated(partitionSet(t, 8), exhaust)},
-		{"AlgorithmMixed", AlgorithmMixed(partitionSet(t, 8), exhaust, WFD)},
 	} {
 		if tc.res.Reason != want {
 			t.Errorf("%s: Reason = %q, want %q", tc.name, tc.res.Reason, want)
 		}
 	}
 
-	ts := partitionSet(t, 16, lightTask())
-	res := AlgorithmMixed(ts, stubAnalyzer{need: map[rt.TaskID]int{2: 2}}, WFD)
-	if res.Schedulable || res.Rounds != 1 || len(res.WCRT) != 3 {
+	ts := partitionSet(t, 8, lightTask(2), lightTask(3))
+	res := Algorithm1(ts, stubAnalyzer{need: map[rt.TaskID]int{2: 2}}, WFD)
+	if res.Schedulable || res.Rounds != 1 || len(res.WCRT) != 4 {
 		t.Fatalf("light miss: sched=%v rounds=%d |WCRT|=%d, want a terminal first round with a full map",
 			res.Schedulable, res.Rounds, len(res.WCRT))
 	}
-	if want := "task 2 misses deadline (R=inf > D=4ms)"; res.Reason != want {
+	if !res.Partition.IsShared(2) || res.Partition.Unassigned() != 0 {
+		t.Errorf("light miss: shared=%v with %d processors unassigned, want packed with none",
+			res.Partition.IsShared(2), res.Partition.Unassigned())
+	}
+	if want := "task 2 misses deadline (R=inf > D=4ms) and no processors remain"; res.Reason != want {
 		t.Errorf("light miss: Reason = %q, want %q", res.Reason, want)
 	}
 }
@@ -430,14 +434,13 @@ func TestCloneIsDeep(t *testing.T) {
 // counts the calls whose flag differs from what the loop should pass.
 type untilMissStub struct {
 	need  map[rt.TaskID]int
-	full  bool // the loop must always ask for complete passes
 	calls int
 	wrong int
 }
 
 func (s *untilMissStub) WCRTs(p *Partition, untilMiss bool) map[rt.TaskID]rt.Time {
 	s.calls++
-	if untilMiss != (!s.full && p.Unassigned() > 0) {
+	if untilMiss != (p.Unassigned() > 0) {
 		s.wrong++
 	}
 	out := make(map[rt.TaskID]rt.Time)
@@ -455,51 +458,59 @@ func (s *untilMissStub) WCRTs(p *Partition, untilMiss bool) map[rt.TaskID]rt.Tim
 }
 
 // TestLoopsPassUntilMiss checks that the partitioning loops let a round
-// stop at the first miss exactly while processors remain unassigned and no
-// light task is packed, and that every Result carrying a WCRT map has an
-// entry for every task: a terminal or miss-free round is complete.
+// stop at the first miss exactly while processors remain unassigned, and
+// that every Result carrying a WCRT map has an entry for every task: a
+// terminal or miss-free round is complete.
 func TestLoopsPassUntilMiss(t *testing.T) {
-	mixed := func(ts *model.Taskset, a Analyzer) Result { return AlgorithmMixed(ts, a, WFD) }
+	algorithm1 := func(ts *model.Taskset, a Analyzer) Result { return Algorithm1(ts, a, WFD) }
 	for _, tc := range []struct {
-		name  string
-		m     int
-		need  map[rt.TaskID]int
-		light bool // add a light task, which AlgorithmMixed packs
-		sched bool
-		run   func(*model.Taskset, Analyzer) Result
+		name   string
+		m      int
+		need   map[rt.TaskID]int
+		lights int // light tasks to add; two overflow m = 8
+		sched  bool
+		rounds int
+		run    func(*model.Taskset, Analyzer) Result
 	}{
 		// Task 0 has the higher priority, so its misses truncate the map.
-		{"Algorithm1/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, false, true,
-			func(ts *model.Taskset, a Analyzer) Result { return Algorithm1(ts, a, WFD) }},
-		{"Algorithm1/exhausts", 8, map[rt.TaskID]int{0: 7}, false, false,
-			func(ts *model.Taskset, a Analyzer) Result { return Algorithm1(ts, a, WFD) }},
-		{"IterativeFederated/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, false, true,
+		{"Algorithm1/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, 0, true, 5, algorithm1},
+		{"Algorithm1/exhausts", 8, map[rt.TaskID]int{0: 7}, 0, false, 2, algorithm1},
+		{"IterativeFederated/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, 0, true, 5,
 			IterativeFederated},
-		{"IterativeFederated/exhausts", 8, map[rt.TaskID]int{0: 7}, false, false,
+		{"IterativeFederated/exhausts", 8, map[rt.TaskID]int{0: 7}, 0, false, 2,
 			IterativeFederated},
-		// Without light tasks AlgorithmMixed is Algorithm1.
-		{"AlgorithmMixed/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, false, true, mixed},
-		{"AlgorithmMixed/exhausts", 8, map[rt.TaskID]int{0: 7}, false, false, mixed},
-		// A packed light task's miss is terminal and its Result carries
-		// the map, so every round is a full pass.
-		{"AlgorithmMixed/light", 16, map[rt.TaskID]int{0: 5, 1: 6}, true, true, mixed},
+		// The AlgorithmMixed rows keep the names of the light-task
+		// partitioner that Algorithm1 absorbed. One light task fits the
+		// federated assignment, so it gets a processor of its own and the
+		// loop augments as on a heavy-only set: on m = 8 none is left, and
+		// the first round is full and terminal.
+		{"AlgorithmMixed/augments", 16, map[rt.TaskID]int{0: 5, 1: 6}, 1, true, 5, algorithm1},
+		{"AlgorithmMixed/exhausts", 8, map[rt.TaskID]int{0: 7}, 1, false, 1, algorithm1},
+		// Two lights overflow m = 8 and are packed. Packing leaves no
+		// processor unassigned, so the one round is a full pass.
+		{"Algorithm1/light", 8, nil, 2, true, 1, algorithm1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var extra []*model.Task
-			if tc.light {
-				extra = append(extra, lightTask())
+			for i := 0; i < tc.lights; i++ {
+				extra = append(extra, lightTask(rt.TaskID(2+i)))
 			}
 			ts := partitionSet(t, tc.m, extra...)
-			s := &untilMissStub{need: tc.need, full: tc.light}
+			s := &untilMissStub{need: tc.need}
 			res := tc.run(ts, s)
 			if res.Schedulable != tc.sched {
 				t.Fatalf("Schedulable = %v, want %v (reason %q)", res.Schedulable, tc.sched, res.Reason)
 			}
-			if tc.light && !res.Partition.IsShared(2) {
-				t.Error("the light task was not packed")
+			for i := 0; i < tc.lights; i++ {
+				if id := rt.TaskID(2 + i); res.Partition.IsShared(id) != (tc.lights > 1) {
+					t.Errorf("light task %d: shared = %v, want %v", id, res.Partition.IsShared(id), tc.lights > 1)
+				}
 			}
-			if s.calls != res.Rounds || res.Rounds < 2 {
-				t.Errorf("%d WCRTs calls over %d rounds, want equal and >= 2", s.calls, res.Rounds)
+			if tc.lights > 1 && res.Partition.Unassigned() != 0 {
+				t.Errorf("%d processors unassigned after packing, want 0", res.Partition.Unassigned())
+			}
+			if s.calls != res.Rounds || res.Rounds != tc.rounds {
+				t.Errorf("%d WCRTs calls over %d rounds, want %d of each", s.calls, res.Rounds, tc.rounds)
 			}
 			if s.wrong != 0 {
 				t.Errorf("%d of %d rounds passed the wrong untilMiss", s.wrong, s.calls)

@@ -91,8 +91,8 @@ func TestCloneCopiesShared(t *testing.T) {
 	}
 }
 
-// mixedStub marks every task schedulable, so AlgorithmMixed exercises only
-// the packing logic.
+// mixedStub marks every task schedulable, so Algorithm1 exercises only the
+// packing logic.
 type mixedStub struct{}
 
 func (mixedStub) WCRTs(p *Partition, _ bool) map[rt.TaskID]rt.Time {
@@ -105,10 +105,10 @@ func (mixedStub) WCRTs(p *Partition, _ bool) map[rt.TaskID]rt.Time {
 
 func TestAlgorithmMixedPacksLightsWorstFit(t *testing.T) {
 	ts := model.NewTaskset(3, 0)
-	// One heavy task (one processor cluster of 2) and three lights with
-	// utilizations 0.6, 0.3, 0.2: WFD gives p_a={0.6}, p_b={0.3, 0.2}
-	// over the single remaining processor... with only one remaining
-	// processor all three must fit or fail; 0.6+0.3+0.2 > 1 -> reject.
+	// One heavy task (a federated cluster of 2) and three lights with
+	// utilizations 0.6, 0.3, 0.2 on m = 3: the federated assignment needs
+	// 5 processors, so the lights are packed onto the one left, and
+	// 0.6+0.3+0.2 > 1 -> reject.
 	h := model.NewTask(0, 100*rt.Microsecond, 100*rt.Microsecond)
 	for i := 0; i < 3; i++ {
 		h.AddVertex(50 * rt.Microsecond) // C=150, U=1.5 heavy; L*=50
@@ -123,7 +123,7 @@ func TestAlgorithmMixedPacksLightsWorstFit(t *testing.T) {
 	if err := ts.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	res := AlgorithmMixed(ts, mixedStub{}, WFD)
+	res := Algorithm1(ts, mixedStub{}, WFD)
 	if res.Schedulable {
 		t.Fatal("overfull light packing accepted")
 	}
@@ -143,11 +143,14 @@ func TestAlgorithmMixedPacksLightsWorstFit(t *testing.T) {
 	if err := ts2.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	res2 := AlgorithmMixed(ts2, mixedStub{}, WFD)
+	res2 := Algorithm1(ts2, mixedStub{}, WFD)
 	if !res2.Schedulable {
 		t.Fatalf("feasible light packing rejected: %s", res2.Reason)
 	}
 	if !res2.Partition.IsShared(1) || !res2.Partition.IsShared(2) {
 		t.Error("lights not marked shared")
+	}
+	if n := res2.Partition.Unassigned(); n != 0 {
+		t.Errorf("%d processors unassigned after packing, want 0", n)
 	}
 }

@@ -149,7 +149,7 @@ func (a *Adversarial) task(r *rand.Rand, id rt.TaskID, period rt.Time,
 	var lastErr error
 	for attempt := 0; attempt < a.Retries; attempt++ {
 		nVerts, edges := a.structure(r, shape)
-		_, capSum := vertexCaps(nVerts, edges, deadline)
+		caps, capSum := vertexCaps(nVerts, edges, deadline)
 		if capSum <= rt.Time(nVerts) {
 			lastErr = fmt.Errorf("deadline %s too short for %d vertices",
 				rt.FormatTime(deadline), nVerts)
@@ -161,7 +161,7 @@ func (a *Adversarial) task(r *rand.Rand, id rt.TaskID, period rt.Time,
 			wcet = rt.Time(nVerts)
 		}
 		draws := a.drawRequests(r, shape, nr, wcet, deadline)
-		task, err := assembleTask(r, id, period, deadline, wcet, nVerts, edges, draws, nr)
+		task, err := assembleTask(r, id, period, deadline, wcet, nVerts, edges, caps, capSum, draws, nr)
 		if err == nil {
 			return task, nil
 		}

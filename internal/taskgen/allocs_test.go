@@ -79,7 +79,7 @@ func TestAssembleTaskAllocsConstant(t *testing.T) {
 			}
 		}
 	}
-	_, capSum := vertexCaps(nVerts, edges, period)
+	caps, capSum := vertexCaps(nVerts, edges, period)
 	wcet := capSum / 2
 	allocs := func(units int64) float64 {
 		draws := make([]resourceDraw, nr)
@@ -91,7 +91,7 @@ func TestAssembleTaskAllocsConstant(t *testing.T) {
 		}
 		return testing.AllocsPerRun(50, func() {
 			// The task only reads edges, so every run can share them.
-			if _, err := assembleTask(r, 0, period, period, wcet, nVerts, edges, draws, nr); err != nil {
+			if _, err := assembleTask(r, 0, period, period, wcet, nVerts, edges, caps, capSum, draws, nr); err != nil {
 				t.Fatal(err)
 			}
 		})

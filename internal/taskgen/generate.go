@@ -211,7 +211,8 @@ func (g *Generator) buildDAG(r *rand.Rand, id rt.TaskID, period, deadline, wcet 
 			edges = append(edges, edge(i, k-rowEnd+nVerts))
 		}
 	}
-	return assembleTask(r, id, period, deadline, wcet, nVerts, edges, draws, nr)
+	caps, capSum := vertexCaps(nVerts, edges, deadline)
+	return assembleTask(r, id, period, deadline, wcet, nVerts, edges, caps, capSum, draws, nr)
 }
 
 // chainHeights returns h[x] = the maximum number of vertices on any chain
@@ -289,14 +290,16 @@ func vertexCaps(nVerts int, edges []model.Edge, deadline rt.Time) (caps []rt.Tim
 //
 // Every edge must go from a lower to a higher vertex index; the edges may
 // come in any order and may repeat (chainHeights groups them by source).
-// The draws must name distinct resources in ascending order. The task takes
-// ownership of edges.
+// caps and capSum are vertexCaps(nVerts, edges, deadline), which the
+// caller has already computed to size the WCET or the draws. The draws must
+// name distinct resources in ascending order. The task takes ownership of
+// edges.
 // Both the paper-grid Generator and the adversarial generators build on
 // this assembly.
 func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
-	nVerts int, edges []model.Edge, draws []resourceDraw, nr int) (*model.Task, error) {
+	nVerts int, edges []model.Edge, caps []rt.Time, capSum rt.Time,
+	draws []resourceDraw, nr int) (*model.Task, error) {
 
-	caps, capSum := vertexCaps(nVerts, edges, deadline)
 	if caps == nil {
 		return nil, fmt.Errorf("deadline %d too short for %d vertices", deadline, nVerts)
 	}
