@@ -127,7 +127,7 @@
 // experiments.ParallelFor stays the only scheduling primitive (batch
 // fan-out and streaming grid sweeps drain through it exactly like the CLI
 // grids and the audit); internal/server adds only service concerns on
-// top. Results are cached in a sharded LRU addressed by
+// top. Results are cached in an in-memory LRU addressed by
 // model.Taskset.Hash — a SHA-256 over a canonical serialization (tasks
 // sorted by ID, per-vertex requests sorted by resource, edges sorted and
 // de-duplicated, unused CS lengths and names dropped) — joined with every

@@ -290,7 +290,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	// nOther bounds every eta-term list: each task other than t contributes
 	// at most one term per list.
 	nOther := len(ts.Tasks)
-	ctx.srcOf = s.i64s.allocZero(nOther)
+	ctx.srcOf = s.times.allocZero(nOther)
 	ctx.srcPeriod = s.times.alloc(nOther)[:0]
 	ctx.srcResp = s.times.alloc(nOther)[:0]
 
@@ -384,7 +384,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	}
 
 	ctx.eps = &s.eps
-	ctx.etas = s.i64s.alloc(len(ctx.srcPeriod))
+	ctx.etas = s.times.alloc(len(ctx.srcPeriod))
 	return ctx
 }
 
@@ -433,8 +433,8 @@ func (a *DPCPp) viewsFor(ctx *taskCtx) []pathView {
 	}
 	s := a.sc
 	nr := a.ts.NumResources
-	on := s.i64s.alloc(nr)
-	off := s.i64s.allocZero(nr)
+	on := s.times.alloc(nr)
+	off := s.times.allocZero(nr)
 	for q := 0; q < nr; q++ {
 		on[q] = t.NumRequests(rt.ResourceID(q))
 	}

@@ -140,9 +140,8 @@ type Scratch struct {
 	// memo (see epsTable); its reset is a generation bump, not a clear.
 	ctx        taskCtx
 	terms      arena[etaTerm]
-	times      arena[rt.Time]
+	times      arena[rt.Time] // also request counts and indices (rt.Time is int64)
 	resIDs     arena[rt.ResourceID]
-	i64s       arena[int64]
 	vterms     arena[viewTerms]
 	eps        epsTable
 	sharedView [1]pathView
@@ -208,7 +207,6 @@ func (s *Scratch) taskReset() {
 	s.terms.reset()
 	s.times.reset()
 	s.resIDs.reset()
-	s.i64s.reset()
 	s.vterms.reset()
 	s.eps.reset()
 }

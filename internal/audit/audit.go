@@ -63,14 +63,6 @@ type Config struct {
 	Seed int64
 	// Methods restricts the audited analyses (default: all five).
 	Methods []analysis.Method
-	// SimRuns is the number of release-offset variations simulated per
-	// certified (taskset, method) verdict and CS placement: one synchronous
-	// release plus SimRuns-1 random offset vectors. Default 3.
-	SimRuns int
-	// HyperPeriods sets the simulation horizon as a multiple of the longest
-	// period (for the near-harmonic contention shape this is a true
-	// hyperperiod multiple). Default 3.
-	HyperPeriods int
 	// TimeBudget stops admitting new tasksets once exceeded (0 = none);
 	// tasksets already in flight complete, so reports stay consistent.
 	TimeBudget time.Duration
@@ -81,25 +73,25 @@ type Config struct {
 	FixtureDir string
 	// PathCap bounds EP path enumeration (0 = analysis default).
 	PathCap int
-	// Gen overrides the adversarial generator (nil = taskgen.NewAdversarial).
-	Gen *taskgen.Adversarial
 }
+
+const (
+	// offsetRuns is the number of release-offset variations simulated per
+	// certified (taskset, method) verdict and CS placement: one synchronous
+	// release plus offsetRuns-1 random offset vectors.
+	offsetRuns = 3
+	// hyperPeriods sets the simulation horizon as a multiple of the longest
+	// period (for the near-harmonic contention shape this is a true
+	// hyperperiod multiple).
+	hyperPeriods = 3
+)
 
 func (c Config) normalized() Config {
 	if len(c.Methods) == 0 {
 		c.Methods = analysis.Methods()
 	}
-	if c.SimRuns <= 0 {
-		c.SimRuns = 3
-	}
-	if c.HyperPeriods <= 0 {
-		c.HyperPeriods = 3
-	}
 	// Workers is passed through as-is: experiments.ParallelFor normalizes
 	// <= 0 to GOMAXPROCS.
-	if c.Gen == nil {
-		c.Gen = taskgen.NewAdversarial()
-	}
 	return c
 }
 
@@ -298,11 +290,12 @@ type genTaskset struct {
 func generate(cfg Config, i int) *genTaskset {
 	base := seedFor(cfg.Seed, i, "gen")
 	g := &genTaskset{index: i, seed: base}
+	gen := taskgen.NewAdversarial()
 	var lastErr error
 	for attempt := 0; attempt < 8; attempt++ {
 		seed := base + int64(attempt)*7919
 		r := rand.New(rand.NewSource(seed))
-		ts, shape, err := cfg.Gen.Taskset(r)
+		ts, shape, err := gen.Taskset(r)
 		if err == nil {
 			g.ts, g.label, g.seed = ts, shape.String(), seed
 			return g

@@ -79,7 +79,7 @@ func simBatch(cfg Config, g *genTaskset, m analysis.Method, proto sim.Protocol,
 			maxPeriod = t.Period
 		}
 	}
-	horizon := rt.SatMul(int64(cfg.HyperPeriods), maxPeriod)
+	horizon := rt.SatMul(hyperPeriods, maxPeriod)
 
 	var out []Violation
 	report := func(kind, detail string) {
@@ -90,7 +90,7 @@ func simBatch(cfg Config, g *genTaskset, m analysis.Method, proto sim.Protocol,
 	}
 
 	for _, placement := range []sim.CSPlacement{sim.SpreadCS, sim.FrontCS, sim.BackCS} {
-		for run := 0; run < cfg.SimRuns; run++ {
+		for run := 0; run < offsetRuns; run++ {
 			var offsets map[rt.TaskID]rt.Time
 			if run > 0 { // run 0 is the synchronous release
 				offsets = make(map[rt.TaskID]rt.Time, len(g.ts.Tasks))

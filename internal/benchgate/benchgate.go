@@ -150,11 +150,6 @@ type Thresholds struct {
 	AllocSlack int64
 }
 
-// DefaultThresholds is what CI runs with.
-func DefaultThresholds() Thresholds {
-	return Thresholds{Time: 0.50, Alloc: 0.10, AllocSlack: 2}
-}
-
 // Regression is one gate violation.
 type Regression struct {
 	Benchmark string

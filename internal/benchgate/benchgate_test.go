@@ -53,6 +53,9 @@ func TestParseRejectsEmpty(t *testing.T) {
 	}
 }
 
+// ciThresholds mirrors cmd/benchgate's flag defaults, which CI runs with.
+var ciThresholds = Thresholds{Time: 0.50, Alloc: 0.10, AllocSlack: 2}
+
 func snapWith(name string, ns float64, allocs int64) *Snapshot {
 	return &Snapshot{Benchmarks: map[string]Result{
 		name: {NsPerOp: ns, AllocsPerOp: allocs, Runs: 5},
@@ -62,7 +65,7 @@ func snapWith(name string, ns float64, allocs int64) *Snapshot {
 // TestCompareGates pins the gate semantics the CI job relies on: the
 // injected-regression cases MUST fail, the within-noise cases MUST pass.
 func TestCompareGates(t *testing.T) {
-	th := DefaultThresholds() // time +50%, alloc +10% and +2 absolute
+	th := ciThresholds // time +50%, alloc +10% and +2 absolute
 	base := snapWith("BenchmarkX", 1000, 100)
 
 	for _, tc := range []struct {
@@ -95,7 +98,7 @@ func TestCompareGates(t *testing.T) {
 // absolute slack, so 0 -> 3 fails while 0 -> 2 passes. This is the gate
 // that keeps the zero-allocation hot path at zero.
 func TestCompareSlackAtZero(t *testing.T) {
-	th := DefaultThresholds()
+	th := ciThresholds
 	base := snapWith("BenchmarkZ", 1000, 0)
 	if regs := Compare(base, snapWith("BenchmarkZ", 1000, 2), th); len(regs) != 0 {
 		t.Errorf("within slack: %v", regs)

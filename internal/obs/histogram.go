@@ -106,56 +106,6 @@ func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 // observations (alpha = 1/8), or 0 when nothing has been observed.
 func (h *Histogram) EWMA() time.Duration { return time.Duration(h.ewma.Load()) }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// within the bucket holding the target rank, the standard fixed-bucket
-// estimate. Observations in the +Inf bucket pin the estimate to the last
-// finite bound. Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Snapshot the buckets once so a concurrent Observe cannot make rank
-	// and total disagree.
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.bounds) {
-			// +Inf bucket: the last finite bound is the best bounded answer.
-			if len(h.bounds) == 0 {
-				return 0
-			}
-			return time.Duration(h.bounds[len(h.bounds)-1])
-		}
-		lo := int64(0)
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return time.Duration(hi)
-		}
-		frac := (rank - float64(cum-c)) / float64(c)
-		return time.Duration(float64(lo) + frac*float64(hi-lo))
-	}
-	return time.Duration(h.bounds[len(h.bounds)-1])
-}
-
 // HistogramSnapshot is one consistent read of a histogram for exposition:
 // cumulative bucket counts per bound plus the derived total. Count is the
 // sum of the per-bucket reads, so Buckets always sum to it exactly.

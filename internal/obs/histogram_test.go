@@ -64,31 +64,6 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-// TestQuantile checks the interpolated estimate against a uniform fill.
-func TestQuantile(t *testing.T) {
-	h := NewHistogram([]time.Duration{100, 200, 300, 400}) // ns bounds
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram must estimate 0")
-	}
-	// 100 observations spread evenly: 25 per bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(i*4 + 1))
-	}
-	if got := h.Quantile(0.5); got < 150 || got > 250 {
-		t.Fatalf("p50 = %v, want within (150, 250)", got)
-	}
-	if got := h.Quantile(1); got != 400 {
-		t.Fatalf("p100 = %v, want 400", got)
-	}
-	// Mass in +Inf pins estimates to the last finite bound.
-	for i := 0; i < 1000; i++ {
-		h.Observe(time.Hour)
-	}
-	if got := h.Quantile(0.99); got != 400 {
-		t.Fatalf("p99 with +Inf mass = %v, want 400 (last finite bound)", got)
-	}
-}
-
 // TestConcurrentObserve hammers one histogram from many goroutines; under
 // -race this doubles as the lock-freedom proof, and the exact totals prove
 // no observation is lost.

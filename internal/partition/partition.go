@@ -167,26 +167,6 @@ func (p *Partition) ResourceProc(q rt.ResourceID) rt.ProcID {
 // (the paper's Phi(p_k)).
 func (p *Partition) ResourcesOn(k rt.ProcID) []rt.ResourceID { return p.resOn[k] }
 
-// CoLocated returns the global resources on the same processor as q,
-// including q itself (the paper's Phi^p(l_q)).
-func (p *Partition) CoLocated(q rt.ResourceID) []rt.ResourceID {
-	k := p.ResourceProc(q)
-	if k == rt.NoProc {
-		return nil
-	}
-	return p.resOn[k]
-}
-
-// ClusterResources returns the global resources placed on the cluster of
-// the task (the paper's Phi^p(tau_i)).
-func (p *Partition) ClusterResources(id rt.TaskID) []rt.ResourceID {
-	var res []rt.ResourceID
-	for _, k := range p.procs[id] {
-		res = append(res, p.resOn[k]...)
-	}
-	return res
-}
-
 // CloneFor returns a deep copy of the partition bound to another taskset,
 // which must have the same processor count and contain every task ID the
 // partition mentions. The audit's WCET-scaling check uses it to evaluate an

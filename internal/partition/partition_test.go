@@ -175,26 +175,6 @@ func TestClearResourcesKeepsEarlierViews(t *testing.T) {
 	}
 }
 
-func TestCoLocatedAndClusterResources(t *testing.T) {
-	ts := partitionSet(t, 8)
-	p := New(ts)
-	p.Assign(0, 2) // procs 0,1
-	p.Assign(1, 2) // procs 2,3
-	p.PlaceResource(0, 0)
-	p.PlaceResource(1, 0)
-	co := p.CoLocated(0)
-	if len(co) != 2 {
-		t.Errorf("CoLocated(0) = %v, want two resources", co)
-	}
-	cr := p.ClusterResources(0)
-	if len(cr) != 2 {
-		t.Errorf("ClusterResources(task0) = %v, want both resources", cr)
-	}
-	if got := p.ClusterResources(1); len(got) != 0 {
-		t.Errorf("ClusterResources(task1) = %v, want empty", got)
-	}
-}
-
 func TestAlgorithm1SchedulableImmediately(t *testing.T) {
 	ts := partitionSet(t, 16)
 	res := Algorithm1(ts, stubAnalyzer{}, WFD)

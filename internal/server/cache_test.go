@@ -8,26 +8,21 @@ import (
 	"time"
 )
 
-// sameShardKeys returns n distinct keys hashing to one shard, so tests can
-// exercise recency and skew deterministically.
-func sameShardKeys(c *lru[*MethodResult], n int) []string {
-	var keys []string
-	shard := c.shard("anchor")
-	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shard(k) == shard {
-			keys = append(keys, k)
-		}
+// distinctKeys returns n distinct keys.
+func distinctKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
 	}
 	return keys
 }
 
 func TestResultCacheLRU(t *testing.T) {
-	// Capacity two, three keys in one shard: the insert that overflows the
+	// Capacity two, three keys: the insert that overflows the
 	// cache evicts the least recently used entry, a get refreshes recency,
 	// and a re-add replaces the value without growth.
 	c := newLRU[*MethodResult](2)
-	keys := sameShardKeys(c, 3)
+	keys := distinctKeys(3)
 	a, b, d := keys[0], keys[1], keys[2]
 
 	c.add(a, &MethodResult{Rounds: 1})
@@ -57,9 +52,8 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 }
 
-// TestResultCacheCapacityBound is the regression test for the per-shard
-// rounding bug: a cache configured for size entries must never hold more,
-// no matter how many keys are inserted or how they skew across shards.
+// TestResultCacheCapacityBound: a cache configured for size entries never
+// holds more, no matter how many keys are inserted.
 func TestResultCacheCapacityBound(t *testing.T) {
 	const size = 100
 	c := newLRU[*MethodResult](size)
@@ -78,54 +72,51 @@ func TestResultCacheCapacityBound(t *testing.T) {
 	}
 }
 
-// TestResultCacheCapacityBoundSkewed drives every insert into one shard:
-// the global bound must hold even when the key distribution is degenerate,
-// and the skewed shard keeps the hottest entries instead of evicting at a
-// fraction of the configured size.
-func TestResultCacheCapacityBoundSkewed(t *testing.T) {
-	const size = 24
-	c := newLRU[*MethodResult](size)
-	keys := sameShardKeys(c, 3*size)
-	for _, k := range keys {
-		c.add(k, &MethodResult{})
-		if got := c.entries(); got > size {
-			t.Fatalf("skewed inserts: entries() = %d, above configured size %d", got, size)
-		}
-	}
-	if got := c.entries(); got != size {
-		t.Fatalf("skewed shard holds %d entries, want the full capacity %d", got, size)
-	}
-	for _, k := range keys[len(keys)-size:] {
-		if _, ok := c.get(k); !ok {
-			t.Fatalf("recent key %q evicted while older ones were retained", k)
-		}
-	}
-}
-
-// TestResultCacheTinyNeverEvictsFreshInsert: with size below the shard
-// count most shards hold at most one entry, and an insert must evict a
-// stale entry from another shard — never the entry it just added.
+// TestResultCacheTinyNeverEvictsFreshInsert: a size-1 cache evicts the
+// stale entry on insert, never the entry it just added.
 func TestResultCacheTinyNeverEvictsFreshInsert(t *testing.T) {
 	c := newLRU[*MethodResult](1)
-	// Two keys in different shards.
-	a := "key-a"
-	b := ""
-	for i := 0; b == ""; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shard(k) != c.shard(a) {
-			b = k
-		}
-	}
-	c.add(a, &MethodResult{Rounds: 1})
-	c.add(b, &MethodResult{Rounds: 2})
-	if _, ok := c.get(b); !ok {
+	c.add("key-a", &MethodResult{Rounds: 1})
+	c.add("key-b", &MethodResult{Rounds: 2})
+	if v, ok := c.get("key-b"); !ok || v.Rounds != 2 {
 		t.Fatal("fresh insert evicted itself while a stale entry survived")
 	}
-	if _, ok := c.get(a); ok {
+	if _, ok := c.get("key-a"); ok {
 		t.Fatal("stale entry retained past capacity")
 	}
 	if got := c.entries(); got != 1 {
 		t.Fatalf("entries() = %d, want 1", got)
+	}
+}
+
+// TestLRUConcurrentBound: goroutines adding and reading overlapping keys on
+// a small cache never push it past its size (run under -race in CI).
+func TestLRUConcurrentBound(t *testing.T) {
+	const size, workers, ops = 8, 4, 2000
+	c := newLRU[*MethodResult](size)
+	keys := distinctKeys(3 * size)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				k := keys[(w*7+i)%len(keys)]
+				if i%3 == 0 {
+					c.get(k)
+				} else {
+					c.add(k, &MethodResult{Rounds: i})
+				}
+				if got := c.entries(); got > size {
+					t.Errorf("entries() = %d, above configured size %d", got, size)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := c.entries(); got != size {
+		t.Fatalf("after the run entries() = %d, want %d", got, size)
 	}
 }
 

@@ -19,7 +19,7 @@
 //
 // Because Test is a pure deterministic function of the canonical taskset,
 // identical requests — byte-identical or merely semantically identical —
-// are served from the sharded LRU result cache, and N concurrent identical
+// are served from the LRU result cache, and N concurrent identical
 // misses cost exactly one analysis.
 //
 // # Endpoints

@@ -94,15 +94,6 @@ func BuildSegments(t *model.Task, x rt.VertexID, placement CSPlacement) []Segmen
 	return segs
 }
 
-// TotalDuration sums the segment durations (equals the vertex WCET).
-func TotalDuration(segs []Segment) rt.Time {
-	var d rt.Time
-	for _, s := range segs {
-		d += s.Dur
-	}
-	return d
-}
-
 func (s Segment) String() string {
 	if s.IsCS() {
 		return fmt.Sprintf("CS(l%d,%s)", s.Res, rt.FormatTime(s.Dur))

@@ -386,7 +386,11 @@ func TestBuildSegments(t *testing.T) {
 
 	for _, pl := range []CSPlacement{SpreadCS, FrontCS, BackCS} {
 		segs := BuildSegments(task, v, pl)
-		if got := TotalDuration(segs); got != 10*us {
+		var got rt.Time
+		for _, sg := range segs {
+			got += sg.Dur
+		}
+		if got != 10*us {
 			t.Errorf("placement %d: total %s, want 10us", pl, rt.FormatTime(got))
 		}
 		cs := 0

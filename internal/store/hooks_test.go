@@ -166,11 +166,11 @@ func TestWriteFileSyncRoundTrips(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteFileAtomic quantifies the fsync tradeoff documented on
+// BenchmarkWriteFile quantifies the fsync tradeoff documented on
 // Store.WriteFile: sync mode pays two fsyncs (file + parent directory) per
 // write, which is why it is reserved for sweep checkpoints and off for
 // recomputable cache entries.
-func BenchmarkWriteFileAtomic(b *testing.B) {
+func BenchmarkWriteFile(b *testing.B) {
 	for _, sync := range []bool{false, true} {
 		b.Run(fmt.Sprintf("sync=%v", sync), func(b *testing.B) {
 			dir := b.TempDir()

@@ -147,13 +147,13 @@ func (s *Store) Put(key string, val []byte) error {
 	return s.WriteFile(path, val, false)
 }
 
-// WriteFile writes data to path through the same temp-file + rename
-// protocol as WriteFileAtomic, under the store's fault-injection hooks.
+// WriteFile writes data to path through a same-directory temp file and
+// rename (see writeFileAtomic), under the store's fault-injection hooks.
 // With sync set, the temp file is fsynced before the rename and the parent
 // directory after it, so the rename itself survives power loss — without
 // it, an "atomic" write can be acknowledged and then vanish entirely when
 // the directory entry never reaches the platter. Sync costs two fsyncs per
-// write (see BenchmarkWriteFileAtomic); it is on for sweep-job checkpoints,
+// write (see BenchmarkWriteFile); it is on for sweep-job checkpoints,
 // whose loss discards progress, and off for cache entries, which are
 // recomputable.
 func (s *Store) WriteFile(path string, data []byte, sync bool) error {
@@ -203,15 +203,9 @@ func isHexShard(name string) bool {
 	return true
 }
 
-// WriteFileAtomic writes data to path through a same-directory temp file
+// writeFileAtomic writes data to path through a same-directory temp file
 // and rename, so concurrent readers never observe a partial file and a
-// crash leaves either the old content or the new, never a torn write. It
-// does not fsync (see Store.WriteFile for the durable variant and the
-// tradeoff).
-func WriteFileAtomic(path string, data []byte) error {
-	return writeFileAtomic(path, data, false, nil)
-}
-
+// crash leaves either the old content or the new, never a torn write.
 func writeFileAtomic(path string, data []byte, sync bool, h *Hooks) error {
 	dir, base := filepath.Split(path)
 	if h != nil && h.BeforeWrite != nil {

@@ -134,7 +134,7 @@ func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.json")
 	for i := 0; i < 3; i++ {
-		if err := WriteFileAtomic(path, []byte(fmt.Sprintf("state-%d", i))); err != nil {
+		if err := writeFileAtomic(path, []byte(fmt.Sprintf("state-%d", i)), false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -72,17 +72,17 @@ func (s Shape) String() string {
 // (near-)hyperperiods per certified verdict, so period magnitudes stay in
 // the hundreds-of-microseconds range and processor counts stay single-digit
 // to keep a 2000-taskset audit within seconds of CPU time.
-type Adversarial struct {
-	MaxProcs int // processors drawn in [2, MaxProcs]; default 8
-	MaxTasks int // tasks drawn in [1, MaxTasks]; default 5
-	MaxRes   int // resources drawn in [1, MaxRes]; default 4
-	Retries  int // attempts per task before giving up; default 16
-}
+type Adversarial struct{}
 
-// NewAdversarial returns an Adversarial generator with defaults.
-func NewAdversarial() *Adversarial {
-	return &Adversarial{MaxProcs: 8, MaxTasks: 5, MaxRes: 4, Retries: 16}
-}
+const (
+	advMaxProcs = 8  // processors drawn in [2, advMaxProcs]
+	advMaxTasks = 5  // tasks drawn in [1, advMaxTasks]
+	advMaxRes   = 4  // resources drawn in [1, advMaxRes]
+	advRetries  = 16 // attempts per task before giving up
+)
+
+// NewAdversarial returns an Adversarial generator.
+func NewAdversarial() *Adversarial { return &Adversarial{} }
 
 // Taskset draws one adversarial taskset of a random shape.
 func (a *Adversarial) Taskset(r *rand.Rand) (*model.Taskset, Shape, error) {
@@ -93,9 +93,9 @@ func (a *Adversarial) Taskset(r *rand.Rand) (*model.Taskset, Shape, error) {
 
 // TasksetWithShape draws one adversarial taskset of the given shape.
 func (a *Adversarial) TasksetWithShape(r *rand.Rand, shape Shape) (*model.Taskset, error) {
-	m := 2 + r.Intn(a.MaxProcs-1)
-	nr := 1 + r.Intn(a.MaxRes)
-	n := 1 + r.Intn(a.MaxTasks)
+	m := 2 + r.Intn(advMaxProcs-1)
+	nr := 1 + r.Intn(advMaxRes)
+	n := 1 + r.Intn(advMaxTasks)
 
 	periods := a.periods(r, n, shape)
 	ts := model.NewTaskset(m, nr)
@@ -147,7 +147,7 @@ func (a *Adversarial) task(r *rand.Rand, id rt.TaskID, period rt.Time,
 	}
 
 	var lastErr error
-	for attempt := 0; attempt < a.Retries; attempt++ {
+	for attempt := 0; attempt < advRetries; attempt++ {
 		nVerts, edges := a.structure(r, shape)
 		caps, capSum := vertexCaps(nVerts, edges, deadline)
 		if capSum <= rt.Time(nVerts) {

@@ -16,22 +16,24 @@ import (
 // *rand.Rand.
 type Generator struct {
 	Scenario Scenario
+}
 
-	// MaxCSFraction caps the total critical-section workload of a task at
+const (
+	// maxCSFraction caps the total critical-section workload of a task at
 	// this fraction of its WCET; request counts are reduced when the drawn
 	// parameters would exceed it (the paper enforces the same through its
-	// "C_{i,x} >= sum N_{i,x,q} L_{i,q}" plausibility rule). Default 0.5.
-	MaxCSFraction float64
+	// "C_{i,x} >= sum N_{i,x,q} L_{i,q}" plausibility rule).
+	maxCSFraction = 0.5
 
-	// StructRetries bounds how many DAG structures are attempted per task
+	// structRetries bounds how many DAG structures are attempted per task
 	// before giving up (the edge probability decays on every retry, which
-	// widens the DAG and always converges). Default 64.
-	StructRetries int
-}
+	// widens the DAG and always converges).
+	structRetries = 64
+)
 
 // NewGenerator returns a Generator with the paper's defaults.
 func NewGenerator(s Scenario) *Generator {
-	return &Generator{Scenario: s.DefaultStructure(), MaxCSFraction: 0.5, StructRetries: 64}
+	return &Generator{Scenario: s.DefaultStructure()}
 }
 
 // Taskset generates one taskset with the given total utilization.
@@ -112,7 +114,7 @@ func (g *Generator) task(r *rand.Rand, id rt.TaskID, u float64, nr int) (*model.
 
 	p := s.EdgeProb
 	var lastErr error
-	for attempt := 0; attempt < g.StructRetries; attempt++ {
+	for attempt := 0; attempt < structRetries; attempt++ {
 		task, err := g.buildDAG(r, id, period, deadline, wcet, nVerts, p, draws, nr)
 		if err == nil {
 			return task, nil
@@ -121,12 +123,12 @@ func (g *Generator) task(r *rand.Rand, id rt.TaskID, u float64, nr int) (*model.
 		p *= 0.7 // widen the DAG; h[x] -> 1 as p -> 0, which is always feasible
 	}
 	return nil, fmt.Errorf("no feasible DAG structure after %d attempts: %w",
-		g.StructRetries, lastErr)
+		structRetries, lastErr)
 }
 
 // drawResources draws which resources the task uses and with what
 // parameters, then scales the request counts down so the total
-// critical-section workload fits within MaxCSFraction of the WCET and
+// critical-section workload fits within maxCSFraction of the WCET and
 // within a quarter of the deadline (so that the longest path can always
 // stay below D/2 even when requests concentrate).
 func (g *Generator) drawResources(r *rand.Rand, nr int, wcet, deadline rt.Time, nVerts int) []resourceDraw {
@@ -141,7 +143,7 @@ func (g *Generator) drawResources(r *rand.Rand, nr int, wcet, deadline rt.Time, 
 		draws = append(draws, resourceDraw{q: rt.ResourceID(q), n: n, cs: cs})
 	}
 
-	budget := rt.Time(g.MaxCSFraction * float64(wcet))
+	budget := rt.Time(maxCSFraction * float64(wcet))
 	if q := deadline / 4; q < budget {
 		budget = q
 	}

@@ -111,9 +111,9 @@ func TestGeneratedCSWorkloadBudget(t *testing.T) {
 			for q := 0; q < ts.NumResources; q++ {
 				cs += task.CSWork(rt.ResourceID(q))
 			}
-			if float64(cs) > g.MaxCSFraction*float64(task.WCET())+1 {
+			if float64(cs) > maxCSFraction*float64(task.WCET())+1 {
 				t.Errorf("seed %d task %d: CS workload %v exceeds %g of WCET %v",
-					seed, task.ID, cs, g.MaxCSFraction, task.WCET())
+					seed, task.ID, cs, maxCSFraction, task.WCET())
 			}
 			if cs > task.Deadline/4 {
 				t.Errorf("seed %d task %d: CS workload %v exceeds D/4=%v",

@@ -83,7 +83,7 @@ func TestDrawResourcesBudget(t *testing.T) {
 			}
 			total += rt.Time(d.n) * d.cs
 		}
-		budget := rt.Time(g.MaxCSFraction * float64(wcet))
+		budget := rt.Time(maxCSFraction * float64(wcet))
 		if q := deadline / 4; q < budget {
 			budget = q
 		}
