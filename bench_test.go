@@ -205,8 +205,9 @@ func BenchmarkAnalysisMethods(b *testing.B) {
 // BenchmarkAnalysisFig2b is BenchmarkAnalysisMethods for the two DPCP-p
 // methods on a Fig. 2(b) taskset (m=32, 8-16 resources, pr=1): most
 // processors host resources, so the Theorem 1 kernel's per-processor zeta
-// sums and (proc, base) epsilon rows dominate, as they do in the Fig. 2
-// sweep. Gated by cmd/benchgate.
+// sums and the Lemma 2 epsilons of the views it evaluates dominate, as
+// they do in the Fig. 2 sweep; the views of a round that stops at a
+// diverged view are never filled. Gated by cmd/benchgate.
 func BenchmarkAnalysisFig2b(b *testing.B) {
 	scen, _ := taskgen.Fig2Scenario("2b")
 	g := taskgen.NewGenerator(scen)

@@ -145,7 +145,8 @@ func runAudit(cfg audit.Config, reportPath string, stdout, stderr io.Writer) int
 	fmt.Fprintf(stdout, "audit: %d tasksets (%d generation failures, %d skipped) in %.1fs\n",
 		rep.Generated, rep.GenFailures, rep.Skipped, time.Since(start).Seconds())
 	fmt.Fprintf(stdout, "shapes: %v\n", rep.ByShape)
-	fmt.Fprintf(stdout, "certified verdicts: %d (%v)\n", certs, rep.Schedulable)
+	fmt.Fprintf(stdout, "certified verdicts: %d (%v), DPCP-p WCRTs certificate-checked: %d\n",
+		certs, rep.Schedulable, rep.Certified)
 	fmt.Fprintf(stdout, "simulator runs: %d, cross-checked tasksets: %d, delta patch chains: %d\n",
 		rep.SimRuns, rep.CrossChecks, rep.DeltaChecks)
 	if rep.TimedOut {

@@ -109,8 +109,9 @@
 // critical sections. For every certified (taskset, method) verdict it
 // replays the taskset in the simulator under the method's runtime protocol
 // across CS placements and release offsets, and additionally checks that
-// EP never exceeds EN on one identical partition and that every bound is
-// monotone under WCET inflation. A violating taskset is shrunk (drop tasks
+// every DPCP-p bound passes the Theorem 1 certificate on every path view,
+// that EP never exceeds EN on one identical partition and that every bound
+// is monotone under WCET inflation. A violating taskset is shrunk (drop tasks
 // → drop vertices → halve WCETs → halve request counts) to a minimal JSON
 // reproduction and kept as a permanent regression fixture. The audit
 // already earned its keep: it caught two LPP runtime-protocol bugs

@@ -242,12 +242,25 @@ type taskCtx struct {
 	srcOf     []int64
 	etas      []int64
 
+	// The task's candidate path views and their per-view state, set by
+	// prepareViews. terms[vi] and xs[vi] are view vi's r-independent
+	// Theorem 1 terms and fixed-point start value. viewEps(vi) are its
+	// Lemma 3 epsilons, one per procs entry, once filled[vi] != 0; until
+	// fillEps fills them they hold the off-path CS sums the W bases read,
+	// or -1 on a processor the view does not request from.
+	views   []pathView
+	terms   []viewTerms
+	xs      []rt.Time
+	epsSlot []rt.Time
+	filled  []int64
+
 	// eps memoizes the Lemma 2 per-request blocking bound across the
-	// per-view loop: the W fixed point depends on the view only through
-	// base = L_{i,q} + off-path co-located CS work + beta, so views
-	// sharing a base (the common case after signature collapse) reuse it.
-	// rt.Infinity marks a diverged recurrence. The table is the Scratch's
-	// flat (proc, base) table, emptied in O(1) per task.
+	// task's filled views: the W fixed point depends on the view only
+	// through base = L_{i,q} + off-path co-located CS work + beta, so
+	// views sharing a base (the common case after signature collapse)
+	// reuse it, whichever view is filled first. rt.Infinity marks a
+	// diverged recurrence. The table is the Scratch's flat (proc, base)
+	// table, emptied in O(1) per task.
 	eps *epsTable
 }
 
@@ -393,26 +406,29 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 // r-independent terms, then rta.MaxFixPoint admits the views over
 // theorem1: it iterates the view with the largest start value to its
 // least fixed point R, and a view whose right-hand side at R is at most R
-// (the verdict certificate, TestWCRTsAreCertified) is admitted with that
-// one evaluation, since it can neither raise the maximum nor diverge. Only
+// (the verdict certificate, Certify) is admitted with that one
+// evaluation, since it can neither raise the maximum nor diverge. Only
 // the remaining views iterate, each from its own start value. One
-// diverged view makes the bound rt.Infinity. The epequiv suite pins the
-// result against the per-path reference and the memo-free directRef.
+// diverged view makes the bound rt.Infinity. A view's Lemma 3 epsilons
+// are filled on its first evaluation: MaxFixPoint evaluates no view when
+// the largest start value exceeds D and stops at the first view that
+// diverges, so the Lemma 2 W fixed points of the views it never reaches
+// are never computed. The epequiv suite pins the result against the
+// per-path reference and the memo-free directRef.
 //
 //schedlint:hotpath
 func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	wcrts map[rt.TaskID]rt.Time) rt.Time {
 
 	ctx := a.buildCtx(p, t, wcrts)
-	views := a.viewsFor(ctx)
-	terms, eps, xs := a.prepareViews(ctx, views)
-	np := len(ctx.procs)
+	a.prepareViews(ctx, a.viewsFor(ctx))
 	s := a.sc
 
 	fixStart := s.stageStart()
 	//schedlint:ignore hotpath closure captures only locals that never escape MaxFixPoint; the alloc-gate benchmarks hold it to 0 allocs/op
-	worst, ok := rta.MaxFixPoint(xs, t.Deadline, func(vi int, r rt.Time) rt.Time {
-		return ctx.theorem1(&views[vi], &terms[vi], eps[vi*np:(vi+1)*np], r).total
+	worst, ok := rta.MaxFixPoint(ctx.xs, t.Deadline, func(vi int, r rt.Time) rt.Time {
+		a.fillEps(ctx, vi)
+		return ctx.theorem1(vi, r).total
 	})
 	s.stageEnd(StageFixPoint, fixStart)
 	if !ok {
@@ -450,25 +466,26 @@ type viewTerms struct {
 	iaStatic rt.Time // off-path agent work on the own cluster (Lemma 6, Eq. 9)
 }
 
-// prepareViews computes the r-independent Theorem 1 terms of every view
-// into per-task arena slices: terms[vi]; the Lemma 3 epsilons (computed
-// via Lemma 2's W), with eps[vi*len(ctx.procs)+k] the value of view vi on
-// ctx.procs[k]; and each fixed point's start value
-// xs[vi] = L + b_i + ceil(I^intra_i / m_i).
+// prepareViews sets the context's views and computes their r-independent
+// Theorem 1 terms into per-task arena slices: ctx.terms, and each fixed
+// point's start value xs[vi] = L + b_i + ceil(I^intra_i / m_i). It leaves
+// the Lemma 3 epsilons to fillEps, which runs on a view's first
+// evaluation, and stores in their slots what fillEps reads: the view's
+// off-path CS sum on each processor it requests from, -1 on the others.
 //
 // Each off-path CS sum is formed once. A local resource's product goes to
 // I^intra (Lemma 5) and, if the path requests it, to b_i (Eq. 6). Each
-// (processor, view) off-path sum goes to b_i and the Lemma 2 W bases when
-// the path requests from the processor (Eq. 7, Eq. 3), and to the static
-// agent term on the own cluster (Lemma 6). That pass is processor-major,
-// so one processor's beta/gamma tables and its (proc, base) rows in the
-// epsilon table stay hot across the whole view batch.
-func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) (terms []viewTerms, eps, xs []rt.Time) {
+// (processor, view) off-path sum goes to b_i when the path requests from
+// the processor (Eq. 7), to the view's epsilon slot for the Lemma 2 W
+// bases (Eq. 3), and to the static agent term on the own cluster
+// (Lemma 6). That pass is processor-major, so one processor's resource
+// tables stay hot across the whole view batch.
+func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) {
 	s := a.sc
 	np := len(ctx.procs)
-	terms = s.vterms.alloc(len(views))
-	eps = s.times.alloc(len(views) * np)
-	xs = s.times.alloc(len(views))
+	terms := s.vterms.alloc(len(views))
+	slots := s.times.alloc(len(views) * np)
+	xs := s.times.alloc(len(views))
 	for vi := range views {
 		v := &views[vi]
 		vt := viewTerms{iIntra: v.offNonCrit}
@@ -495,18 +512,47 @@ func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) (terms []viewTerms,
 				vt.iaStatic = rt.SatAdd(vt.iaStatic, off)
 			}
 			if !requested {
-				eps[vi*np+pi] = 0
+				slots[vi*np+pi] = -1
 				continue
 			}
 			vt.b = rt.SatAdd(vt.b, off)
-			eps[vi*np+pi] = a.epsilon(ctx, pc, v, off)
+			slots[vi*np+pi] = off
 		}
 	}
 	for vi := range views {
 		vt := &terms[vi]
 		xs[vi] = rt.SatAdd(views[vi].length, rt.SatAdd(vt.b, rt.CeilDiv(vt.iIntra, ctx.mi)))
 	}
-	return terms, eps, xs
+	ctx.views, ctx.terms, ctx.xs, ctx.epsSlot = views, terms, xs, slots
+	ctx.filled = s.times.allocZero(len(views))
+}
+
+// viewEps returns view vi's epsilon slots, one per ctx.procs entry.
+func (ctx *taskCtx) viewEps(vi int) []rt.Time {
+	np := len(ctx.procs)
+	return ctx.epsSlot[vi*np : (vi+1)*np]
+}
+
+// fillEps turns view vi's epsilon slots from prepareViews' off-path sums
+// into its Lemma 3 epsilons, once per view and task: 0 on a processor the
+// path does not request from, epsilon's Eq. (4) bound on the others. It is
+// the only place epsilons are computed; taskWCRT calls it on a view's
+// first evaluation, Explain and Certify on every view before evaluating
+// it. The (proc, base) memo is keyed by value, so the order in which views
+// are filled never changes a result.
+func (a *DPCPp) fillEps(ctx *taskCtx, vi int) {
+	if ctx.filled[vi] != 0 {
+		return
+	}
+	ctx.filled[vi] = 1
+	e := ctx.viewEps(vi)
+	for k, off := range e {
+		if off < 0 {
+			e[k] = 0
+			continue
+		}
+		e[k] = a.epsilon(ctx, &ctx.procs[k], &ctx.views[vi], off)
+	}
 }
 
 // rhs is Theorem 1's right-hand side at one r, with the r-dependent
@@ -518,17 +564,18 @@ type rhs struct {
 	total    rt.Time
 }
 
-// theorem1 evaluates the right-hand side of Theorem 1 for one view:
+// theorem1 evaluates the right-hand side of Theorem 1 for view vi:
 //
 //	L(lambda) + B_i + b_i + (I^intra_i + I^A_i) / m_i  (+ the Sec. VI term)
 //
-// where terms and eps are the view's entries from prepareViews. It is the
-// only evaluation of the bound: taskWCRT and Explain iterate it to its
-// least fixed point. eta_j(r) is computed once per contributing task
-// (ctx.etas), and every processor's zeta_k(r), the Lemma 6 cluster sum and
-// the shared-processor term are formed as sum_j eta_j * work_j from those
-// counts.
-func (ctx *taskCtx) theorem1(v *pathView, terms *viewTerms, eps []rt.Time, r rt.Time) rhs {
+// The view's epsilons must be filled (fillEps). It is the only evaluation
+// of the bound: taskWCRT and Explain iterate it to its least fixed point,
+// and Certify evaluates it once per view. eta_j(r) is computed once per
+// contributing task (ctx.etas), and every processor's zeta_k(r), the
+// Lemma 6 cluster sum and the shared-processor term are formed as
+// sum_j eta_j * work_j from those counts.
+func (ctx *taskCtx) theorem1(vi int, r rt.Time) rhs {
+	v, terms, eps := &ctx.views[vi], &ctx.terms[vi], ctx.viewEps(vi)
 	etas := ctx.etas
 	for j, resp := range ctx.srcResp {
 		etas[j] = rta.Eta(r, resp, ctx.srcPeriod[j])
@@ -554,13 +601,13 @@ func (ctx *taskCtx) theorem1(v *pathView, terms *viewTerms, eps []rt.Time, r rt.
 // requests the path issues to each resource on the processor. W is the
 // Lemma 2 request response time; offWork, the middle term of its base
 // (Eq. 3), is the processor's off-path sum that prepareViews shares with
-// Lemmas 4 and 6. When a W recurrence diverges beyond the deadline,
-// epsilon becomes Infinity and Lemma 3's min() falls back to the zeta
-// bound, which remains sound.
+// Lemmas 4 and 6 and stores in the view's epsilon slot. When a W
+// recurrence diverges beyond the deadline, epsilon becomes Infinity and
+// Lemma 3's min() falls back to the zeta bound, which remains sound.
 //
 // The W fixed point depends on the view only through its base value, so
 // results are memoized in ctx.eps keyed by (processor, base) and shared
-// across the per-view loop; rt.Infinity records divergence.
+// across the task's filled views; rt.Infinity records divergence.
 func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView, offWork rt.Time) rt.Time {
 	t := ctx.task
 	var eps rt.Time

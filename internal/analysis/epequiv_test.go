@@ -163,8 +163,8 @@ func TestCollapsedEPMatchesNaiveReference(t *testing.T) {
 // Production shares only the views and buildCtx's Lemma 2 and 3 terms
 // (beta, gamma, zeta) and Sec. VI shared term with it, so agreement pins
 // prepareViews' shared off-path sums, the Lemma 6 cluster terms, the
-// epsilon table, the eta-count hoisting and the view admission of
-// rta.MaxFixPoint.
+// epsilon table and its lazy filling, the eta-count hoisting and the view
+// admission of rta.MaxFixPoint.
 type directRef struct {
 	a *DPCPp
 }

@@ -62,24 +62,22 @@ func (b Breakdown) String() string {
 }
 
 // Explain analyzes every task under the partition and returns per-task
-// breakdowns of the worst path, in descending priority order. Each view's
-// fixed point iterates theorem1, the function taskWCRT iterates, and the
-// breakdown is theorem1's at that point, or at the deadline for a view
-// that diverges.
+// breakdowns of the worst path, in descending priority order. It fills
+// every view's epsilons, then iterates each view's fixed point over
+// theorem1, the function taskWCRT iterates; the breakdown is theorem1's
+// at that point, or at the deadline for a view that diverges.
 func (a *DPCPp) Explain(p *partition.Partition) []Breakdown {
 	wcrts := make(map[rt.TaskID]rt.Time, len(a.ts.Tasks))
 	out := make([]Breakdown, 0, len(a.ts.Tasks))
 	for _, t := range a.byPrio {
 		ctx := a.buildCtx(p, t, wcrts)
-		views := a.viewsFor(ctx)
-		terms, eps, xs := a.prepareViews(ctx, views)
-		np := len(ctx.procs)
-		worst := Breakdown{TaskID: t.ID, Procs: ctx.mi, PathsConsidered: len(views),
+		a.prepareViews(ctx, a.viewsFor(ctx))
+		worst := Breakdown{TaskID: t.ID, Procs: ctx.mi, PathsConsidered: len(ctx.views),
 			ENFallback: !ctx.shared && a.sc.viewCache[t.ID].fallback}
-		for vi := range views {
-			v, vt, ve := &views[vi], &terms[vi], eps[vi*np:(vi+1)*np]
-			r, ok := rta.FixPoint(xs[vi], t.Deadline, func(r rt.Time) rt.Time {
-				return ctx.theorem1(v, vt, ve, r).total
+		for vi := range ctx.views {
+			a.fillEps(ctx, vi)
+			r, ok := rta.FixPoint(ctx.xs[vi], t.Deadline, func(r rt.Time) rt.Time {
+				return ctx.theorem1(vi, r).total
 			})
 			at := r
 			if !ok {
@@ -88,7 +86,8 @@ func (a *DPCPp) Explain(p *partition.Partition) []Breakdown {
 			if vi > 0 && r <= worst.Total {
 				continue
 			}
-			f := ctx.theorem1(v, vt, ve, at)
+			f := ctx.theorem1(vi, at)
+			v, vt := &ctx.views[vi], &ctx.terms[vi]
 			worst.PathLength = v.length
 			worst.InterTaskBlocking = f.blocking
 			worst.IntraTaskBlocking = vt.b

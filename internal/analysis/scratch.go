@@ -100,10 +100,14 @@ func (a *arena[T]) allocZero(n int) []T {
 // Scratch, recycled across TestWith calls, drives the steady-state
 // allocations of an EN or EP analysis round to zero: path views, their
 // request vectors, per-task interference tables (eta terms, the per-task
-// eta source lists and counts), each view's r-independent Theorem 1 terms
-// and fixed-point start value, the Lemma 2 epsilon table and the
-// response-time map all live in scratch-owned arenas, tables and maps that
-// are reset — never reallocated — between uses.
+// eta source lists and counts), each view's r-independent Theorem 1 terms,
+// fixed-point start value and epsilon slots with their filled marks, the
+// Lemma 2 epsilon table and the response-time map all live in
+// scratch-owned arenas, tables and maps that are reset — never
+// reallocated — between uses. A view's epsilons are computed into its
+// slots only when Theorem 1 first evaluates it (see fillEps), so the
+// epsilon table holds only the (proc, base) rows of the views a task's
+// fixed point reached.
 //
 // Ownership rules:
 //
@@ -137,7 +141,8 @@ type Scratch struct {
 	wcrts map[rt.TaskID]rt.Time
 
 	// Per-task state, reset by buildCtx. eps is the (proc, base) epsilon
-	// memo (see epsTable); its reset is a generation bump, not a clear.
+	// memo (see epsTable), filled as views are first evaluated; its reset
+	// is a generation bump, not a clear.
 	ctx        taskCtx
 	terms      arena[etaTerm]
 	times      arena[rt.Time] // also request counts and indices (rt.Time is int64)

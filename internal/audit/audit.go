@@ -15,6 +15,9 @@
 //   - Protocol invariants: every simulation run must finish with an empty
 //     sim.Violations() list, and DPCP-p runs must respect Lemma 1 (at most
 //     one lower-priority blocker per request).
+//   - Certificate: every DPCP-p verdict's WCRTs pass the Theorem 1
+//     certificate (analysis.DPCPp.Certify): at each claimed bound R, every
+//     path view's right-hand side is at most R, and R is at most D.
 //   - EP vs EN: on one identical partition, the per-task DPCP-p-EP bound
 //     never exceeds the DPCP-p-EN bound (the EP view collapse is a
 //     refinement, never a relaxation).
@@ -108,8 +111,8 @@ type Violation struct {
 	// Method is the analysis involved ("" for cross-method checks).
 	Method string `json:"method,omitempty"`
 	// Kind classifies the breach: deadline-miss, bound-exceeded,
-	// sim-invariant, sim-error, lemma1, ep-exceeds-en, non-monotone,
-	// patch-mismatch.
+	// sim-invariant, sim-error, lemma1, certificate, ep-exceeds-en,
+	// non-monotone, patch-mismatch.
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 	// Fixture is the path of the shrunken reproduction, when written.
@@ -130,6 +133,7 @@ type Report struct {
 	ByShape     map[string]int `json:"by_shape"`
 	Schedulable map[string]int `json:"schedulable"` // certified verdicts per method
 	Packed      map[string]int `json:"packed"`      // certified verdicts whose partition packs light tasks (Sec. VI)
+	Certified   int            `json:"certified"`   // DPCP-p WCRTs that passed the Theorem 1 certificate
 	SimRuns     int64          `json:"sim_runs"`
 	CrossChecks int            `json:"cross_checks"` // tasksets with EP/EN + monotonicity checks
 	DeltaChecks int            `json:"delta_checks"` // patch chains driven through the patch leg
@@ -232,6 +236,7 @@ func Run(cfg Config) (*Report, error) {
 			rep.ByShape[c.set.label]++
 			for mi2, r := range c.results {
 				if c.ran[mi2] && r.res.Schedulable {
+					rep.Certified += r.certified
 					rep.Schedulable[string(cfg.Methods[mi2])]++
 					if packs(r.res.Partition) {
 						rep.Packed[string(cfg.Methods[mi2])]++

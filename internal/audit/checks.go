@@ -15,8 +15,11 @@ import (
 )
 
 // methodVerdict is the outcome of one (taskset, method) audit job.
+// certified counts the WCRTs of a DPCP-p verdict that passed the
+// certificate.
 type methodVerdict struct {
 	res        partition.Result
+	certified  int
 	violations []Violation
 }
 
@@ -47,12 +50,28 @@ func protocolFor(m analysis.Method, ts *model.Taskset) (sim.Protocol, bool) {
 }
 
 // checkMethod runs one analysis and, when it certifies the taskset, a batch
-// of differential simulator runs against its partition and WCRT bounds.
+// of differential simulator runs against its partition and WCRT bounds. A
+// DPCP-p verdict must also pass the Theorem 1 certificate
+// (analysis.DPCPp.Certify) on a fresh analyzer, which evaluates every path
+// view at the claimed bounds, including the views the analysis admitted
+// without iterating.
 func checkMethod(cfg Config, g *genTaskset, mi int, simRuns *atomic.Int64) methodVerdict {
 	m := cfg.Methods[mi]
-	v := methodVerdict{res: analysis.Test(m, g.ts, analysis.Options{PathCap: cfg.PathCap})}
+	opts := analysis.Options{PathCap: cfg.PathCap}
+	v := methodVerdict{res: analysis.Test(m, g.ts, opts)}
 	if !v.res.Schedulable {
 		return v
+	}
+	if m == analysis.DPCPpEP || m == analysis.DPCPpEN {
+		a := analysis.NewDPCPp(g.ts, opts.EffectivePathCap(), m == analysis.DPCPpEN)
+		n, err := a.Certify(v.res.Partition, v.res.WCRT)
+		v.certified = n
+		if err != nil {
+			v.violations = append(v.violations, Violation{
+				Index: g.index, Seed: g.seed, Shape: g.label,
+				Method: string(m), Kind: "certificate", Detail: err.Error(),
+			})
+		}
 	}
 	proto, ok := protocolFor(m, g.ts)
 	if !ok {
@@ -62,7 +81,7 @@ func checkMethod(cfg Config, g *genTaskset, mi int, simRuns *atomic.Int64) metho
 	// fixture filename preserves — so ReplayFixture reruns the exact
 	// offset vectors that produced a violation, not fresh ones.
 	rng := rand.New(rand.NewSource(seedFor(g.seed, 0, "sim|"+string(m))))
-	v.violations = simBatch(cfg, g, m, proto, v.res, rng, simRuns)
+	v.violations = append(v.violations, simBatch(cfg, g, m, proto, v.res, rng, simRuns)...)
 	return v
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
-	"dpcpp/internal/stats"
 	"dpcpp/internal/taskgen"
 )
 
@@ -50,7 +49,15 @@ type Curve struct {
 
 // Ratio returns the acceptance ratio of the method at point i.
 func (c *Curve) Ratio(m analysis.Method, i int) float64 {
-	return stats.Ratio(c.Points[i].Accepted[m], c.Points[i].Total)
+	return ratio(c.Points[i].Accepted[m], c.Points[i].Total)
+}
+
+// ratio returns num/den, or 0 when den is 0.
+func ratio(num, den int) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // TotalAccepted returns how many tasksets the method scheduled across the

@@ -202,6 +202,15 @@ func TestFormatCurveAndTables(t *testing.T) {
 	}
 }
 
+func TestRatio(t *testing.T) {
+	if got := ratio(1, 4); got != 0.25 {
+		t.Errorf("ratio = %g", got)
+	}
+	if got := ratio(1, 0); got != 0 {
+		t.Errorf("ratio(1,0) = %g", got)
+	}
+}
+
 func TestSeedForIsStable(t *testing.T) {
 	a := SampleSeed(1, "scen", 2, 3)
 	b := SampleSeed(1, "scen", 2, 3)
