@@ -105,7 +105,8 @@ func Schedulable(m Method, ts *Taskset, opts Options) bool {
 	return analysis.Schedulable(m, ts, opts)
 }
 
-// What-if analysis: patches and the bases they apply to.
+// What-if analysis: ApplyPatch edits a taskset, and Test or TestWith
+// analyzes the edited one in full.
 type (
 	// Patch is a canonical edit script against a finalized taskset.
 	Patch = model.Patch
@@ -113,28 +114,13 @@ type (
 	PatchOp = model.PatchOp
 	// PatchError reports the first structurally invalid op in a patch.
 	PatchError = model.PatchError
-	// PatchDelta is the empty second result of ApplyPatch.
-	PatchDelta = model.PatchDelta
-	// Delta is the base of a what-if chain: a taskset an EP/EN analysis
-	// found schedulable, with its method and options. Apply patches it and
-	// analyzes the patched taskset in full.
-	Delta = analysis.Delta
-	// DeltaStats is the empty second result of Delta.ApplyTo.
-	DeltaStats = analysis.DeltaStats
 )
 
 // ApplyPatch applies p to a finalized taskset, returning the patched
-// finalized taskset (the receiver is never mutated). The returned
-// PatchDelta is always empty.
-func ApplyPatch(ts *Taskset, p Patch) (*Taskset, *PatchDelta, error) {
-	return model.ApplyPatch(ts, p)
-}
-
-// NewDelta runs a full analysis and returns the taskset as a what-if base
-// for later Apply calls. The state is nil (with a valid Result) for
-// methods other than DPCP-p-EP/EN and for unschedulable results.
-func NewDelta(sc *Scratch, m Method, ts *Taskset, opts Options) (Result, *Delta) {
-	return analysis.NewDelta(sc, m, ts, opts)
+// finalized taskset (the receiver is never mutated).
+func ApplyPatch(ts *Taskset, p Patch) (*Taskset, error) {
+	patched, _, err := model.ApplyPatch(ts, p)
+	return patched, err
 }
 
 // Taskset synthesis (Sec. VII-A).

@@ -1,6 +1,7 @@
 package dpcpp
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -55,9 +56,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeDelta exercises the what-if API through the facade: retain a
-// base, patch one WCET, and check the Delta verdict against a direct
-// analysis of the patched set.
+// TestFacadeDelta exercises the what-if API through the facade: ApplyPatch
+// followed by TestWith must answer exactly what Test answers for the same
+// edit made by hand.
 func TestFacadeDelta(t *testing.T) {
 	scen, err := Fig2Scenario("2a")
 	if err != nil {
@@ -67,34 +68,41 @@ func TestFacadeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScratch()
-	res, d := NewDelta(sc, DPCPpEP, ts, Options{})
-	if !res.Schedulable || d == nil {
-		t.Fatalf("base must be schedulable with retained state (schedulable=%v, state=%v)",
-			res.Schedulable, d != nil)
-	}
-	p := Patch{Ops: []PatchOp{{
-		Op:     "set_wcet",
-		Task:   ts.Tasks[0].ID,
-		Vertex: 0,
-		Value:  ts.Tasks[0].Vertices[0].WCET + Microsecond,
-	}}}
-	patched, _, err := ApplyPatch(ts, p)
+	id, wcet := ts.Tasks[0].ID, ts.Tasks[0].Vertices[0].WCET+Microsecond
+	patched, err := ApplyPatch(ts, Patch{Ops: []PatchOp{{Op: "set_wcet", Task: id, Vertex: 0, Value: wcet}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, _, err := d.Apply(sc, p)
+	got := TestWith(NewScratch(), DPCPpEP, patched, Options{})
+
+	// The same edit by hand, on a JSON copy so the base stays untouched.
+	data, err := json.Marshal(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := TestWith(NewScratch(), DPCPpEP, patched, Options{})
-	if got.Schedulable != want.Schedulable {
-		t.Fatalf("delta verdict %v != full %v", got.Schedulable, want.Schedulable)
+	edited := new(Taskset)
+	if err := json.Unmarshal(data, edited); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range edited.Tasks {
+		if task.ID == id {
+			task.Vertices[0].WCET = wcet
+		}
+	}
+	if err := edited.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	want := Test(DPCPpEP, edited, Options{})
+	if got.Schedulable != want.Schedulable || got.Reason != want.Reason || len(got.WCRT) != len(want.WCRT) {
+		t.Fatalf("patched %+v, hand-edited %+v", got, want)
 	}
 	for id, w := range want.WCRT {
 		if got.WCRT[id] != w {
-			t.Errorf("task %d: delta bound %d != full %d", id, got.WCRT[id], w)
+			t.Errorf("task %d: patched bound %d != hand-edited %d", id, got.WCRT[id], w)
 		}
+	}
+	if patched.Hash() != edited.Hash() {
+		t.Error("patched and hand-edited tasksets hash differently")
 	}
 }
 

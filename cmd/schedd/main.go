@@ -14,11 +14,11 @@
 //
 // With -store-dir set, analysis results persist in an on-disk
 // content-addressed store (restarts keep the cache warm) and sweep jobs
-// checkpoint per-point progress there; a restarted daemon resumes
-// unfinished sweeps unless -resume=false. A failing store trips a circuit
-// breaker (-store-breaker-threshold consecutive errors) and the daemon
-// keeps serving from memory — degraded, not down; /healthz reports the
-// state and -store-breaker-probe paces recovery probes.
+// checkpoint per-point progress there (fsynced); a restarted daemon
+// resumes unfinished sweeps. A failing store trips a circuit breaker
+// (-store-breaker-threshold consecutive errors) and the daemon keeps
+// serving from memory — degraded, not down; /healthz reports the state and
+// -store-breaker-probe paces recovery probes.
 //
 // Time bounds: -read-timeout and -idle-timeout harden the listener against
 // slow-loris clients, -write-deadline bounds each response write (streams
@@ -75,7 +75,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		maxBody     = fs.Int64("max-body", server.DefaultMaxBody, "request body limit (bytes)")
 		maxQueue    = fs.Int("max-queue", 0, "admission queue bound in jobs (0 = max(1024*workers, 65536))")
 		storeDir    = fs.String("store-dir", "", "persistent result store + sweep-job checkpoints (empty = in-memory only)")
-		resume      = fs.Bool("resume", true, "resume unfinished checkpointed sweep jobs from -store-dir at startup")
 		shutTimeout = fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget")
 
 		reqTimeout    = fs.Duration("request-timeout", 0, "per-request analysis deadline; past it the request gets a structured 503 timeout (0 = unbounded)")
@@ -85,13 +84,11 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 
 		brThreshold = fs.Int("store-breaker-threshold", server.DefaultBreakerThreshold, "consecutive store failures that open the circuit breaker (degraded mode)")
 		brProbe     = fs.Duration("store-breaker-probe", server.DefaultBreakerProbe, "recovery-probe interval while the store breaker is open")
-		ckSync      = fs.Bool("checkpoint-sync", true, "fsync sweep-job checkpoint writes (cache entries never sync)")
 		faultWrites = fs.Int("fault-writes", 0, "TESTING ONLY: fail the first N store writes with an injected I/O error")
 
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat   = fs.String("log-format", "text", "log format: text or json")
 		accessEvery = fs.Int("access-log-sample", 0, "log every Nth request (0 = no access log)")
-		traceBuffer = fs.Int("trace-buffer", server.DefaultTraceBuffer, "request-trace ring capacity behind GET /v1/debug/traces")
 		pprofAddr   = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		version     = fs.Bool("version", false, "print build info and exit")
 	)
@@ -116,14 +113,11 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		RequestTimeout:        *reqTimeout,
 		WriteDeadline:         *writeDeadline,
 		StoreDir:              *storeDir,
-		DisableResume:         !*resume,
 		StoreBreakerThreshold: *brThreshold,
 		StoreBreakerProbe:     *brProbe,
-		DisableCheckpointSync: !*ckSync,
 		FaultWrites:           *faultWrites,
 		Logger:                logger,
 		AccessLogEvery:        *accessEvery,
-		TraceBuffer:           *traceBuffer,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -245,7 +245,7 @@
 // byte lands, or the process may die after data is written but before
 // the rename commits it (a torn write) — never silent corruption of
 // committed bytes. Store writes are atomic (temp file + rename, with
-// opt-in fsync of file and parent directory for checkpoints), so a torn
+// fsync of file and parent directory for checkpoints), so a torn
 // write leaves the previous committed state intact and resumed sweeps
 // stay byte-identical. All store I/O sits behind a circuit breaker:
 // consecutive errors open it and the daemon degrades to compute-only

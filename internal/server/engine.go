@@ -286,11 +286,20 @@ func cacheKey(h model.Hash, m analysis.Method, opts analysis.Options, explain bo
 	return key
 }
 
-// analyze returns the method's result for the hashed taskset, from cache
-// when possible. On a miss, concurrent identical requests coalesce onto
-// one analysis (singleflight) which runs on a bounded worker slot; the
-// result is cached before any waiter wakes. The cache-hit path performs no
-// analysis work and acquires no slot.
+// probe builds the cache key of one (taskset, method) result and looks the
+// result up in the in-memory cache. On a miss the caller passes the key to
+// analyze; counting a hit is the caller's.
+func (e *engine) probe(h model.Hash, m analysis.Method, opts analysis.Options, explain bool) (string, *MethodResult, bool) {
+	key := cacheKey(h, m, opts, explain)
+	mr, ok := e.cache.get(key)
+	return key, mr, ok
+}
+
+// analyze returns the method's result for a taskset whose probe missed
+// under key; explain (DPCP-p-EP only) adds the Theorem 1 breakdown.
+// Concurrent identical misses coalesce onto one analysis (singleflight)
+// which runs on a bounded worker slot; the result is cached before any
+// waiter wakes.
 //
 // ctx bounds this caller's wait, not the shared computation: when ctx ends
 // while the caller is queued for a worker slot or coalesced onto another
@@ -302,23 +311,13 @@ func cacheKey(h model.Hash, m analysis.Method, opts analysis.Options, explain bo
 // The bool result reports whether this call's own flight ran the analysis
 // (not a cache, store or coalesced answer); the delta endpoint reports it
 // as DeltaInfo.Incremental.
-func (e *engine) analyze(ctx context.Context, h model.Hash, ts *model.Taskset,
+func (e *engine) analyze(ctx context.Context, key string, ts *model.Taskset,
 	m analysis.Method, opts analysis.Options, explain bool) (*MethodResult, bool, error) {
 
-	// Only DPCP-p-EP ever carries a breakdown, so the explain flag must
-	// not fork the cache key (or re-run the analysis) of any other method.
-	explain = explain && m == analysis.DPCPpEP
 	// The flight function runs under a Background-derived context (the
 	// computation outlives any one caller), so the caller's trace must be
 	// captured here and closed over — it cannot be recovered from fctx.
 	tr := obs.TraceFromContext(ctx)
-	key := cacheKey(h, m, opts, explain)
-	cacheStart := time.Now()
-	if v, ok := e.cache.get(key); ok {
-		e.cacheHits.Add(1)
-		tr.AddSpan("cache", cacheStart)
-		return v, false, nil
-	}
 	e.cacheMisses.Add(1)
 	// Written only by this call's own flight body, and read only after
 	// that flight has finished.
@@ -326,7 +325,7 @@ func (e *engine) analyze(ctx context.Context, h model.Hash, ts *model.Taskset,
 	flightStart := time.Now()
 	v, err, shared := e.flight.do(ctx, key, func(fctx context.Context) (*MethodResult, error) {
 		// A racing flight may have completed — and cached — between this
-		// caller's cache miss and registering the flight; re-check before
+		// caller's probe and registering the flight; re-check before
 		// paying for a worker slot, so duplicate analyses are impossible,
 		// not merely unlikely.
 		if v, ok := e.cache.get(key); ok {

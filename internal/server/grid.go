@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
 	"dpcpp/internal/model"
+	"dpcpp/internal/obs"
 	"dpcpp/internal/taskgen"
 )
 
@@ -28,7 +30,9 @@ const maxGridSamples = 10000
 // streamed curve matches `schedtest -fig` bit-for-bit for the same seed
 // and sample count.
 //
-// Query parameters:
+// Query parameters, resolved as a one-scenario sweep campaign
+// (sweepSpec.resolve), so they default and are checked exactly like the
+// fields of POST /v1/sweeps:
 //
 //	scenario  required: a Fig. 2 subplot ("2a".."2d") or "g<i>" for
 //	          index i of the 216-scenario grid
@@ -43,43 +47,48 @@ const maxGridSamples = 10000
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
 	q := r.URL.Query()
-	scen, err := parseScenario(q.Get("scenario"))
+	var req SweepRequest
+	var timeoutMS int64
+	var err error
+	if v := q.Get("scenario"); v != "" {
+		req.Scenarios = []string{v}
+	}
+	if v := q.Get("n"); v != "" {
+		req.N = new(int)
+		if *req.N, err = strconv.Atoi(v); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid n %q (1..%d)", v, maxGridSamples)
+			return
+		}
+	}
+	if v := q.Get("seed"); v != "" {
+		req.Seed = new(int64)
+		if *req.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid seed %q", v)
+			return
+		}
+	}
+	if v := q.Get("pathcap"); v != "" {
+		if req.PathCap, err = strconv.Atoi(v); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid pathcap %q", v)
+			return
+		}
+	}
+	if v := q.Get("timeout_ms"); v != "" {
+		if timeoutMS, err = strconv.ParseInt(v, 10, 64); err != nil || timeoutMS < 0 {
+			writeError(w, http.StatusBadRequest, "invalid timeout_ms %q", v)
+			return
+		}
+	}
+	if v := q.Get("methods"); v != "" {
+		req.Methods = strings.Split(v, ",")
+	}
+	spec := newSweepSpec(req)
+	c, err := spec.resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	n, err := intParam(q.Get("n"), 25)
-	if err != nil || n < 1 || n > maxGridSamples {
-		writeError(w, http.StatusBadRequest, "invalid n %q (1..%d)", q.Get("n"), maxGridSamples)
-		return
-	}
-	seed, err := int64Param(q.Get("seed"), 2020)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid seed %q", q.Get("seed"))
-		return
-	}
-	pathCap, err := intParam(q.Get("pathcap"), 0)
-	if err != nil || pathCap < 0 {
-		writeError(w, http.StatusBadRequest, "invalid pathcap %q", q.Get("pathcap"))
-		return
-	}
-	timeoutMS, err := int64Param(q.Get("timeout_ms"), 0)
-	if err != nil || timeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "invalid timeout_ms %q", q.Get("timeout_ms"))
-		return
-	}
-	var methodNames []string
-	if mq := q.Get("methods"); mq != "" {
-		methodNames = strings.Split(mq, ",")
-	}
-	ms, opts, ok := s.validateOptions(w, methodNames, pathCap, "")
-	if !ok {
-		return
-	}
-
-	scen = scen.DefaultStructure()
-	points := taskgen.UtilizationPoints(scen.M)
-	jobs := len(points) * n
+	jobs := c.points * spec.N
 	if !s.admit(w, jobs) {
 		return
 	}
@@ -89,7 +98,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	// that did not run every sample (cancel/timeout) is never streamed. A
 	// canceled stream stops paying for analyses (Sweep skips the work) but
 	// still drains every job so admission accounting stays exact.
-	done := make(chan *GridPoint, len(points))
+	done := make(chan *GridPoint, c.points)
 	ctx, cancel := s.requestCtx(r, timeoutMS)
 	defer cancel()
 
@@ -99,21 +108,21 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		// gen_failures, and a test error means ctx ended, which the
 		// missing done line reports.
 		_ = experiments.Sweep{
-			Scenarios: []taskgen.Scenario{scen},
-			Methods:   ms,
-			Seed:      seed,
-			Samples:   n,
+			Scenarios: c.scens,
+			Methods:   c.ms,
+			Seed:      spec.Seed,
+			Samples:   spec.N,
 			Workers:   s.cfg.Workers,
-		}.Run(ctx, s.engine.sweepTest(ctx, ms, opts),
+		}.Run(ctx, s.engine.sweepTest(ctx, c.ms, c.opts),
 			func(_, pi int, p experiments.Point, complete bool) {
 				if complete {
-					done <- newGridPoint(pi, p, ms)
+					done <- newGridPoint(pi, p, c.ms)
 				}
 			})
 	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Scenario", scen.Name())
+	w.Header().Set("X-Scenario", c.scens[0].Name())
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	streamed := 0
@@ -145,17 +154,23 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 
 // sweepTest is the experiments.Sweep test of the grid stream and the
 // sweep-job runner: it hashes each sample once and answers every method
-// through analyze (cache, flight, store, worker slot). An error means ctx
-// ended while an analysis was queued, which leaves the sample's point
-// incomplete.
+// from the result cache (one hit per cached method) or through analyze
+// (flight, store, worker slot). An error means ctx ended while an analysis
+// was queued, which leaves the sample's point incomplete.
 func (e *engine) sweepTest(ctx context.Context, ms []analysis.Method,
 	opts analysis.Options) func(int, *model.Taskset, []bool) error {
 
+	tr := obs.TraceFromContext(ctx)
 	return func(_ int, ts *model.Taskset, verdicts []bool) error {
 		h := ts.Hash()
 		for mi, m := range ms {
-			mr, _, err := e.analyze(ctx, h, ts, m, opts, false)
-			if err != nil {
+			start := time.Now()
+			key, mr, ok := e.probe(h, m, opts, false)
+			var err error
+			if ok {
+				e.cacheHits.Add(1)
+				tr.AddSpan("cache", start)
+			} else if mr, _, err = e.analyze(ctx, key, ts, m, opts, false); err != nil {
 				return err
 			}
 			verdicts[mi] = mr.Schedulable
@@ -182,34 +197,16 @@ func newGridPoint(pi int, p experiments.Point, ms []analysis.Method) *GridPoint 
 	return gp
 }
 
-// parseScenario resolves the scenario query parameter: a Fig. 2 subplot
-// name or g<i> for the full grid.
+// parseScenario resolves a scenario name: a Fig. 2 subplot name or g<i>
+// for the full grid.
 func parseScenario(name string) (taskgen.Scenario, error) {
-	switch {
-	case name == "":
-		return taskgen.Scenario{}, fmt.Errorf("missing scenario parameter")
-	case strings.HasPrefix(name, "g"):
-		i, err := strconv.Atoi(name[1:])
-		grid := taskgen.Grid()
-		if err != nil || i < 0 || i >= len(grid) {
-			return taskgen.Scenario{}, fmt.Errorf("invalid grid scenario %q (g0..g%d)", name, len(grid)-1)
-		}
-		return grid[i], nil
-	default:
+	if !strings.HasPrefix(name, "g") {
 		return taskgen.Fig2Scenario(name)
 	}
-}
-
-func intParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
+	i, err := strconv.Atoi(name[1:])
+	grid := taskgen.Grid()
+	if err != nil || i < 0 || i >= len(grid) {
+		return taskgen.Scenario{}, fmt.Errorf("invalid grid scenario %q (g0..g%d)", name, len(grid)-1)
 	}
-	return strconv.Atoi(s)
-}
-
-func int64Param(s string, def int64) (int64, error) {
-	if s == "" {
-		return def, nil
-	}
-	return strconv.ParseInt(s, 10, 64)
+	return grid[i], nil
 }

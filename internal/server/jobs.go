@@ -75,19 +75,24 @@ const (
 	// mistaken submission cannot park the FIFO runner for weeks (a job at
 	// this bound is days of work; cancel it with DELETE /v1/sweeps/{id}).
 	maxSweepSamplesPerJob = 10_000_000
+	// defaultSamples and defaultSeed stand in for an absent n and seed, on
+	// GET /v1/grid and POST /v1/sweeps alike.
+	defaultSamples = 25
+	defaultSeed    = 2020
 )
 
 // Sweep-job lifecycle states.
 const (
 	sweepQueued   = "queued"   // submitted or reloaded, waiting for the runner
 	sweepRunning  = "running"  // the runner is draining its points
-	sweepPaused   = "paused"   // reloaded with resume disabled; a future resume-enabled daemon will pick it up
+	sweepPaused   = "paused"   // reloaded while the runner queue was full; a later restart re-queues it
 	sweepDone     = "done"     // every point of every scenario completed
 	sweepFailed   = "failed"   // checkpoint could not be resolved against this binary
 	sweepCanceled = "canceled" // deleted by the client; in memory only, never checkpointed
 )
 
-// sweepSpec is the normalized, serialized definition of one sweep job.
+// sweepSpec is the normalized, serialized definition of one campaign: a
+// sweep job's, or a grid stream's single scenario.
 type sweepSpec struct {
 	Scenarios []string `json:"scenarios"`
 	N         int      `json:"n"`
@@ -95,6 +100,67 @@ type sweepSpec struct {
 	Methods   []string `json:"methods"`
 	PathCap   int      `json:"path_cap"`
 	Placement string   `json:"placement"`
+}
+
+// newSweepSpec builds the spec of a campaign request. Absent n and seed
+// default; explicit values, including an explicit 0, are taken literally
+// (an n of 0 fails resolve's 1..maxGridSamples check).
+func newSweepSpec(req SweepRequest) sweepSpec {
+	spec := sweepSpec{Scenarios: req.Scenarios, N: defaultSamples, Seed: defaultSeed,
+		Methods: req.Methods, PathCap: req.PathCap, Placement: req.Placement}
+	if req.N != nil {
+		spec.N = *req.N
+	}
+	if req.Seed != nil {
+		spec.Seed = *req.Seed
+	}
+	return spec
+}
+
+// campaign is a sweepSpec resolved against this binary.
+type campaign struct {
+	scens  []taskgen.Scenario // with their default DAG structure
+	ms     []analysis.Method
+	opts   analysis.Options
+	points int // utilization points over every scenario
+}
+
+// resolve validates the spec against this binary, the one check of a
+// campaign on both curve endpoints. It canonicalizes the method names (an
+// empty list becomes all five) so checkpoints are self-contained and
+// insensitive to client whitespace and repeats.
+func (spec *sweepSpec) resolve() (campaign, error) {
+	if len(spec.Scenarios) == 0 {
+		return campaign{}, fmt.Errorf("missing scenario")
+	}
+	if len(spec.Scenarios) > maxSweepScenarios {
+		return campaign{}, fmt.Errorf("%d scenarios, above the per-sweep bound %d", len(spec.Scenarios), maxSweepScenarios)
+	}
+	if spec.N < 1 || spec.N > maxGridSamples {
+		return campaign{}, fmt.Errorf("invalid n %d (1..%d)", spec.N, maxGridSamples)
+	}
+	ms, opts, err := parseOptions(spec.Methods, spec.PathCap, spec.Placement)
+	if err != nil {
+		return campaign{}, err
+	}
+	spec.Methods = spec.Methods[:0]
+	for _, m := range ms {
+		spec.Methods = append(spec.Methods, string(m))
+	}
+	c := campaign{scens: make([]taskgen.Scenario, len(spec.Scenarios)), ms: ms, opts: opts}
+	for i, name := range spec.Scenarios {
+		scen, err := parseScenario(name)
+		if err != nil {
+			return campaign{}, err
+		}
+		c.scens[i] = scen.DefaultStructure()
+		c.points += len(taskgen.UtilizationPoints(c.scens[i].M))
+	}
+	if samples := c.points * spec.N; samples > maxSweepSamplesPerJob {
+		return campaign{}, fmt.Errorf("sweep draws %d samples, above the per-job bound %d; lower n or split the campaign",
+			samples, maxSweepSamplesPerJob)
+	}
+	return c, nil
 }
 
 // sweepCheckpoint is the on-disk (and in-memory) job state: the spec plus
@@ -125,69 +191,32 @@ type sweepJob struct {
 	// the runner while the job runs, invoked by DELETE /v1/sweeps/{id}.
 	cancel context.CancelFunc
 
-	scens []taskgen.Scenario
-	ms    []analysis.Method
-	opts  analysis.Options
+	campaign
 }
 
-// resolve validates the spec against this binary and fills the derived
-// fields, including the per-scenario point slices for any scenario that
-// does not have them yet.
+// resolve resolves the job's spec and sizes the per-scenario point slices
+// of any scenario that does not have them yet.
 func (j *sweepJob) resolve() error {
-	spec := &j.cp.Spec
-	if len(spec.Scenarios) == 0 {
-		return fmt.Errorf("empty scenarios")
-	}
-	if len(spec.Scenarios) > maxSweepScenarios {
-		return fmt.Errorf("%d scenarios, above the per-sweep bound %d", len(spec.Scenarios), maxSweepScenarios)
-	}
-	if spec.N < 1 || spec.N > maxGridSamples {
-		return fmt.Errorf("invalid n %d (1..%d)", spec.N, maxGridSamples)
-	}
-	if spec.PathCap < 0 {
-		return fmt.Errorf("negative path_cap %d", spec.PathCap)
-	}
-	ms, err := analysis.ParseMethods(spec.Methods)
+	c, err := j.cp.Spec.resolve()
 	if err != nil {
 		return err
 	}
-	// Canonicalize the method names so checkpoints are self-contained and
-	// insensitive to client whitespace and repeats.
-	spec.Methods = spec.Methods[:0]
-	for _, m := range ms {
-		spec.Methods = append(spec.Methods, string(m))
-	}
-	pl, err := parsePlacement(spec.Placement)
-	if err != nil {
-		return err
-	}
-	j.ms, j.opts = ms, analysis.Options{PathCap: spec.PathCap, Placement: pl}
-	j.scens = make([]taskgen.Scenario, len(spec.Scenarios))
+	j.campaign = c
+	names := j.cp.Spec.Scenarios
 	if j.cp.Points == nil {
-		j.cp.Points = make([][]*GridPoint, len(spec.Scenarios))
+		j.cp.Points = make([][]*GridPoint, len(names))
 	}
-	if len(j.cp.Points) != len(spec.Scenarios) {
-		return fmt.Errorf("checkpoint has %d point lists for %d scenarios", len(j.cp.Points), len(spec.Scenarios))
+	if len(j.cp.Points) != len(names) {
+		return fmt.Errorf("checkpoint has %d point lists for %d scenarios", len(j.cp.Points), len(names))
 	}
-	totalSamples := 0
-	for i, name := range spec.Scenarios {
-		scen, err := parseScenario(name)
-		if err != nil {
-			return err
-		}
-		j.scens[i] = scen.DefaultStructure()
-		npoints := len(taskgen.UtilizationPoints(j.scens[i].M))
+	for i, scen := range j.scens {
+		npoints := len(taskgen.UtilizationPoints(scen.M))
 		if j.cp.Points[i] == nil {
 			j.cp.Points[i] = make([]*GridPoint, npoints)
 		}
 		if len(j.cp.Points[i]) != npoints {
-			return fmt.Errorf("scenario %s: checkpoint has %d points, this binary sweeps %d", name, len(j.cp.Points[i]), npoints)
+			return fmt.Errorf("scenario %s: checkpoint has %d points, this binary sweeps %d", names[i], len(j.cp.Points[i]), npoints)
 		}
-		totalSamples += npoints * spec.N
-	}
-	if totalSamples > maxSweepSamplesPerJob {
-		return fmt.Errorf("sweep draws %d samples, above the per-job bound %d; lower n or split the campaign",
-			totalSamples, maxSweepSamplesPerJob)
 	}
 	return nil
 }
@@ -242,10 +271,6 @@ type jobRegistry struct {
 	srv     *Server
 	st      *store.Store // nil = in-memory only
 	jobsDir string
-	// sync selects durable (fsynced) checkpoint writes; on unless the
-	// operator opted out (Config.DisableCheckpointSync). Cache entries
-	// never sync — only checkpoints hold unrecoverable progress.
-	sync bool
 
 	mu    sync.Mutex
 	jobs  map[string]*sweepJob
@@ -266,7 +291,6 @@ func newJobRegistry(srv *Server, st *store.Store) (*jobRegistry, error) {
 	r := &jobRegistry{
 		srv:  srv,
 		st:   st,
-		sync: !srv.cfg.DisableCheckpointSync,
 		jobs: make(map[string]*sweepJob),
 		// A little headroom above the submission bound, so reloading a
 		// full queue plus the job that was running at crash time never
@@ -297,11 +321,11 @@ func newJobRegistry(srv *Server, st *store.Store) (*jobRegistry, error) {
 }
 
 // load reloads checkpointed jobs after a restart. Finished jobs are listed
-// as-is; unfinished ones are re-queued (or paused when resume is
-// disabled). A checkpoint this binary cannot resolve — or one whose file
-// is corrupted or unreadable — is kept as a failed job rather than
-// silently dropped, and never poisons the rest of startup: every other
-// checkpoint still loads and resumes.
+// as-is; unfinished ones are re-queued, or paused when more are unfinished
+// than the runner queue holds. A checkpoint this binary cannot resolve —
+// or one whose file is corrupted or unreadable — is kept as a failed job
+// rather than silently dropped, and never poisons the rest of startup:
+// every other checkpoint still loads and resumes.
 func (r *jobRegistry) load() error {
 	ents, err := os.ReadDir(r.jobsDir)
 	if err != nil {
@@ -358,15 +382,11 @@ func (r *jobRegistry) load() error {
 					slog.String("sweep_id", j.cp.ID), slog.String("error", j.cp.Error))
 			}
 		default:
-			if r.srv.cfg.DisableResume {
+			select {
+			case r.queue <- j:
+				j.cp.State = sweepQueued
+			default: // more unfinished checkpoints than the queue holds
 				j.cp.State = sweepPaused
-			} else {
-				select {
-				case r.queue <- j:
-					j.cp.State = sweepQueued
-				default: // more unfinished checkpoints than the queue holds
-					j.cp.State = sweepPaused
-				}
 			}
 			r.log().LogAttrs(context.Background(), slog.LevelInfo, "sweep checkpoint loaded",
 				slog.String("sweep_id", j.cp.ID), slog.String("state", j.cp.State),
@@ -461,9 +481,8 @@ func (r *jobRegistry) run() {
 // runSweep drains one job: every incomplete point of every scenario,
 // checkpointing completed points as they land. On daemon shutdown
 // (Server.Close) the job keeps state "running" in its checkpoint and is
-// re-queued by the next resume-enabled daemon; on client cancellation
-// (DELETE) it stops at the next sample boundary and is never checkpointed
-// again.
+// re-queued by the next daemon; on client cancellation (DELETE) it stops
+// at the next sample boundary and is never checkpointed again.
 func (r *jobRegistry) runSweep(j *sweepJob) {
 	ctx, cancel := context.WithCancel(r.ctx)
 	defer cancel()
@@ -637,7 +656,9 @@ func (r *jobRegistry) checkpointLocked(j *sweepJob) {
 // error); callers hold j.ckmu.
 func (r *jobRegistry) writeCheckpoint(j *sweepJob, id string, data []byte, err error) {
 	if err == nil {
-		err = r.st.WriteFile(filepath.Join(r.jobsDir, id+".json"), data, r.sync)
+		// Checkpoints are fsynced, unlike cache entries (which are
+		// recomputable): losing one discards the job's progress.
+		err = r.st.WriteFile(filepath.Join(r.jobsDir, id+".json"), data, true)
 		r.srv.engine.br.Record(err)
 	}
 	if err != nil {
@@ -729,26 +750,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.decodeBody(w, r, &req) != nil {
 		return
 	}
-	spec := sweepSpec{
-		Scenarios: req.Scenarios,
-		N:         25,
-		Seed:      2020,
-		Methods:   req.Methods,
-		PathCap:   req.PathCap,
-		Placement: req.Placement,
-	}
-	// Absent fields default; explicit values — including an explicit 0 —
-	// are taken literally, exactly like the grid endpoint's parameters
-	// (an explicit n of 0 fails the same 1..maxGridSamples validation).
-	if req.N != nil {
-		spec.N = *req.N
-	}
-	if req.Seed != nil {
-		spec.Seed = *req.Seed
-	}
-	// resolve (via submit) expands an empty method list to all five and
-	// canonicalizes the names into the checkpointed spec.
-	j, err := s.jobs.submit(spec)
+	j, err := s.jobs.submit(newSweepSpec(req))
 	if err == errSweepQueueFull {
 		w.Header().Set("Retry-After", "10")
 		writeError(w, http.StatusTooManyRequests, "%v", err)
@@ -758,12 +760,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	st := j.status()
-	points := 0
-	for _, ss := range st.Scenarios {
-		points += ss.Points
-	}
-	writeJSON(w, http.StatusAccepted, SweepAccepted{ID: st.ID, Points: points})
+	writeJSON(w, http.StatusAccepted, SweepAccepted{ID: j.cp.ID, Points: j.points})
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {

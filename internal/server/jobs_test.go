@@ -232,46 +232,76 @@ func TestSweepRestartResumesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepResumeDisabled: with resume off, reloaded unfinished jobs are
-// listed as paused and never run.
-func TestSweepResumeDisabled(t *testing.T) {
+// TestSweepLoadPausesQueueOverflow: a daemon that finds more unfinished
+// checkpoints than its runner queue holds re-queues them in creation order
+// and lists the overflow as paused. A paused job's partial results stay
+// servable, with the state telling the client nothing more is coming on
+// this daemon.
+func TestSweepLoadPausesQueueOverflow(t *testing.T) {
 	dir := t.TempDir()
-	a, err := New(Config{Workers: 1, StoreDir: dir})
-	if err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// Block the first analysis so the job cannot finish before the close.
-	release := make(chan struct{})
-	innerA := a.engine.testFn
-	a.engine.testFn = func(m analysis.Method, ts *model.Taskset, opts analysis.Options) partition.Result {
-		<-release
-		return innerA(m, ts, opts)
+	const jobs = maxSweepJobs + 9 // the queue holds maxSweepJobs+8
+	for i := 1; i <= jobs; i++ {
+		id := fmt.Sprintf("%016x", i)
+		cp := fmt.Sprintf(`{"id":%q,"created_unix_nano":%d,"state":"queued","spec":`+
+			`{"scenarios":["2a"],"n":1,"seed":2020,"methods":["DPCP-p-EN"]}}`, id, i)
+		if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), []byte(cp), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	id := submitSweep(t, a, `{"scenarios":["2a"],"n":1,"methods":["DPCP-p-EN"]}`)
-	closed := make(chan struct{})
-	go func() { a.Close(); close(closed) }()
-	for a.jobs.ctx.Err() == nil {
-		time.Sleep(time.Millisecond)
+	s := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	var list SweepList
+	if code := sweepGet(t, s, "/v1/sweeps", &list); code != http.StatusOK || len(list.Sweeps) != jobs {
+		t.Fatalf("list: status %d, %d jobs, want %d", code, len(list.Sweeps), jobs)
 	}
-	close(release)
-	<-closed
-
-	b := newTestServer(t, Config{Workers: 1, StoreDir: dir, DisableResume: true})
-	var st SweepStatus
-	if code := sweepGet(t, b, "/v1/sweeps/"+id, &st); code != http.StatusOK {
-		t.Fatalf("reloaded job missing: %d", code)
+	overflow := fmt.Sprintf("%016x", jobs)
+	for _, st := range list.Sweeps {
+		if paused := st.State == sweepPaused; paused != (st.ID == overflow) {
+			t.Fatalf("job %s is %q; only the last-created job %s should be paused", st.ID, st.State, overflow)
+		}
 	}
-	if st.State != sweepPaused {
-		t.Fatalf("state %q, want %q", st.State, sweepPaused)
-	}
-	// Paused is not broken: the job's partial results stay servable, with
-	// the state telling the client nothing more is coming on this daemon.
 	var res SweepResults
-	if code := sweepGet(t, b, "/v1/sweeps/"+id+"/results", &res); code != http.StatusOK {
+	if code := sweepGet(t, s, "/v1/sweeps/"+overflow+"/results", &res); code != http.StatusOK {
 		t.Fatalf("paused job results: %d, want 200", code)
 	}
 	if res.State != sweepPaused || len(res.Scenarios) != 1 {
 		t.Fatalf("paused results %+v", res)
+	}
+}
+
+// TestCampaignErrorsMatch: GET /v1/grid and POST /v1/sweeps resolve a
+// campaign with one resolver, so the same bad campaign gets the same 400
+// from both.
+func TestCampaignErrorsMatch(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct{ name, query, body string }{
+		{"n zero", "scenario=2a&n=0", `{"scenarios":["2a"],"n":0}`},
+		{"n above bound", fmt.Sprintf("scenario=2a&n=%d", maxGridSamples+1),
+			fmt.Sprintf(`{"scenarios":["2a"],"n":%d}`, maxGridSamples+1)},
+		{"negative path cap", "scenario=2a&pathcap=-1", `{"scenarios":["2a"],"path_cap":-1}`},
+		{"unknown method", "scenario=2a&methods=nope", `{"scenarios":["2a"],"methods":["nope"]}`},
+		{"unknown scenario", "scenario=9z", `{"scenarios":["9z"]}`},
+		{"missing scenario", "n=1", `{"n":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var errs [2]errorResponse
+			for i, w := range []*httptest.ResponseRecorder{
+				get(t, s, "/v1/grid?"+tc.query),
+				post(t, s, "/v1/sweeps", []byte(tc.body)),
+			} {
+				if w.Code != http.StatusBadRequest {
+					t.Fatalf("endpoint %d: status %d, want 400: %s", i, w.Code, w.Body.String())
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &errs[i]); err != nil || errs[i].Error == "" {
+					t.Fatalf("endpoint %d: error body %q: %v", i, w.Body.String(), err)
+				}
+			}
+			if errs[0].Error != errs[1].Error {
+				t.Fatalf("grid says %q, sweeps say %q", errs[0].Error, errs[1].Error)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 	"dpcpp/internal/store"
 )
 
-// DefaultTraceBuffer is the request-trace ring capacity (Config.TraceBuffer).
+// DefaultTraceBuffer is the capacity of the request-trace ring behind
+// GET /v1/debug/traces.
 const DefaultTraceBuffer = 256
 
 // obsEndpoints is the closed set of endpoint labels for the per-endpoint
@@ -66,17 +67,14 @@ type serverObs struct {
 
 // newServerObs builds the observability state over reg and declares the
 // per-endpoint request-latency histograms in it.
-func newServerObs(reg *obs.Registry, logger *slog.Logger, accessEvery int, traceBuffer int) *serverObs {
+func newServerObs(reg *obs.Registry, logger *slog.Logger, accessEvery int) *serverObs {
 	if logger == nil {
 		logger = obs.NopLogger()
-	}
-	if traceBuffer <= 0 {
-		traceBuffer = DefaultTraceBuffer
 	}
 	o := &serverObs{
 		log:         logger,
 		reg:         reg,
-		ring:        obs.NewTraceRing(traceBuffer),
+		ring:        obs.NewTraceRing(DefaultTraceBuffer),
 		perEndpoint: make(map[string]*obs.Histogram, len(obsEndpoints)),
 		accessEvery: int64(accessEvery),
 	}
@@ -126,16 +124,15 @@ func (w *obsResponseWriter) Unwrap() http.ResponseWriter { return w.ResponseWrit
 
 // observe wraps the mux dispatch with the request-observability
 // middleware: a generated request ID (echoed as X-Request-ID), a trace in
-// the ring with a request-scoped logger carried through the context, the
-// per-endpoint latency histogram, and the sampled access log.
+// the ring carried through the context, the per-endpoint latency
+// histogram, and the sampled access log.
 func (s *Server) observe(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ep := classifyEndpoint(r.URL.Path)
 	id := obs.NewRequestID()
 	tr := obs.NewTrace(id, ep, r.Method, r.URL.Path, start)
 	s.obs.ring.Add(tr)
-	reqLog := s.obs.log.With("req_id", id)
-	ctx := obs.WithLogger(obs.WithTrace(r.Context(), tr), reqLog)
+	ctx := obs.WithTrace(r.Context(), tr)
 
 	ow := &obsResponseWriter{ResponseWriter: w, tr: tr}
 	ow.Header().Set("X-Request-ID", id)
@@ -149,7 +146,8 @@ func (s *Server) observe(w http.ResponseWriter, r *http.Request) {
 	tr.Finish(status)
 	s.obs.perEndpoint[ep].Observe(d)
 	if every := s.obs.accessEvery; every > 0 && s.obs.accessN.Add(1)%every == 0 {
-		reqLog.LogAttrs(ctx, slog.LevelInfo, "request",
+		s.obs.log.LogAttrs(ctx, slog.LevelInfo, "request",
+			slog.String("req_id", id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.String("endpoint", ep),

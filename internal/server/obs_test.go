@@ -266,7 +266,7 @@ func TestMetricsWireContract(t *testing.T) {
 // TestDebugTraces exercises GET /v1/debug/traces: spans from real requests
 // come back newest-first with the recorded stages.
 func TestDebugTraces(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, TraceBuffer: 8})
+	s := newTestServer(t, Config{Workers: 2})
 	if w := post(t, s, "/v1/analyze", analyzeBody(t, testTaskset(t, 0), string(analysis.DPCPpEN))); w.Code != http.StatusOK {
 		t.Fatalf("analyze: %d", w.Code)
 	}

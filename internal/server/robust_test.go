@@ -20,6 +20,13 @@ import (
 	"dpcpp/internal/store"
 )
 
+// analyzeEN runs ts's DPCP-p-EN analysis through the engine's miss path.
+func analyzeEN(ctx context.Context, s *Server, ts *model.Taskset) (*MethodResult, error) {
+	m, opts := analysis.DPCPpEN, analysis.Options{}
+	mr, _, err := s.engine.analyze(ctx, cacheKey(ts.Hash(), m, opts, false), ts, m, opts, false)
+	return mr, err
+}
+
 // blockAnalyses swaps the engine's analysis function for one that parks
 // every call on the returned release channel (closing it lets all calls
 // through); entered receives one value per call that reached the analysis.
@@ -46,7 +53,7 @@ func TestCancelFreesWorkerSlot(t *testing.T) {
 	ts1 := jsonRoundTrip(t, testTaskset(t, 0))
 	done1 := make(chan error, 1)
 	go func() {
-		_, _, err := s.engine.analyze(context.Background(), ts1.Hash(), ts1, analysis.DPCPpEN, analysis.Options{}, false)
+		_, err := analyzeEN(context.Background(), s, ts1)
 		done1 <- err
 	}()
 	<-entered // the only worker slot is now held
@@ -55,7 +62,7 @@ func TestCancelFreesWorkerSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done2 := make(chan error, 1)
 	go func() {
-		_, _, err := s.engine.analyze(ctx, ts2.Hash(), ts2, analysis.DPCPpEN, analysis.Options{}, false)
+		_, err := analyzeEN(ctx, s, ts2)
 		done2 <- err
 	}()
 	// Let the second call reach the slot queue, then abandon it. The sleep
@@ -82,7 +89,7 @@ func TestCancelFreesWorkerSlot(t *testing.T) {
 		t.Fatalf("blocked analysis failed after release: %v", err)
 	}
 	ts3 := jsonRoundTrip(t, testTaskset(t, 13))
-	mr, _, err := s.engine.analyze(context.Background(), ts3.Hash(), ts3, analysis.DPCPpEN, analysis.Options{}, false)
+	mr, err := analyzeEN(context.Background(), s, ts3)
 	if err != nil || mr == nil {
 		t.Fatalf("post-cancel analyze: %v (the canceled call leaked the slot?)", err)
 	}
@@ -101,7 +108,7 @@ func TestWaiterAbandonKeepsSharedComputation(t *testing.T) {
 	key := cacheKey(h, analysis.DPCPpEN, analysis.Options{}, false)
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.engine.analyze(context.Background(), h, ts, analysis.DPCPpEN, analysis.Options{}, false)
+		_, err := analyzeEN(context.Background(), s, ts)
 		leaderDone <- err
 	}()
 	<-entered // leader is computing
@@ -109,7 +116,7 @@ func TestWaiterAbandonKeepsSharedComputation(t *testing.T) {
 	wctx, wcancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.engine.analyze(wctx, h, ts, analysis.DPCPpEN, analysis.Options{}, false)
+		_, err := analyzeEN(wctx, s, ts)
 		waiterDone <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)

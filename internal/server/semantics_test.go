@@ -39,7 +39,7 @@ func TestStoreKeyedBySemanticsVersion(t *testing.T) {
 		t.Fatalf("seeded %d stale entries, want 3", got)
 	}
 
-	mr, analyzed, err := s.engine.analyze(context.Background(), h, ts, m, opts, false)
+	mr, analyzed, err := s.engine.analyze(context.Background(), cacheKey(h, m, opts, false), ts, m, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestStoreKeyedBySemanticsVersion(t *testing.T) {
 	}
 
 	restarted := newTestServer(t, Config{Workers: 1, StoreDir: dir})
-	mr, analyzed, err = restarted.engine.analyze(context.Background(), h, ts, m, opts, false)
+	mr, analyzed, err = restarted.engine.analyze(context.Background(), cacheKey(h, m, opts, false), ts, m, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}

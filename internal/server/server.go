@@ -144,23 +144,16 @@ type Config struct {
 	WriteDeadline time.Duration
 	// StoreDir, when non-empty, roots the persistent layer: an on-disk
 	// content-addressed result store backing the in-memory LRU, plus the
-	// sweep-job checkpoints under StoreDir/jobs. Empty disables
+	// sweep-job checkpoints under StoreDir/jobs, which are fsynced and
+	// whose unfinished jobs re-queue at startup. Empty disables
 	// persistence (results live only in the LRU, sweep jobs only in
 	// memory).
 	StoreDir string
-	// DisableResume skips re-starting unfinished checkpointed sweep jobs
-	// found in StoreDir/jobs at startup (they remain listed, paused, until
-	// a daemon with resume enabled picks them up).
-	DisableResume bool
 	// StoreBreakerThreshold is the consecutive store failures that open
 	// the store circuit breaker (<= 0 = 8); StoreBreakerProbe is the
 	// interval between recovery probes while open (<= 0 = 5s).
 	StoreBreakerThreshold int
 	StoreBreakerProbe     time.Duration
-	// DisableCheckpointSync turns off the fsync on sweep-job checkpoint
-	// writes. Cache entries never sync (they are recomputable); checkpoint
-	// sync is on by default because losing a checkpoint discards progress.
-	DisableCheckpointSync bool
 	// FaultWrites > 0 makes the store's first FaultWrites writes fail with
 	// a synthetic I/O error — built-in fault injection for chaos and smoke
 	// testing of degraded mode through the real binary. Never set it in
@@ -174,9 +167,6 @@ type Config struct {
 	// emits one structured line on Logger. 0 (the default) disables access
 	// logging; 1 logs every request.
 	AccessLogEvery int
-	// TraceBuffer is the capacity of the request-trace ring behind
-	// GET /v1/debug/traces (<= 0 = 256).
-	TraceBuffer int
 
 	// storeHooks, when non-nil, is installed on the opened store before
 	// any checkpoint is read or written; the chaos suite schedules faults
@@ -239,9 +229,8 @@ type Server struct {
 // New builds a Server. It is ready to serve immediately; wire it into an
 // http.Server for listening and graceful shutdown (see cmd/schedd). With
 // cfg.StoreDir set, it opens the persistent result store and loads
-// checkpointed sweep jobs, resuming unfinished ones unless
-// cfg.DisableResume is set. Call Close on shutdown to checkpoint and stop
-// the sweep runner.
+// checkpointed sweep jobs, re-queueing unfinished ones. Call Close on
+// shutdown to checkpoint and stop the sweep runner.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.normalized()
 	var st *store.Store
@@ -265,7 +254,7 @@ func New(cfg Config) (*Server, error) {
 		engine: newEngine(reg, cfg.Workers, cfg.CacheSize, int64(cfg.MaxQueue), st, br),
 		mux:    http.NewServeMux(),
 		fast:   newLRU[fastResponse](cfg.CacheSize),
-		obs:    newServerObs(reg, cfg.Logger, cfg.AccessLogEvery, cfg.TraceBuffer),
+		obs:    newServerObs(reg, cfg.Logger, cfg.AccessLogEvery),
 	}
 	if br != nil {
 		s.observeBreaker(br)
@@ -643,12 +632,14 @@ type query struct {
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, timeoutMS int64,
 	qs []query, ms []analysis.Method, opts analysis.Options, explain bool) bool {
 
-	// A miss copies its query's hash and taskset, so the fan-out closure
-	// never captures qs and a handler's one-query slice stays off the heap.
+	// A miss copies its query's taskset and carries the key its probe
+	// built, so the fan-out closure never captures qs and a handler's
+	// one-query slice stays off the heap.
 	type miss struct {
-		hash     model.Hash
+		key      string
 		ts       *model.Taskset
 		q, m     int
+		explain  bool
 		mr       *MethodResult
 		analyzed bool
 		err      error
@@ -658,11 +649,14 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, timeoutMS int64,
 	for qi := range qs {
 		q := &qs[qi]
 		for mi, m := range ms {
-			if mr, ok := s.engine.cache.get(cacheKey(q.hash, m, opts, explain && m == analysis.DPCPpEP)); ok {
+			// Only DPCP-p-EP results carry a breakdown, so explain forks
+			// no other method's key or analysis.
+			ex := explain && m == analysis.DPCPpEP
+			if key, mr, ok := s.engine.probe(q.hash, m, opts, ex); ok {
 				q.results[string(m)] = mr
 				hits++
 			} else {
-				misses = append(misses, miss{hash: q.hash, ts: q.ts, q: qi, m: mi})
+				misses = append(misses, miss{key: key, ts: q.ts, q: qi, m: mi, explain: ex})
 			}
 		}
 	}
@@ -685,7 +679,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, timeoutMS int64,
 		// A dead client stops admitting new analyses; the remaining
 		// misses drain without work.
 		if x.err = ctx.Err(); x.err == nil {
-			x.mr, x.analyzed, x.err = s.engine.analyze(ctx, x.hash, x.ts, ms[x.m], opts, explain)
+			x.mr, x.analyzed, x.err = s.engine.analyze(ctx, x.key, x.ts, ms[x.m], opts, x.explain)
 		}
 	}
 	workers := s.cfg.Workers
@@ -710,26 +704,30 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, timeoutMS int64,
 	return true
 }
 
-// validateOptions resolves methods, path cap and placement, writing a 400
-// on any invalid field.
+// validateOptions is parseOptions writing a 400 on any invalid field.
 func (s *Server) validateOptions(w http.ResponseWriter, methods []string,
 	pathCap int, placement string) ([]analysis.Method, analysis.Options, bool) {
 
+	ms, opts, err := parseOptions(methods, pathCap, placement)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+	}
+	return ms, opts, err == nil
+}
+
+// parseOptions resolves the methods, path cap and placement of every
+// request that names them: analyze, batch, delta and both curve
+// endpoints.
+func parseOptions(methods []string, pathCap int, placement string) ([]analysis.Method, analysis.Options, error) {
 	ms, err := analysis.ParseMethods(methods)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, analysis.Options{}, false
+		return nil, analysis.Options{}, err
 	}
 	if pathCap < 0 {
-		writeError(w, http.StatusBadRequest, "negative path_cap %d", pathCap)
-		return nil, analysis.Options{}, false
+		return nil, analysis.Options{}, fmt.Errorf("negative path_cap %d", pathCap)
 	}
 	pl, err := parsePlacement(placement)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, analysis.Options{}, false
-	}
-	return ms, analysis.Options{PathCap: pathCap, Placement: pl}, true
+	return ms, analysis.Options{PathCap: pathCap, Placement: pl}, err
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

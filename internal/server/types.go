@@ -140,7 +140,7 @@ type SweepScenarioStatus struct {
 // scenario progress in points completed.
 type SweepStatus struct {
 	ID    string `json:"id"`
-	State string `json:"state"` // queued | running | paused | done | failed
+	State string `json:"state"` // queued | running | paused (runner queue full at startup) | done | failed
 	Error string `json:"error,omitempty"`
 	N     int    `json:"n"`
 	Seed  int64  `json:"seed"`
