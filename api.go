@@ -37,7 +37,8 @@ type (
 	// Path is one complete path through a task's DAG.
 	Path = model.Path
 	// PathView is the signature-collapsed summary of all complete paths
-	// sharing one per-resource request vector; the EP analysis consumes
+	// sharing one per-resource request vector: the vector, the longest
+	// such path and its non-critical WCET. The EP analysis consumes
 	// views, not concrete paths.
 	PathView = model.PathView
 	// ViewScratch is the reusable working memory of

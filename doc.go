@@ -76,6 +76,13 @@
 // view therefore carries the per-signature maxima, making the collapse
 // exact — verdicts and WCRTs are bit-identical to per-path evaluation — while
 // a 2^14-path DAG whose paths share one signature costs one evaluation.
+// A view carries only what Theorem 1 reads: its length, its off-path
+// non-critical WCET and one on-path request vector. The EN view (the
+// per-term path extremes) adds the per-resource minimum, and every
+// off-path count is N_{i,q} minus that minimum (for a signature, minus
+// the signature itself). An EP view copies its signature once into the
+// analyzer's arena; the EN and shared (Sec. VI) views borrow the
+// finalized task's PathBounds and RequestTotals vectors without a copy.
 // On top of the collapse, the analyzer memoizes per-task views across the
 // partitioning loop's rounds and the Lemma 2 W fixed points across views
 // (keyed by processor and recurrence base), and the experiment harness
@@ -222,7 +229,10 @@
 //     is valid until its next WCRTs call, the views Task.EnumerateViews
 //     returns through a ViewScratch until the next call on the same
 //     scratch — and every such lifetime is documented at the API
-//     returning it.
+//     returning it. The EN and shared path views borrow a finalized
+//     task's PathBounds and RequestTotals vectors, which are shared by
+//     every analysis of the task, possibly on other goroutines, and are
+//     never written.
 //   - Steady state allocates nothing: arenas grow to a high-water mark
 //     and are reset, not freed, between tasks and tasksets. This is
 //     pinned by AllocsPerRun tests and by the committed benchmark

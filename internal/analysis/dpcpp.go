@@ -78,12 +78,13 @@ func (a *DPCPp) WCRTs(p *partition.Partition, untilMiss bool) map[rt.TaskID]rt.T
 
 // pathView abstracts "one candidate worst-case path": a signature-collapsed
 // view over enumerated paths (EP) or the per-term extremes over all paths
-// (EN).
+// (EN). prepareViews derives the off-path request count of resource q as
+// N_{i,q} - onMin[q]; for a single path or signature onMin is onPath.
 type pathView struct {
 	length     rt.Time // L(lambda) (EN: L*)
 	offNonCrit rt.Time // non-critical WCET of vertices not on the path
 	onPath     []int64 // N^lambda_{i,q} (EN: max over paths)
-	offPath    []int64 // N_{i,q} - N^lambda_{i,q} (EN: N - min over paths)
+	onMin      []int64 // N^lambda_{i,q} (EN: min over paths)
 }
 
 func (a *DPCPp) pathViews(t *model.Task) []pathView {
@@ -103,27 +104,22 @@ func (a *DPCPp) buildViews(t *model.Task) cachedViews {
 	if !a.en {
 		pvs, ok := t.EnumerateViews(a.pathCap, &s.vs)
 		if ok {
-			// The enumerated views borrow s.vs until its next call; convert
+			// The enumerated views borrow s.vs until its next call; copy
 			// them immediately into analyzer-lifetime arena storage (the
-			// view cache spans partition rounds). One flat backing array
-			// holds every view's request vectors.
+			// view cache spans partition rounds). One flat chunk holds
+			// every view's request vector.
 			views := s.pviews.alloc(len(pvs))
-			flat := s.flat.alloc(2 * nr * len(pvs))
+			flat := s.flat.alloc(nr * len(pvs))
 			totalNonCrit := t.NonCritWCET()
 			for i := range pvs {
 				pv := &pvs[i]
-				on := flat[2*i*nr : (2*i+1)*nr : (2*i+1)*nr]
-				off := flat[(2*i+1)*nr : (2*i+2)*nr : (2*i+2)*nr]
-				for q := 0; q < nr; q++ {
-					n := pv.Requests(rt.ResourceID(q))
-					on[q] = n
-					off[q] = t.NumRequests(rt.ResourceID(q)) - n
-				}
+				on := flat[i*nr : (i+1)*nr : (i+1)*nr]
+				copy(on, pv.NReq)
 				views[i] = pathView{
 					length:     pv.Length,
 					offNonCrit: totalNonCrit - pv.NonCrit,
 					onPath:     on,
-					offPath:    off,
+					onMin:      on,
 				}
 			}
 			return cachedViews{views: views}
@@ -133,23 +129,16 @@ func (a *DPCPp) buildViews(t *model.Task) cachedViews {
 	return cachedViews{views: a.enView(t)}
 }
 
-// enView builds the single path-oblivious EN view.
+// enView builds the single path-oblivious EN view. Its request vectors
+// borrow the task's read-only path bounds.
 func (a *DPCPp) enView(t *model.Task) []pathView {
-	nr := a.ts.NumResources
-	s := a.sc
 	b := t.PathBounds()
-	views := s.pviews.alloc(1)
-	on := s.flat.alloc(nr)
-	off := s.flat.alloc(nr)
-	for q := 0; q < nr; q++ {
-		on[q] = b.MaxReq[q]
-		off[q] = t.NumRequests(rt.ResourceID(q)) - b.MinReq[q]
-	}
+	views := a.sc.pviews.alloc(1)
 	views[0] = pathView{
 		length:     b.MaxLength,
 		offNonCrit: t.NonCritWCET() - b.MinNonCrit,
-		onPath:     on,
-		offPath:    off,
+		onPath:     b.MaxReq,
+		onMin:      b.MinReq,
 	}
 	return views
 }
@@ -439,23 +428,18 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 
 // viewsFor returns the candidate path views of the context's task. The
 // shared-task (Sec. VI) view — a light task runs sequentially, so the whole
-// job is its only path, with every request on it and nothing off it — is
-// rebuilt per round from per-task scratch: like the taskCtx it is valid
-// only until the next buildCtx call on this analyzer.
+// job is its only path, with every request on it and nothing off it —
+// borrows the task's read-only request totals and is rebuilt per round:
+// like the taskCtx it is valid only until the next buildCtx call on this
+// analyzer.
 func (a *DPCPp) viewsFor(ctx *taskCtx) []pathView {
 	t := ctx.task
 	if !ctx.shared {
 		return a.pathViews(t)
 	}
-	s := a.sc
-	nr := a.ts.NumResources
-	on := s.times.alloc(nr)
-	off := s.times.allocZero(nr)
-	for q := 0; q < nr; q++ {
-		on[q] = t.NumRequests(rt.ResourceID(q))
-	}
-	s.sharedView[0] = pathView{length: t.WCET(), onPath: on, offPath: off}
-	return s.sharedView[:1]
+	tot := t.RequestTotals()
+	a.sc.sharedView[0] = pathView{length: t.WCET(), onPath: tot, onMin: tot}
+	return a.sc.sharedView[:1]
 }
 
 // viewTerms are the Theorem 1 terms of one path view that do not depend
@@ -486,11 +470,12 @@ func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) {
 	terms := s.vterms.alloc(len(views))
 	slots := s.times.alloc(len(views) * np)
 	xs := s.times.alloc(len(views))
+	nreq := ctx.task.RequestTotals()
 	for vi := range views {
 		v := &views[vi]
 		vt := viewTerms{iIntra: v.offNonCrit}
 		for j, q := range ctx.localRes {
-			off := rt.SatMul(v.offPath[q], ctx.localCS[j])
+			off := rt.SatMul(nreq[q]-v.onMin[q], ctx.localCS[j])
 			vt.iIntra = rt.SatAdd(vt.iIntra, off)
 			if v.onPath[q] > 0 {
 				vt.b = rt.SatAdd(vt.b, off)
@@ -505,7 +490,7 @@ func (a *DPCPp) prepareViews(ctx *taskCtx, views []pathView) {
 			var off rt.Time
 			requested := false
 			for j, u := range pc.res {
-				off = rt.SatAdd(off, rt.SatMul(v.offPath[u], pc.resCS[j]))
+				off = rt.SatAdd(off, rt.SatMul(nreq[u]-v.onMin[u], pc.resCS[j]))
 				requested = requested || v.onPath[u] > 0
 			}
 			if pc.own {

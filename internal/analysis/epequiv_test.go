@@ -49,10 +49,11 @@ func (n *naiveEP) viewsFor(ctx *taskCtx) []pathView {
 	t := ctx.task
 	nr := n.a.ts.NumResources
 	if ctx.shared {
-		v := pathView{length: t.WCET(), onPath: make([]int64, nr), offPath: make([]int64, nr)}
+		v := pathView{length: t.WCET(), onPath: make([]int64, nr)}
 		for q := 0; q < nr; q++ {
 			v.onPath[q] = t.NumRequests(rt.ResourceID(q))
 		}
+		v.onMin = v.onPath
 		return []pathView{v}
 	}
 	paths, ok := t.EnumeratePaths(n.a.pathCap)
@@ -66,13 +67,11 @@ func (n *naiveEP) viewsFor(ctx *taskCtx) []pathView {
 			length:     p.Length,
 			offNonCrit: totalNonCrit - p.NonCrit,
 			onPath:     make([]int64, nr),
-			offPath:    make([]int64, nr),
 		}
 		for q := 0; q < nr; q++ {
-			c := p.Requests(rt.ResourceID(q))
-			v.onPath[q] = c
-			v.offPath[q] = t.NumRequests(rt.ResourceID(q)) - c
+			v.onPath[q] = p.Requests(rt.ResourceID(q))
 		}
+		v.onMin = v.onPath
 		views[i] = v
 	}
 	return views
@@ -212,7 +211,7 @@ func (d *directRef) clusterTerms(p *partition.Partition, t *model.Task, wcrts ma
 // cluster (Lemma 6).
 func (d *directRef) staticTerms(p *partition.Partition, t *model.Task, v *pathView) (b, iIntra, iaStatic rt.Time) {
 	ts := d.a.ts
-	offCS := func(q rt.ResourceID) rt.Time { return rt.SatMul(v.offPath[q], t.CS(q)) }
+	offCS := func(q rt.ResourceID) rt.Time { return rt.SatMul(offRequests(t, v, q), t.CS(q)) }
 	// Lemma 5 and Eq. (6): off-path work on local resources; b_i counts
 	// only those the path itself requests.
 	iIntra = v.offNonCrit
@@ -270,12 +269,18 @@ func (d *directRef) viewWCRT(p *partition.Partition, ctx *taskCtx, cluster []eta
 	return r
 }
 
+// offRequests is the view's off-path request count on q: N_{i,q} minus
+// the fewest requests any of its paths issues to q.
+func offRequests(t *model.Task, v *pathView, q rt.ResourceID) int64 {
+	return t.NumRequests(q) - v.onMin[q]
+}
+
 // directEpsilon is Eq. (4) with each request's Lemma 2 W recurrence solved
 // from scratch.
 func directEpsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 	var offCoWork rt.Time
 	for j, u := range pc.res {
-		offCoWork = rt.SatAdd(offCoWork, rt.SatMul(v.offPath[u], pc.resCS[j]))
+		offCoWork = rt.SatAdd(offCoWork, rt.SatMul(offRequests(ctx.task, v, u), pc.resCS[j]))
 	}
 	var eps rt.Time
 	for j, q := range pc.res {

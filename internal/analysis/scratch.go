@@ -133,7 +133,7 @@ type Scratch struct {
 	viewCache map[rt.TaskID]cachedViews
 	vs        model.ViewScratch
 	pviews    arena[pathView]
-	flat      arena[int64] // request-vector backing of cached views
+	flat      arena[int64] // request-vector backing of cached EP views
 
 	// WCRTs-lifetime state: the response-time map handed out by WCRTs,
 	// valid until the next WCRTs call (internal/partition copies it into

@@ -172,9 +172,15 @@ func (t *Task) setCSLen(q rt.ResourceID, csLen rt.Time) {
 // does not build the canonical hash body; Taskset.Hash does, when asked.
 // numResources is the number of resources in the enclosing taskset; it
 // sizes the per-resource vectors. However large the task, Finalize makes
-// the same number of allocations.
+// the same number of allocations. Finalizing a finalized task again is a
+// no-op for the same numResources and an error for any other, since its
+// vectors are sized for the first.
 func (t *Task) Finalize(numResources int) error {
 	if t.finalized {
+		if len(t.nReq) != numResources {
+			return fmt.Errorf("model: task %d was finalized for %d resources, not %d",
+				t.ID, len(t.nReq), numResources)
+		}
 		return nil
 	}
 	if len(t.Vertices) == 0 {
@@ -335,6 +341,11 @@ func (t *Task) NumRequests(q rt.ResourceID) int64 {
 	}
 	return t.nReq[q]
 }
+
+// RequestTotals returns N_{i,q} for every resource q, indexed by
+// ResourceID and sized by the taskset's resource count, computed once by
+// Finalize. The result is shared and must not be modified.
+func (t *Task) RequestTotals() []int64 { t.mustFinal(); return t.nReq }
 
 // VertexCount returns V_{i,q}, the number of the task's vertices that issue
 // at least one request to q. It bounds how many requests of one job can be

@@ -205,3 +205,30 @@ func TestTooFewProcessorsRejected(t *testing.T) {
 		t.Error("Finalize accepted m=1")
 	}
 }
+
+// A task finalized for one resource count carries vectors of that size,
+// so a taskset with another count must reject it rather than analyze it:
+// with fewer resources the analyses indexed past its vectors, and with
+// more they never saw its requests to the resources beyond the set's.
+func TestFinalizedTaskResourceCountMismatchRejected(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		taskRes, set int
+	}{{"fewer", 1, 3}, {"more", 3, 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := NewTaskset(4, c.set)
+			for id := rt.TaskID(0); id < 2; id++ {
+				task := NewTask(id, 10*rt.Millisecond, 10*rt.Millisecond)
+				x := task.AddVertex(3 * rt.Millisecond)
+				task.AddRequest(x, rt.ResourceID(c.taskRes-1), 5, 500*rt.Microsecond)
+				if err := task.Finalize(c.taskRes); err != nil {
+					t.Fatal(err)
+				}
+				ts.Add(task)
+			}
+			if err := ts.Finalize(); err == nil {
+				t.Errorf("taskset with %d resources accepted tasks finalized for %d", c.set, c.taskRes)
+			}
+		})
+	}
+}

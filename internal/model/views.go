@@ -16,15 +16,6 @@ type PathView struct {
 	NReq    []int64 // NReq[q] = N^lambda_{i,q}, shared by all collapsed paths
 	Length  rt.Time // max over collapsed paths of L(lambda)
 	NonCrit rt.Time // on-path non-critical WCET of the longest collapsed path
-	Paths   int64   // number of concrete paths collapsed, saturating
-}
-
-// Requests returns N^lambda_{i,q} for resource q.
-func (v *PathView) Requests(q rt.ResourceID) int64 {
-	if int(q) >= len(v.NReq) {
-		return 0
-	}
-	return v.NReq[q]
 }
 
 // viewState is one partial-path equivalence class during the collapse DP:
@@ -32,7 +23,6 @@ func (v *PathView) Requests(q rt.ResourceID) int64 {
 type viewState struct {
 	sig     []int64 // counts per *active* resource (see EnumerateViews)
 	nonCrit rt.Time // max prefix non-critical WCET within the class
-	paths   int64   // number of prefixes in the class, saturating
 }
 
 // sigDelta is one vertex's request increment on an active-resource slot,
@@ -51,8 +41,8 @@ type sigDelta struct {
 // views EnumerateViews returns through it (including their NReq vectors)
 // borrow the scratch — they are valid only until the next EnumerateViews
 // call on the same scratch. Callers that retain views must copy them out
-// first (internal/analysis does: it converts views into its own
-// representation immediately).
+// first (internal/analysis does: it copies each view's NReq into its own
+// arena immediately).
 type ViewScratch struct {
 	active  []rt.ResourceID
 	slot    []int
@@ -180,11 +170,11 @@ func (t *Task) EnumerateViews(cap int, s *ViewScratch) (views []PathView, ok boo
 	for _, x := range t.topo {
 		m.begin(s.states[x][:0])
 		if pred := t.adj.Pred(x); len(pred) == 0 {
-			s.fold(m, x, na, s.zeroSig, s.nonCrit[x], 1)
+			s.fold(m, x, na, s.zeroSig, s.nonCrit[x])
 		} else {
 			for _, p := range pred {
 				for _, st := range s.states[p] {
-					s.fold(m, x, na, st.sig, st.nonCrit+s.nonCrit[x], st.paths)
+					s.fold(m, x, na, st.sig, st.nonCrit+s.nonCrit[x])
 				}
 			}
 		}
@@ -196,7 +186,7 @@ func (t *Task) EnumerateViews(cap int, s *ViewScratch) (views []PathView, ok boo
 	m.begin(s.final[:0])
 	for _, tail := range t.tails {
 		for _, st := range s.states[tail] {
-			m.add(st.sig, st.nonCrit, st.paths)
+			m.add(st.sig, st.nonCrit)
 		}
 	}
 	s.final = m.take()
@@ -215,14 +205,14 @@ func (t *Task) EnumerateViews(cap int, s *ViewScratch) (views []PathView, ok boo
 			nreq[q] = st.sig[j]
 			length = rt.SatAdd(length, rt.SatMul(st.sig[j], t.CSLen[q]))
 		}
-		views[i] = PathView{NReq: nreq, Length: length, NonCrit: st.nonCrit, Paths: st.paths}
+		views[i] = PathView{NReq: nreq, Length: length, NonCrit: st.nonCrit}
 	}
 	return views, true
 }
 
 // fold extends one predecessor class by vertex x and hands it to the
 // merger. Signatures only copy (from the arena) when x issues requests.
-func (s *ViewScratch) fold(m *sigMerger, x rt.VertexID, na int, base []int64, nc rt.Time, paths int64) {
+func (s *ViewScratch) fold(m *sigMerger, x rt.VertexID, na int, base []int64, nc rt.Time) {
 	sig := base
 	if len(s.deltas[x]) > 0 {
 		sig = s.allocSig(na)
@@ -231,10 +221,10 @@ func (s *ViewScratch) fold(m *sigMerger, x rt.VertexID, na int, base []int64, nc
 			sig[d.slot] += d.n
 		}
 	}
-	m.add(sig, nc, paths)
+	m.add(sig, nc)
 }
 
-// sigMerger folds (signature, nonCrit, paths) triples into collapsed
+// sigMerger folds (signature, nonCrit) pairs into collapsed
 // equivalence classes. Small batches merge by direct signature comparison;
 // once the class count passes a threshold it switches to an open-addressed
 // hash table probing the signatures in place, so chain-heavy DAGs (few
@@ -318,18 +308,18 @@ func (m *sigMerger) reindex() {
 	}
 }
 
-// add folds one (signature, nonCrit, paths) triple into its class,
-// appending a new class when the signature is unseen.
-func (m *sigMerger) add(sig []int64, nonCrit rt.Time, paths int64) {
+// add folds one (signature, nonCrit) pair into its class, appending a new
+// class when the signature is unseen.
+func (m *sigMerger) add(sig []int64, nonCrit rt.Time) {
 	if !m.indexed {
 		for i := range m.out {
 			if sigEqual(m.out[i].sig, sig) {
-				m.merge(i, nonCrit, paths)
+				m.merge(i, nonCrit)
 				return
 			}
 		}
 		if len(m.out) < linearMergeMax {
-			m.out = append(m.out, viewState{sig: sig, nonCrit: nonCrit, paths: paths})
+			m.out = append(m.out, viewState{sig: sig, nonCrit: nonCrit})
 			return
 		}
 		// Crossing the threshold: index everything seen so far.
@@ -340,19 +330,15 @@ func (m *sigMerger) add(sig []int64, nonCrit rt.Time, paths int64) {
 	}
 	j := m.find(sig)
 	if e := m.table[j]; e != 0 {
-		m.merge(int(e-1), nonCrit, paths)
+		m.merge(int(e-1), nonCrit)
 		return
 	}
 	m.table[j] = int32(len(m.out) + 1)
-	m.out = append(m.out, viewState{sig: sig, nonCrit: nonCrit, paths: paths})
+	m.out = append(m.out, viewState{sig: sig, nonCrit: nonCrit})
 }
 
-func (m *sigMerger) merge(i int, nonCrit rt.Time, paths int64) {
-	s := &m.out[i]
-	if nonCrit > s.nonCrit {
-		s.nonCrit = nonCrit
-	}
-	s.paths = satAddI64(s.paths, paths)
+func (m *sigMerger) merge(i int, nonCrit rt.Time) {
+	m.out[i].nonCrit = max(m.out[i].nonCrit, nonCrit)
 }
 
 func sigEqual(a, b []int64) bool {

@@ -20,24 +20,15 @@ func TestEnumerateViewsGi(t *testing.T) {
 		t.Fatalf("got %d views, want 3: %+v", len(views), views)
 	}
 	byKey := map[string]*PathView{}
-	var total int64
 	for i := range views {
 		v := &views[i]
-		byKey[fmt.Sprintf("%d,%d", v.Requests(0), v.Requests(1))] = v
-		total += v.Paths
-	}
-	if total != task.CountPaths() {
-		t.Errorf("views cover %d paths, want %d", total, task.CountPaths())
+		byKey[fmt.Sprintf("%d,%d", v.NReq[0], v.NReq[1])] = v
 	}
 	l1 := byKey["1,0"]
 	l2 := byKey["0,1"]
 	none := byKey["0,0"]
 	if l1 == nil || l2 == nil || none == nil {
 		t.Fatalf("missing signature: %+v", views)
-	}
-	if l1.Paths != 1 || l2.Paths != 2 || none.Paths != 1 {
-		t.Errorf("path distribution = l1:%d l2:%d none:%d, want 1,2,1",
-			l1.Paths, l2.Paths, none.Paths)
 	}
 	// The request-free path (v1,v5,v7,v8) is the overall longest.
 	if none.Length != 10*rt.Microsecond {
@@ -62,7 +53,7 @@ func TestEnumerateViewsCapMatchesEnumeratePaths(t *testing.T) {
 }
 
 // Property: EnumerateViews is exactly EnumeratePaths grouped by request
-// vector, carrying the per-group maxima and path counts.
+// vector, carrying the per-group maxima.
 func TestViewsMatchEnumerationGrouping(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -73,7 +64,6 @@ func TestViewsMatchEnumerationGrouping(t *testing.T) {
 		}
 		type group struct {
 			maxLen, maxNonCrit rt.Time
-			paths              int64
 		}
 		groups := map[[2]int64]*group{}
 		for _, p := range paths {
@@ -89,7 +79,6 @@ func TestViewsMatchEnumerationGrouping(t *testing.T) {
 			if p.NonCrit > g.maxNonCrit {
 				g.maxNonCrit = p.NonCrit
 			}
-			g.paths++
 		}
 		views, ok := task.EnumerateViews(100000, nil)
 		if !ok || len(views) != len(groups) {
@@ -97,11 +86,11 @@ func TestViewsMatchEnumerationGrouping(t *testing.T) {
 		}
 		for i := range views {
 			v := &views[i]
-			g := groups[[2]int64{v.Requests(0), v.Requests(1)}]
+			g := groups[[2]int64{v.NReq[0], v.NReq[1]}]
 			if g == nil {
 				return false
 			}
-			if v.Length != g.maxLen || v.NonCrit != g.maxNonCrit || v.Paths != g.paths {
+			if v.Length != g.maxLen || v.NonCrit != g.maxNonCrit {
 				return false
 			}
 		}
@@ -142,9 +131,6 @@ func TestEnumerateViewsCollapsesExponentialDAG(t *testing.T) {
 	}
 	if len(views) != 1 {
 		t.Fatalf("got %d views, want 1 (all paths share one signature)", len(views))
-	}
-	if views[0].Paths != 1<<14 {
-		t.Errorf("collapsed %d paths, want %d", views[0].Paths, 1<<14)
 	}
 	if views[0].Length != task.LongestPath() {
 		t.Errorf("view length %v != longest path %v", views[0].Length, task.LongestPath())

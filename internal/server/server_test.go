@@ -840,6 +840,57 @@ func FuzzAnalyzeRequest(f *testing.F) {
 	})
 }
 
+// serverAnalyzeCase is one request shape of BenchmarkServerAnalyze:
+// body(tb, i) is the i-th request's body, and body(tb, -1) warms the
+// caches of a -hit or -semantic case.
+type serverAnalyzeCase struct {
+	name string
+	body func(tb testing.TB, i int) []byte
+}
+
+// serverAnalyzeCases returns BenchmarkServerAnalyze's request shapes,
+// shared with TestCacheHitAllocs.
+func serverAnalyzeCases() []serverAnalyzeCase {
+	fig2aSet := func(tb testing.TB, seed int64) *model.Taskset {
+		tb.Helper()
+		scen, err := taskgen.Fig2Scenario("2a")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		g := taskgen.NewGenerator(scen.DefaultStructure())
+		ts, err := experiments.GenerateSample(g, seed, 8)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return ts
+	}
+	encode := func(tb testing.TB, ts *model.Taskset) []byte {
+		tb.Helper()
+		body, err := json.Marshal(AnalyzeRequest{Taskset: ts, Methods: []string{string(analysis.DPCPpEP)}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return body
+	}
+	var semantic *model.Taskset
+	return []serverAnalyzeCase{
+		{"tiny-cold", func(tb testing.TB, i int) []byte {
+			return analyzeBody(tb, testTaskset(tb, rt.Time(i+1)), string(analysis.DPCPpEP))
+		}},
+		{"tiny-hit", func(tb testing.TB, i int) []byte {
+			return analyzeBody(tb, testTaskset(tb, 0), string(analysis.DPCPpEP))
+		}},
+		{"fig2a-cold", func(tb testing.TB, i int) []byte { return encode(tb, fig2aSet(tb, int64(i))) }},
+		{"fig2a-hit", func(tb testing.TB, i int) []byte { return encode(tb, fig2aSet(tb, 1)) }},
+		{"fig2a-semantic", func(tb testing.TB, i int) []byte {
+			if semantic == nil {
+				semantic = fig2aSet(tb, 1)
+			}
+			return encode(tb, renamedRotation(semantic, i))
+		}},
+	}
+}
+
 // BenchmarkServerAnalyze measures the full request path, cold (cache
 // miss, one analysis per request) vs hit (content-addressed cache). The
 // tiny taskset isolates the transport floor; the fig2a family uses the
@@ -849,48 +900,7 @@ func FuzzAnalyzeRequest(f *testing.F) {
 // one renamed), so it misses the exact-body cache and pays decode,
 // Finalize and Hash before the result cache answers.
 func BenchmarkServerAnalyze(b *testing.B) {
-	fig2aSet := func(b *testing.B, seed int64) *model.Taskset {
-		b.Helper()
-		scen, err := taskgen.Fig2Scenario("2a")
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := taskgen.NewGenerator(scen.DefaultStructure())
-		ts, err := experiments.GenerateSample(g, seed, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ts
-	}
-	encode := func(b *testing.B, ts *model.Taskset) []byte {
-		b.Helper()
-		body, err := json.Marshal(AnalyzeRequest{Taskset: ts, Methods: []string{string(analysis.DPCPpEP)}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return body
-	}
-	fig2aBody := func(b *testing.B, seed int64) []byte { return encode(b, fig2aSet(b, seed)) }
-	var semantic *model.Taskset
-	for _, bc := range []struct {
-		name string
-		body func(b *testing.B, i int) []byte
-	}{
-		{"tiny-cold", func(b *testing.B, i int) []byte {
-			return analyzeBody(b, testTaskset(b, rt.Time(i+1)), string(analysis.DPCPpEP))
-		}},
-		{"tiny-hit", func(b *testing.B, i int) []byte {
-			return analyzeBody(b, testTaskset(b, 0), string(analysis.DPCPpEP))
-		}},
-		{"fig2a-cold", func(b *testing.B, i int) []byte { return fig2aBody(b, int64(i)) }},
-		{"fig2a-hit", func(b *testing.B, i int) []byte { return fig2aBody(b, 1) }},
-		{"fig2a-semantic", func(b *testing.B, i int) []byte {
-			if semantic == nil {
-				semantic = fig2aSet(b, 1)
-			}
-			return encode(b, renamedRotation(semantic, i))
-		}},
-	} {
+	for _, bc := range serverAnalyzeCases() {
 		b.Run(bc.name, func(b *testing.B) {
 			s := newTestServer(b, Config{Workers: 1, CacheSize: 1 << 20, MaxQueue: 1 << 30})
 			bodies := make([][]byte, b.N)
